@@ -123,6 +123,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, f.name, cli_val)
         elif f.name in file_values:
             setattr(cfg, f.name, file_values[f.name])
+    if not (math.isfinite(cfg.tol) and cfg.tol >= 0.0):
+        # a NaN tolerance would let every comparison pass
+        raise DomainError(f"tol must be finite and non-negative, got {cfg.tol!r}")
     return cfg
 
 
@@ -156,6 +159,14 @@ def _open_out(cfg: RunConfig):
 
 def _csv_row(values: Sequence[float]) -> str:
     return ",".join(_FMT % v for v in values)
+
+
+def _too_many_failures(failures: int, attempted: int) -> bool:
+    """The exit-3 rule: oracle failures above 1% of the points attempted."""
+    if failures and failures / attempted > ORACLE_FAILURE_LIMIT:
+        print(f"oracle failures: {failures}/{attempted}", file=sys.stderr)
+        return True
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +205,7 @@ def cmd_tabulate(cfg: RunConfig) -> int:
                     ws.w_I, ws.w_K, ws.w_O,
                     pb.upper.value, pb.lower_trig.value,
                 )) + "\n")
-        if points and failures / points > ORACLE_FAILURE_LIMIT:
-            print(f"oracle failures: {failures}/{points}", file=sys.stderr)
+        if _too_many_failures(failures, points):
             return EXIT_ORACLE
         return EXIT_OK
     finally:
@@ -246,8 +256,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if failing:
         print("failing claims: " + ", ".join(failing))
         return EXIT_VIOLATION
-    if points and failures / (points + failures) > ORACLE_FAILURE_LIMIT:
-        print(f"oracle failures: {failures}", file=sys.stderr)
+    if _too_many_failures(failures, points + failures):
         return EXIT_ORACLE
     return EXIT_OK
 
@@ -298,6 +307,9 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     if rep.violations:
         print(f"violations of the proved cap: {len(rep.violations)}")
         return EXIT_VIOLATION
+    failures = len(rep.oracle_failures)
+    if _too_many_failures(failures, rep.points_checked + failures):
+        return EXIT_ORACLE
     return EXIT_OK
 
 

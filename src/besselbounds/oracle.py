@@ -1,9 +1,10 @@
 """Reference evaluation of Bessel ratios built only from recurrence structure.
 
-Nothing here calls a Bessel implementation.  The oracles rest on three
-independent mechanisms, all consequences of the three-term recurrence
-C_{nu+1}(x) = C_{nu-1}(x) - (2*nu/x)*C_nu(x) and the Riccati equation the
-ratios satisfy:
+Nothing here calls a Bessel implementation.  The oracles rest on the
+three-term recurrence C_{nu+1}(x) = C_{nu-1}(x) - (2*nu/x)*C_nu(x) and on
+the Riccati equation the ratios satisfy,
+
+      Phi'(x) = 1 + ((2*nu-1)/x)*Phi - Phi**2.
 
 * ``i_ratio``: Phi0 = I_{nu-1}/I_nu via the continued fraction
 
@@ -12,19 +13,24 @@ ratios satisfy:
   evaluated with the modified Lentz algorithm.  The fraction converges to
   the minimal-solution ratio, which is the I family.
 
-* ``k_ratio`` for half-integer orders: K_{1/2} = K_{-1/2} gives the exact
-  seed r_{1/2} = 1 for the rational recurrence r_{nu+1} = 1/(2*nu/x + r_nu)
-  with r_nu = K_{nu-1}/K_nu; the ratio of half-integer K's is a rational
-  function of x and the recurrence reproduces it to roundoff.
+* ``k_ratio_rows`` (and its one-row and one-point forms ``k_ratio_row`` and
+  ``k_ratio``): Phi1 = -K_{nu-1}/K_nu as seed, then ladder.  Orders are
+  grouped by class nu mod 1 and each class is computed once at its lowest
+  order (the seed), then carried up by the forward recurrence
+  r_{nu+1} = 1/(2*nu/x + r_nu) on r = K_{nu-1}/K_nu > 0.  K is the dominant
+  solution of that recurrence (Gautschi 1967), so each step adds two
+  positive terms: relative error shrinks by r/(2*nu/x + r) and gains 2 eps.
+  Seeds come from three sources:
 
-* ``k_ratio`` elsewhere: backward adaptive integration of
-
-      Phi'(x) = 1 + ((2*nu-1)/x)*Phi - Phi**2
-
-  from a large x_start down to the target.  The K solution is the unique
-  solution bounded as x -> oo and is exponentially attracting in the
-  backward direction, so the large-x seed error (three-term asymptotic
-  series) is crushed long before the target is reached.
+  - half-integer classes: K_{1/2} = K_{-1/2} gives r_{1/2} = 1 exactly;
+  - x >= 20: the large-x series Phi1 ~ sum_k c_k x**-k generated from the
+    Riccati equation itself, c_0 = -1,
+    c_{k+1} = [-(k + 2*nu - 1) c_k + sum_{i=1..k} c_i c_{k+1-i}]/2,
+    truncated before its smallest term (the error is the first omitted
+    term);
+  - x < 20: one backward integration of the Riccati equation from x = 20,
+    seeded by that series.  The K solution is the one bounded as x -> oo
+    and attracts every other in the backward direction.
 
 Negative orders in [-1, 0) are a documented test-only extension: the I side
 steps the recurrence down once from nu+1 >= 0, and the K side uses the
@@ -40,7 +46,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -52,12 +58,17 @@ _EPS = 2.220446049250313e-16
 CF_TOL = 1.0e-14          # relative stop for the Lentz continued fraction
 CF_MAX_ITER = 1_000_000
 CF_TINY = 1.0e-300        # floor against zero denominators in Lentz
-# Step-size control for backward Riccati runs.  Measured worst-case error
-# against the exact half-integer recurrence is ~15x rtol (peak near x ~ 1),
-# so 1e-12 keeps the oracle comfortably below 1e-10 true relative error.
+# Step-size control for backward Riccati runs, which step in t = log x with
+# at most _MAX_LOG_STEP per step: with longer steps at small x, DOP853's
+# error estimate misses by up to 600x at some orders (e.g. nu = 1.19 near
+# x = 6e-4, nu = 1.34 near x = 0.15).  Measured against 40-digit mpmath on
+# nu in [-1, 3] (steps of 1/16, plus 4.2 and 5.9) and 80 x in
+# [10**-3.5, 20], the error then
+# stays below 0.84*rtol at rtol = 1e-12 and 3.4*rtol at 1e-13.
 ODE_RTOL = 1.0e-12
 ODE_ATOL = 1.0e-16
-_ODE_SAFETY = 50.0        # est_error multiplier covering the measured ratio
+_MAX_LOG_STEP = 0.1
+_ODE_SAFETY = 10.0        # est_error multiplier over that measured ratio
 
 
 class RatioKind(enum.Enum):
@@ -145,124 +156,134 @@ def i_ratio_row(nu: float, xs: Sequence[float], tol: float = CF_TOL) -> Tuple[np
 
 
 # ----------------------------------------------------------------------
-# K-ratio: exact half-integer recurrence / backward Riccati integration
+# K-ratio: class seed (exact, large-x series or backward Riccati), ladder
 # ----------------------------------------------------------------------
 
-def _is_half_integer(nu: float) -> bool:
-    two_nu = 2.0 * nu
-    return two_nu == round(two_nu) and int(round(two_nu)) % 2 != 0
+SERIES_X = 20.0           # the series serves x >= this at every seed order
 
 
-def _k_half_integer(nu: float, x: float) -> Tuple[float, float]:
-    """Exact recurrence value of Phi1 = -K_{nu-1}/K_nu at half-integer nu >= 1/2."""
-    r = 1.0                 # r_{1/2} = K_{-1/2}/K_{1/2} = 1
-    steps = int(round(nu - 0.5))
-    mu = 0.5
-    for _ in range(steps):
-        r = 1.0 / (2.0 * mu / x + r)
-        mu += 1.0
-    return -r, (2.0 * steps + 2.0) * _EPS * abs(r)
+def large_x_series(nu: float, xs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Phi1(nu, x) from the Riccati-generated large-x series; (values,
+    est_errors).  Each x stops before its smallest omitted term; the error
+    estimate is the larger of the next two omitted terms (one coefficient
+    can vanish by accident, as c_4 does at nu = 5/2) plus roundoff."""
+    c = [-1.0]
+    for k in range(60):
+        nxt = (sum(c[i] * c[k + 1 - i] for i in range(1, k + 1))
+               - (k + 2.0 * nu - 1.0) * c[k]) / 2.0
+        if not math.isfinite(nxt):
+            break
+        c.append(nxt)
+    k = np.arange(len(c))[:, None]
+    terms = np.array(c)[:, None] * np.asarray(xs, dtype=float) ** -k
+    omitted = np.maximum(np.abs(terms[1:-1]), np.abs(terms[2:]))  # row m: stop after m
+    last = np.argmin(omitted, axis=0)
+    vals = np.where(k <= last, terms, 0.0)[::-1].cumsum(axis=0)[-1]  # smallest first
+    return vals, omitted[last, np.arange(len(xs))] + 2.0 * _EPS * np.abs(vals)
 
 
-def default_x_start(nu: float, x_max: float) -> float:
-    """Seeding abscissa for backward integration: far enough out that the
-    three-term large-x series is accurate and its error is contracted away."""
-    return max(50.0, 10.0 * (nu + 1.0), 2.0 * x_max)
+def default_x_start(nu: float) -> float:
+    """Start of a backward integration at order nu: the first of 20, 40,
+    80, ... where the large-x series is good to roundoff.  That is 20 at
+    every order in [-1, 1], which holds all ladder seeds; forced
+    integrations at high orders start near nu**2 and cost in proportion."""
+    x, (v, e) = SERIES_X, large_x_series(nu, [SERIES_X])
+    while e[0] > 4.0 * _EPS * abs(v[0]):
+        x *= 2.0
+        v, e = large_x_series(nu, [x])
+    return x
 
 
-def _k_seed(nu: float, x: float) -> float:
-    # Three-term large-x series of the K branch.
-    return -(1.0 - (nu - 0.5) / x + (nu * nu - 0.25) / (2.0 * x * x))
+def _k_seed_row(nu: float, xs: np.ndarray, rtol: float, atol: float):
+    """(values, est_errors, method) of Phi1 at order nu: the series at
+    x >= default_x_start(nu), one backward integration below it."""
+    x0 = default_x_start(nu)
+    lo = xs < x0
+    vals, ests = np.empty(len(xs)), np.empty(len(xs))
+    vals[~lo], ests[~lo] = large_x_series(nu, xs[~lo])
+    if not lo.any():
+        return vals, ests, "large-x-series"
 
+    def rhs(t, y):
+        # the Riccati equation in t = log x: powers of x become exponentials
+        x, phi = math.exp(t), y[0]
+        return (x * (1.0 - phi * phi) + (2.0 * nu - 1.0) * phi,)
 
-def _k_backward_row(
-    nu: float,
-    xs: np.ndarray,
-    rtol: float,
-    atol: float,
-    x_start: Optional[float],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Backward-integrate the ratio Riccati equation through all of xs (ascending)."""
-    x0 = default_x_start(nu, float(xs[-1])) if x_start is None else float(x_start)
-    if x0 <= xs[-1]:
-        raise DomainError(f"x_start={x0} must exceed the largest target x={xs[-1]}")
-    two_nu_m1 = 2.0 * nu - 1.0
-
-    def rhs(x, y):
-        phi = y[0]
-        return (1.0 + (two_nu_m1 / x) * phi - phi * phi,)
-
-    sol = solve_ivp(
-        rhs,
-        (x0, float(xs[0])),
-        [_k_seed(nu, x0)],
-        method="DOP853",
-        t_eval=xs[::-1],
-        rtol=rtol,
-        atol=atol,
-    )
+    ts = np.log(xs[lo])
+    sol = solve_ivp(rhs, (math.log(x0), ts[0]), large_x_series(nu, [x0])[0],
+                    method="DOP853", t_eval=ts[::-1], rtol=rtol, atol=atol,
+                    max_step=_MAX_LOG_STEP)
     if not sol.success:
         raise EvaluationError(f"backward integration failed at nu={nu}: {sol.message}")
-    vals = sol.y[0][::-1].copy()
-    ests = _ODE_SAFETY * (rtol * np.abs(vals) + atol)
-    return vals, ests
-
-
-def k_ratio_row(
-    nu: float,
-    xs: Sequence[float],
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
-    x_start: Optional[float] = None,
-    method: str = "auto",
-) -> Tuple[np.ndarray, np.ndarray, str]:
-    """Reference values of Phi1 = -K_{nu-1}/K_nu along one order row.
-
-    xs must be strictly increasing.  ``method`` is "auto", "recurrence"
-    (half-integer orders only) or "integration".  Returns (values,
-    est_errors, method_used).  One integration covers the whole row, which
-    is how the grid scanner keeps sweeps cheap.
-    """
-    _check_order_range(nu)
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or len(xs) == 0:
-        raise DomainError("xs must be a non-empty 1-d sequence")
-    if np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
-        raise DomainError("xs must be positive and strictly increasing")
-    if method not in ("auto", "recurrence", "integration"):
-        raise DomainError(f"unknown k_ratio method {method!r}")
-
-    if nu < 0.0:
-        # K_{-mu} = K_mu gives Phi1(nu, x) * Phi1(1-nu, x) = 1.
-        sub_vals, sub_ests, sub_method = k_ratio_row(
-            1.0 - nu, xs, rtol=rtol, atol=atol, x_start=x_start, method=method)
-        vals = 1.0 / sub_vals
-        ests = sub_ests / (sub_vals * sub_vals) + _EPS * np.abs(vals)
-        return vals, ests, "reflection+" + sub_method
-
-    if method == "recurrence" and not _is_half_integer(nu):
-        raise DomainError(f"exact recurrence requires half-integer order, got nu={nu}")
-    if _is_half_integer(nu) and method != "integration":
-        vals = np.empty(len(xs))
-        ests = np.empty(len(xs))
-        for i, x in enumerate(xs):
-            vals[i], ests[i] = _k_half_integer(nu, float(x))
-        return vals, ests, "half-integer-recurrence"
-
-    vals, ests = _k_backward_row(nu, xs, rtol, atol, x_start)
+    vals[lo] = sol.y[0][::-1]
+    ests[lo] = _ODE_SAFETY * (rtol * np.abs(vals[lo]) + atol)
     return vals, ests, "backward-riccati"
 
 
-def k_ratio(
-    p: EvalPoint,
-    rtol: float = ODE_RTOL,
-    atol: float = ODE_ATOL,
-    x_start: Optional[float] = None,
-    method: str = "auto",
-) -> OracleResult:
+def k_ratio_rows(nus: Sequence[float], xs: Sequence[float], rtol: float = ODE_RTOL,
+                 atol: float = ODE_ATOL, method: str = "auto"
+                 ) -> Dict[float, Tuple[np.ndarray, np.ndarray, str]]:
+    """Reference rows of Phi1 = -K_{nu-1}/K_nu: one seed per order class,
+    then the ladder (module docstring), vectorised over xs; orders in
+    [-1, 0) join the class of 1 - nu by reflection.  Nothing is cached
+    across calls.
+
+    xs must be positive and strictly increasing.  ``method`` is "auto" or
+    "integration": one direct integration at each requested order, with no
+    ladder step and no reflection, the reference the ladder is tested
+    against.  Returns {nu: (values, est_errors, method_used)}.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or len(xs) == 0 or np.any(xs <= 0) or np.any(np.diff(xs) <= 0):
+        raise DomainError("xs must be a non-empty, positive, strictly increasing 1-d sequence")
+    if method not in ("auto", "integration"):
+        raise DomainError(f"unknown k_ratio method {method!r}")
+    direct = method == "integration"
+    # order -> the order actually computed; seed order -> orders it climbs to
+    bases, classes = {}, {}
+    for nu in nus:
+        _check_order_range(nu)
+        base = bases[nu] = 1.0 - nu if nu < 0.0 and not direct else nu
+        # seed: the fractional part, else 1 (0 for 0: the ladder only climbs)
+        classes.setdefault(base if direct else base % 1.0 or min(base, 1.0), set()).add(base)
+
+    rows = {}
+    for seed, orders in classes.items():
+        if seed == 0.5 and not direct:
+            vals, ests, used = -np.ones(len(xs)), np.zeros(len(xs)), "half-integer-recurrence"
+        else:
+            vals, ests, used = _k_seed_row(seed, xs, rtol, atol)
+        r, rel, nu = -vals, ests / np.abs(vals), seed
+        for target in sorted(orders):
+            for _ in range(round(target - nu)):
+                d = 2.0 * nu / xs + r
+                rel = rel * (r / d) + 2.0 * _EPS
+                r = 1.0 / d
+                nu += 1.0
+            climbed = target > seed and seed != 0.5
+            rows[target] = (-r, rel * r, used + "+ladder" if climbed else used)
+
+    out = {}
+    for nu, base in bases.items():
+        vals, ests, used = rows[base]
+        if base != nu:  # K_{-mu} = K_mu gives Phi1(nu, x) * Phi1(1-nu, x) = 1
+            inv = 1.0 / vals
+            vals, ests, used = inv, ests * inv * inv + _EPS * np.abs(inv), "reflection+" + used
+        out[nu] = (vals, ests, used)
+    return out
+
+
+def k_ratio_row(nu: float, xs: Sequence[float], rtol: float = ODE_RTOL,
+                atol: float = ODE_ATOL, method: str = "auto"
+                ) -> Tuple[np.ndarray, np.ndarray, str]:
+    """One order row of ``k_ratio_rows``: (values, est_errors, method_used)."""
+    return k_ratio_rows([nu], xs, rtol=rtol, atol=atol, method=method)[nu]
+
+
+def k_ratio(p: EvalPoint, rtol: float = ODE_RTOL, atol: float = ODE_ATOL,
+            method: str = "auto") -> OracleResult:
     """Reference value of Phi1(nu, x) = -K_{nu-1}(x)/K_nu(x) for nu >= -1."""
-    vals, ests, used = k_ratio_row(
-        p.nu, [p.x], rtol=rtol, atol=atol, x_start=x_start, method=method)
+    vals, ests, used = k_ratio_row(p.nu, [p.x], rtol=rtol, atol=atol, method=method)
     return OracleResult(float(vals[0]), float(ests[0]), used)
 
 

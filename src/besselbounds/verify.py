@@ -163,10 +163,12 @@ class _Row:
 class OracleTable:
     """Row cache of oracle ratio values over a grid.
 
-    One backward integration (or exact recurrence) covers each order row's
-    second-kind values, which is what keeps full-grid sweeps cheap.  All
-    derived quantities are assembled from the cached ratios in forms free
-    of catastrophic cancellation, with error estimates propagated.
+    The first-kind continued fraction runs once per distinct order in
+    {nu} and {nu + 1}.  All second-kind rows come from one
+    ``oracle.k_ratio_rows`` call: one seed per order class, then the order
+    ladder, which is what keeps full-grid sweeps cheap.  All derived
+    quantities are assembled from the cached ratios in forms free of
+    catastrophic cancellation, with error estimates propagated.
     """
 
     def __init__(self, grid: Grid, rtol: float = oracle.ODE_RTOL,
@@ -175,16 +177,31 @@ class OracleTable:
         self.rtol = rtol
         self.rows: Dict[float, _Row] = {}
         xs = np.asarray(grid.x_values)
+        i_rows: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+
+        def i_row(nu: float) -> Tuple[np.ndarray, np.ndarray]:
+            if nu not in i_rows:
+                i_rows[nu] = oracle.i_ratio_row(nu, xs)
+            return i_rows[nu]
+
         for nu in grid.nu_values:
-            row = _Row(nu=nu, xs=xs)
+            row = self.rows[nu] = _Row(nu=nu, xs=xs)
             try:
-                row.phi0, row.phi0_est = oracle.i_ratio_row(nu, xs)
-                row.phi0_up, row.phi0_up_est = oracle.i_ratio_row(nu + 1.0, xs)
-                row.phi1, row.phi1_est, row.k_method = oracle.k_ratio_row(
-                    nu, xs, rtol=rtol, atol=atol)
+                row.phi0, row.phi0_est = i_row(nu)
+                row.phi0_up, row.phi0_up_est = i_row(nu + 1.0)
             except (DomainError, EvaluationError) as exc:
                 row.error = str(exc)
-            self.rows[nu] = row
+        k_nus = [nu for nu, row in self.rows.items() if row.error is None]
+        try:
+            k_rows = oracle.k_ratio_rows(k_nus, xs, rtol=rtol, atol=atol)
+        except (DomainError, EvaluationError) as exc:
+            # one seed serves a whole class, so a failure has no single row
+            k_rows = {}
+            for nu in k_nus:
+                self.rows[nu].error = str(exc)
+        for nu, (vals, ests, method) in k_rows.items():
+            row = self.rows[nu]
+            row.phi1, row.phi1_est, row.k_method = vals, ests, method
 
     def row(self, nu: float) -> _Row:
         if nu not in self.rows:
@@ -352,7 +369,8 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
     A point is a violation when its signed relative margin is below
     -(tol + est_error/|oracle|).  Points outside the claim's proved range
     are skipped; second-kind targets on negative non-half-integer rows are
-    recorded as unverified; oracle failures are collected, not raised.
+    recorded as unverified; oracle failures are collected, not raised, and
+    a non-finite margin or gate is one.
     """
     if isinstance(claim, str):
         claim = get_claim(claim)
@@ -390,6 +408,10 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
             else:
                 margin = (q - b.value) / denom
             gate = tol + float(ests[i]) / denom
+            if not (math.isfinite(margin) and math.isfinite(gate)):
+                # a NaN gate would make `margin < -gate` False: fail closed
+                rep.oracle_failures.append((nu, x, "non-finite margin or gate"))
+                continue
             if margin < -gate:
                 rep.violations.append((nu, x, margin))
             margins.append(margin)
@@ -513,6 +535,10 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None,
             scale = max(abs(v0), abs(v1), _TINY)
             margin = sign * (v1 - v0) / scale
             gate = tol + (float(ests[i]) + float(ests[i + 1])) / scale
+            if not (math.isfinite(margin) and math.isfinite(gate)):
+                rep.oracle_failures.append(
+                    (nu, grid.x_values[i], "non-finite margin or gate"))
+                continue
             if margin < -gate:
                 rep.violations.append((nu, grid.x_values[i], margin))
             margins.append(margin)
@@ -718,12 +744,16 @@ def conjecture_scan(grid: Optional[Grid] = None,
             # cancellation-aware error: d s / d P = -1/(2 P**3)
             est_s = float(pests[i]) / (2.0 * pv ** 3) \
                 + 4.0 * _EPS * (x * x + nu * nu + abs(s))
+            excess = s - (proved_cap - gate_slack)
+            if not (math.isfinite(excess) and math.isfinite(est_s)):
+                rep.oracle_failures.append((nu, x, "non-finite s or error estimate"))
+                continue
             if s > sup_all:
                 sup_all, sup_all_at = s, (nu, x)
             if verified_row:
                 if s > sup_ver:
                     sup_ver, sup_ver_at = s, (nu, x)
-                if nu >= 0.0 and s - (proved_cap - gate_slack) > est_s:
+                if nu >= 0.0 and excess > est_s:
                     rep.violations.append((nu, x, proved_cap - s))
             else:
                 rep.unverified.append(

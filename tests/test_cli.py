@@ -4,8 +4,10 @@ import io
 import contextlib
 import os
 
+import numpy as np
 from numpy.testing import assert_allclose
 
+from besselbounds import oracle
 from besselbounds.cli import (
     EXIT_OK,
     EXIT_ORACLE,
@@ -110,6 +112,35 @@ def test_verify_warns_on_empty_claim_ranges():
                         "--x-min", "0.5", "--x-max", "2", "--x-points", "3"])
     assert code == EXIT_OK
     assert "WARNING 0 points" in out
+
+
+def test_verify_rejects_non_finite_or_negative_tol(tmp_path):
+    # a NaN tolerance used to turn every gate comparison into a pass
+    args = ["verify", "--nu-min", "0.5", "--nu-max", "1", "--x-points", "21",
+            "--corrupt-claim", "trig-upper-I"]
+    for tol in ("nan", "inf", "-1e-12"):
+        code, out, err = run(args + ["--tol", tol])
+        assert code == EXIT_USAGE and "tol" in err and "OK" not in out
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("tol=nan\n")
+    assert run(args + ["--config", str(cfg)])[0] == EXIT_USAGE
+
+
+def test_verify_fails_closed_on_nan_error_estimates(monkeypatch):
+    real = oracle.k_ratio_rows
+
+    def nan_estimates(*args, **kwargs):
+        return {nu: (vals, np.full_like(ests, np.nan), used)
+                for nu, (vals, ests, used) in real(*args, **kwargs).items()}
+
+    monkeypatch.setattr(oracle, "k_ratio_rows", nan_estimates)
+    code, out, err = run(["verify", "--nu-min", "0.5", "--nu-max", "1",
+                          "--x-points", "21"])
+    assert code == EXIT_ORACLE
+    assert "trig-upper-K: WARNING 0 points oracle_failures=42" in out
+    code, out, _ = run(["conjecture", "--nu-min", "0.5", "--nu-max", "1",
+                        "--x-points", "21"])
+    assert code == EXIT_ORACLE and "points=0" in out
 
 
 def test_verify_reports_are_byte_stable(tmp_path):

@@ -6,9 +6,11 @@ test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from besselbounds import oracle
@@ -86,7 +88,7 @@ def test_k_ratio_half_integer_values():
 def test_k_ratio_large_x_series():
     r = oracle.k_ratio(EvalPoint(1.0, 100.0))
     assert_allclose(r.value, -(1.0 - 0.5 / 100.0 + 0.75 / 2e4), rtol=1e-4)
-    assert r.method == "backward-riccati"
+    assert r.method == "large-x-series"
     assert r.value < 0.0
 
 
@@ -109,9 +111,11 @@ def test_k_ratio_reflection_path():
 
 
 def test_default_x_start():
-    assert default_x_start(0.0, 10.0) == 50.0
-    assert default_x_start(30.0, 10.0) == 310.0
-    assert default_x_start(0.0, 200.0) == 400.0
+    # every ladder seed order starts at 20; high orders need x ~ nu**2
+    for nu in (0.0, 0.25, 0.5, 0.75, 1.0):
+        assert default_x_start(nu) == 20.0
+    assert default_x_start(40.25) == 80.0
+    assert default_x_start(100.25) == 320.0
 
 
 def test_k_ratio_row_matches_pointwise():
@@ -121,6 +125,62 @@ def test_k_ratio_row_matches_pointwise():
     assert np.all(ests >= 0.0)
     for x, v in zip(xs, vals):
         assert_allclose(oracle.k_ratio(EvalPoint(0.8, float(x))).value, v, rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# est_error is honest: properties at random (order, x), compared at 1x
+# (derandomized so that the suite's outcome is reproducible)
+
+_PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                     max_examples=50)
+
+
+def _log_x(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+def _k_pos_ratio_closed_form(n: int, x: float) -> float:
+    """K_{nu-1}/K_nu at nu = n + 1/2 from the terminating sums
+    K_{m+1/2}(x) ~ sum_j (m+j)!/(j! (m-j)!) (2x)**-j, in exact rationals."""
+    t = 1 / (2 * Fraction(x))
+
+    def s(m):
+        return sum(Fraction(math.factorial(m + j),
+                            math.factorial(j) * math.factorial(m - j)) * t ** j
+                   for j in range(m + 1))
+
+    return float(s(n - 1) / s(n)) if n else 1.0
+
+
+@_PROPERTY
+@given(mu=st.one_of(st.just(0.5), st.floats(0.05, 0.95)), k=st.integers(0, 5),
+       x=_log_x(1e-3, 60.0))
+def test_ladder_matches_direct_integration(mu, k, x):
+    # mu = 1/2 pits forced integration against the exact half-integer ladder
+    p = EvalPoint(mu + k, x)
+    ladder = oracle.k_ratio(p)
+    direct = oracle.k_ratio(p, method="integration")
+    assert direct.method in ("backward-riccati", "large-x-series")
+    assert abs(ladder.value - direct.value) <= ladder.est_error + direct.est_error
+
+
+@_PROPERTY
+@given(n=st.integers(0, 40), x=_log_x(1e-3, 1e3))
+def test_half_integer_ladder_matches_closed_form(n, x):
+    r = oracle.k_ratio(EvalPoint(n + 0.5, x))
+    assert r.method == "half-integer-recurrence"
+    assert abs(r.value + _k_pos_ratio_closed_form(n, x)) <= r.est_error
+
+
+@_PROPERTY
+@given(nu=st.floats(-1.0, 0.0, exclude_max=True), x=_log_x(1e-3, 60.0))
+def test_reflection_matches_direct_integration(nu, x):
+    p = EvalPoint(nu, x)
+    reflected = oracle.k_ratio(p)
+    direct = oracle.k_ratio(p, method="integration")
+    assert reflected.method.startswith("reflection+")
+    assert "reflection" not in direct.method
+    assert abs(reflected.value - direct.value) <= reflected.est_error + direct.est_error
 
 
 # ---------------------------------------------------------------------------

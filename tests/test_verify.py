@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from besselbounds import nullclines as nc
+from besselbounds import oracle
 from besselbounds import verify as vf
 from besselbounds.errors import DomainError, UnfittableError
 from besselbounds.verify import (
@@ -240,6 +241,79 @@ def test_conjecture_scan_half_order_row_closed_form():
         ref = (x / (1.0 - math.exp(-2.0 * x))) ** 2 - x * x - 0.25
         assert_allclose(s, ref, rtol=1e-8, atol=1e-12)
         assert s < 1.0 / 3.0
+
+
+# ---------------------------------------------------------------------------
+# fail-closed gates: a NaN must never read as a pass
+
+
+def _nan_k_table() -> OracleTable:
+    table = OracleTable(Grid(nu_values=(0.5, 1.5), x_values=(0.5, 1.0, 2.0)))
+    for row in table.rows.values():
+        row.phi1_est = np.full(3, np.nan)
+    return table
+
+
+def test_scan_bound_fails_closed():
+    table = _nan_k_table()
+    # corrupted claims would violate everywhere; NaN gates used to hide that
+    rep = scan_bound(corrupt_claim("trig-upper-K"), table=table)
+    assert (rep.points_checked, len(rep.oracle_failures)) == (0, 6)
+    rep = scan_bound(corrupt_claim("trig-upper-I"), table=table, tol=math.nan)
+    assert (rep.points_checked, len(rep.oracle_failures)) == (0, 6)
+
+
+def test_scan_monotone_fails_closed():
+    rep = scan_monotone("P", expected="increasing", table=_nan_k_table())
+    assert rep.violations == []
+    assert (rep.points_checked, len(rep.oracle_failures)) == (0, 4)
+
+
+def test_conjecture_scan_fails_closed():
+    rep = conjecture_scan(table=_nan_k_table())
+    assert (rep.points_checked, len(rep.oracle_failures)) == (0, 6)
+
+
+# ---------------------------------------------------------------------------
+# oracle work per table build, counted rather than timed
+
+
+def _count_integrations(monkeypatch) -> list:
+    nfevs = []
+    real = oracle.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfevs.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(oracle, "solve_ivp", counting)
+    return nfevs
+
+
+def test_default_table_integrates_once_per_order_class(monkeypatch):
+    # classes 1/4, 3/4 and the integers (nu = -1 reflects to 2); 1/2 is exact
+    nfevs = _count_integrations(monkeypatch)
+    OracleTable(default_grid())
+    assert len(nfevs) == 3
+
+
+def test_half_integer_table_needs_no_integration(monkeypatch):
+    nfevs = _count_integrations(monkeypatch)
+    table = OracleTable(Grid(nu_values=tuple(k + 0.5 for k in range(-1, 20)),
+                             x_values=tuple(np.geomspace(1e-3, 1e3, 31))))
+    assert nfevs == []
+    assert {r.k_method for r in table.rows.values()} == {
+        "half-integer-recurrence", "reflection+half-integer-recurrence"}
+
+
+def test_k_cost_is_flat_in_order(monkeypatch):
+    nfevs = _count_integrations(monkeypatch)
+    oracle.k_ratio(nc.EvalPoint(0.25, 1.0))
+    low = sum(nfevs)
+    nfevs.clear()
+    oracle.k_ratio(nc.EvalPoint(1000.25, 1.0))
+    assert 0 < sum(nfevs) <= low
 
 
 # ---------------------------------------------------------------------------
