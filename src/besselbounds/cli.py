@@ -33,6 +33,9 @@ EXIT_USAGE = 2
 EXIT_ORACLE = 3
 
 ORACLE_FAILURE_LIMIT = 0.01      # above this failure fraction -> exit 3
+# Largest |order| accepted: the K ladder takes one vectorised step per unit
+# of order, so a huge order must fail fast instead of running for minutes.
+NU_LIMIT = 1.0e4
 _FMT = "%.17g"
 
 _TABULATE_COLUMNS = (
@@ -126,6 +129,16 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0.0):
         # a NaN tolerance would let every comparison pass
         raise DomainError(f"tol must be finite and non-negative, got {cfg.tol!r}")
+    for name in ("nu_min", "nu_max", "nu_step", "nu", "x_min", "x_max", "x"):
+        v = getattr(cfg, name)
+        if v is None:
+            continue
+        if not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {v!r}")
+        if name.startswith("x") and v <= 0.0:
+            raise DomainError(f"{name} must be positive, got {v!r}")
+        if name in ("nu_min", "nu_max", "nu") and abs(v) > NU_LIMIT:
+            raise DomainError(f"|{name}| must not exceed {NU_LIMIT:g}, got {v!r}")
     return cfg
 
 
@@ -157,10 +170,6 @@ def _open_out(cfg: RunConfig):
     return open(cfg.out, "w", newline="")
 
 
-def _csv_row(values: Sequence[float]) -> str:
-    return ",".join(_FMT % v for v in values)
-
-
 def _too_many_failures(failures: int, attempted: int) -> bool:
     """The exit-3 rule: oracle failures above 1% of the points attempted."""
     if failures and failures / attempted > ORACLE_FAILURE_LIMIT:
@@ -183,29 +192,25 @@ def cmd_tabulate(cfg: RunConfig) -> int:
             return EXIT_OK
         grid = verify.Grid(tuple(nus), tuple(xs))
         table = verify.OracleTable(grid)
-        points = failures = 0
-        for nu in nus:
-            row = table.rows[nu]
-            for i, x in enumerate(xs):
-                points += 1
-                p = EvalPoint(nu, x)
-                if row.error is None:
-                    iv, kv = float(row.phi0[i]), float(row.phi1[i])
-                    pv = 1.0 / (x * (iv - kv))
-                else:
-                    iv = kv = pv = math.nan
-                    failures += 1
-                roots = nc.cubic_roots(p)
-                ws = nc.w_values(p)
-                pb = nc.product_bounds(p)
-                stream.write(_csv_row((
-                    nu, x, iv, kv, pv,
-                    nc.trig_bound_I(p).value, nc.trig_bound_K(p).value,
-                    roots.lambda_I, roots.lambda_K, roots.lambda_O,
-                    ws.w_I, ws.w_K, ws.w_O,
-                    pb.upper.value, pb.lower_trig.value,
-                )) + "\n")
-        if _too_many_failures(failures, points):
+        xs = np.asarray(grid.x_values)
+        line = ",".join([_FMT] * len(_TABULATE_COLUMNS)) + "\n"
+        failures = 0
+        for nu in grid.nu_values:
+            try:
+                oracle_cols = [table.quantity(q, nu)[0] for q in ("Phi0", "Phi1", "P")]
+            except (DomainError, EvaluationError):
+                oracle_cols = [np.full(len(xs), math.nan)] * 3
+                failures += len(xs)
+            lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, xs)
+            block = np.column_stack([
+                np.full(len(xs), nu), xs, *oracle_cols,
+                nc.TRIG_I.formula(nu, xs), nc.TRIG_K.formula(nu, xs),
+                lam_i, lam_k, lam_o, *nc.w_values_row(nu, xs),
+                nc.PRODUCT_FORMS["upper"].formula(nu, xs),
+                nc.PRODUCT_FORMS["lower_trig"].formula(nu, xs),
+            ])
+            stream.write((line * len(block)) % tuple(block.ravel().tolist()))
+        if _too_many_failures(failures, len(nus) * len(xs)):
             return EXIT_ORACLE
         return EXIT_OK
     finally:

@@ -21,28 +21,34 @@ gamma_hat_plus > 0 > gamma_hat_minus built from the positive root
 via gamma_hat_plus = x**(-a) * lambda_plus and
 gamma_hat_minus = -x**(-a) / lambda_plus.  Comparison of solutions against
 these branches yields the classical two-sided ratio bounds produced by
-``amos_bounds``.
+``amos_forms``.
 
 The second-order structure (ratios of consecutive ratios) leads to the cubic
 
     t**3 + t**2 - (nu**2 + x**2) * t - nu**2 = 0,
 
 whose three real roots lambda_K < lambda_O < lambda_I drive both the
-trigonometric ratio bounds (``trig_bound_I``/``trig_bound_K``) and the
-nullcline levels w = (lambda**2 - nu**2) / x**2 of the double-ratio flow
-(``w_values``).  Bounds for the product I_nu * K_nu follow from
-1/(x*(Phi0 - Phi1)) and are collected by ``product_bounds``.
+trigonometric ratio bounds (``TRIG_I``/``TRIG_K``) and the nullcline levels
+w = (lambda**2 - nu**2) / x**2 of the double-ratio flow (``w_values_row``).
+Bounds for the product I_nu * K_nu follow from 1/(x*(Phi0 - Phi1)) and are
+collected in ``PRODUCT_FORMS``.
 
-Every bound is returned with its proved validity range attached; values are
-still computed outside that range, but ``valid`` is set to False so scanning
-code never treats an extrapolated value as a proved one.
+Every formula is array-first: it broadcasts over numpy arrays of nu and x
+(an x row at fixed nu is what the scans pass), and the scalar API
+(``lambda_plus``, ``cubic_roots``, ``trig_bound_I``, ... taking an
+``EvalPoint``) is a one-point call into the same code.  A bound is a
+``BoundForm``: its row formula, direction and proved order range.  Values
+are still computed outside that range, but ``valid`` is False there, so
+scanning code never treats an extrapolated value as a proved one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -132,6 +138,47 @@ class ProductBounds:
     lower_conjecture: Bound
 
 
+class OrderRange(NamedTuple):
+    """Proved range of a bound in the order: nu >= lo, or nu > lo if strict."""
+
+    lo: float
+    strict: bool
+    note: str
+
+    def holds(self, nu: float) -> bool:
+        return nu > self.lo if self.strict else nu >= self.lo
+
+
+NU_GE_0 = OrderRange(0.0, False, "nu >= 0")
+_NU_GE_HALF = OrderRange(0.5, False, "nu >= 1/2")
+_ALL_NU = OrderRange(-math.inf, False, "all real nu")
+
+
+@dataclass(frozen=True)
+class BoundForm:
+    """A closed-form bound: ``formula(nu, x)`` broadcasts over numpy arrays,
+    ``direction`` and ``target`` describe the inequality and ``proved`` is
+    the order range where it is a theorem.
+
+    ``row`` is the array path the scans use; ``at`` is its one-point call.
+    """
+
+    formula: Callable
+    direction: str          # "upper" or "lower"
+    target: str             # "I-ratio", "K-ratio", "product", ...
+    proved: OrderRange
+    conjectural: bool = False
+
+    def row(self, nu: float, xs) -> Tuple[np.ndarray, str, bool]:
+        """(values, direction, valid) along an x row at fixed order nu."""
+        return self.formula(nu, np.asarray(xs, dtype=float)), self.direction, self.proved.holds(nu)
+
+    def at(self, p: EvalPoint) -> Bound:
+        values, direction, valid = self.row(p.nu, [p.x])
+        return Bound(float(values[0]), direction, self.target, valid,
+                     self.proved.note, self.conjectural)
+
+
 def _check_a(a: float) -> float:
     try:
         a = float(a)
@@ -142,28 +189,38 @@ def _check_a(a: float) -> float:
     return a
 
 
-def lambda_plus(a: float, p: EvalPoint) -> float:
+def lambda_plus_row(a: float, nu, x) -> np.ndarray:
     """Positive nullcline root (c + sqrt(c**2 + x**2))/x with c = nu-(a+1)/2.
 
     Strictly positive for all real a, nu and x > 0.  The c < 0 case is
     rationalized to x/(sqrt(c**2+x**2) - c) to avoid cancellation.
     """
     a = _check_a(a)
-    c = p.nu - 0.5 * (a + 1.0)
-    r = math.hypot(c, p.x)
-    if c >= 0.0:
-        return (c + r) / p.x
-    return p.x / (r - c)
+    c = np.asarray(nu, dtype=float) - 0.5 * (a + 1.0)
+    x = np.asarray(x, dtype=float)
+    s = np.hypot(c, x) + np.abs(c)
+    return np.where(c >= 0.0, s / x, x / s)
 
 
-def gamma_hat(a: float, p: EvalPoint) -> Tuple[float, float]:
+def lambda_plus(a: float, p: EvalPoint) -> float:
+    """One-point ``lambda_plus_row``."""
+    return float(lambda_plus_row(a, p.nu, np.array([p.x]))[0])
+
+
+def gamma_hat_row(a: float, nu, x) -> Tuple[np.ndarray, np.ndarray]:
     """Both nullcline branches (plus, minus) of the rescaled Riccati flow.
 
     plus = x**(-a) * lambda_plus > 0 and minus = -x**(-a) / lambda_plus < 0.
     """
-    lam = lambda_plus(a, p)
-    scale = p.x ** (-a)
+    lam = lambda_plus_row(a, nu, x)
+    scale = np.power(x, -float(a))
     return scale * lam, -scale / lam
+
+
+def gamma_hat(a: float, p: EvalPoint) -> Tuple[float, float]:
+    """One-point ``gamma_hat_row``."""
+    plus, minus = gamma_hat_row(a, p.nu, np.array([p.x]))
+    return float(plus[0]), float(minus[0])
 
 
 def nullcline_extremum(a: float, nu: float) -> Optional[Extremum]:
@@ -188,34 +245,71 @@ def nullcline_extremum(a: float, nu: float) -> Optional[Extremum]:
     return Extremum(x=-x_e, branch="minus", kind="max" if a < 0 else "min")
 
 
-def _clamped_acos_arg(raw: float) -> float:
+def _newton_cubic(b, c, d, u) -> np.ndarray:
+    """Root of u**3 + b*u**2 + c*u + d near the seed u, elementwise.
+
+    Up to three Newton steps; an element freezes after its first step
+    below 4 eps |u|, or at a zero slope, exactly as a scalar loop would
+    stop.  Seeds within a few ulps of the root's scale converge in one or
+    two steps.
+    """
+    u = np.array(u, dtype=float)
+    live = np.ones(u.shape, dtype=bool)
+    for _ in range(3):
+        f = ((u + b) * u + c) * u + d
+        df = (3.0 * u + 2.0 * b) * u + c
+        live &= df != 0.0
+        step = np.divide(f, df, out=np.zeros(u.shape), where=live)
+        u -= step
+        live &= np.abs(step) > 4.0 * EPS * np.abs(u)
+        if not np.count_nonzero(live):
+            break
+    return u
+
+
+def _cubic(nu, x):
+    """(lambda_K, lambda_O, lambda_I, g, acos_arg, lambda_K + 1) of the
+    ratio cubic, broadcast over nu and x.
+
+    lambda_I comes from the trigonometric formula.  lambda_K + 1 is refined
+    from the shifted cubic u**3 - 2*u**2 + (1 - nu**2 - x**2)*u + x**2 = 0:
+    near x = 0 at |nu| < 1 it is O(x**2), and forming it by subtraction
+    would lose its leading digits.  1 - nu**2 is formed as (1-nu)*(1+nu),
+    which keeps full relative precision near |nu| = 1, where the slope of
+    the shifted cubic at the root is small.
+
+    lambda_O = nu**2/(lambda_I*lambda_K) by Vieta, accurate even where it
+    is O(nu**2/x**2) and the trigonometric formula keeps no digits.
+    """
+    nu, x = np.asarray(nu, dtype=float), np.asarray(x, dtype=float)
+    nu2 = nu * nu
+    g = np.sqrt(3.0 * (nu2 + x * x) + 1.0)
+    raw = (18.0 * nu2 - 9.0 * x * x - 2.0) / (2.0 * g ** 3)
     # Roundoff may push the argument marginally outside [-1, 1]; anything
     # beyond ACOS_CLAMP_LIMIT indicates a real defect, not roundoff.
-    if abs(raw) > 1.0 + ACOS_CLAMP_LIMIT:
-        raise DomainError(f"acos argument {raw!r} exceeds [-1, 1] beyond roundoff")
-    return min(1.0, max(-1.0, raw))
-
-
-def _cubic_lambdas(nu: float, x: float) -> Tuple[float, float, float, float, float]:
-    """Roots (lam_I, lam_K, lam_O) plus (g, acos_arg) of the ratio cubic."""
-    nu2 = nu * nu
-    g = math.sqrt(3.0 * (nu2 + x * x) + 1.0)
-    raw = (18.0 * nu2 - 9.0 * x * x - 2.0) / (2.0 * g ** 3)
-    arg = _clamped_acos_arg(raw)
-    if nu == 0.0:
-        # The cubic factors as t*(t**2 + t - x**2); the trig formula is
-        # ill-conditioned here (acos argument at -1), so use the factors.
-        s = 0.5 * math.sqrt(1.0 + 4.0 * x * x)
-        return -0.5 + s, -0.5 - s, 0.0, g, arg
-    theta = math.acos(arg) / 3.0
+    worst = np.abs(raw).max()
+    if worst > 1.0 + ACOS_CLAMP_LIMIT:
+        raise DomainError(f"acos argument {float(worst)!r} exceeds [-1, 1] beyond roundoff")
+    arg = np.clip(raw, -1.0, 1.0)
+    theta = np.arccos(arg) / 3.0
     two_g_3 = 2.0 * g / 3.0
-    lam_i = two_g_3 * math.cos(theta) - 1.0 / 3.0
-    lam_k = two_g_3 * math.cos(theta + _TWO_PI_3) - 1.0 / 3.0
-    lam_o = two_g_3 * math.cos(theta - _TWO_PI_3) - 1.0 / 3.0
-    return lam_i, lam_k, lam_o, g, arg
+    lam_i = two_g_3 * np.cos(theta) - 1.0 / 3.0
+    lam_k = two_g_3 * np.cos(theta + _TWO_PI_3) - 1.0 / 3.0
+    # nu = 0: the cubic factors as t*(t**2 + t - x**2) and the trig formula
+    # is ill-conditioned (acos argument at -1), so use the factors:
+    # lambda_I = h, lambda_K = -1 - h, lambda_O = 0
+    zero = nu == 0.0
+    u_k = lam_k + 1.0
+    if np.count_nonzero(zero):
+        h = 2.0 * x * x / (1.0 + np.sqrt(1.0 + 4.0 * x * x))
+        lam_i, u_k = np.where(zero, h, lam_i), np.where(zero, -h, u_k)
+    u_k = _newton_cubic(-2.0, (1.0 - nu) * (1.0 + nu) - x * x, x * x, u_k)
+    lam_k = u_k - 1.0
+    lam_o = np.where(zero, 0.0, nu2 / (lam_i * lam_k))
+    return lam_k, lam_o, lam_i, g, arg, u_k
 
 
-def _lambda_K_shift(nu: float, x: float, lam_k: float) -> float:
+def _lambda_K_shift(nu, x, lam_k) -> np.ndarray:
     """lambda_K + nu to full relative precision.
 
     For nu well above 1 and small x the shift is O(x**2/nu) while lambda_K
@@ -225,22 +319,16 @@ def _lambda_K_shift(nu: float, x: float, lam_k: float) -> float:
         u**3 + (1 - 3*nu)*u**2 + (2*nu*(nu-1) - x**2)*u + nu*x**2 = 0
 
     whose coefficients carry no cancellation, so a couple of Newton steps
-    seeded from the trig-formula value recover u at machine accuracy.
+    seeded from lambda_K + nu recover u at machine accuracy.
     """
-    b = 1.0 - 3.0 * nu
-    c = 2.0 * nu * (nu - 1.0) - x * x
-    d = nu * x * x
-    u = lam_k + nu
-    for _ in range(3):
-        f = ((u + b) * u + c) * u + d
-        df = (3.0 * u + 2.0 * b) * u + c
-        if df == 0.0:
-            break
-        step = f / df
-        u -= step
-        if abs(step) <= 4.0 * EPS * abs(u):
-            break
-    return u
+    return _newton_cubic(1.0 - 3.0 * nu, 2.0 * nu * (nu - 1.0) - x * x,
+                         nu * x * x, lam_k + nu)
+
+
+def cubic_roots_row(nu, x) -> Tuple[np.ndarray, ...]:
+    """(lambda_K, lambda_O, lambda_I, g, acos_arg), the fields of
+    ``CubicRoots``, broadcast over nu and x."""
+    return _cubic(nu, x)[:5]
 
 
 def cubic_roots(p: EvalPoint) -> CubicRoots:
@@ -249,55 +337,50 @@ def cubic_roots(p: EvalPoint) -> CubicRoots:
     Ordered lambda_K < lambda_O < lambda_I with lambda_I > 0 always,
     lambda_K < -1, and lambda_O in (-|nu|, 0] (zero exactly when nu == 0).
     """
-    lam_i, lam_k, lam_o, g, arg = _cubic_lambdas(p.nu, p.x)
-    return CubicRoots(lambda_K=lam_k, lambda_O=lam_o, lambda_I=lam_i, g=g, acos_arg=arg)
+    return CubicRoots(*(float(v[0]) for v in cubic_roots_row(p.nu, np.array([p.x]))))
 
 
-def w_values(p: EvalPoint) -> WValues:
-    """Nullcline levels w_A = (lambda_A**2 - nu**2)/x**2 of the W flow.
+def w_values_row(nu, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w_I, w_K, w_O), the nullcline levels w_A = (lambda_A**2 - nu**2)/x**2
+    of the W flow, broadcast over nu and x.
 
     Evaluated through the algebraically equivalent form lambda/(lambda + 1)
     (the cubic gives (lambda**2 - nu**2)*(lambda + 1) = x**2*lambda), which
-    avoids the cancellation of lambda**2 against nu**2 at small x.
+    avoids the cancellation of lambda**2 against nu**2 at small x.  Each
+    lambda + 1 is a root of the shifted cubic: lambda_K + 1 is refined
+    there, and lambda_O + 1 = -x**2/((lambda_I + 1)*(lambda_K + 1)) from the
+    product of its roots.
     """
-    lam_i, lam_k, lam_o, _, _ = _cubic_lambdas(p.nu, p.x)
-    return WValues(
-        w_I=lam_i / (lam_i + 1.0),
-        w_K=lam_k / (lam_k + 1.0),
-        w_O=lam_o / (lam_o + 1.0),
-    )
+    lam_k, lam_o, lam_i, _, _, u_k = _cubic(nu, x)
+    u_i = lam_i + 1.0
+    return lam_i / u_i, lam_k / u_k, lam_o / (-(x * x) / (u_i * u_k))
+
+
+def w_values(p: EvalPoint) -> WValues:
+    """One-point ``w_values_row``."""
+    return WValues(*(float(v[0]) for v in w_values_row(p.nu, np.array([p.x]))))
+
+
+# Trigonometric ratio bounds, sharp as x -> 0, x -> oo and nu -> oo:
+# I_{nu-1}/I_nu <= (lambda_I + nu)/x and, in the positive ratio convention,
+# K_{nu-1}/K_nu <= -(lambda_K + nu)/x; both proved for nu >= 0.
+TRIG_I = BoundForm(lambda nu, x: (_cubic(nu, x)[2] + nu) / x,
+                   "upper", "I-ratio", NU_GE_0)
+TRIG_K = BoundForm(lambda nu, x: -_lambda_K_shift(nu, x, _cubic(nu, x)[0]) / x,
+                   "upper", "K-ratio", NU_GE_0)
 
 
 def trig_bound_I(p: EvalPoint) -> Bound:
-    """Trigonometric upper bound for I_{nu-1}(x)/I_nu(x), sharp as x -> 0,
-    x -> oo and nu -> oo.  Equals (lambda_I + nu)/x; proved for nu >= 0.
-    """
-    lam_i, _, _, _, _ = _cubic_lambdas(p.nu, p.x)
-    return Bound(
-        value=(lam_i + p.nu) / p.x,
-        direction="upper",
-        target="I-ratio",
-        valid=p.nu >= 0.0,
-        validity_note="nu >= 0",
-    )
+    """Trigonometric upper bound for I_{nu-1}(x)/I_nu(x) (``TRIG_I``)."""
+    return TRIG_I.at(p)
 
 
 def trig_bound_K(p: EvalPoint) -> Bound:
-    """Trigonometric upper bound for K_{nu-1}(x)/K_nu(x) (positive ratio
-    convention), sharp in the same three limits.  Equals -(lambda_K + nu)/x;
-    proved for nu >= 0.
-    """
-    _, lam_k, _, _, _ = _cubic_lambdas(p.nu, p.x)
-    return Bound(
-        value=-_lambda_K_shift(p.nu, p.x, lam_k) / p.x,
-        direction="upper",
-        target="K-ratio",
-        valid=p.nu >= 0.0,
-        validity_note="nu >= 0",
-    )
+    """Trigonometric upper bound for K_{nu-1}(x)/K_nu(x) (``TRIG_K``)."""
+    return TRIG_K.at(p)
 
 
-def amos_bounds(p: EvalPoint, a: float) -> Tuple[Bound, Bound]:
+def amos_forms(a: float) -> Tuple[BoundForm, BoundForm]:
     """Nullcline comparison bounds (bound_I, bound_K) for exponent a.
 
     bound_I constrains Phi0 = I_{nu-1}/I_nu against lambda_plus(a), and
@@ -319,71 +402,62 @@ def amos_bounds(p: EvalPoint, a: float) -> Tuple[Bound, Bound]:
       -1<a<0  : Phi1 < -1/lambda_plus for nu >= 1/2; no I-side statement.
     """
     a = _check_a(a)
-    lam = lambda_plus(a, p)
-    nu = p.nu
+
+    def forms(i_dir: str, i_range: OrderRange, k_dir: str, k_range: OrderRange):
+        return (BoundForm(lambda nu, x: lambda_plus_row(a, nu, x), i_dir, "I-ratio", i_range),
+                BoundForm(lambda nu, x: -1.0 / lambda_plus_row(a, nu, x), k_dir, "K-ratio",
+                          k_range))
 
     if a == 0.0:
-        bound_i = Bound(lam, "lower", "I-ratio", nu >= 0.5, "nu >= 1/2")
-        bound_k = Bound(-1.0 / lam, "upper", "K-ratio", nu > 0.5,
-                        "nu > 1/2 (identity at nu = 1/2)")
-    elif a == -1.0:
-        bound_i = Bound(lam, "upper", "I-ratio", nu >= -1.0, "nu >= -1")
-        bound_k = Bound(-1.0 / lam, "upper", "K-ratio", nu >= 0.5, "nu >= 1/2")
-    elif a == 1.0:
-        bound_i = Bound(lam, "lower", "I-ratio", nu > 0.0, "nu > 0")
-        bound_k = Bound(-1.0 / lam, "lower", "K-ratio", True, "all real nu")
-    elif a > 1.0:
-        bound_i = Bound(lam, "lower", "I-ratio", nu >= 0.0, "nu >= 0")
-        bound_k = Bound(-1.0 / lam, "lower", "K-ratio", True, "all real nu")
-    elif a < -1.0:
-        bound_i = Bound(lam, "upper", "I-ratio", nu >= 0.0, "nu >= 0")
-        bound_k = Bound(-1.0 / lam, "upper", "K-ratio", True, "all real nu")
-    elif a > 0.0:  # 0 < a < 1
-        bound_i = Bound(lam, "lower", "I-ratio", nu > 0.5, "nu > 1/2")
-        bound_k = Bound(-1.0 / lam, "upper", "K-ratio", False,
-                        "no proved statement for 0 < a < 1")
-    else:  # -1 < a < 0
-        bound_i = Bound(lam, "upper", "I-ratio", False,
-                        "no proved statement for -1 < a < 0")
-        bound_k = Bound(-1.0 / lam, "upper", "K-ratio", nu >= 0.5, "nu >= 1/2")
-    return bound_i, bound_k
+        return forms("lower", _NU_GE_HALF,
+                     "upper", OrderRange(0.5, True, "nu > 1/2 (identity at nu = 1/2)"))
+    if a == -1.0:
+        return forms("upper", OrderRange(-1.0, False, "nu >= -1"), "upper", _NU_GE_HALF)
+    if a == 1.0:
+        return forms("lower", OrderRange(0.0, True, "nu > 0"), "lower", _ALL_NU)
+    if a > 1.0:
+        return forms("lower", NU_GE_0, "lower", _ALL_NU)
+    if a < -1.0:
+        return forms("upper", NU_GE_0, "upper", _ALL_NU)
+    if a > 0.0:  # 0 < a < 1
+        return forms("lower", OrderRange(0.5, True, "nu > 1/2"),
+                     "upper", OrderRange(math.inf, False, "no proved statement for 0 < a < 1"))
+    # -1 < a < 0
+    return forms("upper", OrderRange(math.inf, False, "no proved statement for -1 < a < 0"),
+                 "upper", _NU_GE_HALF)
+
+
+def amos_bounds(p: EvalPoint, a: float) -> Tuple[Bound, Bound]:
+    """One-point ``amos_forms``: (bound_I, bound_K) at p."""
+    bound_i, bound_k = amos_forms(a)
+    return bound_i.at(p), bound_k.at(p)
+
+
+def _product_lower_trig(nu, x):
+    lam_k, _, lam_i, _, _, _ = _cubic(nu, x)
+    return 1.0 / (lam_i - lam_k)
+
+
+# Closed-form bounds for the product P(nu, x) = I_nu(x)*K_nu(x)
+PRODUCT_FORMS: Dict[str, BoundForm] = {
+    "upper": BoundForm(lambda nu, x: 0.5 / np.hypot(nu - 0.5, x),
+                       "upper", "product", _NU_GE_HALF),
+    "lower_amos": BoundForm(
+        lambda nu, x: 1.0 / (1.0 + np.hypot(nu, x) + np.hypot(nu - 1.0, x)),
+        "lower", "product", OrderRange(-1.0, False, "nu >= -1")),
+    "lower_trig": BoundForm(_product_lower_trig, "lower", "product", NU_GE_0),
+    "lower_simple": BoundForm(lambda nu, x: 0.5 / np.sqrt(x * x + nu * nu + 1.0 / 3.0),
+                              "lower", "product", NU_GE_0),
+    "lower_conjecture": BoundForm(lambda nu, x: 0.5 / np.sqrt(x * x + nu * nu + 0.2),
+                                  "lower", "product",
+                                  OrderRange(-1.0, False, "conjectured for nu >= -1"),
+                                  conjectural=True),
+}
 
 
 def product_bounds(p: EvalPoint) -> ProductBounds:
-    """Closed-form bounds for the product P(nu, x) = I_nu(x)*K_nu(x).
-
-    upper            1/(2*sqrt((nu-1/2)**2 + x**2))          nu >= 1/2
-    lower_amos       1/(1 + sqrt(nu**2+x**2)
-                        + sqrt((nu-1)**2+x**2))              nu >= -1
-    lower_trig       sqrt(3)/(2*g*sin(acos(arg)/3 + pi/3))
-                     == 1/(lambda_I - lambda_K)              nu >= 0
-    lower_simple     1/(2*sqrt(x**2 + nu**2 + 1/3))          nu >= 0
-    lower_conjecture 1/(2*sqrt(x**2 + nu**2 + 1/5))          conjectured,
-                                                             nu >= -1
-    """
-    nu, x = p.nu, p.x
-    upper = Bound(
-        0.5 / math.hypot(nu - 0.5, x), "upper", "product",
-        nu >= 0.5, "nu >= 1/2",
-    )
-    lower_amos = Bound(
-        1.0 / (1.0 + math.hypot(nu, x) + math.hypot(nu - 1.0, x)),
-        "lower", "product", nu >= -1.0, "nu >= -1",
-    )
-    lam_i, lam_k, _, _, _ = _cubic_lambdas(nu, x)
-    lower_trig = Bound(
-        1.0 / (lam_i - lam_k), "lower", "product", nu >= 0.0, "nu >= 0",
-    )
-    lower_simple = Bound(
-        0.5 / math.sqrt(x * x + nu * nu + 1.0 / 3.0),
-        "lower", "product", nu >= 0.0, "nu >= 0",
-    )
-    lower_conjecture = Bound(
-        0.5 / math.sqrt(x * x + nu * nu + 0.2),
-        "lower", "product", nu >= -1.0, "conjectured for nu >= -1",
-        conjectural=True,
-    )
-    return ProductBounds(upper, lower_amos, lower_trig, lower_simple, lower_conjecture)
+    """One-point ``PRODUCT_FORMS``: every product bound at p."""
+    return ProductBounds(**{name: form.at(p) for name, form in PRODUCT_FORMS.items()})
 
 
 def bound_producers() -> Tuple[str, ...]:
@@ -396,11 +470,5 @@ def bound_producers() -> Tuple[str, ...]:
     for a_tag in ("a0", "a-1", "a1", "a-2", "a2"):
         ids.append(f"amos-I-{a_tag}")
         ids.append(f"amos-K-{a_tag}")
-    ids += [
-        "product-upper",
-        "product-lower-amos",
-        "product-lower-trig",
-        "product-lower-simple",
-        "product-lower-conjecture",
-    ]
+    ids += ["product-" + name.replace("_", "-") for name in PRODUCT_FORMS]
     return tuple(ids)

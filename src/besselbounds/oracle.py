@@ -96,10 +96,16 @@ def _check_order_range(nu: float) -> None:
 # I-ratio: continued fraction (modified Lentz)
 # ----------------------------------------------------------------------
 
-def _lentz_i_ratio(nu: float, x: float, tol: float, max_iter: int) -> Tuple[float, float, int]:
+def _lentz_i_ratio(nu: float, x: float, tol: float, max_iter: int) -> Tuple[float, float]:
     """Continued fraction for I_{nu-1}(x)/I_nu(x), nu >= 0.
 
-    Returns (value, last relative delta, iterations).
+    Returns (value, est_error).  The estimate covers the truncation (four
+    times the last relative delta) and roundoff: each Lentz step multiplies
+    the value by one more rounded factor, so it grows with the iteration
+    count j as (j + 4) eps.  Against 40- and 50-digit references at 24,000
+    random points (nu in [-1, 40], x in [10**-3.5, 10**3]) the error stays
+    below 0.75x this estimate, while 4*(delta + eps) alone was exceeded (by
+    1.33x at nu = 1/2, x = 1.99).
     """
     b0 = 2.0 * nu / x
     f = b0 if b0 != 0.0 else CF_TINY
@@ -118,7 +124,7 @@ def _lentz_i_ratio(nu: float, x: float, tol: float, max_iter: int) -> Tuple[floa
         delta = c * d
         f *= delta
         if abs(delta - 1.0) < tol:
-            return f, abs(delta - 1.0), j
+            return f, abs(f) * (4.0 * abs(delta - 1.0) + (j + 4) * _EPS)
     raise EvaluationError(
         f"continued fraction did not converge in {max_iter} iterations at nu={nu}, x={x}"
     )
@@ -134,12 +140,10 @@ def i_ratio(p: EvalPoint, tol: float = CF_TOL, max_iter: int = CF_MAX_ITER) -> O
     """
     _check_order_range(p.nu)
     if p.nu >= 0.0:
-        val, delta, _ = _lentz_i_ratio(p.nu, p.x, tol, max_iter)
-        return OracleResult(val, 4.0 * abs(val) * (delta + _EPS), "continued-fraction")
-    up, delta, _ = _lentz_i_ratio(p.nu + 1.0, p.x, tol, max_iter)
+        return OracleResult(*_lentz_i_ratio(p.nu, p.x, tol, max_iter), "continued-fraction")
+    up, up_err = _lentz_i_ratio(p.nu + 1.0, p.x, tol, max_iter)
     head = 2.0 * p.nu / p.x
     val = head + 1.0 / up
-    up_err = 4.0 * abs(up) * (delta + _EPS)
     est = up_err / (up * up) + _EPS * (abs(head) + abs(1.0 / up))
     return OracleResult(val, est, "continued-fraction+step-down")
 

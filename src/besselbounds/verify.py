@@ -1,15 +1,21 @@
 """Grid-scan engine: bounds, monotonicity, sharpness orders, conjecture.
 
 Every closed-form inequality produced by `nullclines` is registered here as
-a claim with an oracle target, a direction and a proved validity region.
-`scan_bound` sweeps a claim over a (nu, x) grid and reports signed relative
-margins; a margin is a violation only when it undercuts the tolerance plus
-the oracle's own error estimate, so oracle noise cannot manufacture false
-counterexamples.  `scan_monotone` does the same for forward differences of
-monotone quantities, `fit_error_order` turns sharpness measurements into
-fitted (exponent, coefficient) pairs, and `conjecture_scan` maps the
-quantity s = 1/(4 P**2) - x**2 - nu**2 whose supremum the conjectured
-product bound caps at 1/5 (proved: 1/3, for nu >= 0).
+a claim with an oracle target and its `nullclines.BoundForm`: a row formula,
+a direction and a proved order range.  Scans work one order row at a time:
+the oracle table serves the row, the claim's formula is evaluated on the
+whole x row in one numpy pass, and validity is one flag per row, since every
+proved range depends on the order only.  `scan_bound` reports signed
+relative margins; a margin is a violation only when it undercuts the
+tolerance plus the oracle's own error estimate, so oracle noise cannot
+manufacture false counterexamples, and a non-finite margin, gate or oracle
+value is counted as an oracle failure, never as a pass.  `scan_monotone`
+does the same for forward differences of monotone quantities (oracle rows
+or closed-form row functions), `fit_error_order` turns sharpness
+measurements into fitted (exponent, coefficient) pairs, and
+`conjecture_scan` maps the quantity s = 1/(4 P**2) - x**2 - nu**2 whose
+supremum the conjectured product bound caps at 1/5 (proved: 1/3, for
+nu >= 0).
 
 Coverage policy for the second kind below nu = 0: the backward-integration
 oracle is exact-by-symmetry only at nu = -1/2 (half-integer reflection), so
@@ -21,6 +27,7 @@ All default scans are deterministic: fixed grids, fixed evaluation order,
 no randomness.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -87,8 +94,11 @@ class Grid:
         xs = tuple(float(v) for v in self.x_values)
         if len(xs) == 0 or len(nus) == 0:
             raise DomainError("grid must contain at least one row and column")
-        if any(x <= 0 for x in xs) or any(b <= a for a, b in zip(xs, xs[1:])):
-            raise DomainError("x_values must be positive and strictly ascending")
+        if not all(math.isfinite(v) for v in nus):
+            raise DomainError("nu_values must be finite")
+        if (not all(0 < x < math.inf for x in xs)
+                or any(b <= a for a, b in zip(xs, xs[1:]))):
+            raise DomainError("x_values must be finite, positive and strictly ascending")
         object.__setattr__(self, "nu_values", nus)
         object.__setattr__(self, "x_values", xs)
 
@@ -112,10 +122,10 @@ def default_grid(nu_max: float = 20.0, x_lo: float = 1e-3, x_hi: float = 1e3,
 class ScanReport:
     """Outcome of one scan; margins are signed relative slack (neg = bad).
 
-    ``rows`` holds (nu, x, bound, oracle, margin) in evaluation order —
-    exactly the CSV columns.  ``fitted`` is set only by order-estimation
-    scans.  ``unverified`` lists points whose oracle path is not trusted
-    (negative-order second kind away from nu = -1/2).
+    ``rows`` is an (n, 5) array of (nu, x, bound, oracle, margin) in
+    evaluation order — exactly the CSV columns.  ``fitted`` is set only by
+    order-estimation scans.  ``unverified`` lists points whose oracle path
+    is not trusted (negative-order second kind away from nu = -1/2).
     """
 
     claim_id: str
@@ -123,7 +133,7 @@ class ScanReport:
     violations: List[Tuple[float, float, float]] = field(default_factory=list)
     worst_margin: float = math.nan
     fitted: Optional[Tuple[float, float]] = None
-    rows: List[Tuple[float, float, float, float, float]] = field(default_factory=list)
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
     oracle_failures: List[Tuple[float, float, str]] = field(default_factory=list)
     unverified: List[Tuple[float, float, str]] = field(default_factory=list)
     skipped: int = 0
@@ -135,11 +145,13 @@ class ScanReport:
 
 def write_report_csv(report: ScanReport, path) -> None:
     """Emit the per-point rows as CSV: claim_id,nu,x,bound,oracle,margin."""
+    line = report.claim_id.replace("%", "%%") + ",%.17g,%.17g,%.17g,%.17g,%.17g\n"
+    rows = np.asarray(report.rows, dtype=float).reshape(-1, 5)
     with open(path, "w", newline="") as fh:
         fh.write("claim_id,nu,x,bound,oracle,margin\n")
-        for nu, x, b, q, m in report.rows:
-            fh.write("%s,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-                     % (report.claim_id, nu, x, b, q, m))
+        for start in range(0, len(rows), 4096):   # one format call per block
+            block = rows[start:start + 4096]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -262,67 +274,47 @@ class OracleTable:
 
 @dataclass(frozen=True)
 class BoundClaim:
+    """A registered inequality: ``target`` is the oracle quantity it bounds
+    and ``form`` its closed form, whose ``form.row(nu, xs)`` returns
+    (values, direction, valid) along an x row."""
+
     claim_id: str
     target: str                         # oracle quantity id
-    bound_fn: Callable[[EvalPoint], Bound]
-    conjectural: bool = False
+    form: nc.BoundForm
+
+    @property
+    def bound_fn(self) -> Callable[[EvalPoint], Bound]:
+        """One-point call of the claim's row formula."""
+        return self.form.at
 
 
-def _amos_i(a: float):
-    return lambda p: nc.amos_bounds(p, a)[0]
-
-
-def _amos_k(a: float):
-    return lambda p: nc.amos_bounds(p, a)[1]
-
-
-def _simple(value_fn, direction, target, valid_fn, note):
-    def fn(p: EvalPoint) -> Bound:
-        return Bound(value_fn(p), direction, target, valid_fn(p), note)
-    return fn
+def _bracket(claim_id: str, target: str, direction: str, formula) -> BoundClaim:
+    # psi and double-ratio brackets, all proved for nu >= 0
+    return BoundClaim(claim_id, target, nc.BoundForm(
+        formula, direction, claim_id.rsplit("-", 1)[0], nc.NU_GE_0))
 
 
 def _build_bound_claims() -> Dict[str, BoundClaim]:
     claims: List[BoundClaim] = [
-        BoundClaim("trig-upper-I", "Phi0", nc.trig_bound_I),
-        BoundClaim("trig-upper-K", "K-ratio-pos", nc.trig_bound_K),
+        BoundClaim("trig-upper-I", "Phi0", nc.TRIG_I),
+        BoundClaim("trig-upper-K", "K-ratio-pos", nc.TRIG_K),
     ]
     for a, tag in ((0.0, "a0"), (-1.0, "a-1"), (1.0, "a1"),
                    (-2.0, "a-2"), (2.0, "a2")):
-        claims.append(BoundClaim(f"amos-I-{tag}", "Phi0", _amos_i(a)))
-        claims.append(BoundClaim(f"amos-K-{tag}", "Phi1", _amos_k(a)))
+        form_i, form_k = nc.amos_forms(a)
+        claims.append(BoundClaim(f"amos-I-{tag}", "Phi0", form_i))
+        claims.append(BoundClaim(f"amos-K-{tag}", "Phi1", form_k))
+    claims += [BoundClaim("product-" + name.replace("_", "-"), "P", form)
+               for name, form in nc.PRODUCT_FORMS.items()]
     claims += [
-        BoundClaim("product-upper", "P", lambda p: nc.product_bounds(p).upper),
-        BoundClaim("product-lower-amos", "P",
-                   lambda p: nc.product_bounds(p).lower_amos),
-        BoundClaim("product-lower-trig", "P",
-                   lambda p: nc.product_bounds(p).lower_trig),
-        BoundClaim("product-lower-simple", "P",
-                   lambda p: nc.product_bounds(p).lower_simple),
-        BoundClaim("product-lower-conjecture", "P",
-                   lambda p: nc.product_bounds(p).lower_conjecture,
-                   conjectural=True),
-        # bracket claims for the log-derivative shift and the double ratios
-        BoundClaim("psi-I-lower", "psi_I", _simple(
-            lambda p: p.nu, "lower", "psi-I", lambda p: p.nu >= 0.0, "nu >= 0")),
-        BoundClaim("psi-I-upper", "psi_I", _simple(
-            lambda p: nc.cubic_roots(p).lambda_I, "upper", "psi-I",
-            lambda p: p.nu >= 0.0, "nu >= 0")),
-        BoundClaim("psi-K-lower", "psi_K", _simple(
-            lambda p: nc.cubic_roots(p).lambda_K, "lower", "psi-K",
-            lambda p: p.nu >= 0.0, "nu >= 0")),
-        BoundClaim("psi-K-upper", "psi_K", _simple(
-            lambda p: -p.nu, "upper", "psi-K", lambda p: p.nu >= 0.0, "nu >= 0")),
-        BoundClaim("double-I-lower", "W_I", _simple(
-            lambda p: 0.0, "lower", "double-I", lambda p: p.nu >= 0.0, "nu >= 0")),
-        BoundClaim("double-I-upper", "W_I", _simple(
-            lambda p: nc.w_values(p).w_I, "upper", "double-I",
-            lambda p: p.nu >= 0.0, "nu >= 0")),
-        BoundClaim("double-K-lower", "W_K", _simple(
-            lambda p: 0.0, "lower", "double-K", lambda p: p.nu >= 0.0, "nu >= 0")),
-        BoundClaim("double-K-upper", "W_K", _simple(
-            lambda p: nc.w_values(p).w_K, "upper", "double-K",
-            lambda p: p.nu >= 0.0, "nu >= 0")),
+        _bracket("psi-I-lower", "psi_I", "lower", lambda nu, x: np.full_like(x, nu)),
+        _bracket("psi-I-upper", "psi_I", "upper", lambda nu, x: nc.cubic_roots_row(nu, x)[2]),
+        _bracket("psi-K-lower", "psi_K", "lower", lambda nu, x: nc.cubic_roots_row(nu, x)[0]),
+        _bracket("psi-K-upper", "psi_K", "upper", lambda nu, x: np.full_like(x, -nu)),
+        _bracket("double-I-lower", "W_I", "lower", lambda nu, x: np.zeros_like(x)),
+        _bracket("double-I-upper", "W_I", "upper", lambda nu, x: nc.w_values_row(nu, x)[0]),
+        _bracket("double-K-lower", "W_K", "lower", lambda nu, x: np.zeros_like(x)),
+        _bracket("double-K-upper", "W_K", "upper", lambda nu, x: nc.w_values_row(nu, x)[1]),
     ]
     return {c.claim_id: c for c in claims}
 
@@ -347,30 +339,54 @@ def corrupt_claim(claim: Union[str, BoundClaim], factor: float = 1.001) -> Bound
     path: upper bounds are tightened below the truth, lower bounds above."""
     if isinstance(claim, str):
         claim = get_claim(claim)
-    base_fn = claim.bound_fn
+    form = claim.form
+    # shift against the bound's own direction regardless of its sign
+    sign = -1.0 if form.direction == "upper" else 1.0
 
-    def fn(p: EvalPoint) -> Bound:
-        b = base_fn(p)
-        # shift against the bound's own direction regardless of its sign
-        shift = abs(b.value) * (factor - 1.0)
-        value = b.value - shift if b.direction == "upper" else b.value + shift
-        return Bound(value, b.direction, b.target, b.valid,
-                     b.validity_note, b.conjectural)
+    def formula(nu, x):
+        values = form.formula(nu, x)
+        return values + sign * (np.abs(values) * (factor - 1.0))
 
-    return BoundClaim(claim.claim_id + "[corrupted]", claim.target, fn,
-                      claim.conjectural)
+    return BoundClaim(claim.claim_id + "[corrupted]", claim.target,
+                      dataclasses.replace(form, formula=formula))
+
+
+def _gate_row(rep: ScanReport, nu: float, xs: np.ndarray, slack, scale, est,
+              tol: float, finite, cols) -> np.ndarray:
+    """Gate one order row: margin = slack/scale is a violation when it is
+    below -(tol + est/scale).  A point whose oracle values, margin or gate
+    are not finite is an oracle failure, never a pass.  Returns the checked
+    points as report rows (nu, x, *cols, margin)."""
+    with np.errstate(all="ignore"):
+        margin = slack / scale
+        gate = tol + est / scale
+    ok = finite & np.isfinite(margin) & np.isfinite(gate)
+    for i in np.flatnonzero(~ok):
+        rep.oracle_failures.append((nu, float(xs[i]), "non-finite margin or gate"
+                                    if finite[i] else "non-finite oracle value"))
+    bad = ok & (margin < -gate)
+    rep.violations += [(nu, x, m) for x, m in zip(xs[bad].tolist(), margin[bad].tolist())]
+    return np.column_stack([np.full(np.count_nonzero(ok), nu), xs[ok],
+                            *(c[ok] for c in cols), margin[ok]])
+
+
+def _finish(rep: ScanReport, blocks: List[np.ndarray]) -> ScanReport:
+    rep.rows = np.concatenate(blocks) if blocks else np.empty((0, 5))
+    rep.points_checked = len(rep.rows)
+    rep.worst_margin = float(rep.rows[:, 4].min()) if len(rep.rows) else math.nan
+    return rep
 
 
 def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
                tol: float = DEFAULT_TOL,
                table: Optional[OracleTable] = None) -> ScanReport:
-    """Sweep one bound claim over the grid.
+    """Sweep one bound claim over the grid, one order row at a time.
 
     A point is a violation when its signed relative margin is below
-    -(tol + est_error/|oracle|).  Points outside the claim's proved range
+    -(tol + est_error/|oracle|).  Rows outside the claim's proved range
     are skipped; second-kind targets on negative non-half-integer rows are
     recorded as unverified; oracle failures are collected, not raised, and
-    a non-finite margin or gate is one.
+    a non-finite oracle value, margin or gate is one.
     """
     if isinstance(claim, str):
         claim = get_claim(claim)
@@ -380,45 +396,26 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
         table = OracleTable(grid)
 
     rep = ScanReport(claim_id=claim.claim_id)
-    margins: List[float] = []
+    xs = np.asarray(grid.x_values)
+    blocks = []
     for nu in grid.nu_values:
         try:
             vals, ests = table.quantity(claim.target, nu)
         except (DomainError, EvaluationError) as exc:
             rep.oracle_failures += [(nu, x, str(exc)) for x in grid.x_values]
             continue
-        restricted = claim.target in _K_RESTRICTED and nu < 0.0 and nu != -0.5
-        for i, x in enumerate(grid.x_values):
-            p = EvalPoint(nu, x)
-            b = claim.bound_fn(p)
-            if not b.valid:
-                rep.skipped += 1
-                continue
-            if restricted:
-                rep.unverified.append(
-                    (nu, x, "second-kind oracle untrusted below nu=0"))
-                continue
-            q = float(vals[i])
-            if not math.isfinite(q):
-                rep.oracle_failures.append((nu, x, "non-finite oracle value"))
-                continue
-            denom = max(abs(q), _TINY)
-            if b.direction == "upper":
-                margin = (b.value - q) / denom
-            else:
-                margin = (q - b.value) / denom
-            gate = tol + float(ests[i]) / denom
-            if not (math.isfinite(margin) and math.isfinite(gate)):
-                # a NaN gate would make `margin < -gate` False: fail closed
-                rep.oracle_failures.append((nu, x, "non-finite margin or gate"))
-                continue
-            if margin < -gate:
-                rep.violations.append((nu, x, margin))
-            margins.append(margin)
-            rep.rows.append((nu, x, b.value, q, margin))
-    rep.points_checked = len(rep.rows)
-    rep.worst_margin = min(margins) if margins else math.nan
-    return rep
+        bound, direction, valid = claim.form.row(nu, xs)
+        if not valid:
+            rep.skipped += len(xs)
+        elif claim.target in _K_RESTRICTED and nu < 0.0 and nu != -0.5:
+            rep.unverified += [(nu, x, "second-kind oracle untrusted below nu=0")
+                               for x in grid.x_values]
+        else:
+            with np.errstate(all="ignore"):
+                slack = bound - vals if direction == "upper" else vals - bound
+            blocks.append(_gate_row(rep, nu, xs, slack, np.maximum(np.abs(vals), _TINY),
+                                    ests, tol, np.isfinite(vals), (bound, vals)))
+    return _finish(rep, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -432,26 +429,13 @@ class MonotoneClaim:
     nu_lo: float = -math.inf
     nu_hi: float = math.inf
     nu_lo_strict: bool = False
-    oracle_backed: bool = True          # False: closed-form, no table needed
+    # row function (nu, xs) -> values for closed-form quantities, which
+    # need no oracle table; None: the quantity is an oracle-table row
+    closed_form: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
 
-def _closed_form_row(qid: str, nu: float, xs: Sequence[float]):
-    vals = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        p = EvalPoint(nu, x)
-        if qid in ("w_I", "w_K", "w_O"):
-            vals[i] = getattr(nc.w_values(p), qid)
-        elif qid in ("lambda_I", "lambda_K", "lambda_O"):
-            vals[i] = getattr(nc.cubic_roots(p), qid)
-        elif qid.startswith("gamma-hat-"):
-            # id pattern: gamma-hat-plus[a=0.5] / gamma-hat-minus[a=-1]
-            branch, a_txt = qid[len("gamma-hat-"):].split("[a=")
-            pair = nc.gamma_hat(float(a_txt[:-1]), p)
-            vals[i] = pair[0] if branch == "plus" else pair[1]
-        else:
-            raise DomainError(f"unknown closed-form quantity {qid!r}")
-    ests = 4.0 * _EPS * np.abs(vals)
-    return vals, ests
+def _gamma_hat(branch: int, a: float):
+    return lambda nu, x: nc.gamma_hat_row(a, nu, x)[branch]
 
 
 _MONOTONE_CLAIMS: Dict[str, MonotoneClaim] = {c.quantity: c for c in [
@@ -462,25 +446,28 @@ _MONOTONE_CLAIMS: Dict[str, MonotoneClaim] = {c.quantity: c for c in [
     MonotoneClaim("Phi1", "decreasing", nu_lo=0.5, nu_lo_strict=True),
     MonotoneClaim("W_I", "increasing", nu_lo=0.0),
     MonotoneClaim("W_K", "decreasing", nu_lo=0.0),
-    MonotoneClaim("w_I", "increasing", oracle_backed=False),
-    MonotoneClaim("w_K", "decreasing", oracle_backed=False),
-    MonotoneClaim("w_O", "increasing", oracle_backed=False),
-    MonotoneClaim("lambda_I", "increasing", oracle_backed=False),
-    MonotoneClaim("lambda_K", "decreasing", oracle_backed=False),
-    MonotoneClaim("lambda_O", "increasing", oracle_backed=False),
+    MonotoneClaim("w_I", "increasing", closed_form=lambda nu, x: nc.w_values_row(nu, x)[0]),
+    MonotoneClaim("w_K", "decreasing", closed_form=lambda nu, x: nc.w_values_row(nu, x)[1]),
+    MonotoneClaim("w_O", "increasing", closed_form=lambda nu, x: nc.w_values_row(nu, x)[2]),
+    MonotoneClaim("lambda_I", "increasing",
+                  closed_form=lambda nu, x: nc.cubic_roots_row(nu, x)[2]),
+    MonotoneClaim("lambda_K", "decreasing",
+                  closed_form=lambda nu, x: nc.cubic_roots_row(nu, x)[0]),
+    MonotoneClaim("lambda_O", "increasing",
+                  closed_form=lambda nu, x: nc.cubic_roots_row(nu, x)[1]),
     # nullcline branches with one-signed slope: |a| >= 1 is extremum-free;
     # 0 < |a| < 1 is monotone when the interior extremum abscissa is
     # non-positive
-    MonotoneClaim("gamma-hat-plus[a=1]", "decreasing", oracle_backed=False),
-    MonotoneClaim("gamma-hat-plus[a=-1]", "increasing", oracle_backed=False),
-    MonotoneClaim("gamma-hat-plus[a=2]", "decreasing", oracle_backed=False),
-    MonotoneClaim("gamma-hat-plus[a=-2]", "increasing", oracle_backed=False),
-    MonotoneClaim("gamma-hat-minus[a=1]", "increasing", oracle_backed=False),
-    MonotoneClaim("gamma-hat-minus[a=-1]", "decreasing", oracle_backed=False),
+    MonotoneClaim("gamma-hat-plus[a=1]", "decreasing", closed_form=_gamma_hat(0, 1.0)),
+    MonotoneClaim("gamma-hat-plus[a=-1]", "increasing", closed_form=_gamma_hat(0, -1.0)),
+    MonotoneClaim("gamma-hat-plus[a=2]", "decreasing", closed_form=_gamma_hat(0, 2.0)),
+    MonotoneClaim("gamma-hat-plus[a=-2]", "increasing", closed_form=_gamma_hat(0, -2.0)),
+    MonotoneClaim("gamma-hat-minus[a=1]", "increasing", closed_form=_gamma_hat(1, 1.0)),
+    MonotoneClaim("gamma-hat-minus[a=-1]", "decreasing", closed_form=_gamma_hat(1, -1.0)),
     MonotoneClaim("gamma-hat-plus[a=0.5]", "decreasing", nu_lo=0.75,
-                  oracle_backed=False),
+                  closed_form=_gamma_hat(0, 0.5)),
     MonotoneClaim("gamma-hat-plus[a=-0.5]", "increasing", nu_hi=0.25,
-                  oracle_backed=False),
+                  closed_form=_gamma_hat(0, -0.5)),
 ]}
 
 
@@ -495,8 +482,9 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None,
 
     Margin for one difference is its signed step (oriented so that the
     expected direction is positive) divided by the larger neighbour
-    magnitude; violations must beat tol plus the two oracle estimates.
-    CSV rows are (nu, x_left, next_value, value, margin).
+    magnitude; violations must beat tol plus the two oracle estimates
+    (4 eps |value| for closed forms).  CSV rows are
+    (nu, x_left, next_value, value, margin).
     """
     try:
         claim = _MONOTONE_CLAIMS[quantity]
@@ -507,45 +495,35 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None,
         raise DomainError(f"unknown direction {direction!r}")
     if grid is None:
         grid = table.grid if table is not None else default_grid()
-    if claim.oracle_backed and table is None:
+    if claim.closed_form is None and table is None:
         table = OracleTable(grid)
 
     rep = ScanReport(claim_id=f"monotone-{quantity}-{direction}")
-    margins: List[float] = []
     sign = 1.0 if direction == "increasing" else -1.0
+    xs = np.asarray(grid.x_values)
+    blocks = []
     for nu in grid.nu_values:
         below = nu < claim.nu_lo or (claim.nu_lo_strict and nu == claim.nu_lo)
         if below or nu > claim.nu_hi:
-            rep.skipped += len(grid.x_values) - 1
+            rep.skipped += len(xs) - 1
             continue
         try:
-            if claim.oracle_backed:
+            if claim.closed_form is None:
                 vals, ests = table.quantity(quantity, nu)
             else:
-                vals, ests = _closed_form_row(quantity, nu, grid.x_values)
+                vals = claim.closed_form(nu, xs)
+                ests = 4.0 * _EPS * np.abs(vals)
         except (DomainError, EvaluationError) as exc:
             rep.oracle_failures += [(nu, x, str(exc)) for x in grid.x_values]
             continue
-        for i in range(len(vals) - 1):
-            v0, v1 = float(vals[i]), float(vals[i + 1])
-            if not (math.isfinite(v0) and math.isfinite(v1)):
-                rep.oracle_failures.append(
-                    (nu, grid.x_values[i], "non-finite oracle value"))
-                continue
-            scale = max(abs(v0), abs(v1), _TINY)
-            margin = sign * (v1 - v0) / scale
-            gate = tol + (float(ests[i]) + float(ests[i + 1])) / scale
-            if not (math.isfinite(margin) and math.isfinite(gate)):
-                rep.oracle_failures.append(
-                    (nu, grid.x_values[i], "non-finite margin or gate"))
-                continue
-            if margin < -gate:
-                rep.violations.append((nu, grid.x_values[i], margin))
-            margins.append(margin)
-            rep.rows.append((nu, grid.x_values[i], v1, v0, margin))
-    rep.points_checked = len(rep.rows)
-    rep.worst_margin = min(margins) if margins else math.nan
-    return rep
+        v0, v1 = vals[:-1], vals[1:]
+        with np.errstate(all="ignore"):
+            slack = sign * (v1 - v0)
+        blocks.append(_gate_row(rep, nu, xs[:-1], slack,
+                                np.maximum(np.maximum(np.abs(v0), np.abs(v1)), _TINY),
+                                ests[:-1] + ests[1:], tol,
+                                np.isfinite(v0) & np.isfinite(v1), (v1, v0)))
+    return _finish(rep, blocks)
 
 
 # ----------------------------------------------------------------------
@@ -619,7 +597,7 @@ def _sharpness_point(case_id: str, nu: float, x: float):
         r = oracle.k_ratio(p, rtol=1e-13)
         return nc.trig_bound_K(p).value, -r.value, r.est_error, "upper"
     r = oracle.product(p)
-    return nc.product_bounds(p).lower_trig.value, r.value, r.est_error, "lower"
+    return nc.PRODUCT_FORMS["lower_trig"].at(p).value, r.value, r.est_error, "lower"
 
 
 def _extrapolate_large_nu(samples: Sequence[Tuple[float, float]],
@@ -664,13 +642,15 @@ def sharpness_battery(tol_exponent: float = 0.15,
         rep = ScanReport(claim_id=case_id)
         samples: List[Tuple[float, float]] = []
         floors: List[float] = []
+        rows = []
         for s in scales:
             nu, x = (fixed, s) if regime != "large-nu" else (s, fixed)
             b, q, est, direction = _sharpness_point(case_id, nu, x)
             eps = relative_error(b, q, direction)
             samples.append((s, eps))
             floors.append(100.0 * est / abs(q))
-            rep.rows.append((nu, x, b, q, eps))
+            rows.append((nu, x, b, q, eps))
+        rep.rows = np.array(rows)
         try:
             raw_k, raw_c = fit_error_order(samples, regime, noise_floor=floors)
             if regime == "large-nu":
@@ -724,42 +704,45 @@ def conjecture_scan(grid: Optional[Grid] = None,
         table = OracleTable(grid)
 
     rep = ScanReport(claim_id="conjecture-scan")
-    sup_all = -math.inf
-    sup_all_at = (math.nan, math.nan)
-    sup_ver = -math.inf
-    sup_ver_at = (math.nan, math.nan)
+    sup_all = sup_ver = -math.inf
+    sup_all_at = sup_ver_at = (math.nan, math.nan)
+    xs = np.asarray(grid.x_values)
+    blocks = []
     for nu in grid.nu_values:
         try:
             pvals, pests = table.quantity("P", nu)
         except (DomainError, EvaluationError) as exc:
             rep.oracle_failures += [(nu, x, str(exc)) for x in grid.x_values]
             continue
-        verified_row = nu >= 0.0 or nu == -0.5
-        for i, x in enumerate(grid.x_values):
-            pv = float(pvals[i])
-            if not (math.isfinite(pv) and pv > 0):
-                rep.oracle_failures.append((nu, x, "bad product value"))
-                continue
-            s = 1.0 / (4.0 * pv * pv) - x * x - nu * nu
+        good_p = np.isfinite(pvals) & (pvals > 0)
+        with np.errstate(all="ignore"):
+            s = 1.0 / (4.0 * pvals * pvals) - xs * xs - nu * nu
             # cancellation-aware error: d s / d P = -1/(2 P**3)
-            est_s = float(pests[i]) / (2.0 * pv ** 3) \
-                + 4.0 * _EPS * (x * x + nu * nu + abs(s))
+            est_s = pests / (2.0 * pvals ** 3) + 4.0 * _EPS * (xs * xs + nu * nu + np.abs(s))
             excess = s - (proved_cap - gate_slack)
-            if not (math.isfinite(excess) and math.isfinite(est_s)):
-                rep.oracle_failures.append((nu, x, "non-finite s or error estimate"))
-                continue
-            if s > sup_all:
-                sup_all, sup_all_at = s, (nu, x)
-            if verified_row:
-                if s > sup_ver:
-                    sup_ver, sup_ver_at = s, (nu, x)
-                if nu >= 0.0 and excess > est_s:
-                    rep.violations.append((nu, x, proved_cap - s))
-            else:
-                rep.unverified.append(
-                    (nu, x, "second-kind oracle untrusted below nu=0"))
-            rep.rows.append((nu, x, proved_cap, s, proved_cap - s))
-    rep.points_checked = len(rep.rows)
+        ok = good_p & np.isfinite(excess) & np.isfinite(est_s)
+        for i in np.flatnonzero(~ok):
+            rep.oracle_failures.append((nu, float(xs[i]), "non-finite s or error estimate"
+                                        if good_p[i] else "bad product value"))
+        s, x_ok = s[ok], xs[ok]
+        if not len(s):
+            continue
+        top = int(np.argmax(s))           # first point of the row maximum
+        if s[top] > sup_all:
+            sup_all, sup_all_at = float(s[top]), (nu, float(x_ok[top]))
+        if nu >= 0.0 or nu == -0.5:
+            if s[top] > sup_ver:
+                sup_ver, sup_ver_at = float(s[top]), (nu, float(x_ok[top]))
+            if nu >= 0.0:
+                bad = excess[ok] > est_s[ok]
+                rep.violations += [(nu, x, proved_cap - v)
+                                   for x, v in zip(x_ok[bad].tolist(), s[bad].tolist())]
+        else:
+            rep.unverified += [(nu, x, "second-kind oracle untrusted below nu=0")
+                               for x in x_ok.tolist()]
+        blocks.append(np.column_stack([np.full(len(s), nu), x_ok,
+                                       np.full(len(s), proved_cap), s, proved_cap - s]))
+    _finish(rep, blocks)
     rep.worst_margin = proved_cap - sup_ver if math.isfinite(sup_ver) else math.nan
     rep.stats.update({
         "sup_s": sup_all,

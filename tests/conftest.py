@@ -4,9 +4,21 @@ The full default-grid oracle table takes a few seconds to build, so it is
 session-scoped and shared by the verification and acceptance tests.
 """
 
+import math
+
 import pytest
+from hypothesis import settings, strategies as st
 
 from besselbounds.verify import Grid, OracleTable, default_grid
+
+# property tests run derandomized, so the suite's outcome is reproducible
+PROPERTY = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=50)
+
+
+def log_x(lo: float, hi: float):
+    """Arguments log-uniform in [lo, hi]."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 _gate_lines: list = []
 

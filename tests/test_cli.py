@@ -126,6 +126,32 @@ def test_verify_rejects_non_finite_or_negative_tol(tmp_path):
     assert run(args + ["--config", str(cfg)])[0] == EXIT_USAGE
 
 
+def test_grid_flags_must_be_finite():
+    # --nu-max inf used to die in _nu_list with an OverflowError (exit 1);
+    # NaN orders and arguments ran and reported oracle failures (exit 3)
+    for flag in ("--nu-min", "--nu-max", "--nu-step", "--nu", "--x-min",
+                 "--x-max", "--x"):
+        for value in ("nan", "inf", "-inf"):
+            code, out, err = run(["verify", "--x-points", "3", f"{flag}={value}"])
+            assert code == EXIT_USAGE and "must be finite" in err and out == ""
+
+
+def test_x_bounds_must_be_positive():
+    for flag in ("--x-min", "--x-max", "--x"):
+        for value in ("0", "-1"):
+            code, out, err = run(["verify", "--nu", "0.5", f"{flag}={value}"])
+            assert code == EXIT_USAGE and "must be positive" in err and out == ""
+
+
+def test_huge_orders_fail_fast():
+    # the K ladder takes one step per unit of order: refuse, do not climb
+    for args in (["--nu=100000.25"], ["--nu=-2e4"], ["--nu-max=1e5"],
+                 ["--nu-min=-1e6", "--nu-max=0"]):
+        code, out, err = run(["verify", "--x-points", "3"] + args)
+        assert code == EXIT_USAGE and "must not exceed" in err and out == ""
+    assert run(["tabulate", "--nu", "10000", "--x", "1"])[0] == EXIT_OK
+
+
 def test_verify_fails_closed_on_nan_error_estimates(monkeypatch):
     real = oracle.k_ratio_rows
 

@@ -1,9 +1,12 @@
 """Tests for the closed-form bound and nullcline evaluators."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from conftest import PROPERTY, log_x
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from besselbounds import nullclines as nc
@@ -298,3 +301,104 @@ def test_bound_producers_registry():
     ids = nc.bound_producers()
     assert len(ids) == len(set(ids)) == 17
     assert "trig-upper-I" in ids and "product-lower-conjecture" in ids
+
+
+# ---------------------------------------------------------------------------
+# array-first closed forms: one implementation, checked at random rows
+
+_X_ROW = st.lists(log_x(10 ** -3.5, 1e3), min_size=1, max_size=8)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@PROPERTY
+@given(nu=st.one_of(st.just(0.0), st.floats(-1.0, 20.0)), xs=_X_ROW,
+       a=st.sampled_from([0.0, -1.0, 1.0, -2.0, 2.0, 0.5, -0.5]))
+def test_rows_equal_one_point_calls(nu, xs, a):
+    row = np.array(xs)
+    pts = [EvalPoint(nu, x) for x in xs]
+    pairs = [
+        (nc.lambda_plus_row(a, nu, row), [nc.lambda_plus(a, p) for p in pts]),
+        (nc.cubic_roots_row(nu, row),
+         [[getattr(nc.cubic_roots(p), f) for p in pts]
+          for f in ("lambda_K", "lambda_O", "lambda_I", "g", "acos_arg")]),
+        (nc.w_values_row(nu, row),
+         [[getattr(nc.w_values(p), f) for p in pts] for f in ("w_I", "w_K", "w_O")]),
+        (nc.gamma_hat_row(a, nu, row), np.transpose([nc.gamma_hat(a, p) for p in pts])),
+    ]
+    forms = [(nc.TRIG_I, nc.trig_bound_I), (nc.TRIG_K, nc.trig_bound_K)]
+    forms += [(form, lambda p, i=i: nc.amos_bounds(p, a)[i])
+              for i, form in enumerate(nc.amos_forms(a))]
+    forms += [(form, lambda p, name=name: getattr(nc.product_bounds(p), name))
+              for name, form in nc.PRODUCT_FORMS.items()]
+    for form, scalar in forms:
+        values, direction, valid = form.row(nu, row)
+        bounds = [scalar(p) for p in pts]
+        assert {(b.direction, b.valid) for b in bounds} == {(direction, valid)}
+        pairs.append((values, [b.value for b in bounds]))
+    for row_values, point_values in pairs:
+        np.testing.assert_array_equal(_bits(row_values), _bits(point_values))
+
+
+def _decimal_root(coeffs, seed: float) -> Decimal:
+    """50-digit Newton refinement of a root of sum(c * u**k), coefficients
+    from the highest power down, starting at a float seed."""
+    u = Decimal(seed)
+    for _ in range(100):
+        f = df = Decimal(0)
+        for c in coeffs:
+            df = df * u + f
+            f = f * u + c
+        step = f / df
+        u -= step
+        if abs(step) <= abs(u) * Decimal("1e-45"):
+            return u
+    raise AssertionError(f"no convergence from seed {seed!r}")
+
+
+def _rel(value: float, ref: Decimal) -> float:
+    return float(abs((Decimal(value) - ref) / ref))
+
+
+@PROPERTY
+@given(nu=st.floats(0.25, 20.0), x=log_x(10 ** -3.5, 1e3),
+       a=st.sampled_from([0.0, -1.0, 1.0, -2.0, 2.0, 0.5, -0.5]))
+def test_closed_forms_match_50_digit_roots(nu, x, a):
+    p = EvalPoint(nu, x)
+    r = nc.cubic_roots(p)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n, y = Decimal(nu), Decimal(x)
+        cubic = [1, 1, -(n * n + y * y), -n * n]
+        for lam in (r.lambda_I, r.lambda_K, r.lambda_O):
+            assert _rel(lam, _decimal_root(cubic, lam)) <= 1e-14
+        # lambda_K + nu from its shifted cubic, through the trig K bound
+        u = _decimal_root([1, 1 - 3 * n, 2 * n * (n - 1) - y * y, n * y * y],
+                          r.lambda_K + nu)
+        assert _rel(nc.trig_bound_K(p).value, -u / y) <= 1e-14
+        # lambda_K + 1 from its shifted cubic, through w_K = lambda_K/(lambda_K + 1)
+        u = _decimal_root([1, -2, 1 - n * n - y * y, y * y], r.lambda_K + 1.0)
+        assert _rel(nc.w_values(p).w_K, (u - 1) / u) <= 1e-14
+        # lambda_plus is the positive root of x*t**2 - 2*c*t - x
+        c = n - (Decimal(a) + 1) / 2
+        lam = nc.lambda_plus(a, p)
+        assert _rel(lam, _decimal_root([y, -2 * c, -y], lam)) <= 1e-14
+
+
+@PROPERTY
+@given(xs=_X_ROW)
+def test_row_with_nu_zero_takes_factored_branch(xs):
+    # t**3 + t**2 - x**2 t = t (t**2 + t - x**2): lambda_O = 0 exactly and
+    # lambda_I = 2 x**2/(1 + sqrt(1 + 4 x**2)), free of cancellation
+    x = np.array(xs)
+    nu = np.where(np.arange(len(xs)) % 2 == 0, 0.0, 1.5)
+    lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, x)
+    zero = nu == 0.0
+    h = 2.0 * x * x / (1.0 + np.sqrt(1.0 + 4.0 * x * x))
+    np.testing.assert_array_equal(lam_i[zero], h[zero])
+    np.testing.assert_array_equal(lam_o[zero], 0.0)
+    np.testing.assert_array_equal(nc.w_values_row(nu, x)[2][zero], 0.0)
+    assert_allclose(lam_k[zero], -1.0 - h[zero], rtol=2 * EPS)
+    assert np.all(lam_o[~zero] < 0.0)

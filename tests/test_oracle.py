@@ -6,11 +6,13 @@ test.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import PROPERTY, log_x
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from besselbounds import oracle
@@ -129,14 +131,6 @@ def test_k_ratio_row_matches_pointwise():
 
 # ---------------------------------------------------------------------------
 # est_error is honest: properties at random (order, x), compared at 1x
-# (derandomized so that the suite's outcome is reproducible)
-
-_PROPERTY = settings(derandomize=True, deadline=None, database=None,
-                     max_examples=50)
-
-
-def _log_x(lo: float, hi: float):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
 def _k_pos_ratio_closed_form(n: int, x: float) -> float:
@@ -152,9 +146,25 @@ def _k_pos_ratio_closed_form(n: int, x: float) -> float:
     return float(s(n - 1) / s(n)) if n else 1.0
 
 
-@_PROPERTY
+def _coth_50_digits(x: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = (2 * Decimal(x)).exp()
+        return (e + 1) / (e - 1)
+
+
+@PROPERTY
+@given(x=log_x(1e-3, 1e3))
+@example(x=1.9904185248611785)   # 1.33x the former 4*(delta + eps) estimate
+def test_half_order_i_ratio_matches_coth(x):
+    # I_{-1/2}/I_{1/2} = coth x, compared exactly rather than via a float coth
+    r = oracle.i_ratio(EvalPoint(0.5, x))
+    assert float(abs(Decimal(r.value) - _coth_50_digits(x))) <= r.est_error
+
+
+@PROPERTY
 @given(mu=st.one_of(st.just(0.5), st.floats(0.05, 0.95)), k=st.integers(0, 5),
-       x=_log_x(1e-3, 60.0))
+       x=log_x(1e-3, 60.0))
 def test_ladder_matches_direct_integration(mu, k, x):
     # mu = 1/2 pits forced integration against the exact half-integer ladder
     p = EvalPoint(mu + k, x)
@@ -164,16 +174,16 @@ def test_ladder_matches_direct_integration(mu, k, x):
     assert abs(ladder.value - direct.value) <= ladder.est_error + direct.est_error
 
 
-@_PROPERTY
-@given(n=st.integers(0, 40), x=_log_x(1e-3, 1e3))
+@PROPERTY
+@given(n=st.integers(0, 40), x=log_x(1e-3, 1e3))
 def test_half_integer_ladder_matches_closed_form(n, x):
     r = oracle.k_ratio(EvalPoint(n + 0.5, x))
     assert r.method == "half-integer-recurrence"
     assert abs(r.value + _k_pos_ratio_closed_form(n, x)) <= r.est_error
 
 
-@_PROPERTY
-@given(nu=st.floats(-1.0, 0.0, exclude_max=True), x=_log_x(1e-3, 60.0))
+@PROPERTY
+@given(nu=st.floats(-1.0, 0.0, exclude_max=True), x=log_x(1e-3, 60.0))
 def test_reflection_matches_direct_integration(nu, x):
     p = EvalPoint(nu, x)
     reflected = oracle.k_ratio(p)

@@ -42,6 +42,11 @@ def test_grid_validation():
         Grid(nu_values=(1.0,), x_values=(2.0, 1.0))
     with pytest.raises(DomainError):
         Grid(nu_values=(), x_values=(1.0,))
+    # rows are no longer built from validated EvalPoints, so the grid checks
+    for nus, xs in (((math.nan,), (1.0,)), ((1.0,), (1.0, math.nan)),
+                    ((1.0,), (1.0, math.inf))):
+        with pytest.raises(DomainError):
+            Grid(nu_values=nus, x_values=xs)
 
 
 def test_default_grid_shape():
@@ -118,7 +123,7 @@ def test_scan_bound_flags_corruption(small_table):
 def test_scan_bound_deterministic(small_table):
     a = scan_bound("product-lower-trig", table=small_table)
     b = scan_bound("product-lower-trig", table=small_table)
-    assert a.rows == b.rows
+    assert np.array_equal(a.rows, b.rows)
     assert a.worst_margin == b.worst_margin
 
 
