@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .nullclines import EvalPoint
-from .oracle import RatioKind
+from .oracle import RatioKind, large_x_coefficients
 
 __all__ = [
     "Expansion",
@@ -72,10 +72,13 @@ def large_x_ratio(kind: RatioKind, p: EvalPoint) -> Expansion:
     SECOND: 1 - (nu - 1/2)/x + (nu^2 - 1/4)/(2 x^2)
 
     The two kinds differ exactly by 2(nu - 1/2)/x at the printed order.
+    The coefficients are the first three of the Riccati series generator
+    ``oracle.large_x_coefficients`` (c_0 = +1 for Phi0, -1 for Phi1).
     """
     s = 1.0 if kind is RatioKind.FIRST else -1.0
+    c0, c1, c2 = large_x_coefficients(p.nu, s, 3)
     inv = 1.0 / p.x
-    val = 1.0 + s * (p.nu - 0.5) * inv + 0.5 * (p.nu * p.nu - 0.25) * inv * inv
+    val = s * (c0 + c1 * inv + c2 * inv * inv)
     return Expansion(val, "O(x^-3)", "large-x", _ratio_kind_name(kind))
 
 

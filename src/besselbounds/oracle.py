@@ -23,9 +23,10 @@ the Riccati equation the ratios satisfy,
   Seeds come from three sources:
 
   - half-integer classes: K_{1/2} = K_{-1/2} gives r_{1/2} = 1 exactly;
-  - x >= 20: the large-x series Phi1 ~ sum_k c_k x**-k generated from the
-    Riccati equation itself, c_0 = -1,
-    c_{k+1} = [-(k + 2*nu - 1) c_k + sum_{i=1..k} c_i c_{k+1-i}]/2,
+  - x >= 20: the large-x series Phi ~ sum_k c_k x**-k generated from the
+    Riccati equation itself (``large_x_coefficients``), c_0 = -1 for Phi1
+    (+1 for Phi0),
+    c_{k+1} = [(k + 2*nu - 1) c_k - sum_{i=1..k} c_i c_{k+1-i}]/(2 c_0),
     truncated before its smallest term (the error is the first omitted
     term);
   - x < 20: one backward integration of the Riccati equation from x = 20,
@@ -36,9 +37,10 @@ Negative orders in [-1, 0) are a documented test-only extension: the I side
 steps the recurrence down once from nu+1 >= 0, and the K side uses the
 symmetry K_{-mu} = K_mu, which gives Phi1(nu, x) = 1/Phi1(1-nu, x).
 
-Derived quantities (``psi``, ``double_ratio``, ``product``) are assembled
-from the two ratios through exact algebraic relations, arranged to avoid
-cancellation; each result carries an honest ``est_error``.
+Derived quantities are assembled from the two ratios through exact
+algebraic relations, arranged to avoid cancellation, by one row function,
+``quantity_row``; each result carries an honest ``est_error``.  ``psi``,
+``double_ratio`` and ``product`` are its one-point calls.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -166,18 +168,26 @@ def i_ratio_row(nu: float, xs: Sequence[float], tol: float = CF_TOL) -> Tuple[np
 SERIES_X = 20.0           # the series serves x >= this at every seed order
 
 
+def large_x_coefficients(nu: float, c0: float, n: int = 61) -> List[float]:
+    """The first n coefficients c_k of the large-x series Phi ~ sum c_k x**-k
+    of the Riccati equation: c0 = 1 gives Phi0, c0 = -1 gives Phi1 (module
+    docstring).  Stops early before the first non-finite coefficient."""
+    c = [c0]
+    for k in range(n - 1):
+        nxt = ((k + 2.0 * nu - 1.0) * c[k]
+               - sum(c[i] * c[k + 1 - i] for i in range(1, k + 1))) / (2.0 * c0)
+        if not math.isfinite(nxt):
+            break
+        c.append(nxt)
+    return c
+
+
 def large_x_series(nu: float, xs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Phi1(nu, x) from the Riccati-generated large-x series; (values,
     est_errors).  Each x stops before its smallest omitted term; the error
     estimate is the larger of the next two omitted terms (one coefficient
     can vanish by accident, as c_4 does at nu = 5/2) plus roundoff."""
-    c = [-1.0]
-    for k in range(60):
-        nxt = (sum(c[i] * c[k + 1 - i] for i in range(1, k + 1))
-               - (k + 2.0 * nu - 1.0) * c[k]) / 2.0
-        if not math.isfinite(nxt):
-            break
-        c.append(nxt)
+    c = large_x_coefficients(nu, -1.0)
     k = np.arange(len(c))[:, None]
     terms = np.array(c)[:, None] * np.asarray(xs, dtype=float) ** -k
     omitted = np.maximum(np.abs(terms[1:-1]), np.abs(terms[2:]))  # row m: stop after m
@@ -295,11 +305,79 @@ def k_ratio(p: EvalPoint, rtol: float = ODE_RTOL, atol: float = ODE_ATOL,
 # Derived quantities
 # ----------------------------------------------------------------------
 
-def _ratio_result(kind: RatioKind, p: EvalPoint, **kw) -> OracleResult:
+def quantity_row(qid: str, nu: float, xs: np.ndarray,
+                 ratio: Callable[[str], Tuple[np.ndarray, np.ndarray]]
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, est_errors) of one oracle quantity along an order row.
+
+    ``qid`` is one of "Phi0", "Phi1", "K-ratio-pos" (-Phi1), "xPhi0",
+    "psi_I", "psi_K" (psi = x*Phi - nu), "W_I", "W_K" (W = Phi(nu)/Phi(nu+1)),
+    "P" (I_nu*K_nu) or "xP".  ``ratio(name)`` serves the (values,
+    est_errors) row of "Phi0", "Phi0_up" (Phi0 at order nu + 1) or "Phi1";
+    it is asked only for the ratios ``qid`` needs.
+    """
+    if qid in ("Phi0", "Phi1"):
+        return ratio(qid)
+    if qid == "K-ratio-pos":
+        phi1, est = ratio("Phi1")
+        return -phi1, est
+    if qid == "xPhi0":
+        phi0, est = ratio("Phi0")
+        v = xs * phi0
+        return v, xs * est + _EPS * np.abs(v)
+    if qid in ("psi_I", "psi_K"):
+        phi, est = ratio("Phi0" if qid == "psi_I" else "Phi1")
+        return xs * phi - nu, xs * est + _EPS * (np.abs(xs * phi) + abs(nu))
+    if qid == "W_I":
+        # quotient of two first-kind ratios: no subtraction anywhere
+        (phi0, est), (up, up_est) = ratio("Phi0"), ratio("Phi0_up")
+        v = phi0 / up
+        return v, est / np.abs(up) + np.abs(v) * up_est / np.abs(up) + _EPS * np.abs(v)
+    if qid == "W_K":
+        # factored form phi1*(phi1 - 2 nu/x): both factors negative for
+        # nu >= 0, so no cancellation
+        phi1, est = ratio("Phi1")
+        shift = phi1 - 2.0 * nu / xs
+        v = phi1 * shift
+        return v, ((np.abs(phi1) + np.abs(shift)) * est
+                   + _EPS * (np.abs(phi1) + np.abs(shift)) * np.abs(phi1))
+    if qid in ("P", "xP"):
+        # the Wronskian relation P = 1/(x*(Phi0 - Phi1))
+        (phi0, est0), (phi1, est1) = ratio("Phi0"), ratio("Phi1")
+        gap = phi0 - phi1      # both-signs gap, always > 0
+        if np.any(gap <= 0):
+            raise EvaluationError(f"ratio gap not positive at nu={nu}")
+        p = 1.0 / (xs * gap)
+        est = (est0 + est1) / (xs * gap * gap) + _EPS * p
+        if qid == "P":
+            return p, est
+        return xs * p, xs * est + _EPS * xs * p
+    raise DomainError(f"unknown oracle quantity {qid!r}")
+
+
+def _at_point(qid: str, p: EvalPoint) -> OracleResult:
+    """One-point call of ``quantity_row``, fed by ``i_ratio`` and ``k_ratio``;
+    the method names the ratio methods used."""
+    used: Dict[str, OracleResult] = {}
+
+    def ratio(name: str) -> Tuple[np.ndarray, np.ndarray]:
+        if name == "Phi1":
+            r = k_ratio(p)
+        else:
+            r = i_ratio(EvalPoint(p.nu + 1.0, p.x) if name == "Phi0_up" else p)
+        used[name] = r
+        return np.array([r.value]), np.array([r.est_error])
+
+    vals, ests = quantity_row(qid, p.nu, np.array([p.x]), ratio)
+    method = "/".join(dict.fromkeys(r.method for r in used.values()))
+    return OracleResult(float(vals[0]), float(ests[0]), method)
+
+
+def _kind_suffix(kind: RatioKind) -> str:
     if kind is RatioKind.FIRST:
-        return i_ratio(p, **kw)
+        return "_I"
     if kind is RatioKind.SECOND:
-        return k_ratio(p, **kw)
+        return "_K"
     raise DomainError(f"unknown ratio kind {kind!r}")
 
 
@@ -309,10 +387,7 @@ def psi(kind: RatioKind, p: EvalPoint) -> OracleResult:
     For FIRST this equals x*I_nu'(x)/I_nu(x); for SECOND, x*K_nu'(x)/K_nu(x)
     (both from C' = C_{nu-1} -+ (nu/x)*C with the sign conventions above).
     """
-    r = _ratio_result(kind, p)
-    val = p.x * r.value - p.nu
-    est = p.x * r.est_error + _EPS * (abs(p.x * r.value) + abs(p.nu))
-    return OracleResult(val, est, r.method)
+    return _at_point("psi" + _kind_suffix(kind), p)
 
 
 def double_ratio(kind: RatioKind, p: EvalPoint) -> OracleResult:
@@ -324,20 +399,7 @@ def double_ratio(kind: RatioKind, p: EvalPoint) -> OracleResult:
     since Phi1 < 0); both routes avoid the psi**2 - nu**2 subtraction, which
     loses most of its precision at small x.
     """
-    if kind is RatioKind.FIRST:
-        top = i_ratio(p)
-        bot = i_ratio(EvalPoint(p.nu + 1.0, p.x))
-        val = top.value / bot.value
-        rel = top.est_error / abs(top.value) + bot.est_error / abs(bot.value)
-        return OracleResult(val, abs(val) * (rel + 2.0 * _EPS), top.method)
-    if kind is RatioKind.SECOND:
-        r = k_ratio(p)
-        shift = 2.0 * p.nu / p.x
-        val = r.value * (r.value - shift)
-        est = (2.0 * abs(r.value) + abs(shift)) * r.est_error \
-            + _EPS * (abs(r.value) + abs(shift)) * abs(r.value)
-        return OracleResult(val, est, r.method)
-    raise DomainError(f"unknown ratio kind {kind!r}")
+    return _at_point("W" + _kind_suffix(kind), p)
 
 
 def product(p: EvalPoint) -> OracleResult:
@@ -346,11 +408,4 @@ def product(p: EvalPoint) -> OracleResult:
     Valid for nu >= -1 (orders in [-1, 0) ride on the documented oracle
     extensions for the two ratios).
     """
-    r0 = i_ratio(p)
-    r1 = k_ratio(p)
-    gap = r0.value - r1.value
-    if gap == 0.0:
-        raise EvaluationError(f"degenerate ratio gap at nu={p.nu}, x={p.x}")
-    val = 1.0 / (p.x * gap)
-    rel = (r0.est_error + r1.est_error) / abs(gap) + 2.0 * _EPS
-    return OracleResult(val, abs(val) * rel, f"{r0.method}/{r1.method}")
+    return _at_point("P", p)

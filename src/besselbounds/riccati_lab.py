@@ -170,6 +170,38 @@ def _sign_change_extrema(rhs, scale, dense, xs: Sequence[float], ys: Sequence[fl
     return out
 
 
+def _run_both_ways(a: float, nu: float, flow, turn, scale, kinds,
+                   x0: float, y0: float, x_lo: float, x_hi: float) -> Trajectory:
+    """Integrate ``flow`` from (x0, y0) out to both window edges.
+
+    Extrema are the refined sign changes of ``turn`` (labeled by ``kinds``,
+    noise-floored by ``scale``) on each side, the seed included on both, so
+    no interval next to the seed goes unscanned; each extremum is inserted
+    into the samples of the flow variable.
+    """
+    sides = [_integrate_side(flow, x0, y0, x_end, _SAMPLES_PER_SIDE) for x_end in (x_lo, x_hi)]
+    (xs_b, ys_b, _, st_b, at_b), (xs_f, ys_f, _, st_f, at_f) = sides
+    samples = list(zip(xs_b[::-1], ys_b[::-1])) + [(x0, y0)] + list(zip(xs_f, ys_f))
+    extrema: List[Tuple[float, str]] = []
+    for xs, ys, dense, _, _ in sides:
+        if dense is None:
+            continue
+        found = _sign_change_extrema(turn, scale, dense, [x0, *xs], [y0, *ys], kinds)
+        extrema += found
+        samples += [(xm, float(dense(xm)[0])) for xm, _ in found]
+    extrema.sort(key=lambda e: e[0])
+    samples.sort(key=lambda s: s[0])
+    samples = [s for i, s in enumerate(samples) if i == 0 or s[0] > samples[i - 1][0]]
+
+    traj = Trajectory(a=a, nu=nu, samples=samples, extrema=extrema)
+    if st_f == 1 or st_b == 1:
+        traj.termination = "blow-up"
+        traj.blow_up_x = at_f if st_f == 1 else at_b
+    elif st_f == -1 or st_b == -1:
+        traj.termination = "step-failure"
+    return traj
+
+
 def solve_riccati(a: float, nu: float, x0: float, y0: float,
                   x_lo: float, x_hi: float) -> Trajectory:
     """Integrate the gamma equation from (x0, y0) out to both window edges.
@@ -187,42 +219,7 @@ def solve_riccati(a: float, nu: float, x0: float, y0: float,
     if not np.isfinite(y0):
         raise DomainError(f"initial value must be finite, got {y0}")
     rhs, scale = _gamma_rhs(a, nu)
-
-    xs_b, ys_b, dense_b, st_b, at_b = _integrate_side(rhs, x0, y0, x_lo, _SAMPLES_PER_SIDE)
-    xs_f, ys_f, dense_f, st_f, at_f = _integrate_side(rhs, x0, y0, x_hi, _SAMPLES_PER_SIDE)
-
-    samples = (
-        list(zip(xs_b[::-1], ys_b[::-1]))
-        + [(x0, y0)]
-        + list(zip(xs_f, ys_f))
-    )
-
-    extrema: List[Tuple[float, str]] = []
-    if dense_b is not None and len(xs_b) > 1:
-        extrema += _sign_change_extrema(rhs, scale, dense_b, xs_b, ys_b)
-    if dense_f is not None and len(xs_f) > 1:
-        ff = [(x0, y0)] + list(zip(xs_f, ys_f))
-        extrema += _sign_change_extrema(
-            rhs, scale, dense_f, [p[0] for p in ff], [p[1] for p in ff])
-    extrema.sort(key=lambda e: e[0])
-
-    traj = Trajectory(a=a, nu=nu, samples=samples, extrema=extrema)
-    if st_f == 1 or st_b == 1:
-        traj.termination = "blow-up"
-        traj.blow_up_x = at_f if st_f == 1 else at_b
-    elif st_f == -1 or st_b == -1:
-        traj.termination = "step-failure"
-
-    # make extremum ordinates part of the record
-    dense_of = lambda x: (dense_f if x >= x0 else dense_b)
-    for xm, _ in extrema:
-        d = dense_of(xm)
-        if d is not None:
-            samples.append((xm, float(d(xm)[0])))
-    samples.sort(key=lambda s: s[0])
-    traj.samples = [s for i, s in enumerate(samples)
-                    if i == 0 or s[0] > samples[i - 1][0]]
-    return traj
+    return _run_both_ways(a, nu, rhs, rhs, scale, ("max", "min"), x0, y0, x_lo, x_hi)
 
 
 def classify(traj: Trajectory) -> SolutionClass:
@@ -313,41 +310,11 @@ def w_along(source: Union[RatioKind, Tuple[float, float]], nu: float,
             raise DomainError(f"x0={x0} outside window [{x_lo}, {x_hi}]")
         psi0 = x0 * phi0 - nu
 
-    xs_b, ys_b, dense_b, st_b, at_b = _integrate_side(rhs, x0, psi0, x_lo, _SAMPLES_PER_SIDE)
-    xs_f, ys_f, dense_f, st_f, at_f = _integrate_side(rhs, x0, psi0, x_hi, _SAMPLES_PER_SIDE)
-
-    pts = (
-        list(zip(xs_b[::-1], ys_b[::-1]))
-        + [(x0, psi0)]
-        + list(zip(xs_f, ys_f))
-    )
-
-    cubic = _w_cubic(nu)
-    extrema: List[Tuple[float, str]] = []
     # cubic > 0 means W' < 0; a (+ -> -) crossing of the cubic is a minimum
-    for xs, ys, dense in ((xs_b, ys_b, dense_b), (xs_f, ys_f, dense_f)):
-        if dense is None or len(xs) < 2:
-            continue
-        extrema += _sign_change_extrema(
-            cubic, scale, dense, xs, ys, kinds=("min", "max"))
-    extrema.sort(key=lambda e: e[0])
-
+    traj = _run_both_ways(0.0, nu, rhs, _w_cubic(nu), scale, ("min", "max"),
+                          x0, psi0, x_lo, x_hi)
     w = _w_of(nu)
-    samples = [(x, w(x, p)) for x, p in pts]
-    dense_of = lambda x: (dense_f if x >= x0 else dense_b)
-    for xm, _ in extrema:
-        d = dense_of(xm)
-        if d is not None:
-            samples.append((xm, w(xm, float(d(xm)[0]))))
-    samples.sort(key=lambda s: s[0])
-    samples = [s for i, s in enumerate(samples) if i == 0 or s[0] > samples[i - 1][0]]
-
-    traj = Trajectory(a=0.0, nu=nu, samples=samples, extrema=extrema)
-    if st_f == 1 or st_b == 1:
-        traj.termination = "blow-up"
-        traj.blow_up_x = at_f if st_f == 1 else at_b
-    elif st_f == -1 or st_b == -1:
-        traj.termination = "step-failure"
+    traj.samples = [(x, w(x, p)) for x, p in traj.samples]
     return traj
 
 

@@ -39,7 +39,6 @@ from .errors import DomainError, EvaluationError, UnfittableError
 from .expansions import REGIMES, relative_error
 from .nullclines import Bound, EvalPoint
 from . import oracle
-from .oracle import RatioKind
 
 __all__ = [
     "DEFAULT_TOL",
@@ -68,11 +67,6 @@ MONOTONE_TOL = 1.0e-9
 _TINY = 1.0e-300
 _EPS = float(np.finfo(float).eps)
 
-# quantity ids the oracle table can serve
-_ORACLE_QUANTITIES = (
-    "Phi0", "Phi1", "K-ratio-pos", "xPhi0", "psi_I", "psi_K",
-    "W_I", "W_K", "P", "xP",
-)
 # second-kind-ratio targets fall under the negative-order coverage rule
 _K_RESTRICTED = ("Phi1", "K-ratio-pos", "psi_K", "W_K")
 
@@ -83,11 +77,10 @@ _K_RESTRICTED = ("Phi1", "K-ratio-pos", "psi_K", "W_K")
 
 @dataclass(frozen=True)
 class Grid:
-    """Scan lattice; x ascending and positive, integer orders excludable."""
+    """Scan lattice: finite orders; x finite, positive and ascending."""
 
     nu_values: Tuple[float, ...]
     x_values: Tuple[float, ...]
-    exclusions: str = ""
 
     def __post_init__(self):
         nus = tuple(float(v) for v in self.nu_values)
@@ -111,7 +104,7 @@ def default_grid(nu_max: float = 20.0, x_lo: float = 1e-3, x_hi: float = 1e3,
     nus = [(-4 + k) * 0.25 for k in range(int(round(4 * (nu_max + 1))) + 1)]
     nus = [v for v in nus if v < 0.0 or v != round(v)]
     xs = np.geomspace(x_lo, x_hi, n_x)
-    return Grid(tuple(nus), tuple(xs), exclusions="nu in {0, 1, 2, ...} excluded")
+    return Grid(tuple(nus), tuple(xs))
 
 
 # ----------------------------------------------------------------------
@@ -178,9 +171,8 @@ class OracleTable:
     The first-kind continued fraction runs once per distinct order in
     {nu} and {nu + 1}.  All second-kind rows come from one
     ``oracle.k_ratio_rows`` call: one seed per order class, then the order
-    ladder, which is what keeps full-grid sweeps cheap.  All derived
-    quantities are assembled from the cached ratios in forms free of
-    catastrophic cancellation, with error estimates propagated.
+    ladder, which is what keeps full-grid sweeps cheap.  Derived
+    quantities come from ``oracle.quantity_row`` over the cached ratios.
     """
 
     def __init__(self, grid: Grid, rtol: float = oracle.ODE_RTOL,
@@ -221,51 +213,14 @@ class OracleTable:
         return self.rows[nu]
 
     def quantity(self, qid: str, nu: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(values, est_errors) for one quantity along an order row."""
+        """(values, est_errors) for one quantity along an order row: the
+        cached ratio rows handed to ``oracle.quantity_row``."""
         r = self.row(nu)
         if r.error is not None:
             raise EvaluationError(f"row nu={nu} unavailable: {r.error}")
-        xs = r.xs
-        if qid == "Phi0":
-            return r.phi0, r.phi0_est
-        if qid == "Phi1":
-            return r.phi1, r.phi1_est
-        if qid == "K-ratio-pos":
-            return -r.phi1, r.phi1_est
-        if qid == "xPhi0":
-            v = xs * r.phi0
-            return v, xs * r.phi0_est + _EPS * np.abs(v)
-        if qid == "psi_I":
-            v = xs * r.phi0 - nu
-            return v, xs * r.phi0_est + _EPS * (np.abs(xs * r.phi0) + abs(nu))
-        if qid == "psi_K":
-            v = xs * r.phi1 - nu
-            return v, xs * r.phi1_est + _EPS * (np.abs(xs * r.phi1) + abs(nu))
-        if qid == "W_I":
-            # quotient of two first-kind ratios: no subtraction anywhere
-            v = r.phi0 / r.phi0_up
-            est = (r.phi0_est / np.abs(r.phi0_up)
-                   + np.abs(v) * r.phi0_up_est / np.abs(r.phi0_up)
-                   + _EPS * np.abs(v))
-            return v, est
-        if qid == "W_K":
-            # factored form (phi1)*(phi1 - 2 nu/x): both factors negative
-            # for nu >= 0, so no cancellation
-            shift = r.phi1 - 2.0 * nu / xs
-            v = r.phi1 * shift
-            est = ((np.abs(r.phi1) + np.abs(shift)) * r.phi1_est
-                   + _EPS * (np.abs(r.phi1) + np.abs(shift)) * np.abs(r.phi1))
-            return v, est
-        if qid in ("P", "xP"):
-            gap = r.phi0 - r.phi1      # both-signs gap, always > 0
-            if np.any(gap <= 0):
-                raise EvaluationError(f"ratio gap not positive at nu={nu}")
-            p = 1.0 / (xs * gap)
-            est = (r.phi0_est + r.phi1_est) / (xs * gap * gap) + _EPS * p
-            if qid == "P":
-                return p, est
-            return xs * p, xs * est + _EPS * xs * p
-        raise DomainError(f"unknown oracle quantity {qid!r}")
+        ratios = {"Phi0": (r.phi0, r.phi0_est), "Phi0_up": (r.phi0_up, r.phi0_up_est),
+                  "Phi1": (r.phi1, r.phi1_est)}
+        return oracle.quantity_row(qid, nu, r.xs, ratios.__getitem__)
 
 
 # ----------------------------------------------------------------------

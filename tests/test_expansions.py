@@ -6,8 +6,6 @@ at one anchor point per regime, gated at 10x the magnitude of the first
 omitted term.
 """
 
-import math
-
 import pytest
 from numpy.testing import assert_allclose
 

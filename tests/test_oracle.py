@@ -19,6 +19,7 @@ from besselbounds import oracle
 from besselbounds.errors import DomainError
 from besselbounds.nullclines import EvalPoint
 from besselbounds.oracle import RatioKind, default_x_start
+from besselbounds.verify import Grid, OracleTable
 
 F = RatioKind.FIRST
 S = RatioKind.SECOND
@@ -273,3 +274,59 @@ def test_product_extends_to_minus_one():
     assert r.value > 0.0
     with pytest.raises(DomainError):
         oracle.product(EvalPoint(-1.5, 2.0))
+
+
+def _half_order_derived(x: float) -> dict:
+    """50-digit closed forms of the derived quantities at nu = 1/2, from
+    Phi0 = coth x, Phi0(3/2) = 1/(coth x - 1/x), Phi1 = -1 and
+    P = (1 - e**(-2x))/(2x)."""
+    coth = _coth_50_digits(x)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        X, half = Decimal(x), Decimal("0.5")
+        prod = (1 - (-2 * X).exp()) / (2 * X)
+        return {"psi_I": X * coth - half, "psi_K": -X - half,
+                "W_I": coth * (coth - 1 / X), "W_K": 1 + 1 / X,
+                "P": prod, "xP": X * prod}
+
+
+def _one_point(p: EvalPoint) -> dict:
+    return {"psi_I": oracle.psi(F, p), "psi_K": oracle.psi(S, p),
+            "W_I": oracle.double_ratio(F, p), "W_K": oracle.double_ratio(S, p),
+            "P": oracle.product(p)}
+
+
+@PROPERTY
+@given(x=log_x(10 ** -3.5, 1e3))
+def test_half_order_derived_est_error_is_honest(x):
+    # through table rows (all six) and the one-point API (all but xP)
+    table = OracleTable(Grid((0.5,), (x,)))
+    point = _one_point(EvalPoint(0.5, x))
+    for qid, exact in _half_order_derived(x).items():
+        vals, ests = table.quantity(qid, 0.5)
+        results = [(vals[0], ests[0])]
+        if qid in point:
+            results.append((point[qid].value, point[qid].est_error))
+        for value, est in results:
+            assert float(abs(Decimal(float(value)) - exact)) <= est, qid
+
+
+@pytest.mark.parametrize("nu, x", [(0.5, 1.0), (0.8, 0.05), (2.25, 30.0),
+                                   (7.5, 80.0), (-0.25, 1.7), (-1.0, 2.0)])
+def test_one_point_api_equals_one_row_table(nu, x):
+    table = OracleTable(Grid((nu,), (x,)))
+    for qid, r in _one_point(EvalPoint(nu, x)).items():
+        vals, ests = table.quantity(qid, nu)
+        assert (r.value, r.est_error) == (vals[0], ests[0]), qid
+
+
+def test_first_kind_derived_quantities_run_no_k_integration(monkeypatch):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("K integration on a first-kind quantity")
+
+    monkeypatch.setattr(oracle, "solve_ivp", no_integration)
+    p = EvalPoint(0.8, 0.05)
+    assert oracle.psi(F, p).method == "continued-fraction"
+    assert oracle.double_ratio(F, p).method == "continued-fraction"
+    with pytest.raises(AssertionError):
+        oracle.psi(S, p)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from besselbounds import oracle
-from besselbounds.nullclines import EvalPoint, w_values
+from besselbounds.nullclines import EvalPoint, cubic_roots, gamma_hat, w_values
 from besselbounds.oracle import RatioKind
 from besselbounds.riccati_lab import (
     SolutionClass,
@@ -119,3 +119,23 @@ def test_random_mixed_band_classification():
         y0 = lo + float(u) * (hi - lo)
         traj = solve_riccati(0.0, 1.5, 1.0, y0, 0.05, 30.0)
         assert classify(traj) is SolutionClass.HAS_INTERIOR_EXTREMUM
+
+
+def test_extremum_between_seed_and_first_backward_sample():
+    # seeded just above the nullcline, the maximum lies a few 1e-5 to the
+    # left of x0, before the first backward sample
+    y0 = gamma_hat(0.0, EvalPoint(1.5, 1.0))[0] + 1e-4
+    traj = solve_riccati(0.0, 1.5, 1.0, y0, 1e-3, 1e3)
+    assert [kind for xm, kind in traj.extrema if 0.999 < xm < 1.0] == ["max"]
+
+
+def test_w_along_extremum_next_to_seed():
+    # psi seeded 1e-2 off the middle root: the cubic changes sign within
+    # 0.3% of x0, on the backward side (+) or the forward side (-)
+    nu = 2.0
+    lam_o = cubic_roots(EvalPoint(nu, 1.0)).lambda_O
+    for offset, lo, hi in ((1e-2, 0.997, 1.0), (-1e-2, 1.0, 1.003)):
+        traj = w_along((1.0, lam_o + offset + nu), nu, 0.2, 30.0)
+        assert [xm for xm, _ in traj.extrema if lo < xm < hi], offset
+        for _, w_m, w_o in nullcline_contact(traj):
+            assert abs(w_m - w_o) <= 1e-6

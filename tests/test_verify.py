@@ -12,7 +12,6 @@ from numpy.testing import assert_allclose
 
 from besselbounds import nullclines as nc
 from besselbounds import oracle
-from besselbounds import verify as vf
 from besselbounds.errors import DomainError, UnfittableError
 from besselbounds.verify import (
     Grid,
