@@ -129,7 +129,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0.0):
         # a NaN tolerance would let every comparison pass
         raise DomainError(f"tol must be finite and non-negative, got {cfg.tol!r}")
-    for name in ("nu_min", "nu_max", "nu_step", "nu", "x_min", "x_max", "x"):
+    for name in ("nu_min", "nu_max", "nu_step", "nu", "x_min", "x_max", "x", "a", "x0", "y0"):
         v = getattr(cfg, name)
         if v is None:
             continue
@@ -347,23 +347,39 @@ def cmd_explore(cfg: RunConfig) -> int:
             starts.append((k + 1, scale * (lo + t * (hi - lo))))
 
     nu = cfg.nu if cfg.nu is not None else 0.5
+    errors = {}
+    for tag, y0 in starts:
+        try:
+            riccati_lab.check_start(y0)
+        except DomainError as exc:
+            errors[tag] = exc
+    # every valid start is a lane of one batched integration
+    trajs = iter(riccati_lab.solve_riccati(
+        cfg.a, nu, cfg.x0, np.array([y0 for tag, y0 in starts if tag not in errors]),
+        x_lo, x_hi))
     stream = _open_out(cfg)
     close = stream is not sys.stdout
     summary = sys.stderr if stream is sys.stdout else sys.stdout
     try:
         stream.write("sample,x,y\n")
         for tag, y0 in starts:
-            try:
-                traj = riccati_lab.solve_riccati(cfg.a, nu, cfg.x0, y0, x_lo, x_hi)
-            except (DomainError, EvaluationError) as exc:
-                print(f"sample {tag}: y0={_FMT % y0} error: {exc}", file=summary)
+            if tag in errors:
+                print(f"sample {tag}: y0={_FMT % y0} error: {errors[tag]}", file=summary)
                 continue
-            for x, y in traj.samples:
-                stream.write("%d,%s,%s\n" % (tag, _FMT % x, _FMT % y))
-            cls = riccati_lab.classify(traj)
+            traj = next(trajs)
+            # one % per trajectory: the tag is baked into the row template
+            stream.write(("%d,%s,%s\n" % (tag, _FMT, _FMT)) * len(traj.samples)
+                         % tuple(traj.samples.ravel().tolist()))
             note = ""
+            if traj.termination == "step-failure":
+                note = " termination=step-failure"
+            try:
+                cls = riccati_lab.classify(traj)
+            except DomainError as exc:
+                print(f"sample {tag}: y0={_FMT % y0}{note} error: {exc}", file=summary)
+                continue
             if traj.blow_up_x is not None:
-                note = f" blow_up_x={_FMT % traj.blow_up_x}"
+                note += f" blow_up_x={_FMT % traj.blow_up_x}"
             if traj.extrema:
                 pts = "; ".join(f"{kind} at x={_FMT % xm}"
                                 for xm, kind in traj.extrema)

@@ -10,7 +10,9 @@ Everything else either blows up at a finite abscissa (solutions that start
 below the second-kind branch) or carries an interior extremum (solutions
 pinched between the two branches).  This module demonstrates that picture
 numerically: trajectories are labeled by initial data (x0, y0), integrated
-adaptively in both directions, and classified.
+adaptively in both directions, and classified.  Starts that share
+(a, nu, x0) and the window are integrated together, as the lanes of one
+vector-valued run per direction.
 
 Alongside the gamma flow we track the companion quantity
 
@@ -29,7 +31,7 @@ nu=1/2, y0=-1) does not sprout spurious turning points.
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -43,6 +45,7 @@ __all__ = [
     "BLOWUP_THRESHOLD",
     "Trajectory",
     "SolutionClass",
+    "check_start",
     "solve_riccati",
     "classify",
     "w_along",
@@ -55,6 +58,7 @@ _SLOPE_FLOOR = 1.0e-12    # below this relative slope a trajectory is "constant"
 _RTOL = 1.0e-10
 _ATOL = 1.0e-12
 _SAMPLES_PER_SIDE = 400
+_MAX_LANES = 128          # starts per batched run: bounds memory as batches grow
 
 
 class SolutionClass(Enum):
@@ -68,6 +72,7 @@ class SolutionClass(Enum):
 class Trajectory:
     """One integrated solution, sampled on a strictly increasing x grid.
 
+    ``samples`` is an (n, 2) float64 array of (x, value) rows.
     ``termination`` is "reached-end", "blow-up" (with ``blow_up_x`` set) or
     "step-failure".  ``extrema`` holds (x, "min"|"max") pairs; each refined
     extremum abscissa is also inserted into ``samples`` so its ordinate is
@@ -76,16 +81,16 @@ class Trajectory:
 
     a: float
     nu: float
-    samples: List[Tuple[float, float]]
+    samples: np.ndarray
     termination: str = "reached-end"
     blow_up_x: Optional[float] = None
     extrema: List[Tuple[float, str]] = field(default_factory=list)
 
     def xs(self) -> np.ndarray:
-        return np.array([s[0] for s in self.samples])
+        return self.samples[:, 0]
 
     def ys(self) -> np.ndarray:
-        return np.array([s[1] for s in self.samples])
+        return self.samples[:, 1]
 
 
 # ----------------------------------------------------------------------
@@ -107,119 +112,234 @@ def _gamma_rhs(a: float, nu: float):
     return rhs, scale
 
 
-def _blow_event():
-    def event(x, y):
-        return abs(y[0]) - BLOWUP_THRESHOLD
-
-    event.terminal = True
-    return event
+def _blow_event(x, y):
+    # the largest lane decides: a batch stops when its first lane crosses
+    return np.max(np.abs(y)) - BLOWUP_THRESHOLD
 
 
-def _integrate_side(rhs, x0: float, y0: float, x_end: float, n: int):
-    """One direction of an adaptive run; returns (xs, ys, dense, status, x_at).
+_blow_event.terminal = True
 
-    status: 0 reached end, 1 blow-up, -1 step failure.  xs is ordered in
-    integration direction and excludes the seed point itself.
+
+@dataclass
+class _Side:
+    """One direction of a batched run, from x0 out to one window edge.
+
+    Lane k holds ``count[k]`` samples ``ys[k, :count[k]]`` at
+    ``xs[:count[k]]`` (``xs[0]`` is x0, the seed), NaN after them.
+    ``status`` is 0 (reached the edge), 1 (blow-up at ``x_at``) or -1 (step
+    failure).  ``pieces`` holds (step boundaries, dense-output steps, lanes)
+    for each ``solve_ivp`` call, in integration order.
     """
-    if x_end == x0:
-        return np.empty(0), np.empty(0), None, 0, None
-    t_eval = np.geomspace(x0, x_end, n + 1)[1:]
-    sol = solve_ivp(
-        lambda x, y: [rhs(x, y[0])],
-        (x0, x_end),
-        [y0],
-        method="RK45",
-        t_eval=t_eval,
-        dense_output=True,
-        events=[_blow_event()],
-        rtol=_RTOL,
-        atol=_ATOL,
-    )
-    if sol.status == -1:
-        return sol.t, sol.y[0], sol.sol, -1, None
-    if sol.status == 1:  # terminal event
-        x_at = float(sol.t_events[0][0])
-        return sol.t, sol.y[0], sol.sol, 1, x_at
-    return sol.t, sol.y[0], sol.sol, 0, None
+
+    xs: np.ndarray
+    ys: np.ndarray
+    count: np.ndarray
+    status: np.ndarray
+    x_at: np.ndarray
+    pieces: list
 
 
-def _sign_change_extrema(rhs, scale, dense, xs: Sequence[float], ys: Sequence[float],
-                         kinds=("max", "min")) -> List[Tuple[float, str]]:
-    """Refined roots of rhs along the trajectory, noise-floored.
+def _integrate_side(flow, x0: float, y0s: np.ndarray, x_end: float, n: int) -> _Side:
+    """Run every start in ``y0s`` from x0 to x_end, sampled at n log-spaced points."""
+    m = len(y0s)
+    side = _Side(xs=np.geomspace(x0, x_end, n + 1), ys=np.full((m, n + 1), np.nan),
+                 count=np.ones(m, dtype=int), status=np.zeros(m, dtype=int),
+                 x_at=np.full(m, np.nan), pieces=[])
+    side.ys[:, 0] = y0s
+    if x_end != x0:
+        _advance(flow, side, np.arange(m), x0, y0s, 1)
+    return side
 
-    ``kinds`` maps the (+ -> -) and (- -> +) crossings to extremum labels
-    for the tracked quantity (for gamma itself: +->- is a maximum).
+
+def _advance(flow, side: _Side, lanes: np.ndarray, x: float, y: np.ndarray, i: int):
+    """Integrate ``lanes`` (state ``y`` at ``x``) to the side's edge.
+
+    ``i`` is the index of the first sample abscissa past x.  All lanes share
+    the steps of one RK45 run.  scipy accepts a step when the RMS over
+    components of error/tolerance is below 1, so tolerances divided by
+    sqrt(m) accept a step only if every lane would accept it alone; with one
+    lane the call is the plain single-start call.  A blow-up stops the lane
+    that crossed and the others restart from the event.  A step failure in
+    a batch is pinned on its lane by running the lanes one at a time.
     """
-    out: List[Tuple[float, str]] = []
-    g = np.array([rhs(x, y) for x, y in zip(xs, ys)])
-    floors = np.array([_RHS_NOISE_REL * scale(x, y) for x, y in zip(xs, ys)])
-    for i in range(len(xs) - 1):
-        gl, gr = g[i], g[i + 1]
-        if gl == 0.0 or gl * gr > 0.0:
+    while lanes.size and i < len(side.xs):
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(flow(np.float64(x), y))
+        if not finite.all():
+            # from a NaN slope scipy picks a NaN first step and never ends its step loop
+            side.status[lanes[~finite]] = -1
+            lanes, y = lanes[finite], y[finite]
             continue
-        if abs(gl) <= floors[i] and abs(gr) <= floors[i + 1]:
-            continue  # roundoff flutter, e.g. the constant solution
-        lo, hi = sorted((xs[i], xs[i + 1]))
+        shrink = np.sqrt(lanes.size)
+        sol = solve_ivp(flow, (x, side.xs[-1]), y, method="RK45", t_eval=side.xs[i:],
+                        dense_output=True, events=[_blow_event],
+                        rtol=_RTOL / shrink, atol=_ATOL / shrink)
+        if sol.status == -1 and lanes.size > 1:
+            for k in range(lanes.size):
+                _advance(flow, side, lanes[k:k + 1], x, y[k:k + 1], i)
+            return
+        got = len(sol.t)
+        if got:
+            side.ys[lanes, i:i + got] = sol.y
+            side.count[lanes] = i + got
+        if sol.sol.interpolants:
+            side.pieces.append((sol.sol.ts, sol.sol.interpolants, lanes))
+        if sol.status != 1:
+            side.status[lanes] = sol.status
+            return
+        x, y_at = sol.t_events[0][0], sol.y_events[0][0]
+        hit = int(np.argmax(np.abs(y_at)))
+        side.status[lanes[hit]], side.x_at[lanes[hit]] = 1, x
+        rest = np.arange(lanes.size) != hit
+        lanes, y, i = lanes[rest], y_at[rest], i + got
+
+
+def _lane_dense(pieces: list, lane: int, lo: float, hi: float, forward: bool):
+    """Lane ``lane``'s dense output on [lo, hi] as a scalar function.
+
+    It holds copies of that lane's rows of the steps covering [lo, hi] and
+    one more step on either side, and picks the step for t as OdeSolution
+    does, so a one-lane run evaluates exactly as scipy's own solution would.
+    """
+    ts, steps = None, []
+    for p_ts, p_steps, lanes in (pieces if forward else pieces[::-1]):
+        k = int(np.searchsorted(lanes, lane))
+        if k == lanes.size or lanes[k] != lane:
+            continue
+        if not forward:
+            p_ts, p_steps = p_ts[::-1], p_steps[::-1]
+        if p_ts[0] > hi or p_ts[-1] < lo:
+            continue
+        i0 = max(int(np.searchsorted(p_ts, lo)) - 2, 0)
+        i1 = min(int(np.searchsorted(p_ts, hi, "right")) + 1, len(p_steps))
+        ts = p_ts[i0:i1 + 1] if ts is None else np.concatenate([ts, p_ts[i0 + 1:i1 + 1]])
+        steps += [type(s)(s.t_old, s.t, s.y_old[k:k + 1].copy(), s.Q[k:k + 1].copy())
+                  for s in p_steps[i0:i1]]
+    side = "left" if forward else "right"
+    last = len(steps) - 1
+
+    def at(t):
+        j = min(max(int(np.searchsorted(ts, t, side)) - 1, 0), last)
+        return steps[j](t)[0]
+
+    return at
+
+
+def _side_extrema(side: _Side, turn, scale, kinds) -> List[Tuple[int, float, str, float]]:
+    """(lane, x, kind, value) for each refined root of ``turn`` on one side.
+
+    Sign changes are found on the samples of all lanes at once, skipping
+    pairs where both values sit below the roundoff floor ``scale`` (flutter,
+    e.g. the constant solution); each is refined by brentq on that lane's
+    own dense output.  ``kinds`` labels the (+ -> -) and (- -> +) crossings
+    in increasing x.
+    """
+    xs = side.xs
+    g = turn(xs, side.ys)
+    small = np.abs(g) <= _RHS_NOISE_REL * scale(xs, side.ys)
+    gl, gr = g[:, :-1], g[:, 1:]
+    pair = np.arange(1, len(xs)) < side.count[:, None]
+    found = pair & (gl != 0.0) & ~(gl * gr > 0.0) & ~(small[:, :-1] & small[:, 1:])
+    forward = bool(xs[-1] > xs[0])
+    out = []
+    for lane, j in zip(*np.nonzero(found)):
+        lo, hi = sorted((xs[j], xs[j + 1]))
+        at = _lane_dense(side.pieces, lane, lo, hi, forward)
         try:
-            xm = brentq(lambda t: rhs(t, dense(t)[0]), lo, hi, xtol=1e-13, rtol=1e-13)
+            xm = brentq(lambda t: turn(t, at(t)), lo, hi, xtol=1e-13, rtol=1e-13)
         except ValueError:
             continue  # dense interpolant disagrees at the endpoints; skip
         # orient by x so backward runs label the same way as forward ones
-        g_left = gl if xs[i] < xs[i + 1] else gr
-        out.append((float(xm), kinds[0] if g_left > 0.0 else kinds[1]))
+        g_left = gl[lane, j] if forward else gr[lane, j]
+        out.append((int(lane), float(xm), kinds[0] if g_left > 0.0 else kinds[1],
+                    float(at(xm))))
     return out
 
 
 def _run_both_ways(a: float, nu: float, flow, turn, scale, kinds,
-                   x0: float, y0: float, x_lo: float, x_hi: float) -> Trajectory:
-    """Integrate ``flow`` from (x0, y0) out to both window edges.
+                   x0: float, y0s: np.ndarray, x_lo: float, x_hi: float) -> List[Trajectory]:
+    """Integrate ``flow`` from (x0, y0) out to both window edges, per start.
 
-    Extrema are the refined sign changes of ``turn`` (labeled by ``kinds``,
-    noise-floored by ``scale``) on each side, the seed included on both, so
-    no interval next to the seed goes unscanned; each extremum is inserted
-    into the samples of the flow variable.
+    Starts run as the lanes of one batch per side, at most _MAX_LANES at a
+    time.  Extrema are the refined sign changes of ``turn`` (labeled by
+    ``kinds``, noise-floored by ``scale``) on each side, the seed included
+    on both, so no interval next to the seed goes unscanned; each extremum
+    is inserted into the samples of the flow variable.
     """
-    sides = [_integrate_side(flow, x0, y0, x_end, _SAMPLES_PER_SIDE) for x_end in (x_lo, x_hi)]
-    (xs_b, ys_b, _, st_b, at_b), (xs_f, ys_f, _, st_f, at_f) = sides
-    samples = list(zip(xs_b[::-1], ys_b[::-1])) + [(x0, y0)] + list(zip(xs_f, ys_f))
-    extrema: List[Tuple[float, str]] = []
-    for xs, ys, dense, _, _ in sides:
-        if dense is None:
-            continue
-        found = _sign_change_extrema(turn, scale, dense, [x0, *xs], [y0, *ys], kinds)
-        extrema += found
-        samples += [(xm, float(dense(xm)[0])) for xm, _ in found]
-    extrema.sort(key=lambda e: e[0])
-    samples.sort(key=lambda s: s[0])
-    samples = [s for i, s in enumerate(samples) if i == 0 or s[0] > samples[i - 1][0]]
+    out = []
+    for first in range(0, len(y0s), _MAX_LANES):
+        block = y0s[first:first + _MAX_LANES]
+        found: List[list] = [[] for _ in block]
+        sides = []
+        for x_end in (x_lo, x_hi):
+            side = _integrate_side(flow, x0, block, x_end, _SAMPLES_PER_SIDE)
+            for lane, xm, kind, value in _side_extrema(side, turn, scale, kinds):
+                found[lane].append((xm, kind, value))
+            side.pieces.clear()  # free this side's dense output before the next runs
+            sides.append(side)
+        back, fwd = sides
+        for k in range(len(block)):
+            nb, nf = back.count[k], fwd.count[k]
+            rows = np.concatenate([
+                np.column_stack([back.xs[1:nb], back.ys[k, 1:nb]])[::-1],
+                np.column_stack([fwd.xs[:nf], fwd.ys[k, :nf]]),
+                np.array([(xm, v) for xm, _, v in found[k]]).reshape(-1, 2)])
+            rows = rows[np.argsort(rows[:, 0], kind="stable")]
+            rows = rows[np.r_[True, np.diff(rows[:, 0]) > 0.0]]
+            traj = Trajectory(a=a, nu=nu, samples=rows,
+                              extrema=sorted(((xm, kind) for xm, kind, _ in found[k]),
+                                             key=lambda e: e[0]))
+            st_b, st_f = back.status[k], fwd.status[k]
+            if st_f == 1 or st_b == 1:
+                traj.termination = "blow-up"
+                traj.blow_up_x = float(fwd.x_at[k] if st_f == 1 else back.x_at[k])
+            elif st_f == -1 or st_b == -1:
+                traj.termination = "step-failure"
+            out.append(traj)
+    return out
 
-    traj = Trajectory(a=a, nu=nu, samples=samples, extrema=extrema)
-    if st_f == 1 or st_b == 1:
-        traj.termination = "blow-up"
-        traj.blow_up_x = at_f if st_f == 1 else at_b
-    elif st_f == -1 or st_b == -1:
-        traj.termination = "step-failure"
-    return traj
+
+def _check_params(*values: float) -> None:
+    if not all(np.isfinite(values)):
+        raise DomainError(f"parameters must be finite, got {values}")
 
 
-def solve_riccati(a: float, nu: float, x0: float, y0: float,
-                  x_lo: float, x_hi: float) -> Trajectory:
+def check_start(y0: float) -> float:
+    """``y0`` as a float; DomainError unless finite and below the blow-up
+    threshold in magnitude (such a start could never cross it)."""
+    y0 = float(y0)
+    if not np.isfinite(y0):
+        raise DomainError(f"initial value must be finite, got {y0}")
+    if abs(y0) >= BLOWUP_THRESHOLD:
+        raise DomainError(f"initial value must be below the blow-up threshold "
+                          f"{BLOWUP_THRESHOLD:g} in magnitude, got {y0!r}")
+    return y0
+
+
+def solve_riccati(a: float, nu: float, x0: float, y0,
+                  x_lo: float, x_hi: float):
     """Integrate the gamma equation from (x0, y0) out to both window edges.
 
-    Stops a direction early when |gamma| crosses BLOWUP_THRESHOLD (recorded
-    as blow-up with its abscissa) or the step controller gives up
-    (step-failure).  Interior extrema are located from sign changes of the
-    right-hand side and refined by bisection on the dense interpolant.
+    ``y0`` is one initial value (returns a Trajectory) or a 1-D array of
+    them (returns one Trajectory per start, in order; all starts share the
+    steps of one integration per side).  Stops a start early when |gamma|
+    crosses BLOWUP_THRESHOLD (recorded as blow-up with its abscissa) or the
+    step controller gives up (step-failure).  Interior extrema are located
+    from sign changes of the right-hand side and refined by bisection on
+    the dense interpolant.
     """
     a = float(a)
     nu = float(nu)
-    x0, y0 = float(x0), float(y0)
-    if not (0.0 < x_lo <= x0 <= x_hi):
-        raise DomainError(f"need 0 < x_lo <= x0 <= x_hi, got ({x_lo}, {x0}, {x_hi})")
-    if not np.isfinite(y0):
-        raise DomainError(f"initial value must be finite, got {y0}")
+    x0 = float(x0)
+    _check_params(a, nu)
+    if not (0.0 < x_lo <= x0 <= x_hi < np.inf):
+        raise DomainError(f"need 0 < x_lo <= x0 <= x_hi < inf, got ({x_lo}, {x0}, {x_hi})")
+    if np.ndim(y0) > 1:
+        raise DomainError(f"y0 must be a number or a 1-D array, got shape {np.shape(y0)}")
+    y0s = np.array([check_start(y) for y in np.ravel(y0)], dtype=float)
     rhs, scale = _gamma_rhs(a, nu)
-    return _run_both_ways(a, nu, rhs, rhs, scale, ("max", "min"), x0, y0, x_lo, x_hi)
+    trajs = _run_both_ways(a, nu, rhs, rhs, scale, ("max", "min"), x0, y0s, x_lo, x_hi)
+    return trajs[0] if np.ndim(y0) == 0 else trajs
 
 
 def classify(traj: Trajectory) -> SolutionClass:
@@ -294,8 +414,9 @@ def w_along(source: Union[RatioKind, Tuple[float, float]], nu: float,
     mixed trajectories every such contact satisfies W(x_m) = w_O(x_m).
     """
     nu = float(nu)
-    if not (0.0 < x_lo < x_hi):
-        raise DomainError(f"need 0 < x_lo < x_hi, got ({x_lo}, {x_hi})")
+    _check_params(nu)
+    if not (0.0 < x_lo < x_hi < np.inf):
+        raise DomainError(f"need 0 < x_lo < x_hi < inf, got ({x_lo}, {x_hi})")
     rhs, scale = _psi_rhs(nu)
 
     if isinstance(source, RatioKind):
@@ -311,10 +432,9 @@ def w_along(source: Union[RatioKind, Tuple[float, float]], nu: float,
         psi0 = x0 * phi0 - nu
 
     # cubic > 0 means W' < 0; a (+ -> -) crossing of the cubic is a minimum
-    traj = _run_both_ways(0.0, nu, rhs, _w_cubic(nu), scale, ("min", "max"),
-                          x0, psi0, x_lo, x_hi)
-    w = _w_of(nu)
-    traj.samples = [(x, w(x, p)) for x, p in traj.samples]
+    traj, = _run_both_ways(0.0, nu, rhs, _w_cubic(nu), scale, ("min", "max"),
+                           x0, np.array([check_start(psi0)]), x_lo, x_hi)
+    traj.samples[:, 1] = _w_of(nu)(traj.xs(), traj.ys())
     return traj
 
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 from numpy.testing import assert_allclose
 
-from besselbounds import oracle
+from besselbounds import oracle, riccati_lab
 from besselbounds.cli import (
     EXIT_OK,
     EXIT_ORACLE,
@@ -247,6 +247,58 @@ def test_explore_seeded_sampling_is_reproducible(tmp_path):
     assert o1 == o2
     # mixed-band draws at nu=2 all carry an interior extremum
     assert o1.count("class=has-interior-extremum") == 3
+
+
+def test_explore_csv_matches_row_formatting(tmp_path):
+    # the CSV is formatted with one % per trajectory; it must match the
+    # plain per-row formatting byte for byte
+    out = tmp_path / "one.csv"
+    code, _, _ = run(["explore", "--a", "0", "--nu", "2", "--x0", "1", "--y0", "0.3",
+                      "--x-min", "0.05", "--x-max", "30", "--out", str(out)])
+    assert code == EXIT_OK
+    traj = riccati_lab.solve_riccati(0.0, 2.0, 1.0, 0.3, 0.05, 30.0)
+    rows = "".join("%d,%s,%s\n" % (0, "%.17g" % x, "%.17g" % y)
+                   for x, y in traj.samples.tolist())
+    assert out.read_text() == "sample,x,y\n" + rows
+
+
+def test_explore_rejects_non_finite_inputs(tmp_path):
+    # --a nan used to hang scipy's step controller; --a inf died in a traceback
+    base = ["explore", "--nu", "2", "--x-min", "0.05", "--x-max", "30"]
+    for flag in ("--a", "--x0", "--y0"):
+        for value in ("nan", "inf", "-inf"):
+            extra = [] if flag == "--y0" else ["--y0", "1"]
+            code, out, err = run(base + extra + [f"{flag}={value}"])
+            assert code == EXIT_USAGE and "must be finite" in err and out == ""
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("a=nan\n")
+    assert run(base + ["--y0", "1", "--config", str(cfg)])[0] == EXIT_USAGE
+
+
+def test_explore_reports_start_past_blow_up_threshold(tmp_path):
+    # such a start used to end in an IndexError; now it is reported on its
+    # own and the batch of the remaining starts is unchanged
+    args = ["explore", "--a", "0", "--nu", "2", "--x0", "1", "--sample", "3",
+            "--seed", "11", "--x-min", "0.05", "--x-max", "30"]
+    f1, f2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+    c1, o1, _ = run(args + ["--out", str(f1)])
+    c2, o2, _ = run(args + ["--y0", "1e9", "--out", str(f2)])
+    assert c1 == c2 == EXIT_OK
+    first, rest = o2.split("\n", 1)
+    assert first.startswith("sample 0: y0=1000000000 error: ") and "blow-up threshold" in first
+    assert rest == o1
+    assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_explore_step_failure_before_first_step():
+    # x**1e300 overflows off x0 = 1, so both sides fail at once; this used
+    # to exit with an IndexError traceback
+    with np.errstate(all="ignore"):
+        code, out, err = run(["explore", "--a", "1e300", "--nu", "2", "--x0", "1",
+                              "--y0", "1", "--x-min", "0.05", "--x-max", "30"])
+    assert code == EXIT_OK
+    assert out == "sample,x,y\n0,1,1\n"
+    assert "termination=step-failure" in err
 
 
 def test_explore_rejects_bad_window():

@@ -1,17 +1,25 @@
 """Tests for trajectory integration and qualitative classification."""
 
-import numpy as np
+import gc
 
-from besselbounds import oracle
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import OdeSolution
+
+from besselbounds import oracle, riccati_lab
+from besselbounds.errors import DomainError
 from besselbounds.nullclines import EvalPoint, cubic_roots, gamma_hat, w_values
 from besselbounds.oracle import RatioKind
 from besselbounds.riccati_lab import (
+    BLOWUP_THRESHOLD,
     SolutionClass,
     classify,
     nullcline_contact,
     solve_riccati,
     w_along,
 )
+from conftest import PROPERTY
 
 F = RatioKind.FIRST
 S = RatioKind.SECOND
@@ -139,3 +147,123 @@ def test_w_along_extremum_next_to_seed():
         assert [xm for xm, _ in traj.extrema if lo < xm < hi], offset
         for _, w_m, w_o in nullcline_contact(traj):
             assert abs(w_m - w_o) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# batched starts
+
+
+def _band(nu, x0=1.0):
+    p = EvalPoint(nu, x0)
+    return oracle.k_ratio(p).value, oracle.i_ratio(p).value
+
+
+@settings(PROPERTY, max_examples=8)
+@given(a=st.sampled_from([-1.0, 0.0]), nu=st.sampled_from([0.75, 1.5, 2.0, 3.5]),
+       inside=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=4),
+       below=st.lists(st.floats(0.05, 3.0), max_size=2))
+def test_batched_lanes_match_one_lane_runs(a, nu, inside, below):
+    # starts inside the band carry extrema; starts below it blow up, so the
+    # batch also restarts its other lanes from blow-up events
+    lo, hi = _band(nu)
+    y0s = [lo + u * (hi - lo) for u in inside] + [lo - d for d in below]
+    batch = solve_riccati(a, nu, 1.0, np.array(y0s), 0.05, 30.0)
+    assert len(batch) == len(y0s)
+    for y0, got in zip(y0s, batch):
+        one = solve_riccati(a, nu, 1.0, y0, 0.05, 30.0)
+        assert classify(got) is classify(one)
+        assert got.termination == one.termination
+        assert [k for _, k in got.extrema] == [k for _, k in one.extrema]
+        for (xg, _), (xo, _) in zip(got.extrema, one.extrema):
+            assert abs(xg - xo) <= 1e-9 * abs(xo)
+        if one.blow_up_x is not None:
+            assert abs(got.blow_up_x - one.blow_up_x) <= 1e-9 * abs(one.blow_up_x)
+        assert got.samples.shape[1] == 2 and np.all(np.diff(got.xs()) > 0.0)
+
+
+def test_scalar_start_is_a_one_lane_batch():
+    lo, hi = _band(2.0)
+    for y0 in (0.5 * (lo + hi), lo - 0.5):
+        one = solve_riccati(0.0, 2.0, 1.0, y0, 0.05, 30.0)
+        lane, = solve_riccati(0.0, 2.0, 1.0, [y0], 0.05, 30.0)
+        assert np.array_equal(one.samples, lane.samples)
+        assert one.samples.dtype == np.float64
+        assert (one.extrema, one.termination, one.blow_up_x) == (
+            lane.extrema, lane.termination, lane.blow_up_x)
+    assert solve_riccati(0.0, 2.0, 1.0, np.array([]), 0.05, 30.0) == []
+
+
+def test_starts_run_in_blocks(monkeypatch):
+    # a block is an independent batch: the lone start of the last block
+    # gets the same bits as a one-lane run
+    lo, hi = _band(2.0)
+    y0s = [lo + u * (hi - lo) for u in (0.2, 0.5, 0.8)]
+    pair = solve_riccati(0.0, 2.0, 1.0, y0s[:2], 0.05, 30.0)
+    monkeypatch.setattr(riccati_lab, "_MAX_LANES", 2)
+    blocks = solve_riccati(0.0, 2.0, 1.0, y0s, 0.05, 30.0)
+    alone = solve_riccati(0.0, 2.0, 1.0, y0s[2], 0.05, 30.0)
+    assert len(blocks) == 3
+    for got, want in zip(blocks, pair + [alone]):
+        assert np.array_equal(got.samples, want.samples) and got.extrema == want.extrema
+
+
+def test_batch_leaves_no_dense_output_in_cyclic_garbage():
+    # brentq keeps its callable in a reference cycle; refining on the whole
+    # batch's OdeSolution would keep every lane's dense output alive
+    lo, hi = _band(2.0)
+    y0s = lo + np.linspace(0.02, 0.98, 100) * (hi - lo)
+    gc.collect()
+    gc.disable()
+    try:
+        trajs = solve_riccati(0.0, 2.0, 1.0, y0s, 0.05, 30.0)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = sum(isinstance(o, OdeSolution) for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert len(trajs) == 100 and leaked == 0
+
+
+def test_step_failure_is_pinned_on_its_lane():
+    # slope NaN above y = 2: lane 1.5 fails mid-run, lane 2.5 at its seed,
+    # lane -100 never gets there and must keep its own one-lane result
+    def flow(x, y):
+        return np.where(y > 2.0, np.nan, 1.0)
+
+    with np.errstate(invalid="ignore"):
+        side = riccati_lab._integrate_side(flow, 1.0, np.array([1.5, -100.0, 2.5]), 30.0, 400)
+        alone = riccati_lab._integrate_side(flow, 1.0, np.array([-100.0]), 30.0, 400)
+    assert side.status.tolist() == [-1, 0, -1]
+    assert side.count[0] > 1 and side.count[2] == 1
+    assert np.array_equal(side.ys[1], alone.ys[0])
+
+
+def test_non_finite_parameters_are_rejected():
+    # a NaN order or exponent used to hang scipy's step controller
+    for a, nu in ((np.nan, 2.0), (np.inf, 2.0), (0.0, np.nan), (0.0, -np.inf)):
+        with pytest.raises(DomainError):
+            solve_riccati(a, nu, 1.0, 0.9, 0.5, 1.5)
+    for nu in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            w_along(F, nu, 0.5, 1.5)
+    with pytest.raises(DomainError):
+        w_along((1.0, np.nan), 2.0, 0.5, 1.5)
+    with pytest.raises(DomainError):
+        solve_riccati(0.0, 2.0, 1.0, 0.9, 0.5, np.inf)
+
+
+def test_starts_beyond_blow_up_threshold_are_rejected():
+    # used to end in an IndexError: no sample was ever reached
+    for y0 in (1e9, -BLOWUP_THRESHOLD, [0.5, 1e9]):
+        with pytest.raises(DomainError):
+            solve_riccati(0.0, 2.0, 1.0, y0, 0.05, 30.0)
+
+
+def test_failure_before_first_step_is_a_step_failure():
+    # x**1e300 overflows at every step off x0 = 1; used to raise IndexError
+    with np.errstate(all="ignore"):
+        traj = solve_riccati(1e300, 2.0, 1.0, 1.0, 0.05, 30.0)
+    assert traj.termination == "step-failure"
+    assert traj.samples.tolist() == [[1.0, 1.0]]
