@@ -36,6 +36,11 @@ ORACLE_FAILURE_LIMIT = 0.01      # above this failure fraction -> exit 3
 # Largest |order| accepted: the K ladder takes one vectorised step per unit
 # of order, so a huge order must fail fast instead of running for minutes.
 NU_LIMIT = 1.0e4
+# Largest orders x arguments a ranged grid may hold, and largest --sample,
+# both checked before any list is built: a run past them would hang or run
+# out of memory instead of failing fast with exit 2.
+GRID_LIMIT = 1_000_000
+SAMPLE_LIMIT = 10_000
 _FMT = "%.17g"
 
 _TABULATE_COLUMNS = (
@@ -139,6 +144,17 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise DomainError(f"{name} must be positive, got {v!r}")
         if name in ("nu_min", "nu_max", "nu") and abs(v) > NU_LIMIT:
             raise DomainError(f"|{name}| must not exceed {NU_LIMIT:g}, got {v!r}")
+    if cfg.seed < 0:
+        raise DomainError(f"seed must be non-negative, got {cfg.seed!r}")
+    if cfg.sample > SAMPLE_LIMIT:
+        raise DomainError(f"sample must not exceed {SAMPLE_LIMIT}, got {cfg.sample!r}")
+    # the sizes _nu_list and _x_list would build, with an empty axis as 1
+    n_nu = 1.0
+    if cfg.nu is None and cfg.nu_step > 0 and cfg.nu_max >= cfg.nu_min:
+        n_nu = (cfg.nu_max - cfg.nu_min) / cfg.nu_step + 1.0
+    n_x = 1 if cfg.x is not None else min(max(cfg.x_points, 1), GRID_LIMIT + 1)
+    if n_nu * n_x > GRID_LIMIT:
+        raise DomainError(f"grid must hold at most {GRID_LIMIT} orders x arguments")
     return cfg
 
 
@@ -269,11 +285,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sharpness(cfg: RunConfig) -> int:
     if cfg.out is not None:
         os.makedirs(cfg.out, exist_ok=True)
-    reports = verify.sharpness_battery()
     bad = False
-    for rep in reports:
-        exp_k = rep.stats.get("expected_exponent", math.nan)
-        exp_c = rep.stats.get("expected_coefficient", math.nan)
+    for rep, (_, exp_k, exp_c) in zip(verify.sharpness_battery(), verify.SHARPNESS_EXPECTED):
         if rep.fitted is None:
             msgs = "; ".join(m for _, _, m in rep.oracle_failures)
             print(f"{rep.claim_id}: UNFITTABLE ({msgs})")
@@ -282,8 +295,9 @@ def cmd_sharpness(cfg: RunConfig) -> int:
         ok = bool(rep.stats["fit_ok"])
         bad = bad or not ok
         print(f"{rep.claim_id}: {'PASS' if ok else 'FAIL'} "
-              f"exponent={k:.4f} (expected {exp_k:g} +-0.15) "
-              f"coefficient={c:.6g} (expected {exp_c:.6g} +-10%)")
+              f"exponent={k:.4f} (expected {exp_k:g} +-{verify.SHARPNESS_TOL_EXPONENT:g}) "
+              f"coefficient={c:.6g} (expected {exp_c:.6g} "
+              f"+-{100.0 * verify.SHARPNESS_TOL_COEFFICIENT:g}%)")
         if cfg.out is not None:
             verify.write_report_csv(rep, os.path.join(
                 cfg.out, _claim_filename(rep.claim_id)))

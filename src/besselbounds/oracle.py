@@ -60,13 +60,17 @@ _EPS = 2.220446049250313e-16
 CF_TOL = 1.0e-14          # relative stop for the Lentz continued fraction
 CF_MAX_ITER = 1_000_000
 CF_TINY = 1.0e-300        # floor against zero denominators in Lentz
-# Step-size control for backward Riccati runs, which step in t = log x with
-# at most _MAX_LOG_STEP per step: with longer steps at small x, DOP853's
-# error estimate misses by up to 600x at some orders (e.g. nu = 1.19 near
-# x = 6e-4, nu = 1.34 near x = 0.15).  Measured against 40-digit mpmath on
-# nu in [-1, 3] (steps of 1/16, plus 4.2 and 5.9) and 80 x in
-# [10**-3.5, 20], the error then
-# stays below 0.84*rtol at rtol = 1e-12 and 3.4*rtol at 1e-13.
+# Step-size control of the backward Riccati integration that seeds an order
+# class below the series range, read only by _k_seed_row.  Runs step in
+# t = log x with at most _MAX_LOG_STEP per step: with longer steps at small
+# x, DOP853's error estimate misses by up to 600x at some orders (e.g.
+# nu = 1.19 near x = 6e-4, nu = 1.34 near x = 0.15).  Measured against
+# 40-digit mpmath on nu in [-1, 3] (steps of 1/16, plus 4.2 and 5.9) and
+# 80 x in [10**-3.5, 20], the error then stays below 0.84*ODE_RTOL.  These
+# are constants, not arguments: the forward ladder shrinks a seed's
+# relative error by r/(2*nu/x + r) per step, and a seed at rtol 1e-13 left
+# the ladder values at nu = 10, 20, 40 and 50 (x = 1) unchanged to the
+# last bit.
 ODE_RTOL = 1.0e-12
 ODE_ATOL = 1.0e-16
 _MAX_LOG_STEP = 0.1
@@ -98,7 +102,7 @@ def _check_order_range(nu: float) -> None:
 # I-ratio: continued fraction (modified Lentz)
 # ----------------------------------------------------------------------
 
-def _lentz_i_ratio(nu: float, x: float, tol: float, max_iter: int) -> Tuple[float, float]:
+def _lentz_i_ratio(nu: float, x: float) -> Tuple[float, float]:
     """Continued fraction for I_{nu-1}(x)/I_nu(x), nu >= 0.
 
     Returns (value, est_error).  The estimate covers the truncation (four
@@ -114,7 +118,7 @@ def _lentz_i_ratio(nu: float, x: float, tol: float, max_iter: int) -> Tuple[floa
     c = f
     d = 0.0
     two_over_x = 2.0 / x
-    for j in range(1, max_iter + 1):
+    for j in range(1, CF_MAX_ITER + 1):
         bj = two_over_x * (nu + j)
         d = bj + d
         if d == 0.0:
@@ -125,14 +129,14 @@ def _lentz_i_ratio(nu: float, x: float, tol: float, max_iter: int) -> Tuple[floa
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < CF_TOL:
             return f, abs(f) * (4.0 * abs(delta - 1.0) + (j + 4) * _EPS)
     raise EvaluationError(
-        f"continued fraction did not converge in {max_iter} iterations at nu={nu}, x={x}"
+        f"continued fraction did not converge in {CF_MAX_ITER} iterations at nu={nu}, x={x}"
     )
 
 
-def i_ratio(p: EvalPoint, tol: float = CF_TOL, max_iter: int = CF_MAX_ITER) -> OracleResult:
+def i_ratio(p: EvalPoint) -> OracleResult:
     """Reference value of I_{nu-1}(x)/I_nu(x) for nu >= -1.
 
     For nu >= 0 this is the continued fraction directly; orders in [-1, 0)
@@ -142,20 +146,20 @@ def i_ratio(p: EvalPoint, tol: float = CF_TOL, max_iter: int = CF_MAX_ITER) -> O
     """
     _check_order_range(p.nu)
     if p.nu >= 0.0:
-        return OracleResult(*_lentz_i_ratio(p.nu, p.x, tol, max_iter), "continued-fraction")
-    up, up_err = _lentz_i_ratio(p.nu + 1.0, p.x, tol, max_iter)
+        return OracleResult(*_lentz_i_ratio(p.nu, p.x), "continued-fraction")
+    up, up_err = _lentz_i_ratio(p.nu + 1.0, p.x)
     head = 2.0 * p.nu / p.x
     val = head + 1.0 / up
     est = up_err / (up * up) + _EPS * (abs(head) + abs(1.0 / up))
     return OracleResult(val, est, "continued-fraction+step-down")
 
 
-def i_ratio_row(nu: float, xs: Sequence[float], tol: float = CF_TOL) -> Tuple[np.ndarray, np.ndarray]:
+def i_ratio_row(nu: float, xs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Vector form of ``i_ratio`` along one order row; returns (values, est_errors)."""
     vals = np.empty(len(xs))
     ests = np.empty(len(xs))
     for i, x in enumerate(xs):
-        r = i_ratio(EvalPoint(nu, x), tol=tol)
+        r = i_ratio(EvalPoint(nu, x))
         vals[i] = r.value
         ests[i] = r.est_error
     return vals, ests
@@ -208,7 +212,7 @@ def default_x_start(nu: float) -> float:
     return x
 
 
-def _k_seed_row(nu: float, xs: np.ndarray, rtol: float, atol: float):
+def _k_seed_row(nu: float, xs: np.ndarray):
     """(values, est_errors, method) of Phi1 at order nu: the series at
     x >= default_x_start(nu), one backward integration below it."""
     x0 = default_x_start(nu)
@@ -225,17 +229,16 @@ def _k_seed_row(nu: float, xs: np.ndarray, rtol: float, atol: float):
 
     ts = np.log(xs[lo])
     sol = solve_ivp(rhs, (math.log(x0), ts[0]), large_x_series(nu, [x0])[0],
-                    method="DOP853", t_eval=ts[::-1], rtol=rtol, atol=atol,
+                    method="DOP853", t_eval=ts[::-1], rtol=ODE_RTOL, atol=ODE_ATOL,
                     max_step=_MAX_LOG_STEP)
     if not sol.success:
         raise EvaluationError(f"backward integration failed at nu={nu}: {sol.message}")
     vals[lo] = sol.y[0][::-1]
-    ests[lo] = _ODE_SAFETY * (rtol * np.abs(vals[lo]) + atol)
+    ests[lo] = _ODE_SAFETY * (ODE_RTOL * np.abs(vals[lo]) + ODE_ATOL)
     return vals, ests, "backward-riccati"
 
 
-def k_ratio_rows(nus: Sequence[float], xs: Sequence[float], rtol: float = ODE_RTOL,
-                 atol: float = ODE_ATOL, method: str = "auto"
+def k_ratio_rows(nus: Sequence[float], xs: Sequence[float], method: str = "auto"
                  ) -> Dict[float, Tuple[np.ndarray, np.ndarray, str]]:
     """Reference rows of Phi1 = -K_{nu-1}/K_nu: one seed per order class,
     then the ladder (module docstring), vectorised over xs; orders in
@@ -266,7 +269,7 @@ def k_ratio_rows(nus: Sequence[float], xs: Sequence[float], rtol: float = ODE_RT
         if seed == 0.5 and not direct:
             vals, ests, used = -np.ones(len(xs)), np.zeros(len(xs)), "half-integer-recurrence"
         else:
-            vals, ests, used = _k_seed_row(seed, xs, rtol, atol)
+            vals, ests, used = _k_seed_row(seed, xs)
         r, rel, nu = -vals, ests / np.abs(vals), seed
         for target in sorted(orders):
             for _ in range(round(target - nu)):
@@ -287,17 +290,15 @@ def k_ratio_rows(nus: Sequence[float], xs: Sequence[float], rtol: float = ODE_RT
     return out
 
 
-def k_ratio_row(nu: float, xs: Sequence[float], rtol: float = ODE_RTOL,
-                atol: float = ODE_ATOL, method: str = "auto"
+def k_ratio_row(nu: float, xs: Sequence[float], method: str = "auto"
                 ) -> Tuple[np.ndarray, np.ndarray, str]:
     """One order row of ``k_ratio_rows``: (values, est_errors, method_used)."""
-    return k_ratio_rows([nu], xs, rtol=rtol, atol=atol, method=method)[nu]
+    return k_ratio_rows([nu], xs, method=method)[nu]
 
 
-def k_ratio(p: EvalPoint, rtol: float = ODE_RTOL, atol: float = ODE_ATOL,
-            method: str = "auto") -> OracleResult:
+def k_ratio(p: EvalPoint, method: str = "auto") -> OracleResult:
     """Reference value of Phi1(nu, x) = -K_{nu-1}(x)/K_nu(x) for nu >= -1."""
-    vals, ests, used = k_ratio_row(p.nu, [p.x], rtol=rtol, atol=atol, method=method)
+    vals, ests, used = k_ratio_row(p.nu, [p.x], method=method)
     return OracleResult(float(vals[0]), float(ests[0]), used)
 
 

@@ -17,11 +17,14 @@ measurements into fitted (exponent, coefficient) pairs, and
 supremum the conjectured product bound caps at 1/5 (proved: 1/3, for
 nu >= 0).
 
-Coverage policy for the second kind below nu = 0: the backward-integration
-oracle is exact-by-symmetry only at nu = -1/2 (half-integer reflection), so
-ratio claims on other negative rows are recorded as unverified rather than
-checked; product claims use the reflection path, which the product scan
-explicitly supports, with reflection error carried inside est_error.
+Coverage policy for the second kind below nu = 0: `oracle.k_ratio_rows`
+serves every order in [-1, 0) by the exact reflection K_{-mu} = K_mu, with
+the reflection error carried inside est_error.  Even so, second-kind ratio
+claims on negative rows other than nu = -1/2 are recorded as unverified
+rather than checked, and the conjecture scan keeps those rows out of its
+verified supremum.  This is a coverage policy, not a limit of the oracle,
+kept until those rows are checked claim by claim (planned in ROADMAP.md);
+product claims are checked on every row.
 
 All default scans are deterministic: fixed grids, fixed evaluation order,
 no randomness.
@@ -58,6 +61,8 @@ __all__ = [
     "conjecture_scan",
     "sharpness_battery",
     "SHARPNESS_EXPECTED",
+    "SHARPNESS_TOL_EXPONENT",
+    "SHARPNESS_TOL_COEFFICIENT",
     "write_report_csv",
     "default_grid",
 ]
@@ -117,8 +122,8 @@ class ScanReport:
 
     ``rows`` is an (n, 5) array of (nu, x, bound, oracle, margin) in
     evaluation order — exactly the CSV columns.  ``fitted`` is set only by
-    order-estimation scans.  ``unverified`` lists points whose oracle path
-    is not trusted (negative-order second kind away from nu = -1/2).
+    order-estimation scans.  ``unverified`` lists points the negative-order
+    coverage policy leaves unchecked (module docstring).
     """
 
     claim_id: str
@@ -175,10 +180,8 @@ class OracleTable:
     quantities come from ``oracle.quantity_row`` over the cached ratios.
     """
 
-    def __init__(self, grid: Grid, rtol: float = oracle.ODE_RTOL,
-                 atol: float = oracle.ODE_ATOL):
+    def __init__(self, grid: Grid):
         self.grid = grid
-        self.rtol = rtol
         self.rows: Dict[float, _Row] = {}
         xs = np.asarray(grid.x_values)
         i_rows: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
@@ -197,7 +200,7 @@ class OracleTable:
                 row.error = str(exc)
         k_nus = [nu for nu, row in self.rows.items() if row.error is None]
         try:
-            k_rows = oracle.k_ratio_rows(k_nus, xs, rtol=rtol, atol=atol)
+            k_rows = oracle.k_ratio_rows(k_nus, xs)
         except (DomainError, EvaluationError) as exc:
             # one seed serves a whole class, so a failure has no single row
             k_rows = {}
@@ -245,8 +248,7 @@ class BoundClaim:
 
 def _bracket(claim_id: str, target: str, direction: str, formula) -> BoundClaim:
     # psi and double-ratio brackets, all proved for nu >= 0
-    return BoundClaim(claim_id, target, nc.BoundForm(
-        formula, direction, claim_id.rsplit("-", 1)[0], nc.NU_GE_0))
+    return BoundClaim(claim_id, target, nc.BoundForm(formula, direction, target, nc.NU_GE_0))
 
 
 def _build_bound_claims() -> Dict[str, BoundClaim]:
@@ -340,8 +342,9 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
     A point is a violation when its signed relative margin is below
     -(tol + est_error/|oracle|).  Rows outside the claim's proved range
     are skipped; second-kind targets on negative non-half-integer rows are
-    recorded as unverified; oracle failures are collected, not raised, and
-    a non-finite oracle value, margin or gate is one.
+    recorded as unverified (the coverage policy in the module docstring);
+    oracle failures are collected, not raised, and a non-finite oracle
+    value, margin or gate is one.
     """
     if isinstance(claim, str):
         claim = get_claim(claim)
@@ -363,7 +366,7 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
         if not valid:
             rep.skipped += len(xs)
         elif claim.target in _K_RESTRICTED and nu < 0.0 and nu != -0.5:
-            rep.unverified += [(nu, x, "second-kind oracle untrusted below nu=0")
+            rep.unverified += [(nu, x, "negative-order coverage policy")
                                for x in grid.x_values]
         else:
             with np.errstate(all="ignore"):
@@ -516,43 +519,30 @@ def fit_error_order(samples: Sequence[Tuple[float, float]], regime: str,
     return float(coef[0]), float(math.exp(coef[1]))
 
 
-# (claim id, expected exponent, expected coefficient), the quantitative
-# sharpness constants the fits must reproduce
-SHARPNESS_EXPECTED: Tuple[Tuple[str, float, float], ...] = (
-    ("sharpness-I-large-x", -2.0, 0.25),
-    ("sharpness-I-small-x", 4.0, 1.0 / 192.0),
-    ("sharpness-I-large-nu", -6.0, 0.125),
-    ("sharpness-K-large-x", -2.0, 0.25),
-    ("sharpness-K-large-nu", -4.0, 0.5),
-    ("sharpness-P-large-x", -2.0, 0.25),
-    ("sharpness-P-large-nu", -6.0, 0.25),
+# fit gates: absolute on the exponent, relative on the coefficient
+SHARPNESS_TOL_EXPONENT = 0.15
+SHARPNESS_TOL_COEFFICIENT = 0.10
+# sample points as (order, xs) rows: x scales at nu = 1, nu scales at x = 1
+_LARGE_X = ((1.0, (25.0, 50.0, 100.0, 200.0)),)
+_SMALL_X = ((1.0, (0.02, 0.04, 0.08, 0.16)),)
+_LARGE_NU = ((10.0, (1.0,)), (20.0, (1.0,)), (40.0, (1.0,)))
+_TRIG_I, _TRIG_K, _TRIG_P = (_BOUND_CLAIMS[c] for c in
+                             ("trig-upper-I", "trig-upper-K", "product-lower-trig"))
+# (case id, bound claim, regime, sample rows, expected exponent, expected
+# coefficient): the relative error of the claim's bound against its oracle
+# target, and the sharpness constants its fit must reproduce
+_SHARPNESS_CASES = (
+    ("sharpness-I-large-x", _TRIG_I, "large-x", _LARGE_X, -2.0, 0.25),
+    ("sharpness-I-small-x", _TRIG_I, "small-x", _SMALL_X, 4.0, 1.0 / 192.0),
+    ("sharpness-I-large-nu", _TRIG_I, "large-nu", _LARGE_NU, -6.0, 0.125),
+    ("sharpness-K-large-x", _TRIG_K, "large-x", _LARGE_X, -2.0, 0.25),
+    ("sharpness-K-large-nu", _TRIG_K, "large-nu", _LARGE_NU, -4.0, 0.5),
+    ("sharpness-P-large-x", _TRIG_P, "large-x", _LARGE_X, -2.0, 0.25),
+    ("sharpness-P-large-nu", _TRIG_P, "large-nu", _LARGE_NU, -6.0, 0.25),
 )
-
-_SHARPNESS_SETUP = {
-    # claim id -> (regime, fixed nu or x, sample scales)
-    "sharpness-I-large-x": ("large-x", 1.0, (25.0, 50.0, 100.0, 200.0)),
-    "sharpness-I-small-x": ("small-x", 1.0, (0.02, 0.04, 0.08, 0.16)),
-    "sharpness-I-large-nu": ("large-nu", 1.0, (10.0, 20.0, 40.0)),
-    "sharpness-K-large-x": ("large-x", 1.0, (25.0, 50.0, 100.0, 200.0)),
-    "sharpness-K-large-nu": ("large-nu", 1.0, (10.0, 20.0, 40.0)),
-    "sharpness-P-large-x": ("large-x", 1.0, (25.0, 50.0, 100.0, 200.0)),
-    "sharpness-P-large-nu": ("large-nu", 1.0, (10.0, 20.0, 40.0)),
-}
-
-
-def _sharpness_point(case_id: str, nu: float, x: float):
-    """(bound_value, oracle_value, est, direction) for one battery point."""
-    p = EvalPoint(nu, x)
-    kind = case_id.split("-")[1]
-    if kind == "I":
-        r = oracle.i_ratio(p)
-        return nc.trig_bound_I(p).value, r.value, r.est_error, "upper"
-    if kind == "K":
-        # tightened step control: the battery reads errors down to ~1e-7
-        r = oracle.k_ratio(p, rtol=1e-13)
-        return nc.trig_bound_K(p).value, -r.value, r.est_error, "upper"
-    r = oracle.product(p)
-    return nc.PRODUCT_FORMS["lower_trig"].at(p).value, r.value, r.est_error, "lower"
+# (case id, expected exponent, expected coefficient)
+SHARPNESS_EXPECTED: Tuple[Tuple[str, float, float], ...] = tuple(
+    (case_id, k, c) for case_id, _, _, _, k, c in _SHARPNESS_CASES)
 
 
 def _extrapolate_large_nu(samples: Sequence[Tuple[float, float]],
@@ -581,31 +571,37 @@ def _extrapolate_large_nu(samples: Sequence[Tuple[float, float]],
     return k, c
 
 
-def sharpness_battery(tol_exponent: float = 0.15,
-                      tol_coefficient: float = 0.10) -> List[ScanReport]:
+def sharpness_battery() -> List[ScanReport]:
     """Measure and fit the trig-bound relative errors in all three regimes.
 
-    One report per case; ``fitted`` holds (exponent, coefficient) and
-    ``stats`` the expected pair plus pass flags at the given tolerances.
+    One oracle table over the union of the battery's points serves every
+    case.  One report per case; ``rows`` holds (nu, x, bound, oracle, eps),
+    ``fitted`` (exponent, coefficient) and ``stats`` the expected pair plus
+    pass flags at SHARPNESS_TOL_EXPONENT and SHARPNESS_TOL_COEFFICIENT.
     large-x and small-x cases use the plain log-log fit; large-nu cases use
     the 1/nu-corrected extrapolation (see _extrapolate_large_nu), with the
     raw fit kept in ``stats`` for comparison.
     """
+    pairs = [pair for case in _SHARPNESS_CASES for pair in case[3]]
+    table = OracleTable(Grid(tuple(sorted({nu for nu, _ in pairs})),
+                             tuple(sorted({x for _, xs in pairs for x in xs}))))
+    table_xs = np.asarray(table.grid.x_values)
     reports: List[ScanReport] = []
-    for case_id, exp_k, exp_c in SHARPNESS_EXPECTED:
-        regime, fixed, scales = _SHARPNESS_SETUP[case_id]
+    for case_id, claim, regime, orders, exp_k, exp_c in _SHARPNESS_CASES:
         rep = ScanReport(claim_id=case_id)
-        samples: List[Tuple[float, float]] = []
-        floors: List[float] = []
-        rows = []
-        for s in scales:
-            nu, x = (fixed, s) if regime != "large-nu" else (s, fixed)
-            b, q, est, direction = _sharpness_point(case_id, nu, x)
-            eps = relative_error(b, q, direction)
-            samples.append((s, eps))
-            floors.append(100.0 * est / abs(q))
-            rows.append((nu, x, b, q, eps))
+        reports.append(rep)
+        rows, floors = [], []
+        for nu, xs in orders:
+            vals, ests = table.quantity(claim.target, nu)
+            cols = np.searchsorted(table_xs, xs)
+            bounds, direction, _ = claim.form.row(nu, xs)
+            for x, b, q, est in zip(xs, bounds.tolist(), vals[cols].tolist(),
+                                    ests[cols].tolist()):
+                rows.append((nu, x, b, q, relative_error(b, q, direction)))
+                floors.append(100.0 * est / abs(q))
         rep.rows = np.array(rows)
+        # (scale, eps): the scale is nu at large nu, else x
+        samples = rep.rows[:, [0 if regime == "large-nu" else 1, 4]].tolist()
         try:
             raw_k, raw_c = fit_error_order(samples, regime, noise_floor=floors)
             if regime == "large-nu":
@@ -616,12 +612,11 @@ def sharpness_battery(tol_exponent: float = 0.15,
         except UnfittableError as exc:
             rep.oracle_failures.append((math.nan, math.nan, str(exc)))
             rep.stats.update({"fit_ok": 0.0})
-            reports.append(rep)
             continue
         rep.fitted = (k, c)
         rep.points_checked = len(samples)
-        exp_ok = abs(k - exp_k) <= tol_exponent
-        coef_ok = abs(c - exp_c) <= tol_coefficient * exp_c
+        exp_ok = abs(k - exp_k) <= SHARPNESS_TOL_EXPONENT
+        coef_ok = abs(c - exp_c) <= SHARPNESS_TOL_COEFFICIENT * exp_c
         rep.stats.update({
             "expected_exponent": exp_k,
             "expected_coefficient": exp_c,
@@ -631,7 +626,6 @@ def sharpness_battery(tol_exponent: float = 0.15,
         })
         if not (exp_ok and coef_ok):
             rep.violations.append((exp_k, exp_c, k - exp_k))
-        reports.append(rep)
     return reports
 
 
@@ -639,19 +633,23 @@ def sharpness_battery(tol_exponent: float = 0.15,
 # conjecture scan
 # ----------------------------------------------------------------------
 
+# caps on s: the proved one is gated (less the slack), the conjectured one
+# only reported
+_PROVED_CAP = 1.0 / 3.0
+_CONJECTURED_CAP = 0.2
+_GATE_SLACK = 1.0e-6
+
+
 def conjecture_scan(grid: Optional[Grid] = None,
-                    table: Optional[OracleTable] = None,
-                    proved_cap: float = 1.0 / 3.0,
-                    conjectured_cap: float = 0.2,
-                    gate_slack: float = 1.0e-6) -> ScanReport:
+                    table: Optional[OracleTable] = None) -> ScanReport:
     """Map s(nu, x) = 1/(4 P**2) - x**2 - nu**2 over the grid.
 
     The proved product bound caps s at 1/3 on nu >= 0; points there must
-    stay below proved_cap - gate_slack (violations otherwise).  The
-    conjectured cap 1/5 is compared and reported in ``stats`` but never
-    gated.  Negative non-half-integer rows ride the reflection oracle path
-    and are flagged unverified; their s values still inform the reported
-    supremum over the full grid.
+    stay below 1/3 - 1e-6 (violations otherwise).  The conjectured cap 1/5
+    is compared and reported in ``stats`` but never gated.  Negative
+    non-half-integer rows are flagged unverified under the coverage policy
+    (module docstring); their s values still inform the reported supremum
+    over the full grid.
     """
     if grid is None:
         grid = table.grid if table is not None else default_grid()
@@ -674,7 +672,7 @@ def conjecture_scan(grid: Optional[Grid] = None,
             s = 1.0 / (4.0 * pvals * pvals) - xs * xs - nu * nu
             # cancellation-aware error: d s / d P = -1/(2 P**3)
             est_s = pests / (2.0 * pvals ** 3) + 4.0 * _EPS * (xs * xs + nu * nu + np.abs(s))
-            excess = s - (proved_cap - gate_slack)
+            excess = s - (_PROVED_CAP - _GATE_SLACK)
         ok = good_p & np.isfinite(excess) & np.isfinite(est_s)
         for i in np.flatnonzero(~ok):
             rep.oracle_failures.append((nu, float(xs[i]), "non-finite s or error estimate"
@@ -690,15 +688,15 @@ def conjecture_scan(grid: Optional[Grid] = None,
                 sup_ver, sup_ver_at = float(s[top]), (nu, float(x_ok[top]))
             if nu >= 0.0:
                 bad = excess[ok] > est_s[ok]
-                rep.violations += [(nu, x, proved_cap - v)
+                rep.violations += [(nu, x, _PROVED_CAP - v)
                                    for x, v in zip(x_ok[bad].tolist(), s[bad].tolist())]
         else:
-            rep.unverified += [(nu, x, "second-kind oracle untrusted below nu=0")
+            rep.unverified += [(nu, x, "negative-order coverage policy")
                                for x in x_ok.tolist()]
         blocks.append(np.column_stack([np.full(len(s), nu), x_ok,
-                                       np.full(len(s), proved_cap), s, proved_cap - s]))
+                                       np.full(len(s), _PROVED_CAP), s, _PROVED_CAP - s]))
     _finish(rep, blocks)
-    rep.worst_margin = proved_cap - sup_ver if math.isfinite(sup_ver) else math.nan
+    rep.worst_margin = _PROVED_CAP - sup_ver if math.isfinite(sup_ver) else math.nan
     rep.stats.update({
         "sup_s": sup_all,
         "sup_s_nu": sup_all_at[0],
@@ -706,9 +704,9 @@ def conjecture_scan(grid: Optional[Grid] = None,
         "sup_s_verified": sup_ver,
         "sup_s_verified_nu": sup_ver_at[0],
         "sup_s_verified_x": sup_ver_at[1],
-        "margin_proved_cap": proved_cap - sup_ver,
-        "margin_conjectured_cap": conjectured_cap - sup_all,
-        "proved_cap": proved_cap,
-        "conjectured_cap": conjectured_cap,
+        "margin_proved_cap": _PROVED_CAP - sup_ver,
+        "margin_conjectured_cap": _CONJECTURED_CAP - sup_all,
+        "proved_cap": _PROVED_CAP,
+        "conjectured_cap": _CONJECTURED_CAP,
     })
     return rep

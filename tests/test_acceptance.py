@@ -148,7 +148,7 @@ def test_criterion_4_monotonicity_suite(default_table, integer_row_table):
 
 def test_criterion_5_sharpness_constants():
     t0 = time.perf_counter()
-    reports = sharpness_battery(tol_exponent=0.15, tol_coefficient=0.10)
+    reports = sharpness_battery()
     bad = []
     details = []
     for rep in reports:

@@ -5,9 +5,11 @@ import contextlib
 import os
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
-from besselbounds import oracle, riccati_lab
+from besselbounds import cli, oracle, riccati_lab
+from besselbounds.errors import DomainError
 from besselbounds.cli import (
     EXIT_OK,
     EXIT_ORACLE,
@@ -152,6 +154,31 @@ def test_huge_orders_fail_fast():
     assert run(["tabulate", "--nu", "10000", "--x", "1"])[0] == EXIT_OK
 
 
+def test_oversized_runs_fail_fast(tmp_path):
+    # --nu-step 1e-12 asks for about 2e13 orders and --x-points 2e9 for
+    # 16 GB of arguments.  Only the merged config is built here, and
+    # sharpness builds no list, so a broken check fails the test instead
+    # of starting such a build.
+    parser = cli._build_parser()
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("x_points=2000000000\n")
+    for argv in (["verify", "--nu-step", "1e-12"],
+                 ["tabulate", "--x-points", "2000000000"],
+                 ["conjecture", "--config", str(cfg)],
+                 ["verify", "--nu-step", "0.001", "--x-points", "2001"],
+                 ["explore", "--sample", str(cli.SAMPLE_LIMIT + 1)]):
+        with pytest.raises(DomainError):
+            cli._merge_config(parser.parse_args(argv))
+    code, out, err = run(["sharpness", "--nu-step", "1e-12"])
+    assert code == EXIT_USAGE and "at most" in err and out == ""
+    # the largest benchmark grid (20 x 1001) and 100 samples stay inside
+    for argv in (["verify", "--nu-min", "0.5", "--nu-max", "19.5", "--nu-step", "1",
+                  "--x-points", "1001"],
+                 ["explore", "--nu", "2", "--sample", "100"],
+                 ["tabulate", "--nu", "1", "--x-points", str(cli.GRID_LIMIT)]):
+        cli._merge_config(parser.parse_args(argv))
+
+
 def test_verify_fails_closed_on_nan_error_estimates(monkeypatch):
     real = oracle.k_ratio_rows
 
@@ -273,6 +300,11 @@ def test_explore_rejects_non_finite_inputs(tmp_path):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text("a=nan\n")
     assert run(base + ["--y0", "1", "--config", str(cfg)])[0] == EXIT_USAGE
+    # a negative seed used to die in numpy's default_rng with a traceback
+    code, out, err = run(base + ["--sample", "2", "--seed", "-1"])
+    assert code == EXIT_USAGE and "seed" in err and out == ""
+    cfg.write_text("seed=-1\n")
+    assert run(base + ["--sample", "2", "--config", str(cfg)])[0] == EXIT_USAGE
 
 
 def test_explore_reports_start_past_blow_up_threshold(tmp_path):

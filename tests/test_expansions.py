@@ -228,7 +228,7 @@ def test_large_nu_agreement():
         <= 10 * 0.4 / nu ** 6
     )
     assert (
-        _rel(ex.large_nu_ratio(S, p).value, p.x * (-oracle.k_ratio(p, rtol=1e-13).value))
+        _rel(ex.large_nu_ratio(S, p).value, p.x * (-oracle.k_ratio(p).value))
         <= 10 * 2.0 * (13.0 / 16.0) / nu ** 4
     )
     assert (

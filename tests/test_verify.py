@@ -221,6 +221,24 @@ def test_sharpness_battery_structure():
                 "exponent_ok", "coefficient_ok"} <= set(r.stats)
 
 
+def test_sharpness_rows_equal_one_point_values():
+    # the battery reads one oracle table and the claims' row formulas; each
+    # row must still carry the one-point bound and oracle values bit for bit
+    one_point = {
+        "I": lambda p: (nc.trig_bound_I(p).value, oracle.i_ratio(p).value),
+        "K": lambda p: (nc.trig_bound_K(p).value, -oracle.k_ratio(p).value),
+        "P": lambda p: (nc.PRODUCT_FORMS["lower_trig"].at(p).value,
+                        oracle.product(p).value),
+    }
+    n = 0
+    for rep in sharpness_battery():
+        values = one_point[rep.claim_id.split("-")[1]]
+        for nu, x, bound, orc, _ in rep.rows.tolist():
+            assert (bound, orc) == values(nc.EvalPoint(nu, x)), (rep.claim_id, nu, x)
+            n += 1
+    assert n == 25
+
+
 # ---------------------------------------------------------------------------
 # conjecture scan
 
@@ -309,6 +327,14 @@ def test_half_integer_table_needs_no_integration(monkeypatch):
     assert nfevs == []
     assert {r.k_method for r in table.rows.values()} == {
         "half-integer-recurrence", "reflection+half-integer-recurrence"}
+
+
+def test_sharpness_battery_integrates_once(monkeypatch):
+    # one table over all 25 battery points: the nu = 1 seed below x = 20 is
+    # the only K integration (six one-point integrations before)
+    nfevs = _count_integrations(monkeypatch)
+    sharpness_battery()
+    assert len(nfevs) == 1
 
 
 def test_k_cost_is_flat_in_order(monkeypatch):
