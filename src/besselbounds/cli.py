@@ -225,7 +225,7 @@ def cmd_tabulate(cfg: RunConfig) -> int:
                 nc.PRODUCT_FORMS["upper"].formula(nu, xs),
                 nc.PRODUCT_FORMS["lower_trig"].formula(nu, xs),
             ])
-            stream.write((line * len(block)) % tuple(block.ravel().tolist()))
+            verify.write_csv_rows(stream, line, block)
         if _too_many_failures(failures, len(nus) * len(xs)):
             return EXIT_ORACLE
         return EXIT_OK

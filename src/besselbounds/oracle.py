@@ -29,9 +29,14 @@ the Riccati equation the ratios satisfy,
     c_{k+1} = [(k + 2*nu - 1) c_k - sum_{i=1..k} c_i c_{k+1-i}]/(2 c_0),
     truncated before its smallest term (the error is the first omitted
     term);
-  - x < 20: one backward integration of the Riccati equation from x = 20,
-    seeded by that series.  The K solution is the one bounded as x -> oo
-    and attracts every other in the backward direction.
+  - x < 20: Taylor steps of the Riccati equation itself back from x = 20,
+    seeded by that series (Corliss & Chang 1982).  Around a centre x_c,
+    Phi(x_c*(1 + s)) = sum_k b_k s**k with S_k = sum_{i=0..k} b_i b_{k-i} and
+    b_{k+1} = [x_c ([k=0] + [k=1]) + (2*nu-1-k) b_k - x_c (S_k + S_{k-1})]/(k+1)
+    (``taylor_coefficients``).  Each step is as long as the decay of its
+    coefficients allows (Jorba & Zou 2005), and every requested x is
+    evaluated on its own step's polynomial.  The K solution is the one
+    bounded as x -> oo and attracts every other in the backward direction.
 
 Negative orders in [-1, 0) are a documented test-only extension: the I side
 steps the recurrence down once from nu+1 >= 0, and the K side uses the
@@ -47,12 +52,14 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+# not called here: a module attribute that perfbench's tracer wraps by name
+from ._lazy import solve_ivp  # noqa: F401
 from .errors import DomainError, EvaluationError
 from .nullclines import EvalPoint
 
@@ -60,21 +67,12 @@ _EPS = 2.220446049250313e-16
 CF_TOL = 1.0e-14          # relative stop for the Lentz continued fraction
 CF_MAX_ITER = 1_000_000
 CF_TINY = 1.0e-300        # floor against zero denominators in Lentz
-# Step-size control of the backward Riccati integration that seeds an order
-# class below the series range, read only by _k_seed_row.  Runs step in
-# t = log x with at most _MAX_LOG_STEP per step: with longer steps at small
-# x, DOP853's error estimate misses by up to 600x at some orders (e.g.
-# nu = 1.19 near x = 6e-4, nu = 1.34 near x = 0.15).  Measured against
-# 40-digit mpmath on nu in [-1, 3] (steps of 1/16, plus 4.2 and 5.9) and
-# 80 x in [10**-3.5, 20], the error then stays below 0.84*ODE_RTOL.  These
-# are constants, not arguments: the forward ladder shrinks a seed's
-# relative error by r/(2*nu/x + r) per step, and a seed at rtol 1e-13 left
-# the ladder values at nu = 10, 20, 40 and 50 (x = 1) unchanged to the
-# last bit.
-ODE_RTOL = 1.0e-12
-ODE_ATOL = 1.0e-16
-_MAX_LOG_STEP = 0.1
-_ODE_SAFETY = 10.0        # est_error multiplier over that measured ratio
+# Taylor steps of the backward Riccati seed (_taylor_row) keep b_0 .. b_n,
+# n = _TAYLOR_ORDER, and move at most _MAX_STEP times their centre: half
+# the distance to x = 0, the nearest singularity (K_nu has no zeros in
+# Re x > 0).
+_TAYLOR_ORDER = 30
+_MAX_STEP = 0.5
 
 
 class RatioKind(enum.Enum):
@@ -179,7 +177,7 @@ def large_x_coefficients(nu: float, c0: float, n: int = 61) -> List[float]:
     c = [c0]
     for k in range(n - 1):
         nxt = ((k + 2.0 * nu - 1.0) * c[k]
-               - sum(c[i] * c[k + 1 - i] for i in range(1, k + 1))) / (2.0 * c0)
+               - sum(map(operator.mul, c[1:k + 1], c[k:0:-1]))) / (2.0 * c0)
         if not math.isfinite(nxt):
             break
         c.append(nxt)
@@ -201,7 +199,7 @@ def large_x_series(nu: float, xs: Sequence[float]) -> Tuple[np.ndarray, np.ndarr
 
 
 def default_x_start(nu: float) -> float:
-    """Start of a backward integration at order nu: the first of 20, 40,
+    """Start of the backward Taylor steps at order nu: the first of 20, 40,
     80, ... where the large-x series is good to roundoff.  That is 20 at
     every order in [-1, 1], which holds all ladder seeds; forced
     integrations at high orders start near nu**2 and cost in proportion."""
@@ -212,30 +210,98 @@ def default_x_start(nu: float) -> float:
     return x
 
 
+def taylor_coefficients(nu: float, x0: float, phi0: float, n: int) -> List[float]:
+    """The first n coefficients b_k of Phi(x0*(1 + s)) = sum b_k s**k for the
+    solution of the Riccati equation through (x0, phi0) (module docstring)."""
+    b, c, prev = [phi0], 2.0 * nu - 1.0, 0.0
+    q = (1.0 - phi0) * (1.0 + phi0)       # 1 - S_0 without cancellation at phi0 ~ -1
+    for k in range(n - 1):
+        sk = sum(map(operator.mul, b, reversed(b)))     # b holds b_0..b_k
+        t = q if k == 0 else (q - sk if k == 1 else -(sk + prev))
+        b.append((x0 * t + (c - k) * b[k]) / (k + 1))
+        prev = sk
+    return b
+
+
+def _horner(b, s):
+    """(sum b_k s**k, roundoff bound) by Horner's rule with Higham's running
+    error bound; b is a list of floats, or of arrays shaped like s."""
+    y = b[-1]
+    mu = 0.5 * abs(y)
+    for bk in b[-2::-1]:
+        y = y * s + bk
+        mu = abs(s) * mu + abs(y)
+    return y, _EPS * (2.0 * mu - abs(y))
+
+
+def _step_error(nu: float, xc, b, s, y, horner):
+    """Error a Taylor step adds to its value y at s: the truncation tail
+    (taken as the last two terms kept), Horner roundoff, the rounding of
+    s = x/xc - 1 (at most eps*x in x) and that of b_1, whose three terms
+    nearly cancel at large x.  The later coefficients' rounding stayed
+    below the Horner bound against 50-digit coefficient sums."""
+    n, a, c = len(b) - 1, abs(s), 2.0 * nu - 1.0
+    x = xc * (1.0 + s)
+    return (abs(b[n]) * a ** n + abs(b[n - 1]) * a ** (n - 1) + horner
+            + _EPS * abs(x + c * y - x * y * y)
+            + 2.0 * _EPS * a * (xc * abs((1.0 - b[0]) * (1.0 + b[0])) + abs(c * b[0])))
+
+
+def _taylor_row(nu: float, x0: float, phi0: float, err0: float, xs: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, est_errors) at increasing xs < x0 of the Riccati solution
+    through (x0, phi0), known to err0, by Taylor steps back from x0.
+
+    A step keeps b_0..b_n at its centre xc and runs to xc*(1 - h), the
+    longest step whose last two terms stay below eps*|b_0| (coefficient
+    decay, Jorba & Zou), at most _MAX_STEP.  The xs inside it, and the next
+    centre, are evaluated on its polynomial.  The error at x is the step's
+    own (``_step_error``) plus the relative error carried in at xc, which
+    the flow shrinks: along a negative solution, a relative perturbation
+    obeys d ln|delta/Phi| / d(-x) = Phi + 1/Phi <= -2.
+    """
+    n = _TAYLOR_ORDER
+    centres, rels, coefs = [], [], []
+    step = np.empty(len(xs), dtype=int)        # the step each x falls in
+    xc, phi, rel, j = x0, phi0, err0 / abs(phi0), len(xs)
+    while j > 0:
+        b = taylor_coefficients(nu, xc, phi, n + 1)
+        tol = _EPS * abs(phi)
+        h = min([_MAX_STEP] + [(tol / abs(b[k])) ** (1.0 / k) for k in (n - 1, n) if b[k]])
+        if not (h > 0.0 and math.isfinite(b[n - 1] + b[n])):
+            raise EvaluationError(f"Taylor step collapsed at nu={nu}, x={xc}")
+        x_next = xc * (1.0 - h)
+        i = int(np.searchsorted(xs, x_next))   # xs[i:j] lie in [x_next, xc)
+        step[i:j] = len(coefs)
+        centres.append(xc)
+        rels.append(rel)
+        coefs.append(b)
+        s = x_next / xc - 1.0
+        phi, horner = _horner(b, s)
+        rel = (rel * math.exp(-2.0 * (xc - x_next))
+               + _step_error(nu, xc, b, s, phi, horner) / abs(phi))
+        xc, j = x_next, i
+    xc = np.array(centres)[step]
+    b = np.array(coefs).T[:, step]
+    s = xs / xc - 1.0
+    vals, horner = _horner(b, s)
+    ests = (np.abs(vals) * np.array(rels)[step] * np.exp(-2.0 * (xc - xs))
+            + _step_error(nu, xc, b, s, vals, horner))
+    return vals, ests
+
+
 def _k_seed_row(nu: float, xs: np.ndarray):
     """(values, est_errors, method) of Phi1 at order nu: the series at
-    x >= default_x_start(nu), one backward integration below it."""
+    x >= default_x_start(nu), Taylor steps of the Riccati equation below it."""
     x0 = default_x_start(nu)
     lo = xs < x0
     vals, ests = np.empty(len(xs)), np.empty(len(xs))
     vals[~lo], ests[~lo] = large_x_series(nu, xs[~lo])
     if not lo.any():
         return vals, ests, "large-x-series"
-
-    def rhs(t, y):
-        # the Riccati equation in t = log x: powers of x become exponentials
-        x, phi = math.exp(t), y[0]
-        return (x * (1.0 - phi * phi) + (2.0 * nu - 1.0) * phi,)
-
-    ts = np.log(xs[lo])
-    sol = solve_ivp(rhs, (math.log(x0), ts[0]), large_x_series(nu, [x0])[0],
-                    method="DOP853", t_eval=ts[::-1], rtol=ODE_RTOL, atol=ODE_ATOL,
-                    max_step=_MAX_LOG_STEP)
-    if not sol.success:
-        raise EvaluationError(f"backward integration failed at nu={nu}: {sol.message}")
-    vals[lo] = sol.y[0][::-1]
-    ests[lo] = _ODE_SAFETY * (ODE_RTOL * np.abs(vals[lo]) + ODE_ATOL)
-    return vals, ests, "backward-riccati"
+    (v0,), (e0,) = large_x_series(nu, [x0])
+    vals[lo], ests[lo] = _taylor_row(nu, x0, v0, e0, xs[lo])
+    return vals, ests, "taylor-riccati"
 
 
 def k_ratio_rows(nus: Sequence[float], xs: Sequence[float], method: str = "auto"
@@ -246,8 +312,8 @@ def k_ratio_rows(nus: Sequence[float], xs: Sequence[float], method: str = "auto"
     across calls.
 
     xs must be positive and strictly increasing.  ``method`` is "auto" or
-    "integration": one direct integration at each requested order, with no
-    ladder step and no reflection, the reference the ladder is tested
+    "integration": one direct seed (series, then Taylor steps) at each
+    requested order, with no ladder step and no reflection, the reference the ladder is tested
     against.  Returns {nu: (values, est_errors, method_used)}.
     """
     xs = np.asarray(xs, dtype=float)

@@ -27,6 +27,10 @@ solutions or for mixed initial data and records those contacts.
 Extremum detection uses the sign of the ODE right-hand side rather than
 sampled slopes, with a roundoff floor so that the constant solution (a=0,
 nu=1/2, y0=-1) does not sprout spurious turning points.
+
+This is the only module that uses scipy (``solve_ivp`` and ``brentq``); it
+reaches them through stand-ins that import scipy on first call, so
+importing the package does not load it.
 """
 
 from dataclasses import dataclass, field
@@ -34,9 +38,8 @@ from enum import Enum
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
+from ._lazy import brentq, solve_ivp
 from .errors import DomainError, EvaluationError
 from .nullclines import EvalPoint, w_values
 from .oracle import RatioKind, psi as oracle_psi

@@ -64,6 +64,7 @@ __all__ = [
     "SHARPNESS_TOL_EXPONENT",
     "SHARPNESS_TOL_COEFFICIENT",
     "write_report_csv",
+    "write_csv_rows",
     "default_grid",
 ]
 
@@ -141,15 +142,24 @@ class ScanReport:
         return not self.violations
 
 
+CSV_BLOCK_ROWS = 4096
+
+
+def write_csv_rows(stream, line: str, rows: np.ndarray) -> None:
+    """Write each row of a 2-d array through the %-format ``line``, one
+    format call per block of CSV_BLOCK_ROWS rows, so the text built at once
+    stays bounded however long ``rows`` is."""
+    for start in range(0, len(rows), CSV_BLOCK_ROWS):
+        block = rows[start:start + CSV_BLOCK_ROWS]
+        stream.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_report_csv(report: ScanReport, path) -> None:
     """Emit the per-point rows as CSV: claim_id,nu,x,bound,oracle,margin."""
     line = report.claim_id.replace("%", "%%") + ",%.17g,%.17g,%.17g,%.17g,%.17g\n"
-    rows = np.asarray(report.rows, dtype=float).reshape(-1, 5)
     with open(path, "w", newline="") as fh:
         fh.write("claim_id,nu,x,bound,oracle,margin\n")
-        for start in range(0, len(rows), 4096):   # one format call per block
-            block = rows[start:start + 4096]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        write_csv_rows(fh, line, np.asarray(report.rows, dtype=float).reshape(-1, 5))
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,16 @@
 import io
 import contextlib
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from besselbounds import cli, oracle, riccati_lab
+from besselbounds import cli, oracle, riccati_lab, verify
 from besselbounds.errors import DomainError
 from besselbounds.cli import (
     EXIT_OK,
@@ -83,6 +87,40 @@ def test_tabulate_grid_row_count(tmp_path):
     # nu=1 dropped (integer order), so 1 header + 2 rows x 4 points
     assert len(lines) == 9
     assert lines[0] == HEADER
+
+
+def test_tabulate_row_longer_than_one_block(tmp_path, monkeypatch):
+    # a row written in blocks has the bytes of one format call over the row
+    n = verify.CSV_BLOCK_ROWS + 3
+    argv = ["tabulate", "--nu", "1.5", "--x-min", "0.01", "--x-max", "10",
+            "--x-points", str(n)]
+    blocked, whole = tmp_path / "blocked.csv", tmp_path / "whole.csv"
+    assert run(argv + ["--out", str(blocked)])[0] == EXIT_OK
+    monkeypatch.setattr(verify, "CSV_BLOCK_ROWS", 10 * n)
+    assert run(argv + ["--out", str(whole)])[0] == EXIT_OK
+    assert blocked.read_bytes() == whole.read_bytes()
+    assert blocked.read_text().count("\n") == n + 1
+
+
+def test_commands_other_than_explore_leave_scipy_unloaded():
+    # scipy serves only the trajectory lab; a fresh process shows what loads
+    script = textwrap.dedent("""
+        import sys
+        import besselbounds.cli as cli
+        assert "scipy" not in sys.modules, "import besselbounds.cli"
+        grid = ["--nu-min", "0.25", "--nu-max", "2.25", "--nu-step", "0.5",
+                "--x-min", "0.01", "--x-max", "50", "--x-points", "7"]
+        for argv in (["verify"] + grid, ["conjecture"] + grid, ["sharpness"],
+                     ["tabulate"] + grid):
+            assert cli.main(argv) == 0, argv[0]
+            assert "scipy" not in sys.modules, argv[0]
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Tests for the recurrence/Riccati-based reference oracles.
 
 Closed forms used here (half-integer orders) come from elementary identities,
-so they are independent of the continued-fraction and ODE machinery under
-test.
+so they are independent of the continued-fraction and Taylor-series
+machinery under test.
 """
 
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import PROPERTY, log_x
@@ -74,7 +75,7 @@ def test_i_ratio_rejects_out_of_range_order():
 
 
 # ---------------------------------------------------------------------------
-# second-kind ratio (exact recurrence / backward Riccati integration)
+# second-kind ratio (exact recurrence / backward Taylor steps of the Riccati equation)
 
 
 def test_k_ratio_half_integer_values():
@@ -124,7 +125,7 @@ def test_default_x_start():
 def test_k_ratio_row_matches_pointwise():
     xs = np.geomspace(0.05, 20.0, 7)
     vals, ests, method = oracle.k_ratio_row(0.8, xs)
-    assert method == "backward-riccati"
+    assert method == "taylor-riccati"
     assert np.all(ests >= 0.0)
     for x, v in zip(xs, vals):
         assert_allclose(oracle.k_ratio(EvalPoint(0.8, float(x))).value, v, rtol=1e-9)
@@ -171,8 +172,39 @@ def test_ladder_matches_direct_integration(mu, k, x):
     p = EvalPoint(mu + k, x)
     ladder = oracle.k_ratio(p)
     direct = oracle.k_ratio(p, method="integration")
-    assert direct.method in ("backward-riccati", "large-x-series")
+    assert direct.method in ("taylor-riccati", "large-x-series")
     assert abs(ladder.value - direct.value) <= ladder.est_error + direct.est_error
+
+
+def _phi1_40_digits(nu: float, x: float):
+    with mpmath.workdps(40):
+        return -mpmath.besselk(nu - 1, x) / mpmath.besselk(nu, x)
+
+
+def _within_estimate(r: oracle.OracleResult, nu: float, x: float) -> bool:
+    with mpmath.workdps(40):
+        return abs(mpmath.mpf(r.value) - _phi1_40_digits(nu, x)) <= r.est_error
+
+
+@PROPERTY
+@given(nu=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True),
+                    st.integers(1, 12).map(float)),
+       x=log_x(10 ** -3.5, 20.0))
+def test_taylor_seed_error_estimate(nu, x):
+    # every seed order in (0, 1], nu = 0, and the integer class (seeded at 1);
+    # x = 20 itself rounds to just above the series start
+    r = oracle.k_ratio(EvalPoint(nu, x))
+    assert r.method.split("+")[0] in ("taylor-riccati", "large-x-series")
+    assert _within_estimate(r, nu, x)
+
+
+@PROPERTY
+@given(nu=st.one_of(st.floats(-1.0, 100.25), st.just(100.25)),
+       x=log_x(10 ** -3.5, 20.0))
+def test_forced_taylor_error_estimate(nu, x):
+    r = oracle.k_ratio(EvalPoint(nu, x), method="integration")
+    assert r.method in ("taylor-riccati", "large-x-series")
+    assert _within_estimate(r, nu, x)
 
 
 @PROPERTY
@@ -324,7 +356,7 @@ def test_first_kind_derived_quantities_run_no_k_integration(monkeypatch):
     def no_integration(*args, **kwargs):
         raise AssertionError("K integration on a first-kind quantity")
 
-    monkeypatch.setattr(oracle, "solve_ivp", no_integration)
+    monkeypatch.setattr(oracle, "_taylor_row", no_integration)
     p = EvalPoint(0.8, 0.05)
     assert oracle.psi(F, p).method == "continued-fraction"
     assert oracle.double_ratio(F, p).method == "continued-fraction"

@@ -300,50 +300,55 @@ def test_conjecture_scan_fails_closed():
 # oracle work per table build, counted rather than timed
 
 
-def _count_integrations(monkeypatch) -> list:
-    nfevs = []
-    real = oracle.solve_ivp
+def _count_seeds(monkeypatch) -> list:
+    """One entry per K row seeded by Taylor steps: its number of steps."""
+    steps = []
+    real_row, real_coefficients = oracle._taylor_row, oracle.taylor_coefficients
 
-    def counting(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        nfevs.append(sol.nfev)
-        return sol
+    def counting_row(*args, **kwargs):
+        steps.append(0)
+        return real_row(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "solve_ivp", counting)
-    return nfevs
+    def counting_coefficients(*args, **kwargs):
+        steps[-1] += 1
+        return real_coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_taylor_row", counting_row)
+    monkeypatch.setattr(oracle, "taylor_coefficients", counting_coefficients)
+    return steps
 
 
 def test_default_table_integrates_once_per_order_class(monkeypatch):
     # classes 1/4, 3/4 and the integers (nu = -1 reflects to 2); 1/2 is exact
-    nfevs = _count_integrations(monkeypatch)
+    steps = _count_seeds(monkeypatch)
     OracleTable(default_grid())
-    assert len(nfevs) == 3
+    assert len(steps) == 3
 
 
 def test_half_integer_table_needs_no_integration(monkeypatch):
-    nfevs = _count_integrations(monkeypatch)
+    steps = _count_seeds(monkeypatch)
     table = OracleTable(Grid(nu_values=tuple(k + 0.5 for k in range(-1, 20)),
                              x_values=tuple(np.geomspace(1e-3, 1e3, 31))))
-    assert nfevs == []
+    assert steps == []
     assert {r.k_method for r in table.rows.values()} == {
         "half-integer-recurrence", "reflection+half-integer-recurrence"}
 
 
 def test_sharpness_battery_integrates_once(monkeypatch):
     # one table over all 25 battery points: the nu = 1 seed below x = 20 is
-    # the only K integration (six one-point integrations before)
-    nfevs = _count_integrations(monkeypatch)
+    # the only Taylor-stepped K row (six one-point seeds before the table)
+    steps = _count_seeds(monkeypatch)
     sharpness_battery()
-    assert len(nfevs) == 1
+    assert len(steps) == 1
 
 
 def test_k_cost_is_flat_in_order(monkeypatch):
-    nfevs = _count_integrations(monkeypatch)
+    steps = _count_seeds(monkeypatch)
     oracle.k_ratio(nc.EvalPoint(0.25, 1.0))
-    low = sum(nfevs)
-    nfevs.clear()
+    low = sum(steps)
+    steps.clear()
     oracle.k_ratio(nc.EvalPoint(1000.25, 1.0))
-    assert 0 < sum(nfevs) <= low
+    assert 0 < sum(steps) <= low
 
 
 # ---------------------------------------------------------------------------
