@@ -1,20 +1,14 @@
-"""scipy entry points loaded on first call.
+"""Stand-in for scipy's ``solve_ivp``, kept only as a benchmark hook.
 
-Importing ``scipy.integrate`` and ``scipy.optimize`` costs several times
-what numpy does, and only the trajectory lab (``riccati_lab``) integrates
-or root-finds with scipy.  These stand-ins keep scipy off the import path
-of every other command: each imports its scipy function when it is first
-called and forwards to it.
+perfbench's tracer wraps ``oracle.solve_ivp`` and ``riccati_lab.solve_ivp``
+by name, so both modules import this stand-in.  Nothing in the package
+calls it: both integrate the Riccati equation by Taylor steps
+(``oracle.taylor_step``).  It would import scipy only when called, and
+scipy is not a dependency of the package.
 """
 
 
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on first use."""
     from scipy.integrate import solve_ivp as impl
-    return impl(*args, **kwargs)
-
-
-def brentq(*args, **kwargs):
-    """``scipy.optimize.brentq``, imported on first use."""
-    from scipy.optimize import brentq as impl
     return impl(*args, **kwargs)

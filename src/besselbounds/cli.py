@@ -148,7 +148,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise DomainError(f"seed must be non-negative, got {cfg.seed!r}")
     if cfg.sample > SAMPLE_LIMIT:
         raise DomainError(f"sample must not exceed {SAMPLE_LIMIT}, got {cfg.sample!r}")
-    # the sizes _nu_list and _x_list would build, with an empty axis as 1
+    # the sizes _nu_list and _x_values would build, with an empty axis as 1
     n_nu = 1.0
     if cfg.nu is None and cfg.nu_step > 0 and cfg.nu_max >= cfg.nu_min:
         n_nu = (cfg.nu_max - cfg.nu_min) / cfg.nu_step + 1.0
@@ -170,14 +170,10 @@ def _nu_list(cfg: RunConfig) -> List[float]:
     return [v for v in vals if v < 0.0 or v != round(v)]
 
 
-def _x_list(cfg: RunConfig) -> List[float]:
+def _x_values(cfg: RunConfig) -> np.ndarray:
     if cfg.x is not None:
-        return [cfg.x]
-    if cfg.x_points <= 0:
-        return []
-    if cfg.x_points == 1:
-        return [cfg.x_min]
-    return list(np.geomspace(cfg.x_min, cfg.x_max, cfg.x_points))
+        return np.array([cfg.x])
+    return np.geomspace(cfg.x_min, cfg.x_max, max(cfg.x_points, 0))
 
 
 def _open_out(cfg: RunConfig):
@@ -199,33 +195,39 @@ def _too_many_failures(failures: int, attempted: int) -> bool:
 # ----------------------------------------------------------------------
 
 def cmd_tabulate(cfg: RunConfig) -> int:
-    nus, xs = _nu_list(cfg), _x_list(cfg)
+    nus, xs = _nu_list(cfg), _x_values(cfg)
     stream = _open_out(cfg)
     close = stream is not sys.stdout
     try:
         stream.write(",".join(_TABULATE_COLUMNS) + "\n")
-        if not nus or not xs:
+        if not nus or not len(xs):
             return EXIT_OK
-        grid = verify.Grid(tuple(nus), tuple(xs))
-        table = verify.OracleTable(grid)
-        xs = np.asarray(grid.x_values)
         line = ",".join([_FMT] * len(_TABULATE_COLUMNS)) + "\n"
         failures = 0
-        for nu in grid.nu_values:
-            try:
-                oracle_cols = [table.quantity(q, nu)[0] for q in ("Phi0", "Phi1", "P")]
-            except (DomainError, EvaluationError):
-                oracle_cols = [np.full(len(xs), math.nan)] * 3
-                failures += len(xs)
-            lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, xs)
-            block = np.column_stack([
-                np.full(len(xs), nu), xs, *oracle_cols,
-                nc.TRIG_I.formula(nu, xs), nc.TRIG_K.formula(nu, xs),
-                lam_i, lam_k, lam_o, *nc.w_values_row(nu, xs),
-                nc.PRODUCT_FORMS["upper"].formula(nu, xs),
-                nc.PRODUCT_FORMS["lower_trig"].formula(nu, xs),
-            ])
-            verify.write_csv_rows(stream, line, block)
+        # one oracle table per CSV block: whole rows of a few orders, or one
+        # x-block of a long row (no oracle value at x depends on the other
+        # points of its table), so memory stays bounded as rows grow
+        size = verify.CSV_BLOCK_ROWS
+        per = max(1, size // len(xs))
+        for first in range(0, len(nus), per):
+            for lo in range(0, len(xs), size):
+                table = verify.OracleTable(verify.Grid(tuple(nus[first:first + per]),
+                                                       tuple(xs[lo:lo + size])))
+                block_xs = np.asarray(table.grid.x_values)
+                for nu in table.grid.nu_values:
+                    try:
+                        oracle_cols = [table.quantity(q, nu)[0] for q in ("Phi0", "Phi1", "P")]
+                    except (DomainError, EvaluationError):
+                        oracle_cols = [np.full(len(block_xs), math.nan)] * 3
+                        failures += len(block_xs)
+                    lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, block_xs)
+                    verify.write_csv_rows(stream, line, np.column_stack([
+                        np.full(len(block_xs), nu), block_xs, *oracle_cols,
+                        nc.TRIG_I.formula(nu, block_xs), nc.TRIG_K.formula(nu, block_xs),
+                        lam_i, lam_k, lam_o, *nc.w_values_row(nu, block_xs),
+                        nc.PRODUCT_FORMS["upper"].formula(nu, block_xs),
+                        nc.PRODUCT_FORMS["lower_trig"].formula(nu, block_xs),
+                    ]))
         if _too_many_failures(failures, len(nus) * len(xs)):
             return EXIT_ORACLE
         return EXIT_OK
@@ -239,8 +241,8 @@ def _claim_filename(claim_id: str) -> str:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    nus, xs = _nu_list(cfg), _x_list(cfg)
-    if not nus or not xs:
+    nus, xs = _nu_list(cfg), _x_values(cfg)
+    if not nus or not len(xs):
         for cid in verify.bound_claims():
             print(f"{cid}: WARNING 0 points (empty grid)")
         return EXIT_OK
@@ -305,8 +307,8 @@ def cmd_sharpness(cfg: RunConfig) -> int:
 
 
 def cmd_conjecture(cfg: RunConfig) -> int:
-    nus, xs = _nu_list(cfg), _x_list(cfg)
-    if not nus or not xs:
+    nus, xs = _nu_list(cfg), _x_values(cfg)
+    if not nus or not len(xs):
         print("conjecture-scan: WARNING 0 points (empty grid)")
         return EXIT_OK
     grid = verify.Grid(tuple(nus), tuple(xs))

@@ -67,10 +67,11 @@ _EPS = 2.220446049250313e-16
 CF_TOL = 1.0e-14          # relative stop for the Lentz continued fraction
 CF_MAX_ITER = 1_000_000
 CF_TINY = 1.0e-300        # floor against zero denominators in Lentz
-# Taylor steps of the backward Riccati seed (_taylor_row) keep b_0 .. b_n,
-# n = _TAYLOR_ORDER, and move at most _MAX_STEP times their centre: half
-# the distance to x = 0, the nearest singularity (K_nu has no zeros in
-# Re x > 0).
+# Taylor steps (taylor_step: the backward K seed, and riccati_lab's
+# trajectories) keep b_0 .. b_n, n = _TAYLOR_ORDER, and move at most
+# _MAX_STEP times their centre: half the distance to x = 0, the singular
+# point of the equation (for the K seed the nearest singularity, since K_nu
+# has no zeros in Re x > 0).
 _TAYLOR_ORDER = 30
 _MAX_STEP = 0.5
 
@@ -223,7 +224,7 @@ def taylor_coefficients(nu: float, x0: float, phi0: float, n: int) -> List[float
     return b
 
 
-def _horner(b, s):
+def horner(b, s):
     """(sum b_k s**k, roundoff bound) by Horner's rule with Higham's running
     error bound; b is a list of floats, or of arrays shaped like s."""
     y = b[-1]
@@ -234,7 +235,24 @@ def _horner(b, s):
     return y, _EPS * (2.0 * mu - abs(y))
 
 
-def _step_error(nu: float, xc, b, s, y, horner):
+def taylor_step(nu: float, xc, phi):
+    """(b, h): the coefficients b_0..b_n, n = _TAYLOR_ORDER, of the solution
+    through (xc, phi), and the longest relative step h whose last two terms
+    stay below eps*|b_0| (coefficient decay, Jorba & Zou), at most
+    _MAX_STEP; h is 0 where b_{n-1} + b_n is not finite.  nu, xc and phi
+    are floats or arrays of lanes.  Where eps*|b_0| is 0 (at a zero of Phi,
+    or when it underflows) the bound is eps*|b_1|, the scale of Phi next to
+    its zero."""
+    n = _TAYLOR_ORDER
+    b = taylor_coefficients(nu, xc, phi, n + 1)
+    tol = _EPS * np.abs(phi)
+    tol = np.where(tol > 0.0, tol, _EPS * np.abs(b[1]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = np.fmin((tol / np.abs(b[n - 1])) ** (1.0 / (n - 1)), (tol / np.abs(b[n])) ** (1.0 / n))
+        return b, np.where(np.isfinite(b[n - 1] + b[n]), np.minimum(h, _MAX_STEP), 0.0)
+
+
+def _step_error(nu: float, xc, b, s, y, rounding):
     """Error a Taylor step adds to its value y at s: the truncation tail
     (taken as the last two terms kept), Horner roundoff, the rounding of
     s = x/xc - 1 (at most eps*x in x) and that of b_1, whose three terms
@@ -242,7 +260,7 @@ def _step_error(nu: float, xc, b, s, y, horner):
     below the Horner bound against 50-digit coefficient sums."""
     n, a, c = len(b) - 1, abs(s), 2.0 * nu - 1.0
     x = xc * (1.0 + s)
-    return (abs(b[n]) * a ** n + abs(b[n - 1]) * a ** (n - 1) + horner
+    return (abs(b[n]) * a ** n + abs(b[n - 1]) * a ** (n - 1) + rounding
             + _EPS * abs(x + c * y - x * y * y)
             + 2.0 * _EPS * a * (xc * abs((1.0 - b[0]) * (1.0 + b[0])) + abs(c * b[0])))
 
@@ -252,23 +270,19 @@ def _taylor_row(nu: float, x0: float, phi0: float, err0: float, xs: np.ndarray
     """(values, est_errors) at increasing xs < x0 of the Riccati solution
     through (x0, phi0), known to err0, by Taylor steps back from x0.
 
-    A step keeps b_0..b_n at its centre xc and runs to xc*(1 - h), the
-    longest step whose last two terms stay below eps*|b_0| (coefficient
-    decay, Jorba & Zou), at most _MAX_STEP.  The xs inside it, and the next
-    centre, are evaluated on its polynomial.  The error at x is the step's
-    own (``_step_error``) plus the relative error carried in at xc, which
-    the flow shrinks: along a negative solution, a relative perturbation
-    obeys d ln|delta/Phi| / d(-x) = Phi + 1/Phi <= -2.
+    A step keeps b_0..b_n at its centre xc and runs to xc*(1 - h), h from
+    ``taylor_step``.  The xs inside it, and the next centre, are evaluated
+    on its polynomial.  The error at x is the step's own (``_step_error``)
+    plus the relative error carried in at xc, which the flow shrinks: along
+    a negative solution, a relative perturbation obeys
+    d ln|delta/Phi| / d(-x) = Phi + 1/Phi <= -2.
     """
-    n = _TAYLOR_ORDER
     centres, rels, coefs = [], [], []
     step = np.empty(len(xs), dtype=int)        # the step each x falls in
     xc, phi, rel, j = x0, phi0, err0 / abs(phi0), len(xs)
     while j > 0:
-        b = taylor_coefficients(nu, xc, phi, n + 1)
-        tol = _EPS * abs(phi)
-        h = min([_MAX_STEP] + [(tol / abs(b[k])) ** (1.0 / k) for k in (n - 1, n) if b[k]])
-        if not (h > 0.0 and math.isfinite(b[n - 1] + b[n])):
+        b, h = taylor_step(nu, xc, phi)
+        if not h > 0.0:
             raise EvaluationError(f"Taylor step collapsed at nu={nu}, x={xc}")
         x_next = xc * (1.0 - h)
         i = int(np.searchsorted(xs, x_next))   # xs[i:j] lie in [x_next, xc)
@@ -277,16 +291,16 @@ def _taylor_row(nu: float, x0: float, phi0: float, err0: float, xs: np.ndarray
         rels.append(rel)
         coefs.append(b)
         s = x_next / xc - 1.0
-        phi, horner = _horner(b, s)
+        phi, rounding = horner(b, s)
         rel = (rel * math.exp(-2.0 * (xc - x_next))
-               + _step_error(nu, xc, b, s, phi, horner) / abs(phi))
+               + _step_error(nu, xc, b, s, phi, rounding) / abs(phi))
         xc, j = x_next, i
     xc = np.array(centres)[step]
     b = np.array(coefs).T[:, step]
     s = xs / xc - 1.0
-    vals, horner = _horner(b, s)
+    vals, rounding = horner(b, s)
     ests = (np.abs(vals) * np.array(rels)[step] * np.exp(-2.0 * (xc - xs))
-            + _step_error(nu, xc, b, s, vals, horner))
+            + _step_error(nu, xc, b, s, vals, rounding))
     return vals, ests
 
 

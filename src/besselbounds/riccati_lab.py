@@ -10,9 +10,7 @@ Everything else either blows up at a finite abscissa (solutions that start
 below the second-kind branch) or carries an interior extremum (solutions
 pinched between the two branches).  This module demonstrates that picture
 numerically: trajectories are labeled by initial data (x0, y0), integrated
-adaptively in both directions, and classified.  Starts that share
-(a, nu, x0) and the window are integrated together, as the lanes of one
-vector-valued run per direction.
+in both directions, and classified.
 
 Alongside the gamma flow we track the companion quantity
 
@@ -24,44 +22,56 @@ every interior extremum of W along a mixed trajectory touches the middle
 nullcline branch w_O.  `w_along` samples W for the two oracle-seeded
 solutions or for mixed initial data and records those contacts.
 
-Extremum detection uses the sign of the ODE right-hand side rather than
-sampled slopes, with a roundoff floor so that the constant solution (a=0,
-nu=1/2, y0=-1) does not sprout spurious turning points.
+Both flows are one Riccati equation: gamma = x**(-a) * Phi and
+psi = x*Phi - nu, where Phi solves the oracle's ratio equation
 
-This is the only module that uses scipy (``solve_ivp`` and ``brentq``); it
-reaches them through stand-ins that import scipy on first call, so
-importing the package does not load it.
+    Phi' = 1 + ((2*nu - 1)/x) * Phi - Phi**2.
+
+So every start is a Phi lane stepped by the oracle's Taylor engine
+(``oracle.taylor_step``; Corliss & Chang 1982): each lane takes the longest
+steps its own coefficients allow, and each of its log-spaced samples is
+evaluated on the polynomial of its own step, which is exact dense output.
+Where |Phi| > 1 a lane steps 1/Phi instead, the solution of the same
+equation at order 1 - nu, so a pole of Phi is a simple zero of what is
+stepped and the coefficients stay finite through the blow-up.  Starts that
+share (a, nu, x0) and the window run as the lanes of one vectorised run
+per direction.  No lane's arithmetic depends on another's, so a batched
+lane is its one-lane run bit for bit.
+
+Turning points are sign changes of a turning function between consecutive
+checkpoints (the samples and the step ends, the seed included on both
+sides): x + (2*nu - 1 - a)*Phi - x*Phi**2, which has the sign of gamma', or
+the ratio cubic for W.  A roundoff floor keeps the constant solution (a=0,
+nu=1/2, y0=-1) free of spurious turning points.  Each root is refined by
+safeguarded Newton on its step's polynomial.  A lane blows up when |gamma|
+(|psi| for W) crosses BLOWUP_THRESHOLD, the crossing solved on the same
+polynomial.  A lane stops with a step failure before the first point where
+its coefficients or its value stop being finite, where x**(-a) is 0 or
+infinite, or where its step stops moving it.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from ._lazy import brentq, solve_ivp
+# not called here: a module attribute that perfbench's tracer wraps by name
+from ._lazy import solve_ivp  # noqa: F401
 from .errors import DomainError, EvaluationError
 from .nullclines import EvalPoint, w_values
-from .oracle import RatioKind, psi as oracle_psi
+from .oracle import RatioKind, horner, i_ratio, k_ratio, taylor_step
 
-__all__ = [
-    "BLOWUP_THRESHOLD",
-    "Trajectory",
-    "SolutionClass",
-    "check_start",
-    "solve_riccati",
-    "classify",
-    "w_along",
-    "nullcline_contact",
-]
+__all__ = ["BLOWUP_THRESHOLD", "Trajectory", "SolutionClass", "check_start",
+           "solve_riccati", "classify", "w_along", "nullcline_contact"]
 
 BLOWUP_THRESHOLD = 1.0e8
 _RHS_NOISE_REL = 1.0e-8   # floor (relative to term magnitudes) for sign changes
 _SLOPE_FLOOR = 1.0e-12    # below this relative slope a trajectory is "constant"
-_RTOL = 1.0e-10
-_ATOL = 1.0e-12
 _SAMPLES_PER_SIDE = 400
-_MAX_LANES = 128          # starts per batched run: bounds memory as batches grow
+_MAX_LANES = 128          # starts per batched run: bounds the per-step working arrays
+_DS = 1.0e-100            # complex step of Newton's derivative
 
 
 class SolutionClass(Enum):
@@ -97,224 +107,158 @@ class Trajectory:
 
 
 # ----------------------------------------------------------------------
-# gamma flow
+# Phi lanes
 # ----------------------------------------------------------------------
 
-def _gamma_rhs(a: float, nu: float):
-    cof = 2.0 * nu - 1.0 - a
-
-    def rhs(x, y):
-        xa = x ** a
-        return -xa * y * y + (cof / x) * y + 1.0 / xa
-
-    def scale(x, y):
-        # sum of term magnitudes: the roundoff level of rhs(x, y)
-        xa = x ** a
-        return abs(xa * y * y) + abs(cof / x * y) + abs(1.0 / xa)
-
-    return rhs, scale
+# A flow seen on Phi lanes: its variable is weight(x)*Phi + shift, turn(x, Phi)
+# is its turning function and scale(x, Phi) the roundoff level of turn; kinds
+# label the (+ -> -) and (- -> +) sign changes of turn in increasing x.
+_Flow = namedtuple("_Flow", "nu weight shift turn scale kinds")
 
 
-def _blow_event(x, y):
-    # the largest lane decides: a batch stops when its first lane crosses
-    return np.max(np.abs(y)) - BLOWUP_THRESHOLD
+def _solve_on_step(f, b: list, xc: float, lo: float, hi: float):
+    """(x, y) at a root of f(x, y) along one step (centre xc, coefficients
+    b of y) between s = lo and s = hi, where f changes sign: Newton on the
+    step's polynomial, kept inside the bracket by bisection.  f' comes from
+    the complex step f(t + i*d) = f(t) + i*d*f'(t) + O(d**2)."""
+    f_lo = f(xc * (1.0 + lo), horner(b, lo)[0])
+    t, moved = 0.5 * (lo + hi), 1.0
+    while moved > 4.0e-16:      # the bracket shrinks every pass, so this ends
+        u = complex(t, _DS)
+        z = f(xc * (1.0 + u), horner(b, u)[0])
+        if z.real == 0.0:
+            break
+        lo, hi = (t, hi) if (z.real > 0.0) == (f_lo > 0.0) else (lo, t)
+        nxt = t - z.real * _DS / z.imag if z.imag else lo
+        if not min(lo, hi) < nxt < max(lo, hi):
+            nxt = 0.5 * (lo + hi)
+        t, moved = nxt, abs(nxt - t)
+    return xc * (1.0 + t), horner(b, t)[0]
 
 
-_blow_event.terminal = True
+def _integrate_side(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
+                    x_end: float) -> List[tuple]:
+    """Step every lane (Phi = phi0, flow value y0s at x0) out to x_end.
 
+    Returns, per lane, (samples, extrema, status, x_at): ``samples`` holds
+    (x, value) rows at the seed and the _SAMPLES_PER_SIDE log-spaced points
+    past it that the lane reached, in integration order; ``extrema`` lists
+    (x, kind, value); ``status`` is 0 (reached the edge), 1 (blow-up at
+    ``x_at``) or -1 (step failure).
 
-@dataclass
-class _Side:
-    """One direction of a batched run, from x0 out to one window edge.
-
-    Lane k holds ``count[k]`` samples ``ys[k, :count[k]]`` at
-    ``xs[:count[k]]`` (``xs[0]`` is x0, the seed), NaN after them.
-    ``status`` is 0 (reached the edge), 1 (blow-up at ``x_at``) or -1 (step
-    failure).  ``pieces`` holds (step boundaries, dense-output steps, lanes)
-    for each ``solve_ivp`` call, in integration order.
+    Each pass takes one Taylor step on every live lane and works on the
+    checkpoints it reaches, lane by lane in one flat array: the samples
+    inside the step, then the step's end.  A lane stops at its first
+    checkpoint whose value is not finite, whose x**(-a) is not in (0, inf)
+    or whose step does not move (step failure), or whose |value| reaches
+    BLOWUP_THRESHOLD (blow-up).
     """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    count: np.ndarray
-    status: np.ndarray
-    x_at: np.ndarray
-    pieces: list
-
-
-def _integrate_side(flow, x0: float, y0s: np.ndarray, x_end: float, n: int) -> _Side:
-    """Run every start in ``y0s`` from x0 to x_end, sampled at n log-spaced points."""
+    xs = np.geomspace(x0, x_end, _SAMPLES_PER_SIDE + 1)
     m = len(y0s)
-    side = _Side(xs=np.geomspace(x0, x_end, n + 1), ys=np.full((m, n + 1), np.nan),
-                 count=np.ones(m, dtype=int), status=np.zeros(m, dtype=int),
-                 x_at=np.full(m, np.nan), pieces=[])
-    side.ys[:, 0] = y0s
-    if x_end != x0:
-        _advance(flow, side, np.arange(m), x0, y0s, 1)
-    return side
+    ys = np.column_stack([y0s, np.full((m, len(xs) - 1), np.nan)])
+    count, status, x_at = np.ones(m, dtype=int), np.zeros(m, dtype=int), np.full(m, np.nan)
+    extrema = [[] for _ in range(m)]
+    d = np.sign(x_end - x0)
+    live, xc, phi = np.arange(m), np.full(m, float(x0)), phi0
+    with np.errstate(all="ignore"):
+        while d and live.size:
+            # where |Phi| > 1 the lane steps y = 1/Phi, the solution of order
+            # 1 - nu, whose zeros are the poles of Phi.  A step that does not
+            # move (h = 0: coefficients not finite) has the centre as its one
+            # checkpoint, where the lane fails.
+            inv = np.abs(phi) > 1.0
+            g = flow.turn(xc, phi)
+            small = np.abs(g) <= _RHS_NOISE_REL * flow.scale(xc, phi)
+            b, h = taylor_step(np.where(inv, 1.0 - flow.nu, flow.nu), xc,
+                               np.where(inv, 1.0 / phi, phi))
+            x_next = d * np.minimum(d * xc * (1.0 + d * h), d * x_end)
+            j = np.searchsorted(d * xs, d * x_next, "right")   # samples reached
+            last = np.cumsum(j - count[live] + 1) - 1         # each lane's step end
+            first = np.r_[0, last[:-1] + 1]
+            lane = np.repeat(np.arange(live.size), last - first + 1)
+            k = np.arange(len(lane)) - first[lane] + count[live][lane]   # sample index, j at the end
+            x = np.where(k < j[lane], xs[np.minimum(k, len(xs) - 1)], x_next[lane])
+            s = x / xc[lane] - 1.0
+            y = horner([bk[lane] for bk in b], s)[0]
+            p = np.where(inv[lane], 1.0 / y, y)
+            w = flow.weight(x)
+            v = w * p + flow.shift
+            gk = flow.turn(x, p)
+            sk = np.abs(gk) <= _RHS_NOISE_REL * flow.scale(x, p)
+            # each checkpoint's predecessor: the one before it, or the step's centre
+            gl, sl, tl, yl = np.roll(gk, 1), np.roll(sk, 1), np.roll(s, 1), np.roll(y, 1)
+            gl[first], sl[first], tl[first], yl[first] = g, small, 0.0, b[0]
+            pole = inv[lane] & (y * yl < 0.0)        # 1/Phi changed sign: a pole passed
+            fail = ~((w > 0.0) & (w < np.inf) & (x_next != xc)[lane]) | np.isnan(v)
+            stop = np.flatnonzero(fail | (np.abs(v) >= BLOWUP_THRESHOLD) | pole)
+            cut = last + 1                                    # each lane's first stop
+            np.minimum.at(cut, lane[stop], stop)
+            keep = np.arange(len(lane)) < cut[lane]
+
+            def solve(i, f):
+                # a root of f(x, num, den), Phi = num/den, between checkpoint i
+                # and its predecessor, on their step's polynomial
+                c = lane[i]
+                x, y = _solve_on_step(lambda x, y: f(x, 1.0, y) if inv[c] else f(x, y, 1.0),
+                                      [float(bk[c]) for bk in b], float(xc[c]),
+                                      float(tl[i]), float(s[i]))
+                return x, 1.0 / y if inv[c] else y
+
+            for i in np.flatnonzero(keep & (gl != 0.0) & ~(gl * gk > 0.0) & ~(sl & sk)):
+                xm, pm = solve(i, lambda x, n, q: flow.turn(x, n / q))
+                # orient by x so backward runs label the same way as forward ones
+                kind = flow.kinds[0 if (gl[i] if d > 0 else gk[i]) > 0.0 else 1]
+                extrema[live[lane[i]]].append((xm, kind, flow.weight(xm) * pm + flow.shift))
+            got = keep & (k < j[lane])
+            ys[live[lane[got]], k[got]] = v[got]
+            stopped = cut <= last
+            count[live] = np.where(stopped, k[np.minimum(cut, last)], j)
+            for i in cut[stopped]:
+                status[live[lane[i]]] = -1 if fail[i] else 1
+                if not fail[i]:
+                    # value = sign * threshold, times den so that no pole of
+                    # Phi lies in the bracket
+                    level = np.sign(yl[i] if pole[i] else y[i]) * BLOWUP_THRESHOLD
+                    x_at[live[lane[i]]] = solve(i, lambda x, n, q: flow.weight(x) * n
+                                                + (flow.shift - level) * q)[0]
+            on = ~stopped & (j < len(xs))
+            live, xc, phi = live[on], x_next[on], p[last][on]
+    return [(np.column_stack([xs[:n], ys[k, :n]]), extrema[k], status[k], x_at[k])
+            for k, n in enumerate(count)]
 
 
-def _advance(flow, side: _Side, lanes: np.ndarray, x: float, y: np.ndarray, i: int):
-    """Integrate ``lanes`` (state ``y`` at ``x``) to the side's edge.
-
-    ``i`` is the index of the first sample abscissa past x.  All lanes share
-    the steps of one RK45 run.  scipy accepts a step when the RMS over
-    components of error/tolerance is below 1, so tolerances divided by
-    sqrt(m) accept a step only if every lane would accept it alone; with one
-    lane the call is the plain single-start call.  A blow-up stops the lane
-    that crossed and the others restart from the event.  A step failure in
-    a batch is pinned on its lane by running the lanes one at a time.
-    """
-    while lanes.size and i < len(side.xs):
-        with np.errstate(all="ignore"):
-            finite = np.isfinite(flow(np.float64(x), y))
-        if not finite.all():
-            # from a NaN slope scipy picks a NaN first step and never ends its step loop
-            side.status[lanes[~finite]] = -1
-            lanes, y = lanes[finite], y[finite]
-            continue
-        shrink = np.sqrt(lanes.size)
-        sol = solve_ivp(flow, (x, side.xs[-1]), y, method="RK45", t_eval=side.xs[i:],
-                        dense_output=True, events=[_blow_event],
-                        rtol=_RTOL / shrink, atol=_ATOL / shrink)
-        if sol.status == -1 and lanes.size > 1:
-            for k in range(lanes.size):
-                _advance(flow, side, lanes[k:k + 1], x, y[k:k + 1], i)
-            return
-        got = len(sol.t)
-        if got:
-            side.ys[lanes, i:i + got] = sol.y
-            side.count[lanes] = i + got
-        if sol.sol.interpolants:
-            side.pieces.append((sol.sol.ts, sol.sol.interpolants, lanes))
-        if sol.status != 1:
-            side.status[lanes] = sol.status
-            return
-        x, y_at = sol.t_events[0][0], sol.y_events[0][0]
-        hit = int(np.argmax(np.abs(y_at)))
-        side.status[lanes[hit]], side.x_at[lanes[hit]] = 1, x
-        rest = np.arange(lanes.size) != hit
-        lanes, y, i = lanes[rest], y_at[rest], i + got
-
-
-def _lane_dense(pieces: list, lane: int, lo: float, hi: float, forward: bool):
-    """Lane ``lane``'s dense output on [lo, hi] as a scalar function.
-
-    It holds copies of that lane's rows of the steps covering [lo, hi] and
-    one more step on either side, and picks the step for t as OdeSolution
-    does, so a one-lane run evaluates exactly as scipy's own solution would.
-    """
-    ts, steps = None, []
-    for p_ts, p_steps, lanes in (pieces if forward else pieces[::-1]):
-        k = int(np.searchsorted(lanes, lane))
-        if k == lanes.size or lanes[k] != lane:
-            continue
-        if not forward:
-            p_ts, p_steps = p_ts[::-1], p_steps[::-1]
-        if p_ts[0] > hi or p_ts[-1] < lo:
-            continue
-        i0 = max(int(np.searchsorted(p_ts, lo)) - 2, 0)
-        i1 = min(int(np.searchsorted(p_ts, hi, "right")) + 1, len(p_steps))
-        ts = p_ts[i0:i1 + 1] if ts is None else np.concatenate([ts, p_ts[i0 + 1:i1 + 1]])
-        steps += [type(s)(s.t_old, s.t, s.y_old[k:k + 1].copy(), s.Q[k:k + 1].copy())
-                  for s in p_steps[i0:i1]]
-    side = "left" if forward else "right"
-    last = len(steps) - 1
-
-    def at(t):
-        j = min(max(int(np.searchsorted(ts, t, side)) - 1, 0), last)
-        return steps[j](t)[0]
-
-    return at
-
-
-def _side_extrema(side: _Side, turn, scale, kinds) -> List[Tuple[int, float, str, float]]:
-    """(lane, x, kind, value) for each refined root of ``turn`` on one side.
-
-    Sign changes are found on the samples of all lanes at once, skipping
-    pairs where both values sit below the roundoff floor ``scale`` (flutter,
-    e.g. the constant solution); each is refined by brentq on that lane's
-    own dense output.  ``kinds`` labels the (+ -> -) and (- -> +) crossings
-    in increasing x.
-    """
-    xs = side.xs
-    g = turn(xs, side.ys)
-    small = np.abs(g) <= _RHS_NOISE_REL * scale(xs, side.ys)
-    gl, gr = g[:, :-1], g[:, 1:]
-    pair = np.arange(1, len(xs)) < side.count[:, None]
-    found = pair & (gl != 0.0) & ~(gl * gr > 0.0) & ~(small[:, :-1] & small[:, 1:])
-    forward = bool(xs[-1] > xs[0])
-    out = []
-    for lane, j in zip(*np.nonzero(found)):
-        lo, hi = sorted((xs[j], xs[j + 1]))
-        at = _lane_dense(side.pieces, lane, lo, hi, forward)
-        try:
-            xm = brentq(lambda t: turn(t, at(t)), lo, hi, xtol=1e-13, rtol=1e-13)
-        except ValueError:
-            continue  # dense interpolant disagrees at the endpoints; skip
-        # orient by x so backward runs label the same way as forward ones
-        g_left = gl[lane, j] if forward else gr[lane, j]
-        out.append((int(lane), float(xm), kinds[0] if g_left > 0.0 else kinds[1],
-                    float(at(xm))))
-    return out
-
-
-def _run_both_ways(a: float, nu: float, flow, turn, scale, kinds,
-                   x0: float, y0s: np.ndarray, x_lo: float, x_hi: float) -> List[Trajectory]:
-    """Integrate ``flow`` from (x0, y0) out to both window edges, per start.
-
-    Starts run as the lanes of one batch per side, at most _MAX_LANES at a
-    time.  Extrema are the refined sign changes of ``turn`` (labeled by
-    ``kinds``, noise-floored by ``scale``) on each side, the seed included
-    on both, so no interval next to the seed goes unscanned; each extremum
-    is inserted into the samples of the flow variable.
-    """
+def _run_both_ways(flow: _Flow, a: float, x0: float, phi0: np.ndarray, y0s: np.ndarray,
+                   x_lo: float, x_hi: float) -> List[Trajectory]:
+    """Integrate every start (Phi = phi0, flow value y0s at x0) out to both
+    window edges, as the lanes of one run per side, at most _MAX_LANES at a
+    time.  Each start's extrema, from both sides, are inserted into its
+    samples."""
     out = []
     for first in range(0, len(y0s), _MAX_LANES):
-        block = y0s[first:first + _MAX_LANES]
-        found: List[list] = [[] for _ in block]
-        sides = []
-        for x_end in (x_lo, x_hi):
-            side = _integrate_side(flow, x0, block, x_end, _SAMPLES_PER_SIDE)
-            for lane, xm, kind, value in _side_extrema(side, turn, scale, kinds):
-                found[lane].append((xm, kind, value))
-            side.pieces.clear()  # free this side's dense output before the next runs
-            sides.append(side)
-        back, fwd = sides
-        for k in range(len(block)):
-            nb, nf = back.count[k], fwd.count[k]
-            rows = np.concatenate([
-                np.column_stack([back.xs[1:nb], back.ys[k, 1:nb]])[::-1],
-                np.column_stack([fwd.xs[:nf], fwd.ys[k, :nf]]),
-                np.array([(xm, v) for xm, _, v in found[k]]).reshape(-1, 2)])
+        block = slice(first, first + _MAX_LANES)
+        sides = [_integrate_side(flow, x0, phi0[block], y0s[block], x_end)
+                 for x_end in (x_lo, x_hi)]
+        for (back, e_b, st_b, at_b), (fwd, e_f, st_f, at_f) in zip(*sides):
+            found = e_b + e_f
+            rows = np.concatenate([back[:0:-1], fwd,
+                                   np.array([(xm, v) for xm, _, v in found]).reshape(-1, 2)])
             rows = rows[np.argsort(rows[:, 0], kind="stable")]
-            rows = rows[np.r_[True, np.diff(rows[:, 0]) > 0.0]]
-            traj = Trajectory(a=a, nu=nu, samples=rows,
-                              extrema=sorted(((xm, kind) for xm, kind, _ in found[k]),
-                                             key=lambda e: e[0]))
-            st_b, st_f = back.status[k], fwd.status[k]
-            if st_f == 1 or st_b == 1:
-                traj.termination = "blow-up"
-                traj.blow_up_x = float(fwd.x_at[k] if st_f == 1 else back.x_at[k])
-            elif st_f == -1 or st_b == -1:
+            traj = Trajectory(a=a, nu=flow.nu, samples=rows[np.r_[True, np.diff(rows[:, 0]) > 0.0]],
+                              extrema=sorted((xm, kind) for xm, kind, _ in found))
+            if 1 in (st_b, st_f):
+                traj.termination, traj.blow_up_x = "blow-up", float(at_f if st_f == 1 else at_b)
+            elif -1 in (st_b, st_f):
                 traj.termination = "step-failure"
             out.append(traj)
     return out
-
-
-def _check_params(*values: float) -> None:
-    if not all(np.isfinite(values)):
-        raise DomainError(f"parameters must be finite, got {values}")
 
 
 def check_start(y0: float) -> float:
     """``y0`` as a float; DomainError unless finite and below the blow-up
     threshold in magnitude (such a start could never cross it)."""
     y0 = float(y0)
-    if not np.isfinite(y0):
-        raise DomainError(f"initial value must be finite, got {y0}")
-    if abs(y0) >= BLOWUP_THRESHOLD:
-        raise DomainError(f"initial value must be below the blow-up threshold "
+    if not abs(y0) < BLOWUP_THRESHOLD:
+        raise DomainError(f"initial value must be finite and below the blow-up threshold "
                           f"{BLOWUP_THRESHOLD:g} in magnitude, got {y0!r}")
     return y0
 
@@ -324,24 +268,28 @@ def solve_riccati(a: float, nu: float, x0: float, y0,
     """Integrate the gamma equation from (x0, y0) out to both window edges.
 
     ``y0`` is one initial value (returns a Trajectory) or a 1-D array of
-    them (returns one Trajectory per start, in order; all starts share the
-    steps of one integration per side).  Stops a start early when |gamma|
-    crosses BLOWUP_THRESHOLD (recorded as blow-up with its abscissa) or the
-    step controller gives up (step-failure).  Interior extrema are located
-    from sign changes of the right-hand side and refined by bisection on
-    the dense interpolant.
+    them (returns one Trajectory per start, in order; the starts run as the
+    lanes of one Taylor-stepped run per side).  Stops a start early when
+    |gamma| crosses BLOWUP_THRESHOLD (recorded as blow-up with its
+    abscissa) or before a point where its step or value is not finite
+    (step-failure).  Interior extrema are the sign changes of gamma',
+    refined by Newton on the step's polynomial.
     """
-    a = float(a)
-    nu = float(nu)
-    x0 = float(x0)
-    _check_params(a, nu)
+    a, nu, x0 = float(a), float(nu), float(x0)
+    if not np.isfinite([a, nu]).all():
+        raise DomainError(f"parameters must be finite, got {(a, nu)}")
     if not (0.0 < x_lo <= x0 <= x_hi < np.inf):
         raise DomainError(f"need 0 < x_lo <= x0 <= x_hi < inf, got ({x_lo}, {x0}, {x_hi})")
     if np.ndim(y0) > 1:
         raise DomainError(f"y0 must be a number or a 1-D array, got shape {np.shape(y0)}")
     y0s = np.array([check_start(y) for y in np.ravel(y0)], dtype=float)
-    rhs, scale = _gamma_rhs(a, nu)
-    trajs = _run_both_ways(a, nu, rhs, rhs, scale, ("max", "min"), x0, y0s, x_lo, x_hi)
+    with np.errstate(over="ignore"):
+        phi0 = np.float64(x0) ** a * y0s
+    c = 2.0 * nu - 1.0 - a
+    # gamma' = x**(-a-1) * turn; scale is the sum of the terms' magnitudes
+    flow = _Flow(nu, lambda x: x ** -a, 0.0, lambda x, p: x + c * p - x * p * p,
+                 lambda x, p: x + abs(c * p) + x * p * p, ("max", "min"))
+    trajs = _run_both_ways(flow, a, x0, phi0, y0s, x_lo, x_hi)
     return trajs[0] if np.ndim(y0) == 0 else trajs
 
 
@@ -359,48 +307,15 @@ def classify(traj: Trajectory) -> SolutionClass:
     if len(ys) < 2:
         raise DomainError("trajectory too short to classify")
     excursion = ys - ys[0]
-    span = np.max(np.abs(excursion))
-    if span <= _SLOPE_FLOOR * max(1.0, abs(ys[0])):
-        return SolutionClass.MONOTONE_DECREASING  # zero-slope edge case
-    idx = int(np.argmax(np.abs(excursion)))
-    return (SolutionClass.MONOTONE_INCREASING if excursion[idx] > 0.0
-            else SolutionClass.MONOTONE_DECREASING)
+    peak = excursion[np.argmax(np.abs(excursion))]
+    if peak > _SLOPE_FLOOR * max(1.0, abs(ys[0])):
+        return SolutionClass.MONOTONE_INCREASING
+    return SolutionClass.MONOTONE_DECREASING  # falling, or flat (zero-slope edge case)
 
 
 # ----------------------------------------------------------------------
 # W-system
 # ----------------------------------------------------------------------
-
-def _psi_rhs(nu: float):
-    n2 = nu * nu
-
-    def rhs(x, y):
-        return (n2 + x * x - y * y) / x
-
-    def scale(x, y):
-        return (n2 + x * x + y * y) / x
-
-    return rhs, scale
-
-
-def _w_cubic(nu: float):
-    # psi**3 + psi**2 - (nu**2 + x**2) psi - nu**2: W' = -(2/x**3) * this
-    n2 = nu * nu
-
-    def cubic(x, p):
-        return ((p + 1.0) * p - (n2 + x * x)) * p - n2
-
-    return cubic
-
-
-def _w_of(nu: float):
-    n2 = nu * nu
-
-    def w(x, p):
-        return (p * p - n2) / (x * x)
-
-    return w
-
 
 def w_along(source: Union[RatioKind, Tuple[float, float]], nu: float,
             x_lo: float, x_hi: float) -> Trajectory:
@@ -417,35 +332,36 @@ def w_along(source: Union[RatioKind, Tuple[float, float]], nu: float,
     mixed trajectories every such contact satisfies W(x_m) = w_O(x_m).
     """
     nu = float(nu)
-    _check_params(nu)
+    if not np.isfinite(nu):
+        raise DomainError(f"parameters must be finite, got {(nu,)}")
     if not (0.0 < x_lo < x_hi < np.inf):
         raise DomainError(f"need 0 < x_lo < x_hi < inf, got ({x_lo}, {x_hi})")
-    rhs, scale = _psi_rhs(nu)
-
     if isinstance(source, RatioKind):
-        if source is RatioKind.FIRST:
-            x0 = x_lo  # forward run: first-kind branch attracts to the right
-        else:
-            x0 = x_hi  # backward run: second-kind branch attracts to the left
-        psi0 = oracle_psi(source, EvalPoint(nu, x0)).value
+        # seeded at the attracting end: the left edge for FIRST (forward
+        # run), the right edge for SECOND (backward run)
+        x0, ratio = (x_lo, i_ratio) if source is RatioKind.FIRST else (x_hi, k_ratio)
+        phi0 = ratio(EvalPoint(nu, x0)).value
     else:
         x0, phi0 = (float(source[0]), float(source[1]))
         if not (x_lo <= x0 <= x_hi):
             raise DomainError(f"x0={x0} outside window [{x_lo}, {x_hi}]")
-        psi0 = x0 * phi0 - nu
+    psi0 = check_start(x0 * phi0 - nu)
+    n2 = nu * nu
 
-    # cubic > 0 means W' < 0; a (+ -> -) crossing of the cubic is a minimum
-    traj, = _run_both_ways(0.0, nu, rhs, _w_cubic(nu), scale, ("min", "max"),
-                           x0, np.array([check_start(psi0)]), x_lo, x_hi)
-    traj.samples[:, 1] = _w_of(nu)(traj.xs(), traj.ys())
+    def cubic(x, q):
+        # the ratio cubic in psi: W' = -(2/x**3) * cubic(x, psi)
+        return ((q + 1.0) * q - (n2 + x * x)) * q - n2
+
+    flow = _Flow(nu, lambda x: x, -nu, lambda x, p: cubic(x, x * p - nu),
+                 lambda x, p: (n2 + x * x + (x * p - nu) ** 2) / x, ("min", "max"))
+    traj, = _run_both_ways(flow, 0.0, x0, np.array([phi0]), np.array([psi0]), x_lo, x_hi)
+    traj.samples[:, 1] = (traj.ys() ** 2 - nu * nu) / traj.xs() ** 2
     return traj
 
 
 def nullcline_contact(traj: Trajectory) -> List[Tuple[float, float, float]]:
     """(x_m, W(x_m), w_O(x_m)) for each extremum of a W trajectory."""
-    out = []
-    xs = traj.xs()
-    ys = traj.ys()
+    out, xs, ys = [], traj.xs(), traj.ys()
     for xm, _ in traj.extrema:
         i = int(np.searchsorted(xs, xm))
         if i >= len(xs) or xs[i] != xm:

@@ -102,8 +102,32 @@ def test_tabulate_row_longer_than_one_block(tmp_path, monkeypatch):
     assert blocked.read_text().count("\n") == n + 1
 
 
-def test_commands_other_than_explore_leave_scipy_unloaded():
-    # scipy serves only the trajectory lab; a fresh process shows what loads
+def test_tabulate_tables_stay_within_one_block(tmp_path, monkeypatch):
+    # each oracle table holds at most CSV_BLOCK_ROWS points (whole rows of a
+    # few orders, or one x-block of one order) and the bytes do not change
+    argv = ["tabulate", "--nu-min", "0.25", "--nu-max", "2.75", "--nu-step", "0.5",
+            "--x-min", "0.01", "--x-max", "10", "--x-points", "12"]
+    whole = tmp_path / "whole.csv"
+    assert run(argv + ["--out", str(whole)])[0] == EXIT_OK
+    sizes = []
+
+    class CountingTable(verify.OracleTable):
+        def __init__(self, grid):
+            sizes.append(len(grid.nu_values) * len(grid.x_values))
+            super().__init__(grid)
+
+    monkeypatch.setattr(verify, "OracleTable", CountingTable)
+    for block, tables in ((5, 18), (30, 3)):
+        monkeypatch.setattr(verify, "CSV_BLOCK_ROWS", block)
+        sizes.clear()
+        blocked = tmp_path / f"block{block}.csv"
+        assert run(argv + ["--out", str(blocked)])[0] == EXIT_OK
+        assert blocked.read_bytes() == whole.read_bytes()
+        assert len(sizes) == tables and max(sizes) <= block
+
+
+def test_no_command_loads_scipy():
+    # scipy is not a dependency; a fresh process shows what loads
     script = textwrap.dedent("""
         import sys
         import besselbounds.cli as cli
@@ -111,7 +135,7 @@ def test_commands_other_than_explore_leave_scipy_unloaded():
         grid = ["--nu-min", "0.25", "--nu-max", "2.25", "--nu-step", "0.5",
                 "--x-min", "0.01", "--x-max", "50", "--x-points", "7"]
         for argv in (["verify"] + grid, ["conjecture"] + grid, ["sharpness"],
-                     ["tabulate"] + grid):
+                     ["tabulate"] + grid, ["explore", "--sample", "2"]):
             assert cli.main(argv) == 0, argv[0]
             assert "scipy" not in sys.modules, argv[0]
     """)
@@ -328,7 +352,7 @@ def test_explore_csv_matches_row_formatting(tmp_path):
 
 
 def test_explore_rejects_non_finite_inputs(tmp_path):
-    # --a nan used to hang scipy's step controller; --a inf died in a traceback
+    # --a nan used to hang the step controller; --a inf died in a traceback
     base = ["explore", "--nu", "2", "--x-min", "0.05", "--x-max", "30"]
     for flag in ("--a", "--x0", "--y0"):
         for value in ("nan", "inf", "-inf"):

@@ -1,11 +1,9 @@
 """Tests for trajectory integration and qualitative classification."""
 
-import gc
-
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import OdeSolution
 
 from besselbounds import oracle, riccati_lab
 from besselbounds.errors import DomainError
@@ -172,12 +170,10 @@ def test_batched_lanes_match_one_lane_runs(a, nu, inside, below):
     for y0, got in zip(y0s, batch):
         one = solve_riccati(a, nu, 1.0, y0, 0.05, 30.0)
         assert classify(got) is classify(one)
-        assert got.termination == one.termination
-        assert [k for _, k in got.extrema] == [k for _, k in one.extrema]
-        for (xg, _), (xo, _) in zip(got.extrema, one.extrema):
-            assert abs(xg - xo) <= 1e-9 * abs(xo)
-        if one.blow_up_x is not None:
-            assert abs(got.blow_up_x - one.blow_up_x) <= 1e-9 * abs(one.blow_up_x)
+        # no lane's arithmetic depends on another's: the same bits
+        assert np.array_equal(got.samples, one.samples)
+        assert got.extrema == one.extrema
+        assert (got.termination, got.blow_up_x) == (one.termination, one.blow_up_x)
         assert got.samples.shape[1] == 2 and np.all(np.diff(got.xs()) > 0.0)
 
 
@@ -207,41 +203,8 @@ def test_starts_run_in_blocks(monkeypatch):
         assert np.array_equal(got.samples, want.samples) and got.extrema == want.extrema
 
 
-def test_batch_leaves_no_dense_output_in_cyclic_garbage():
-    # brentq keeps its callable in a reference cycle; refining on the whole
-    # batch's OdeSolution would keep every lane's dense output alive
-    lo, hi = _band(2.0)
-    y0s = lo + np.linspace(0.02, 0.98, 100) * (hi - lo)
-    gc.collect()
-    gc.disable()
-    try:
-        trajs = solve_riccati(0.0, 2.0, 1.0, y0s, 0.05, 30.0)
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        gc.collect()
-        leaked = sum(isinstance(o, OdeSolution) for o in gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        gc.enable()
-    assert len(trajs) == 100 and leaked == 0
-
-
-def test_step_failure_is_pinned_on_its_lane():
-    # slope NaN above y = 2: lane 1.5 fails mid-run, lane 2.5 at its seed,
-    # lane -100 never gets there and must keep its own one-lane result
-    def flow(x, y):
-        return np.where(y > 2.0, np.nan, 1.0)
-
-    with np.errstate(invalid="ignore"):
-        side = riccati_lab._integrate_side(flow, 1.0, np.array([1.5, -100.0, 2.5]), 30.0, 400)
-        alone = riccati_lab._integrate_side(flow, 1.0, np.array([-100.0]), 30.0, 400)
-    assert side.status.tolist() == [-1, 0, -1]
-    assert side.count[0] > 1 and side.count[2] == 1
-    assert np.array_equal(side.ys[1], alone.ys[0])
-
-
 def test_non_finite_parameters_are_rejected():
-    # a NaN order or exponent used to hang scipy's step controller
+    # a NaN order or exponent used to hang the step controller
     for a, nu in ((np.nan, 2.0), (np.inf, 2.0), (0.0, np.nan), (0.0, -np.inf)):
         with pytest.raises(DomainError):
             solve_riccati(a, nu, 1.0, 0.9, 0.5, 1.5)
@@ -267,3 +230,82 @@ def test_failure_before_first_step_is_a_step_failure():
         traj = solve_riccati(1e300, 2.0, 1.0, 1.0, 0.05, 30.0)
     assert traj.termination == "step-failure"
     assert traj.samples.tolist() == [[1.0, 1.0]]
+
+
+# ---------------------------------------------------------------------------
+# exact reference: the mixed solution through each start
+
+
+def _mixed_solution(a, nu, x0, y0):
+    """gamma(x) = x**-a * Phi(x), in 30-digit mpmath, for the solution
+    through gamma(x0) = y0: Phi = (I_{nu-1} - B K_{nu-1})/(I_nu + B K_nu)
+    with B = (I_{nu-1}(x0) - y I_nu(x0))/(y K_nu(x0) + K_{nu-1}(x0)),
+    y = x0**a * y0 = Phi(x0).  Bessel values are cached per x, since the
+    lanes of one window share their sample abscissae."""
+    cache = {}
+
+    def bessel(x):
+        if x not in cache:
+            cache[x] = [f(m, x) for f in (mpmath.besseli, mpmath.besselk) for m in (nu - 1, nu)]
+        return cache[x]
+
+    with mpmath.workdps(30):
+        i1, i0, k1, k0 = bessel(mpmath.mpf(x0))
+        y = mpmath.mpf(x0) ** a * y0
+        big_b = (i1 - y * i0) / (y * k0 + k1)
+
+    def gamma(x):
+        with mpmath.workdps(30):
+            i1, i0, k1, k0 = bessel(mpmath.mpf(x))
+            return mpmath.mpf(x) ** -a * (i1 - big_b * k1) / (i0 + big_b * k0)
+
+    return gamma
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.0, 1.0])
+def test_lanes_match_exact_mixed_solution(a):
+    # two starts inside the band, two below it (these blow up forward);
+    # half-integer orders keep mpmath's K fast
+    nu, x0 = 1.5, 1.0
+    lo, hi = _band(nu, x0)
+    y0s = x0 ** -a * np.array([lo + 0.3 * (hi - lo), lo + 0.8 * (hi - lo), lo - 0.2, lo - 2.0])
+    trajs = solve_riccati(a, nu, x0, y0s, 0.05, 30.0)
+    assert sum(t.termination == "blow-up" for t in trajs) == 2
+    assert all(t.extrema for t in trajs[:2])
+    for y0, traj in zip(y0s, trajs):
+        gamma = _mixed_solution(a, nu, x0, y0)
+        for x, y in traj.samples.tolist():
+            ref = gamma(x)
+            assert abs(y - ref) <= 1.3e-11 * max(1.0, abs(ref)), (y0, x)
+        with mpmath.workdps(30):
+            c = 2 * nu - 1 - a   # the turning function, which has the sign of gamma'
+
+            def turn(x):
+                phi = x ** a * gamma(x)
+                return x + c * phi - x * phi * phi
+
+            for xm, _ in traj.extrema:
+                root = mpmath.findroot(turn, mpmath.mpf(xm))
+                assert abs(xm - root) <= 1e-9 * root, (y0, xm)
+            if traj.blow_up_x is not None:
+                # 1/gamma is smooth through the pole beyond the crossing
+                xb = mpmath.mpf(traj.blow_up_x)
+                level = mpmath.sign(gamma(xb)) * BLOWUP_THRESHOLD
+                root = mpmath.findroot(lambda x: 1 / gamma(x) - 1 / level, xb)
+                assert abs(xb - root) <= 1e-9 * root, y0
+
+
+@pytest.mark.parametrize("a, x0", [(0.0, 200.0), (2.0, 7.0)])
+def test_blow_up_far_from_the_origin(a, x0):
+    # near a pole the coefficients of Phi grow like (x*Phi)**k and would
+    # overflow before |gamma| reaches the threshold; 1/Phi steps through it
+    nu = 1.5
+    y0 = x0 ** -a * (_band(nu, x0)[0] - 0.5)
+    traj = solve_riccati(a, nu, x0, y0, 0.5 * x0, 2.0 * x0)
+    assert traj.termination == "blow-up"
+    gamma = _mixed_solution(a, nu, x0, y0)
+    with mpmath.workdps(30):
+        xb = mpmath.mpf(traj.blow_up_x)
+        level = mpmath.sign(gamma(xb)) * BLOWUP_THRESHOLD
+        root = mpmath.findroot(lambda x: 1 / gamma(x) - 1 / level, xb)
+    assert abs(xb - root) <= 1e-9 * root
