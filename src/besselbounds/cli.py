@@ -12,6 +12,7 @@ error, 3 oracle failure rate above 1%.  All CSV output uses '.' decimals,
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -41,6 +42,10 @@ NU_LIMIT = 1.0e4
 # out of memory instead of failing fast with exit 2.
 GRID_LIMIT = 1_000_000
 SAMPLE_LIMIT = 10_000
+# Largest explore window edge: trajectory steps stay near 5.5 in x far from
+# the origin, so cost grows in proportion to x_max and a far edge must fail
+# fast with exit 2 instead of running until it is killed.
+EXPLORE_X_LIMIT = 1.0e4
 _FMT = "%.17g"
 
 _TABULATE_COLUMNS = (
@@ -159,15 +164,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _nu_list(cfg: RunConfig) -> List[float]:
-    """Ranged orders with the natural numbers dropped (small-x log terms);
-    an explicit --nu bypasses the exclusion."""
+    """`verify.ranged_orders` over the configured range; an explicit --nu
+    bypasses the integer exclusion."""
     if cfg.nu is not None:
         return [cfg.nu]
-    if cfg.nu_step <= 0 or cfg.nu_max < cfg.nu_min:
-        return []
-    n = int(math.floor((cfg.nu_max - cfg.nu_min) / cfg.nu_step + 1e-9))
-    vals = [cfg.nu_min + k * cfg.nu_step for k in range(n + 1)]
-    return [v for v in vals if v < 0.0 or v != round(v)]
+    return verify.ranged_orders(cfg.nu_min, cfg.nu_max, cfg.nu_step)
 
 
 def _x_values(cfg: RunConfig) -> np.ndarray:
@@ -176,10 +177,14 @@ def _x_values(cfg: RunConfig) -> np.ndarray:
     return np.geomspace(cfg.x_min, cfg.x_max, max(cfg.x_points, 0))
 
 
+@contextlib.contextmanager
 def _open_out(cfg: RunConfig):
+    """The --out file, closed on exit, or stdout, left open."""
     if cfg.out is None:
-        return sys.stdout
-    return open(cfg.out, "w", newline="")
+        yield sys.stdout
+    else:
+        with open(cfg.out, "w", newline="") as fh:
+            yield fh
 
 
 def _too_many_failures(failures: int, attempted: int) -> bool:
@@ -196,9 +201,7 @@ def _too_many_failures(failures: int, attempted: int) -> bool:
 
 def cmd_tabulate(cfg: RunConfig) -> int:
     nus, xs = _nu_list(cfg), _x_values(cfg)
-    stream = _open_out(cfg)
-    close = stream is not sys.stdout
-    try:
+    with _open_out(cfg) as stream:
         stream.write(",".join(_TABULATE_COLUMNS) + "\n")
         if not nus or not len(xs):
             return EXIT_OK
@@ -231,9 +234,6 @@ def cmd_tabulate(cfg: RunConfig) -> int:
         if _too_many_failures(failures, len(nus) * len(xs)):
             return EXIT_ORACLE
         return EXIT_OK
-    finally:
-        if close:
-            stream.close()
 
 
 def _claim_filename(claim_id: str) -> str:
@@ -263,8 +263,6 @@ def cmd_verify(cfg: RunConfig) -> int:
         if not rep.ok():
             failing.append(rep.claim_id)
         extra = ""
-        if rep.unverified:
-            extra += f" unverified={len(rep.unverified)}"
         if rep.oracle_failures:
             extra += f" oracle_failures={len(rep.oracle_failures)}"
         if rep.points_checked == 0:
@@ -314,8 +312,7 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     grid = verify.Grid(tuple(nus), tuple(xs))
     rep = verify.conjecture_scan(grid=grid)
     st = rep.stats
-    print(f"points={rep.points_checked} unverified={len(rep.unverified)} "
-          f"oracle_failures={len(rep.oracle_failures)}")
+    print(f"points={rep.points_checked} oracle_failures={len(rep.oracle_failures)}")
     print(f"sup s = {_FMT % st['sup_s']} at (nu={st['sup_s_nu']:g}, "
           f"x={_FMT % st['sup_s_x']})")
     print(f"sup s (verified rows) = {_FMT % st['sup_s_verified']} at "
@@ -347,6 +344,9 @@ def cmd_explore(cfg: RunConfig) -> int:
         print(f"explore needs x_min < x0 < x_max, got ({x_lo}, {cfg.x0}, {x_hi})",
               file=sys.stderr)
         return EXIT_USAGE
+    if x_hi > EXPLORE_X_LIMIT:
+        print(f"explore needs x_max <= {EXPLORE_X_LIMIT:g}, got {x_hi}", file=sys.stderr)
+        return EXIT_USAGE
     if cfg.y0 is None and cfg.sample <= 0:
         print("explore needs --y0 or --sample N", file=sys.stderr)
         return EXIT_USAGE
@@ -373,19 +373,15 @@ def cmd_explore(cfg: RunConfig) -> int:
     trajs = iter(riccati_lab.solve_riccati(
         cfg.a, nu, cfg.x0, np.array([y0 for tag, y0 in starts if tag not in errors]),
         x_lo, x_hi))
-    stream = _open_out(cfg)
-    close = stream is not sys.stdout
-    summary = sys.stderr if stream is sys.stdout else sys.stdout
-    try:
+    with _open_out(cfg) as stream:
+        summary = sys.stderr if stream is sys.stdout else sys.stdout
         stream.write("sample,x,y\n")
         for tag, y0 in starts:
             if tag in errors:
                 print(f"sample {tag}: y0={_FMT % y0} error: {errors[tag]}", file=summary)
                 continue
             traj = next(trajs)
-            # one % per trajectory: the tag is baked into the row template
-            stream.write(("%d,%s,%s\n" % (tag, _FMT, _FMT)) * len(traj.samples)
-                         % tuple(traj.samples.ravel().tolist()))
+            verify.write_csv_rows(stream, "%d,%%.17g,%%.17g\n" % tag, traj.samples)
             note = ""
             if traj.termination == "step-failure":
                 note = " termination=step-failure"
@@ -403,9 +399,6 @@ def cmd_explore(cfg: RunConfig) -> int:
             print(f"sample {tag}: y0={_FMT % y0} class={cls.value}{note}",
                   file=summary)
         return EXIT_OK
-    finally:
-        if close:
-            stream.close()
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,12 @@ explicit order tag (no resummation, no extra terms):
 
 The product I_nu(x) K_nu(x) has one expansion per regime.  Values returned
 for the second kind are the positive ratios K_{nu-1}/K_nu (negate to get
-the signed ratio Phi1).  These series serve two masters: seeding the
-backward integrator far out on the axis, and the sharpness measurements of
-the closed-form bounds.
+the signed ratio Phi1).  The large-x ratio truncations take their
+coefficients from ``oracle.large_x_coefficients``, the generator behind
+``oracle.large_x_series`` that seeds the K oracle; the truncations
+themselves are reference forms that the tests compare with the oracle in
+each regime, and ``relative_error`` is the error measure of the sharpness
+battery.
 """
 
 from dataclasses import dataclass

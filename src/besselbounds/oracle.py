@@ -38,9 +38,10 @@ the Riccati equation the ratios satisfy,
     evaluated on its own step's polynomial.  The K solution is the one
     bounded as x -> oo and attracts every other in the backward direction.
 
-Negative orders in [-1, 0) are a documented test-only extension: the I side
-steps the recurrence down once from nu+1 >= 0, and the K side uses the
-symmetry K_{-mu} = K_mu, which gives Phi1(nu, x) = 1/Phi1(1-nu, x).
+Negative orders in [-1, 0) are served like any other: the I side steps
+the recurrence down once from nu+1 >= 0, and the K side uses the symmetry
+K_{-mu} = K_mu, which gives Phi1(nu, x) = 1/Phi1(1-nu, x).  `verify` checks
+every claim whose proved order range reaches these rows.
 
 Derived quantities are assembled from the two ratios through exact
 algebraic relations, arranged to avoid cancellation, by one row function,
@@ -139,9 +140,9 @@ def i_ratio(p: EvalPoint) -> OracleResult:
     """Reference value of I_{nu-1}(x)/I_nu(x) for nu >= -1.
 
     For nu >= 0 this is the continued fraction directly; orders in [-1, 0)
-    take one exact recurrence step down, Phi0(nu) = 2*nu/x + 1/Phi0(nu+1),
-    which is the documented test-only extension (the step is exact but can
-    lose relative precision at small x, reflected in est_error).
+    take one exact recurrence step down, Phi0(nu) = 2*nu/x + 1/Phi0(nu+1)
+    (the step is exact but can lose relative precision at small x,
+    reflected in est_error).
     """
     _check_order_range(p.nu)
     if p.nu >= 0.0:

@@ -17,15 +17,6 @@ measurements into fitted (exponent, coefficient) pairs, and
 supremum the conjectured product bound caps at 1/5 (proved: 1/3, for
 nu >= 0).
 
-Coverage policy for the second kind below nu = 0: `oracle.k_ratio_rows`
-serves every order in [-1, 0) by the exact reflection K_{-mu} = K_mu, with
-the reflection error carried inside est_error.  Even so, second-kind ratio
-claims on negative rows other than nu = -1/2 are recorded as unverified
-rather than checked, and the conjecture scan keeps those rows out of its
-verified supremum.  This is a coverage policy, not a limit of the oracle,
-kept until those rows are checked claim by claim (planned in ROADMAP.md);
-product claims are checked on every row.
-
 All default scans are deterministic: fixed grids, fixed evaluation order,
 no randomness.
 """
@@ -66,15 +57,13 @@ __all__ = [
     "write_report_csv",
     "write_csv_rows",
     "default_grid",
+    "ranged_orders",
 ]
 
 DEFAULT_TOL = 1.0e-12
 MONOTONE_TOL = 1.0e-9
 _TINY = 1.0e-300
 _EPS = float(np.finfo(float).eps)
-
-# second-kind-ratio targets fall under the negative-order coverage rule
-_K_RESTRICTED = ("Phi1", "K-ratio-pos", "psi_K", "W_K")
 
 
 # ----------------------------------------------------------------------
@@ -102,15 +91,23 @@ class Grid:
         object.__setattr__(self, "x_values", xs)
 
 
-def default_grid(nu_max: float = 20.0, x_lo: float = 1e-3, x_hi: float = 1e3,
-                 n_x: int = 121) -> Grid:
-    """nu from -1 to nu_max in steps of 1/4 with the natural numbers removed
-    (the small-x series pick up logarithmic terms there; the -1 endpoint
-    stays, carried by the reflection path); x log-spaced."""
-    nus = [(-4 + k) * 0.25 for k in range(int(round(4 * (nu_max + 1))) + 1)]
-    nus = [v for v in nus if v < 0.0 or v != round(v)]
-    xs = np.geomspace(x_lo, x_hi, n_x)
-    return Grid(tuple(nus), tuple(xs))
+def ranged_orders(nu_min: float, nu_max: float, nu_step: float) -> List[float]:
+    """Orders nu_min + k * nu_step up to nu_max, with the non-negative
+    integers dropped (the second-kind small-x series pick up logarithmic
+    terms there); empty for a non-positive step or an empty range."""
+    if nu_step <= 0 or nu_max < nu_min:
+        return []
+    n = int(math.floor((nu_max - nu_min) / nu_step + 1e-9))
+    nus = [nu_min + k * nu_step for k in range(n + 1)]
+    return [v for v in nus if v < 0.0 or v != round(v)]
+
+
+def default_grid(x_lo: float = 1e-3) -> Grid:
+    """The paper's grid: `ranged_orders` from -1 to 20 in steps of 1/4 (the
+    -1 endpoint stays, carried by the reflection path), and 121 x
+    log-spaced from x_lo to 1e3."""
+    return Grid(tuple(ranged_orders(-1.0, 20.0, 0.25)),
+                tuple(np.geomspace(x_lo, 1e3, 121)))
 
 
 # ----------------------------------------------------------------------
@@ -123,8 +120,10 @@ class ScanReport:
 
     ``rows`` is an (n, 5) array of (nu, x, bound, oracle, margin) in
     evaluation order — exactly the CSV columns.  ``fitted`` is set only by
-    order-estimation scans.  ``unverified`` lists points the negative-order
-    coverage policy leaves unchecked (module docstring).
+    order-estimation scans.  ``skipped`` counts points outside a claim's
+    proved order range; every other point is checked or is an oracle
+    failure.  ``unverified`` is always empty; it stays for
+    ``perfbench/tracing.py``, which reads its length.
     """
 
     claim_id: str
@@ -350,11 +349,10 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
     """Sweep one bound claim over the grid, one order row at a time.
 
     A point is a violation when its signed relative margin is below
-    -(tol + est_error/|oracle|).  Rows outside the claim's proved range
-    are skipped; second-kind targets on negative non-half-integer rows are
-    recorded as unverified (the coverage policy in the module docstring);
-    oracle failures are collected, not raised, and a non-finite oracle
-    value, margin or gate is one.
+    -(tol + est_error/|oracle|).  A row is checked exactly when the
+    claim's proved order range holds there, negative orders included, and
+    skipped otherwise; oracle failures are collected, not raised, and a
+    non-finite oracle value, margin or gate is one.
     """
     if isinstance(claim, str):
         claim = get_claim(claim)
@@ -375,9 +373,6 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
         bound, direction, valid = claim.form.row(nu, xs)
         if not valid:
             rep.skipped += len(xs)
-        elif claim.target in _K_RESTRICTED and nu < 0.0 and nu != -0.5:
-            rep.unverified += [(nu, x, "negative-order coverage policy")
-                               for x in grid.x_values]
         else:
             with np.errstate(all="ignore"):
                 slack = bound - vals if direction == "upper" else vals - bound
@@ -655,11 +650,10 @@ def conjecture_scan(grid: Optional[Grid] = None,
     """Map s(nu, x) = 1/(4 P**2) - x**2 - nu**2 over the grid.
 
     The proved product bound caps s at 1/3 on nu >= 0; points there must
-    stay below 1/3 - 1e-6 (violations otherwise).  The conjectured cap 1/5
-    is compared and reported in ``stats`` but never gated.  Negative
-    non-half-integer rows are flagged unverified under the coverage policy
-    (module docstring); their s values still inform the reported supremum
-    over the full grid.
+    stay below 1/3 - 1e-6 (violations otherwise), and the ``sup_s_verified``
+    stats and ``margin_proved_cap`` cover the same rows.  Every row is
+    mapped: rows below order 0 enter ``sup_s``, the full-grid supremum that
+    the conjectured cap 1/5 is compared with in ``stats``, never gated.
     """
     if grid is None:
         grid = table.grid if table is not None else default_grid()
@@ -693,16 +687,12 @@ def conjecture_scan(grid: Optional[Grid] = None,
         top = int(np.argmax(s))           # first point of the row maximum
         if s[top] > sup_all:
             sup_all, sup_all_at = float(s[top]), (nu, float(x_ok[top]))
-        if nu >= 0.0 or nu == -0.5:
+        if nu >= 0.0:
             if s[top] > sup_ver:
                 sup_ver, sup_ver_at = float(s[top]), (nu, float(x_ok[top]))
-            if nu >= 0.0:
-                bad = excess[ok] > est_s[ok]
-                rep.violations += [(nu, x, _PROVED_CAP - v)
-                                   for x, v in zip(x_ok[bad].tolist(), s[bad].tolist())]
-        else:
-            rep.unverified += [(nu, x, "negative-order coverage policy")
-                               for x in x_ok.tolist()]
+            bad = excess[ok] > est_s[ok]
+            rep.violations += [(nu, x, _PROVED_CAP - v)
+                               for x, v in zip(x_ok[bad].tolist(), s[bad].tolist())]
         blocks.append(np.column_stack([np.full(len(s), nu), x_ok,
                                        np.full(len(s), _PROVED_CAP), s, _PROVED_CAP - s]))
     _finish(rep, blocks)

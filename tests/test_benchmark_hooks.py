@@ -1,22 +1,27 @@
-"""The benchmark's tracer (perfbench/tracing.py) replaces package
-attributes by name, so renaming one would silently break traced runs."""
+"""The benchmark (perfbench/) replaces package attributes by name and reads
+report fields and CLI output, so renaming one would silently break its
+runs.  These tests pin what it wraps and what it reads."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 from besselbounds import cli, oracle, riccati_lab, verify
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-def _tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name,
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_exist():
-    t = _tracing()
+    t = _load("tracing")
     hooks = (
         (oracle, t.ORACLE_ROWS + t.ORACLE_POINTS + ("solve_ivp",)),
         (verify, t.VERIFY_FNS + ("OracleTable", "get_claim", "bound_claims")),
@@ -27,3 +32,30 @@ def test_traced_names_exist():
         for name in names:
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
     assert isinstance(verify.BoundClaim.bound_fn, property)
+
+
+def test_read_fields_exist():
+    # the tracer counts len(rep.unverified); the dense-halfint workload
+    # lists failed table rows by .nu and .error; default-grid builds its
+    # reference points from default_grid(x_lo=...)
+    grid = verify.Grid((-0.75, 0.5), (0.5, 1.0))
+    assert verify.scan_bound("amos-K-a1", grid=grid).unverified == []
+    table = verify.OracleTable(grid)
+    assert [(nu, row.nu, row.error) for nu, row in table.rows.items()] == [
+        (-0.75, -0.75, None), (0.5, 0.5, None)]
+    assert verify.default_grid(x_lo=2e-3).x_values[0] == 2e-3
+
+
+def test_workload_checks_pass_on_cli_output(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))    # workloads imports speed
+    w = _load("workloads")
+    args = w.grid_args(-1.0, 1.5, 0.25, w.DEFAULT_X_MIN, 7)
+    for command, check, out in (
+            ("verify", w.check_verify_output, tmp_path / "verify"),
+            ("conjecture", w.check_conjecture_output, tmp_path / "conjecture.csv")):
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert cli.main([command] + args + ["--out", str(out)]) == cli.EXIT_OK
+        op = w.Op(command)
+        check(op, text.getvalue())
+        assert op.problems == [], (command, op.problems)

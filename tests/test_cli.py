@@ -401,6 +401,16 @@ def test_explore_rejects_bad_window():
     assert code == EXIT_USAGE
 
 
+def test_explore_rejects_far_window_edge():
+    # trajectory cost grows with x_max, so a far edge must fail fast
+    # instead of running until it is killed
+    for x_max in ("1e300", "%r" % (cli.EXPLORE_X_LIMIT * (1 + 1e-15))):
+        code, out, err = run(["explore", "--nu", "2", "--y0", "1",
+                              "--x-min", "0.5", "--x-max", x_max])
+        assert code == EXIT_USAGE and out == ""
+        assert "x_max <= 10000" in err
+
+
 # ---------------------------------------------------------------------------
 # config handling
 

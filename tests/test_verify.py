@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from besselbounds import nullclines as nc
-from besselbounds import oracle
+from besselbounds import oracle, verify
 from besselbounds.errors import DomainError, UnfittableError
 from besselbounds.verify import (
     Grid,
@@ -126,14 +126,16 @@ def test_scan_bound_deterministic(small_table):
     assert a.worst_margin == b.worst_margin
 
 
-def test_unverified_negative_orders_counted():
-    # K-targeted claims at nu < 0 (non half-integer) lack an oracle path:
-    # counted as unverified, not treated as violations
-    g = Grid(nu_values=(-0.75,), x_values=(0.5, 1.0))
+def test_negative_order_k_rows_are_checked():
+    # the a = 1 K bound is proved for every real order and the oracle serves
+    # nu = -0.75 by reflection: every point is checked, and a corrupted copy
+    # of the claim is caught on that row
+    g = Grid(nu_values=(-0.75,), x_values=(0.5, 1.0, 600.0))
     rep = scan_bound("amos-K-a1", grid=g)
-    assert len(rep.unverified) == 2
-    assert all(len(entry) == 3 for entry in rep.unverified)
-    assert rep.violations == []
+    assert rep.points_checked == 3 and rep.skipped == 0
+    assert rep.violations == [] and rep.unverified == []
+    bad = scan_bound(corrupt_claim("amos-K-a1"), grid=g)
+    assert [(nu, x) for nu, x, _ in bad.violations] == [(-0.75, 600.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +194,7 @@ def test_fit_error_order_unfittable():
 
 def test_fit_error_order_measured_ratio_gap():
     # gap of the cubic-root bound on the I-ratio at nu=1, sampled over x
-    from besselbounds import oracle
+    from besselbounds import oracle, verify
     from besselbounds.expansions import relative_error
     from besselbounds.nullclines import EvalPoint, trig_bound_I
 
@@ -243,7 +245,7 @@ def test_sharpness_rows_equal_one_point_values():
 # conjecture scan
 
 
-def test_conjecture_scan_small_grid():
+def test_conjecture_scan_small_grid(monkeypatch):
     g = Grid(nu_values=(-1.0, -0.5, 0.5, 1.5),
              x_values=tuple(np.geomspace(0.05, 50.0, 25)))
     rep = conjecture_scan(grid=g)
@@ -251,8 +253,14 @@ def test_conjecture_scan_small_grid():
     assert rep.stats["sup_s"] < 1.0 / 3.0
     assert rep.stats["proved_cap"] == pytest.approx(1.0 / 3.0)
     assert rep.stats["conjectured_cap"] == 0.2
-    # negative non-half-integer rows are flagged, not silently dropped
-    assert len(rep.unverified) > 0
+    # rows below order 0 are mapped but not gated: with the cap lowered
+    # under the nu = -1 row's maximum, only the nu >= 0 rows trip it
+    nus = rep.rows[:, 0]
+    assert {-1.0, -0.5} <= set(nus.tolist())
+    assert rep.rows[nus == -1.0, 3].max() > 0.15
+    monkeypatch.setattr(verify, "_PROVED_CAP", 0.15)
+    low = conjecture_scan(grid=g)
+    assert {nu for nu, _, _ in low.violations} == {1.5}
 
 
 def test_conjecture_scan_half_order_row_closed_form():
