@@ -46,6 +46,10 @@ SAMPLE_LIMIT = 10_000
 # the origin, so cost grows in proportion to x_max and a far edge must fail
 # fast with exit 2 instead of running until it is killed.
 EXPLORE_X_LIMIT = 1.0e4
+# Largest argument the grid commands accept: the first-kind continued
+# fraction takes about 6*sqrt(x) steps at large x, so a lone point at 1e6
+# costs under 0.1 s, and from about 3e10 it runs out of iterations.
+X_LIMIT = 1.0e6
 _FMT = "%.17g"
 
 _TABULATE_COLUMNS = (
@@ -153,7 +157,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise DomainError(f"seed must be non-negative, got {cfg.seed!r}")
     if cfg.sample > SAMPLE_LIMIT:
         raise DomainError(f"sample must not exceed {SAMPLE_LIMIT}, got {cfg.sample!r}")
-    # the sizes _nu_list and _x_values would build, with an empty axis as 1
+    # the sizes _grid_axes would build, with an empty axis as 1
     n_nu = 1.0
     if cfg.nu is None and cfg.nu_step > 0 and cfg.nu_max >= cfg.nu_min:
         n_nu = (cfg.nu_max - cfg.nu_min) / cfg.nu_step + 1.0
@@ -163,18 +167,21 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _nu_list(cfg: RunConfig) -> List[float]:
-    """`verify.ranged_orders` over the configured range; an explicit --nu
-    bypasses the integer exclusion."""
-    if cfg.nu is not None:
-        return [cfg.nu]
-    return verify.ranged_orders(cfg.nu_min, cfg.nu_max, cfg.nu_step)
-
-
-def _x_values(cfg: RunConfig) -> np.ndarray:
-    if cfg.x is not None:
-        return np.array([cfg.x])
-    return np.geomspace(cfg.x_min, cfg.x_max, max(cfg.x_points, 0))
+def _grid_axes(cfg: RunConfig) -> Tuple[List[float], np.ndarray]:
+    """(orders, arguments) of a grid command: `verify.ranged_orders` over
+    the configured range, or --nu, which bypasses the integer exclusion;
+    --x or the log-spaced range.  Orders below -1, where the oracle is
+    undefined, are refused (one oracle call serves a whole table, so one
+    such order would fail every row), and so are arguments above X_LIMIT."""
+    nus = [cfg.nu] if cfg.nu is not None else verify.ranged_orders(
+        cfg.nu_min, cfg.nu_max, cfg.nu_step)
+    xs = np.array([cfg.x]) if cfg.x is not None else np.geomspace(
+        cfg.x_min, cfg.x_max, max(cfg.x_points, 0))
+    if min(nus, default=-1.0) < -1.0:
+        raise DomainError(f"orders must be >= -1, got {min(nus):g}")
+    if xs.max(initial=X_LIMIT) > X_LIMIT:
+        raise DomainError(f"arguments must not exceed {X_LIMIT:g}, got {xs.max():g}")
+    return nus, xs
 
 
 @contextlib.contextmanager
@@ -200,7 +207,7 @@ def _too_many_failures(failures: int, attempted: int) -> bool:
 # ----------------------------------------------------------------------
 
 def cmd_tabulate(cfg: RunConfig) -> int:
-    nus, xs = _nu_list(cfg), _x_values(cfg)
+    nus, xs = _grid_axes(cfg)
     with _open_out(cfg) as stream:
         stream.write(",".join(_TABULATE_COLUMNS) + "\n")
         if not nus or not len(xs):
@@ -241,7 +248,7 @@ def _claim_filename(claim_id: str) -> str:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    nus, xs = _nu_list(cfg), _x_values(cfg)
+    nus, xs = _grid_axes(cfg)
     if not nus or not len(xs):
         for cid in verify.bound_claims():
             print(f"{cid}: WARNING 0 points (empty grid)")
@@ -305,7 +312,7 @@ def cmd_sharpness(cfg: RunConfig) -> int:
 
 
 def cmd_conjecture(cfg: RunConfig) -> int:
-    nus, xs = _nu_list(cfg), _x_values(cfg)
+    nus, xs = _grid_axes(cfg)
     if not nus or not len(xs):
         print("conjecture-scan: WARNING 0 points (empty grid)")
         return EXIT_OK

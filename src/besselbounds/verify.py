@@ -182,42 +182,29 @@ class _Row:
 class OracleTable:
     """Row cache of oracle ratio values over a grid.
 
-    The first-kind continued fraction runs once per distinct order in
-    {nu} and {nu + 1}.  All second-kind rows come from one
-    ``oracle.k_ratio_rows`` call: one seed per order class, then the order
-    ladder, which is what keeps full-grid sweeps cheap.  Derived
-    quantities come from ``oracle.quantity_row`` over the cached ratios.
+    One ``oracle.i_ratio_rows`` call serves the first-kind rows at every
+    order in {nu} and {nu + 1}: one continued fraction over the whole
+    table.  One ``oracle.k_ratio_rows`` call serves all second-kind rows:
+    one seed per order class, then the order ladder.  Each call serves many
+    rows, so a failure of either marks every row.  Derived quantities come
+    from ``oracle.quantity_row`` over the cached ratios.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.rows: Dict[float, _Row] = {}
         xs = np.asarray(grid.x_values)
-        i_rows: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
-
-        def i_row(nu: float) -> Tuple[np.ndarray, np.ndarray]:
-            if nu not in i_rows:
-                i_rows[nu] = oracle.i_ratio_row(nu, xs)
-            return i_rows[nu]
-
-        for nu in grid.nu_values:
-            row = self.rows[nu] = _Row(nu=nu, xs=xs)
-            try:
-                row.phi0, row.phi0_est = i_row(nu)
-                row.phi0_up, row.phi0_up_est = i_row(nu + 1.0)
-            except (DomainError, EvaluationError) as exc:
-                row.error = str(exc)
-        k_nus = [nu for nu, row in self.rows.items() if row.error is None]
+        self.rows: Dict[float, _Row] = {nu: _Row(nu=nu, xs=xs) for nu in grid.nu_values}
         try:
-            k_rows = oracle.k_ratio_rows(k_nus, xs)
+            i_rows = oracle.i_ratio_rows([*self.rows, *(nu + 1.0 for nu in self.rows)], xs)
+            k_rows = oracle.k_ratio_rows(list(self.rows), xs)
         except (DomainError, EvaluationError) as exc:
-            # one seed serves a whole class, so a failure has no single row
-            k_rows = {}
-            for nu in k_nus:
-                self.rows[nu].error = str(exc)
-        for nu, (vals, ests, method) in k_rows.items():
-            row = self.rows[nu]
-            row.phi1, row.phi1_est, row.k_method = vals, ests, method
+            for row in self.rows.values():
+                row.error = str(exc)
+            return
+        for nu, row in self.rows.items():
+            row.phi0, row.phi0_est, _ = i_rows[nu]
+            row.phi0_up, row.phi0_up_est, _ = i_rows[nu + 1.0]
+            row.phi1, row.phi1_est, row.k_method = k_rows[nu]
 
     def row(self, nu: float) -> _Row:
         if nu not in self.rows:

@@ -216,6 +216,24 @@ def test_huge_orders_fail_fast():
     assert run(["tabulate", "--nu", "10000", "--x", "1"])[0] == EXIT_OK
 
 
+def test_grid_commands_refuse_orders_below_minus_one():
+    # one oracle call serves a whole table, so one such order would fail
+    # every row; verify --nu-min -2 used to scan the rest and exit 3
+    for command in ("tabulate", "verify", "conjecture"):
+        for args in (["--nu=-1.5"], ["--nu-min=-2", "--nu-max=0.5"]):
+            code, out, err = run([command, "--x-points", "3"] + args)
+            assert code == EXIT_USAGE and "orders must be >= -1" in err and out == ""
+
+
+def test_grid_commands_refuse_arguments_past_x_limit():
+    # the continued fraction takes about 6*sqrt(x) steps at one point
+    for command in ("tabulate", "verify", "conjecture"):
+        for args in (["--nu", "2.5", "--x", "1e12"],
+                     ["--x-points", "3", "--x-max", "%r" % (cli.X_LIMIT * (1 + 1e-15))]):
+            code, out, err = run([command] + args)
+            assert code == EXIT_USAGE and "must not exceed 1e+06" in err and out == ""
+
+
 def test_oversized_runs_fail_fast(tmp_path):
     # --nu-step 1e-12 asks for about 2e13 orders and --x-points 2e9 for
     # 16 GB of arguments.  Only the merged config is built here, and

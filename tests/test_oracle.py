@@ -20,7 +20,7 @@ from besselbounds import oracle
 from besselbounds.errors import DomainError
 from besselbounds.nullclines import EvalPoint
 from besselbounds.oracle import RatioKind, default_x_start
-from besselbounds.verify import Grid, OracleTable
+from besselbounds.verify import Grid, OracleTable, default_grid
 
 F = RatioKind.FIRST
 S = RatioKind.SECOND
@@ -72,6 +72,85 @@ def test_i_ratio_small_and_large_x():
 def test_i_ratio_rejects_out_of_range_order():
     with pytest.raises(DomainError):
         oracle.i_ratio(EvalPoint(-1.5, 1.0))
+
+
+@pytest.mark.parametrize("nus, xs", [([math.nan], [1.0]), ([math.inf], [1.0]),
+                                     ([0.5], [1.0, math.inf]), ([0.5], [math.nan]),
+                                     ([0.5], [2.0, 1.0])])
+def test_ratio_rows_refuse_non_finite_or_unordered_input(nus, xs):
+    # a non-finite element would run the fraction to CF_MAX_ITER steps
+    for rows in (oracle.i_ratio_rows, oracle.k_ratio_rows):
+        with pytest.raises(DomainError):
+            rows(nus, xs)
+
+
+def _lentz_i_ratio(nu: float, x: float):
+    """Reference: the scalar modified Lentz loop, zero guards included,
+    that ``i_ratio_rows`` must reproduce bit for bit."""
+    _EPS = 2.220446049250313e-16
+    CF_TOL, CF_MAX_ITER, CF_TINY = 1.0e-14, 1_000_000, 1.0e-300
+    b0 = 2.0 * nu / x
+    f = b0 if b0 != 0.0 else CF_TINY
+    c = f
+    d = 0.0
+    two_over_x = 2.0 / x
+    for j in range(1, CF_MAX_ITER + 1):
+        bj = two_over_x * (nu + j)
+        d = bj + d
+        if d == 0.0:
+            d = CF_TINY
+        c = bj + 1.0 / c
+        if c == 0.0:
+            c = CF_TINY
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < CF_TOL:
+            return f, abs(f) * (4.0 * abs(delta - 1.0) + (j + 4) * _EPS)
+    raise AssertionError("reference fraction did not converge")
+
+
+def _scalar_i_ratio(nu: float, x: float):
+    """Reference (value, est_error, method), with the step-down for nu in [-1, 0)."""
+    _EPS = 2.220446049250313e-16
+    if nu >= 0.0:
+        return (*_lentz_i_ratio(nu, x), "continued-fraction")
+    up, up_err = _lentz_i_ratio(nu + 1.0, x)
+    head = 2.0 * nu / x
+    val = head + 1.0 / up
+    est = up_err / (up * up) + _EPS * (abs(head) + abs(1.0 / up))
+    return val, est, "continued-fraction+step-down"
+
+
+def _assert_rows_equal_scalar(nus, xs):
+    rows = oracle.i_ratio_rows(nus, xs)
+    for nu in nus:
+        vals, ests, method = rows[nu]
+        for x, v, e in zip(xs, vals.tolist(), ests.tolist()):
+            assert (v, e, method) == _scalar_i_ratio(nu, x), (nu, x)
+
+
+@pytest.mark.parametrize("x_lo", [1e-3, 10 ** -3.5])
+def test_i_ratio_rows_bit_equal_to_scalar_on_default_grid(x_lo):
+    # the orders and the orders + 1, as an oracle table asks for them
+    grid = default_grid(x_lo)
+    _assert_rows_equal_scalar(grid.nu_values + tuple(nu + 1.0 for nu in grid.nu_values),
+                              grid.x_values)
+
+
+def test_i_ratio_rows_bit_equal_to_scalar_on_dense_half_integer_grid():
+    nus = tuple(k + 0.5 for k in range(21))
+    _assert_rows_equal_scalar(nus, tuple(np.geomspace(1e-3, 1e3, 1001)))
+
+
+def test_i_ratio_rows_bit_equal_to_scalar_at_random_points():
+    rng = np.random.default_rng(20)
+    nus = tuple(rng.uniform(-1.0, 40.0, 40).tolist())
+    xs = tuple(np.sort(10.0 ** rng.uniform(-3.5, 3.0, 75)).tolist())
+    _assert_rows_equal_scalar(nus, xs)
+    for nu, x in zip(nus, xs):
+        r = oracle.i_ratio(EvalPoint(nu, x))
+        assert (r.value, r.est_error, r.method) == _scalar_i_ratio(nu, x), (nu, x)
 
 
 # ---------------------------------------------------------------------------

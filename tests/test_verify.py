@@ -326,6 +326,25 @@ def _count_seeds(monkeypatch) -> list:
     return steps
 
 
+def test_table_makes_one_first_kind_call(monkeypatch):
+    calls = []
+    for name in ("i_ratio_rows", "i_ratio_row", "i_ratio"):
+        def counting(*args, _name=name, _real=getattr(oracle, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(oracle, name, counting)
+    OracleTable(default_grid())
+    assert calls == ["i_ratio_rows"]
+
+
+def test_order_below_minus_one_fails_every_row():
+    # one call per family serves every row, so its failure has no single row
+    with pytest.raises(DomainError) as exc:
+        oracle.i_ratio_rows([-1.25], [1.0])
+    table = OracleTable(Grid(nu_values=(-1.25, 0.5, 1.5), x_values=(0.5, 1.0)))
+    assert [r.error for r in table.rows.values()] == [str(exc.value)] * 3
+
+
 def test_default_table_integrates_once_per_order_class(monkeypatch):
     # classes 1/4, 3/4 and the integers (nu = -1 reflects to 2); 1/2 is exact
     steps = _count_seeds(monkeypatch)
