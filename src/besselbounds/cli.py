@@ -248,6 +248,8 @@ def _claim_filename(claim_id: str) -> str:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    if cfg.corrupt_claim is not None:
+        verify.get_claim(cfg.corrupt_claim)     # an unknown id is a usage error
     nus, xs = _grid_axes(cfg)
     if not nus or not len(xs):
         for cid in verify.bound_claims():
@@ -292,11 +294,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sharpness(cfg: RunConfig) -> int:
     if cfg.out is not None:
         os.makedirs(cfg.out, exist_ok=True)
-    bad = False
+    bad, unfittable = False, 0
     for rep, (_, exp_k, exp_c) in zip(verify.sharpness_battery(), verify.SHARPNESS_EXPECTED):
         if rep.fitted is None:
             msgs = "; ".join(m for _, _, m in rep.oracle_failures)
             print(f"{rep.claim_id}: UNFITTABLE ({msgs})")
+            unfittable += 1
             continue
         k, c = rep.fitted
         ok = bool(rep.stats["fit_ok"])
@@ -308,7 +311,11 @@ def cmd_sharpness(cfg: RunConfig) -> int:
         if cfg.out is not None:
             verify.write_report_csv(rep, os.path.join(
                 cfg.out, _claim_filename(rep.claim_id)))
-    return EXIT_VIOLATION if bad else EXIT_OK
+    if bad:
+        return EXIT_VIOLATION
+    if _too_many_failures(unfittable, len(verify.SHARPNESS_EXPECTED)):
+        return EXIT_ORACLE
+    return EXIT_OK
 
 
 def cmd_conjecture(cfg: RunConfig) -> int:

@@ -139,19 +139,22 @@ class ProductBounds:
 
 
 class OrderRange(NamedTuple):
-    """Proved range of a bound in the order: nu >= lo, or nu > lo if strict."""
+    """Proved range of a claim in the order: nu >= lo, or nu > lo if strict,
+    and nu <= hi."""
 
     lo: float
     strict: bool
     note: str
+    hi: float = math.inf
 
     def holds(self, nu: float) -> bool:
-        return nu > self.lo if self.strict else nu >= self.lo
+        return (nu > self.lo if self.strict else nu >= self.lo) and nu <= self.hi
 
 
+NU_GE_M1 = OrderRange(-1.0, False, "nu >= -1")
 NU_GE_0 = OrderRange(0.0, False, "nu >= 0")
-_NU_GE_HALF = OrderRange(0.5, False, "nu >= 1/2")
-_ALL_NU = OrderRange(-math.inf, False, "all real nu")
+NU_GE_HALF = OrderRange(0.5, False, "nu >= 1/2")
+ALL_NU = OrderRange(-math.inf, False, "all real nu")
 
 
 @dataclass(frozen=True)
@@ -409,22 +412,22 @@ def amos_forms(a: float) -> Tuple[BoundForm, BoundForm]:
                           k_range))
 
     if a == 0.0:
-        return forms("lower", _NU_GE_HALF,
+        return forms("lower", NU_GE_HALF,
                      "upper", OrderRange(0.5, True, "nu > 1/2 (identity at nu = 1/2)"))
     if a == -1.0:
-        return forms("upper", OrderRange(-1.0, False, "nu >= -1"), "upper", _NU_GE_HALF)
+        return forms("upper", NU_GE_M1, "upper", NU_GE_HALF)
     if a == 1.0:
-        return forms("lower", OrderRange(0.0, True, "nu > 0"), "lower", _ALL_NU)
+        return forms("lower", OrderRange(0.0, True, "nu > 0"), "lower", ALL_NU)
     if a > 1.0:
-        return forms("lower", NU_GE_0, "lower", _ALL_NU)
+        return forms("lower", NU_GE_0, "lower", ALL_NU)
     if a < -1.0:
-        return forms("upper", NU_GE_0, "upper", _ALL_NU)
+        return forms("upper", NU_GE_0, "upper", ALL_NU)
     if a > 0.0:  # 0 < a < 1
         return forms("lower", OrderRange(0.5, True, "nu > 1/2"),
                      "upper", OrderRange(math.inf, False, "no proved statement for 0 < a < 1"))
     # -1 < a < 0
     return forms("upper", OrderRange(math.inf, False, "no proved statement for -1 < a < 0"),
-                 "upper", _NU_GE_HALF)
+                 "upper", NU_GE_HALF)
 
 
 def amos_bounds(p: EvalPoint, a: float) -> Tuple[Bound, Bound]:
@@ -441,10 +444,10 @@ def _product_lower_trig(nu, x):
 # Closed-form bounds for the product P(nu, x) = I_nu(x)*K_nu(x)
 PRODUCT_FORMS: Dict[str, BoundForm] = {
     "upper": BoundForm(lambda nu, x: 0.5 / np.hypot(nu - 0.5, x),
-                       "upper", "product", _NU_GE_HALF),
+                       "upper", "product", NU_GE_HALF),
     "lower_amos": BoundForm(
         lambda nu, x: 1.0 / (1.0 + np.hypot(nu, x) + np.hypot(nu - 1.0, x)),
-        "lower", "product", OrderRange(-1.0, False, "nu >= -1")),
+        "lower", "product", NU_GE_M1),
     "lower_trig": BoundForm(_product_lower_trig, "lower", "product", NU_GE_0),
     "lower_simple": BoundForm(lambda nu, x: 0.5 / np.sqrt(x * x + nu * nu + 1.0 / 3.0),
                               "lower", "product", NU_GE_0),

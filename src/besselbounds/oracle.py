@@ -223,8 +223,8 @@ def large_x_series(nu: float, xs: Sequence[float]) -> Tuple[np.ndarray, np.ndarr
 def default_x_start(nu: float) -> float:
     """Start of the backward Taylor steps at order nu: the first of 20, 40,
     80, ... where the large-x series is good to roundoff.  That is 20 at
-    every order in [-1, 1], which holds all ladder seeds; forced
-    integrations at high orders start near nu**2 and cost in proportion."""
+    every order in [-1, 1], which holds all ladder seeds; a direct seed at
+    a high order starts near nu**2 and costs in proportion."""
     x, (v, e) = SERIES_X, large_x_series(nu, [SERIES_X])
     while e[0] > 4.0 * _EPS * abs(v[0]):
         x *= 2.0
@@ -339,32 +339,27 @@ def _k_seed_row(nu: float, xs: np.ndarray):
     return vals, ests, "taylor-riccati"
 
 
-def k_ratio_rows(nus: Sequence[float], xs: Sequence[float], method: str = "auto"
+def k_ratio_rows(nus: Sequence[float], xs: Sequence[float]
                  ) -> Dict[float, Tuple[np.ndarray, np.ndarray, str]]:
     """Reference rows of Phi1 = -K_{nu-1}/K_nu: one seed per order class,
     then the ladder (module docstring), vectorised over xs; orders in
     [-1, 0) join the class of 1 - nu by reflection.  Nothing is cached
     across calls.
 
-    xs must be finite, positive and strictly increasing.  ``method`` is "auto" or
-    "integration": one direct seed (series, then Taylor steps) at each
-    requested order, with no ladder step and no reflection, the reference the ladder is tested
-    against.  Returns {nu: (values, est_errors, method_used)}.
+    xs must be finite, positive and strictly increasing.  Returns
+    {nu: (values, est_errors, method_used)}.
     """
     xs = _check_rows(nus, xs)
-    if method not in ("auto", "integration"):
-        raise DomainError(f"unknown k_ratio method {method!r}")
-    direct = method == "integration"
     # order -> the order actually computed; seed order -> orders it climbs to
     bases, classes = {}, {}
     for nu in nus:
-        base = bases[nu] = 1.0 - nu if nu < 0.0 and not direct else nu
+        base = bases[nu] = 1.0 - nu if nu < 0.0 else nu
         # seed: the fractional part, else 1 (0 for 0: the ladder only climbs)
-        classes.setdefault(base if direct else base % 1.0 or min(base, 1.0), set()).add(base)
+        classes.setdefault(base % 1.0 or min(base, 1.0), set()).add(base)
 
     rows = {}
     for seed, orders in classes.items():
-        if seed == 0.5 and not direct:
+        if seed == 0.5:
             vals, ests, used = -np.ones(len(xs)), np.zeros(len(xs)), "half-integer-recurrence"
         else:
             vals, ests, used = _k_seed_row(seed, xs)
@@ -388,15 +383,14 @@ def k_ratio_rows(nus: Sequence[float], xs: Sequence[float], method: str = "auto"
     return out
 
 
-def k_ratio_row(nu: float, xs: Sequence[float], method: str = "auto"
-                ) -> Tuple[np.ndarray, np.ndarray, str]:
+def k_ratio_row(nu: float, xs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, str]:
     """One order row of ``k_ratio_rows``: (values, est_errors, method_used)."""
-    return k_ratio_rows([nu], xs, method=method)[nu]
+    return k_ratio_rows([nu], xs)[nu]
 
 
-def k_ratio(p: EvalPoint, method: str = "auto") -> OracleResult:
+def k_ratio(p: EvalPoint) -> OracleResult:
     """Reference value of Phi1(nu, x) = -K_{nu-1}(x)/K_nu(x) for nu >= -1."""
-    vals, ests, used = k_ratio_row(p.nu, [p.x], method=method)
+    vals, ests, used = k_ratio_row(p.nu, [p.x])
     return OracleResult(float(vals[0]), float(ests[0]), used)
 
 

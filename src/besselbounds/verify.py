@@ -2,10 +2,12 @@
 
 Every closed-form inequality produced by `nullclines` is registered here as
 a claim with an oracle target and its `nullclines.BoundForm`: a row formula,
-a direction and a proved order range.  Scans work one order row at a time:
-the oracle table serves the row, the claim's formula is evaluated on the
-whole x row in one numpy pass, and validity is one flag per row, since every
-proved range depends on the order only.  `scan_bound` reports signed
+a direction and a proved order range.  Every scan (bound, monotone,
+conjecture) runs the same row loop, `_rows`, and the same gate, `_gate_row`.
+A row outside the claim's proved order range is skipped before anything is
+fetched, since every proved range depends on the order only; a row the
+oracle cannot serve is one failure per argument; every other row is
+evaluated on the whole x row in one numpy pass.  `scan_bound` reports signed
 relative margins; a margin is a violation only when it undercuts the
 tolerance plus the oracle's own error estimate, so oracle noise cannot
 manufacture false counterexamples, and a non-finite margin, gate or oracle
@@ -24,7 +26,7 @@ no randomness.
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -168,13 +170,8 @@ def write_report_csv(report: ScanReport, path) -> None:
 @dataclass
 class _Row:
     nu: float
-    xs: np.ndarray
-    phi0: np.ndarray = None
-    phi0_est: np.ndarray = None
-    phi0_up: np.ndarray = None      # first-kind ratio at order nu + 1
-    phi0_up_est: np.ndarray = None
-    phi1: np.ndarray = None
-    phi1_est: np.ndarray = None
+    # "Phi0", "Phi0_up" (Phi0 at order nu + 1), "Phi1" -> (values, est_errors)
+    ratios: Dict[str, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     k_method: str = ""
     error: Optional[str] = None
 
@@ -192,19 +189,19 @@ class OracleTable:
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        xs = np.asarray(grid.x_values)
-        self.rows: Dict[float, _Row] = {nu: _Row(nu=nu, xs=xs) for nu in grid.nu_values}
+        self.xs = np.asarray(grid.x_values)
+        self.rows: Dict[float, _Row] = {nu: _Row(nu=nu) for nu in grid.nu_values}
         try:
-            i_rows = oracle.i_ratio_rows([*self.rows, *(nu + 1.0 for nu in self.rows)], xs)
-            k_rows = oracle.k_ratio_rows(list(self.rows), xs)
+            i_rows = oracle.i_ratio_rows([*self.rows, *(nu + 1.0 for nu in self.rows)], self.xs)
+            k_rows = oracle.k_ratio_rows(list(self.rows), self.xs)
         except (DomainError, EvaluationError) as exc:
             for row in self.rows.values():
                 row.error = str(exc)
             return
         for nu, row in self.rows.items():
-            row.phi0, row.phi0_est, _ = i_rows[nu]
-            row.phi0_up, row.phi0_up_est, _ = i_rows[nu + 1.0]
-            row.phi1, row.phi1_est, row.k_method = k_rows[nu]
+            row.ratios = {"Phi0": i_rows[nu][:2], "Phi0_up": i_rows[nu + 1.0][:2],
+                          "Phi1": k_rows[nu][:2]}
+            row.k_method = k_rows[nu][2]
 
     def row(self, nu: float) -> _Row:
         if nu not in self.rows:
@@ -217,9 +214,7 @@ class OracleTable:
         r = self.row(nu)
         if r.error is not None:
             raise EvaluationError(f"row nu={nu} unavailable: {r.error}")
-        ratios = {"Phi0": (r.phi0, r.phi0_est), "Phi0_up": (r.phi0_up, r.phi0_up_est),
-                  "Phi1": (r.phi1, r.phi1_est)}
-        return oracle.quantity_row(qid, nu, r.xs, ratios.__getitem__)
+        return oracle.quantity_row(qid, nu, self.xs, r.ratios.__getitem__)
 
 
 # ----------------------------------------------------------------------
@@ -304,12 +299,42 @@ def corrupt_claim(claim: Union[str, BoundClaim], factor: float = 1.001) -> Bound
                       dataclasses.replace(form, formula=formula))
 
 
+def _table_for(grid: Optional[Grid], table: Optional[OracleTable],
+               needed: bool = True) -> Tuple[Grid, Optional[OracleTable]]:
+    """The grid a scan sweeps (the table's own, else the paper's) and the
+    table serving it, built over that grid when ``needed`` and not given."""
+    if grid is None:
+        grid = table.grid if table is not None else default_grid()
+    if table is None and needed:
+        table = OracleTable(grid)
+    return grid, table
+
+
+def _rows(rep: ScanReport, grid: Grid, holds: Callable[[float], bool],
+          fetch: Callable, skip: int) -> Iterator[tuple]:
+    """The row loop of every scan: (nu, xs, values, est_errors) for each
+    order row where ``holds(nu)``.  A row outside that range adds ``skip``
+    to ``rep.skipped`` and is never fetched; a row whose ``fetch(nu, xs)``
+    raises is one oracle failure per argument."""
+    xs = np.asarray(grid.x_values)
+    for nu in grid.nu_values:
+        if not holds(nu):
+            rep.skipped += skip
+            continue
+        try:
+            vals, ests = fetch(nu, xs)
+        except (DomainError, EvaluationError) as exc:
+            rep.oracle_failures += [(nu, x, str(exc)) for x in grid.x_values]
+            continue
+        yield nu, xs, vals, ests
+
+
 def _gate_row(rep: ScanReport, nu: float, xs: np.ndarray, slack, scale, est,
-              tol: float, finite, cols) -> np.ndarray:
+              tol: float, finite, cols, gated: bool = True) -> np.ndarray:
     """Gate one order row: margin = slack/scale is a violation when it is
-    below -(tol + est/scale).  A point whose oracle values, margin or gate
-    are not finite is an oracle failure, never a pass.  Returns the checked
-    points as report rows (nu, x, *cols, margin)."""
+    below -(tol + est/scale) and the row is ``gated``.  A point whose oracle
+    values, margin or gate are not finite is an oracle failure, never a
+    pass.  Returns the checked points as report rows (nu, x, *cols, margin)."""
     with np.errstate(all="ignore"):
         margin = slack / scale
         gate = tol + est / scale
@@ -317,8 +342,9 @@ def _gate_row(rep: ScanReport, nu: float, xs: np.ndarray, slack, scale, est,
     for i in np.flatnonzero(~ok):
         rep.oracle_failures.append((nu, float(xs[i]), "non-finite margin or gate"
                                     if finite[i] else "non-finite oracle value"))
-    bad = ok & (margin < -gate)
-    rep.violations += [(nu, x, m) for x, m in zip(xs[bad].tolist(), margin[bad].tolist())]
+    if gated:
+        bad = ok & (margin < -gate)
+        rep.violations += [(nu, x, m) for x, m in zip(xs[bad].tolist(), margin[bad].tolist())]
     return np.column_stack([np.full(np.count_nonzero(ok), nu), xs[ok],
                             *(c[ok] for c in cols), margin[ok]])
 
@@ -338,33 +364,23 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
     A point is a violation when its signed relative margin is below
     -(tol + est_error/|oracle|).  A row is checked exactly when the
     claim's proved order range holds there, negative orders included, and
-    skipped otherwise; oracle failures are collected, not raised, and a
-    non-finite oracle value, margin or gate is one.
+    skipped before any oracle fetch otherwise; oracle failures are
+    collected, not raised, and a non-finite oracle value, margin or gate
+    is one.
     """
     if isinstance(claim, str):
         claim = get_claim(claim)
-    if grid is None:
-        grid = table.grid if table is not None else default_grid()
-    if table is None:
-        table = OracleTable(grid)
-
+    grid, table = _table_for(grid, table)
     rep = ScanReport(claim_id=claim.claim_id)
-    xs = np.asarray(grid.x_values)
     blocks = []
-    for nu in grid.nu_values:
-        try:
-            vals, ests = table.quantity(claim.target, nu)
-        except (DomainError, EvaluationError) as exc:
-            rep.oracle_failures += [(nu, x, str(exc)) for x in grid.x_values]
-            continue
-        bound, direction, valid = claim.form.row(nu, xs)
-        if not valid:
-            rep.skipped += len(xs)
-        else:
-            with np.errstate(all="ignore"):
-                slack = bound - vals if direction == "upper" else vals - bound
-            blocks.append(_gate_row(rep, nu, xs, slack, np.maximum(np.abs(vals), _TINY),
-                                    ests, tol, np.isfinite(vals), (bound, vals)))
+    for nu, xs, vals, ests in _rows(rep, grid, claim.form.proved.holds,
+                                    lambda nu, xs: table.quantity(claim.target, nu),
+                                    len(grid.x_values)):
+        bound = claim.form.formula(nu, xs)
+        with np.errstate(all="ignore"):
+            slack = bound - vals if claim.form.direction == "upper" else vals - bound
+        blocks.append(_gate_row(rep, nu, xs, slack, np.maximum(np.abs(vals), _TINY),
+                                ests, tol, np.isfinite(vals), (bound, vals)))
     return _finish(rep, blocks)
 
 
@@ -376,9 +392,7 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
 class MonotoneClaim:
     quantity: str
     expected: str                       # "increasing" or "decreasing"
-    nu_lo: float = -math.inf
-    nu_hi: float = math.inf
-    nu_lo_strict: bool = False
+    proved: nc.OrderRange = nc.ALL_NU
     # row function (nu, xs) -> values for closed-form quantities, which
     # need no oracle table; None: the quantity is an oracle-table row
     closed_form: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
@@ -389,13 +403,13 @@ def _gamma_hat(branch: int, a: float):
 
 
 _MONOTONE_CLAIMS: Dict[str, MonotoneClaim] = {c.quantity: c for c in [
-    MonotoneClaim("P", "decreasing", nu_lo=-1.0),
-    MonotoneClaim("xP", "increasing", nu_lo=0.5),
-    MonotoneClaim("Phi0", "decreasing", nu_lo=0.5),
-    MonotoneClaim("xPhi0", "increasing", nu_lo=-1.0),
-    MonotoneClaim("Phi1", "decreasing", nu_lo=0.5, nu_lo_strict=True),
-    MonotoneClaim("W_I", "increasing", nu_lo=0.0),
-    MonotoneClaim("W_K", "decreasing", nu_lo=0.0),
+    MonotoneClaim("P", "decreasing", nc.NU_GE_M1),
+    MonotoneClaim("xP", "increasing", nc.NU_GE_HALF),
+    MonotoneClaim("Phi0", "decreasing", nc.NU_GE_HALF),
+    MonotoneClaim("xPhi0", "increasing", nc.NU_GE_M1),
+    MonotoneClaim("Phi1", "decreasing", nc.OrderRange(0.5, True, "nu > 1/2")),
+    MonotoneClaim("W_I", "increasing", nc.NU_GE_0),
+    MonotoneClaim("W_K", "decreasing", nc.NU_GE_0),
     MonotoneClaim("w_I", "increasing", closed_form=lambda nu, x: nc.w_values_row(nu, x)[0]),
     MonotoneClaim("w_K", "decreasing", closed_form=lambda nu, x: nc.w_values_row(nu, x)[1]),
     MonotoneClaim("w_O", "increasing", closed_form=lambda nu, x: nc.w_values_row(nu, x)[2]),
@@ -414,10 +428,10 @@ _MONOTONE_CLAIMS: Dict[str, MonotoneClaim] = {c.quantity: c for c in [
     MonotoneClaim("gamma-hat-plus[a=-2]", "increasing", closed_form=_gamma_hat(0, -2.0)),
     MonotoneClaim("gamma-hat-minus[a=1]", "increasing", closed_form=_gamma_hat(1, 1.0)),
     MonotoneClaim("gamma-hat-minus[a=-1]", "decreasing", closed_form=_gamma_hat(1, -1.0)),
-    MonotoneClaim("gamma-hat-plus[a=0.5]", "decreasing", nu_lo=0.75,
-                  closed_form=_gamma_hat(0, 0.5)),
-    MonotoneClaim("gamma-hat-plus[a=-0.5]", "increasing", nu_hi=0.25,
-                  closed_form=_gamma_hat(0, -0.5)),
+    MonotoneClaim("gamma-hat-plus[a=0.5]", "decreasing",
+                  nc.OrderRange(0.75, False, "nu >= 3/4"), _gamma_hat(0, 0.5)),
+    MonotoneClaim("gamma-hat-plus[a=-0.5]", "increasing",
+                  nc.OrderRange(-math.inf, False, "nu <= 1/4", 0.25), _gamma_hat(0, -0.5)),
 ]}
 
 
@@ -443,29 +457,19 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None,
     direction = expected or claim.expected
     if direction not in ("increasing", "decreasing"):
         raise DomainError(f"unknown direction {direction!r}")
-    if grid is None:
-        grid = table.grid if table is not None else default_grid()
-    if claim.closed_form is None and table is None:
-        table = OracleTable(grid)
+    grid, table = _table_for(grid, table, needed=claim.closed_form is None)
+
+    def fetch(nu, xs):
+        if claim.closed_form is None:
+            return table.quantity(quantity, nu)
+        vals = claim.closed_form(nu, xs)
+        return vals, 4.0 * _EPS * np.abs(vals)
 
     rep = ScanReport(claim_id=f"monotone-{quantity}-{direction}")
     sign = 1.0 if direction == "increasing" else -1.0
-    xs = np.asarray(grid.x_values)
     blocks = []
-    for nu in grid.nu_values:
-        below = nu < claim.nu_lo or (claim.nu_lo_strict and nu == claim.nu_lo)
-        if below or nu > claim.nu_hi:
-            rep.skipped += len(xs) - 1
-            continue
-        try:
-            if claim.closed_form is None:
-                vals, ests = table.quantity(quantity, nu)
-            else:
-                vals = claim.closed_form(nu, xs)
-                ests = 4.0 * _EPS * np.abs(vals)
-        except (DomainError, EvaluationError) as exc:
-            rep.oracle_failures += [(nu, x, str(exc)) for x in grid.x_values]
-            continue
+    for nu, xs, vals, ests in _rows(rep, grid, claim.proved.holds, fetch,
+                                    len(grid.x_values) - 1):
         v0, v1 = vals[:-1], vals[1:]
         with np.errstate(all="ignore"):
             slack = sign * (v1 - v0)
@@ -487,8 +491,8 @@ def fit_error_order(samples: Sequence[Tuple[float, float]], regime: str,
 
     Needs at least 3 positive samples spanning at least half a decade in
     the scaling variable.  ``noise_floor`` (scalar or per-sample) marks the
-    level below which eps is oracle noise; any sample at or under its floor
-    makes the fit unfittable.
+    level below which eps is oracle noise; any sample not above its floor
+    (a NaN floor or eps included) makes the fit unfittable.
     """
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}")
@@ -501,7 +505,7 @@ def fit_error_order(samples: Sequence[Tuple[float, float]], regime: str,
     if np.any(eps <= 0):
         raise UnfittableError("non-positive relative error in samples")
     floors = np.broadcast_to(np.asarray(noise_floor, dtype=float), eps.shape)
-    if np.any(eps <= floors):
+    if not np.all(eps > floors):    # a NaN floor or eps is never above noise
         raise UnfittableError("samples at or below the oracle noise floor")
     span = math.log10(scales.max() / scales.min())
     if span < 0.5:
@@ -632,6 +636,14 @@ _CONJECTURED_CAP = 0.2
 _GATE_SLACK = 1.0e-6
 
 
+def _sup_s(rows: np.ndarray) -> Tuple[float, float, float]:
+    """(s, nu, x) at the first maximum of s in report rows, -inf if none."""
+    if not len(rows):
+        return -math.inf, math.nan, math.nan
+    top = int(np.argmax(rows[:, 3]))
+    return float(rows[top, 3]), float(rows[top, 0]), float(rows[top, 1])
+
+
 def conjecture_scan(grid: Optional[Grid] = None,
                     table: Optional[OracleTable] = None) -> ScanReport:
     """Map s(nu, x) = 1/(4 P**2) - x**2 - nu**2 over the grid.
@@ -642,47 +654,22 @@ def conjecture_scan(grid: Optional[Grid] = None,
     mapped: rows below order 0 enter ``sup_s``, the full-grid supremum that
     the conjectured cap 1/5 is compared with in ``stats``, never gated.
     """
-    if grid is None:
-        grid = table.grid if table is not None else default_grid()
-    if table is None:
-        table = OracleTable(grid)
-
+    grid, table = _table_for(grid, table)
     rep = ScanReport(claim_id="conjecture-scan")
-    sup_all = sup_ver = -math.inf
-    sup_all_at = sup_ver_at = (math.nan, math.nan)
-    xs = np.asarray(grid.x_values)
     blocks = []
-    for nu in grid.nu_values:
-        try:
-            pvals, pests = table.quantity("P", nu)
-        except (DomainError, EvaluationError) as exc:
-            rep.oracle_failures += [(nu, x, str(exc)) for x in grid.x_values]
-            continue
-        good_p = np.isfinite(pvals) & (pvals > 0)
+    for nu, xs, p, p_est in _rows(rep, grid, nc.ALL_NU.holds,
+                                  lambda nu, xs: table.quantity("P", nu), 0):
         with np.errstate(all="ignore"):
-            s = 1.0 / (4.0 * pvals * pvals) - xs * xs - nu * nu
+            s = 1.0 / (4.0 * p * p) - xs * xs - nu * nu
             # cancellation-aware error: d s / d P = -1/(2 P**3)
-            est_s = pests / (2.0 * pvals ** 3) + 4.0 * _EPS * (xs * xs + nu * nu + np.abs(s))
-            excess = s - (_PROVED_CAP - _GATE_SLACK)
-        ok = good_p & np.isfinite(excess) & np.isfinite(est_s)
-        for i in np.flatnonzero(~ok):
-            rep.oracle_failures.append((nu, float(xs[i]), "non-finite s or error estimate"
-                                        if good_p[i] else "bad product value"))
-        s, x_ok = s[ok], xs[ok]
-        if not len(s):
-            continue
-        top = int(np.argmax(s))           # first point of the row maximum
-        if s[top] > sup_all:
-            sup_all, sup_all_at = float(s[top]), (nu, float(x_ok[top]))
-        if nu >= 0.0:
-            if s[top] > sup_ver:
-                sup_ver, sup_ver_at = float(s[top]), (nu, float(x_ok[top]))
-            bad = excess[ok] > est_s[ok]
-            rep.violations += [(nu, x, _PROVED_CAP - v)
-                               for x, v in zip(x_ok[bad].tolist(), s[bad].tolist())]
-        blocks.append(np.column_stack([np.full(len(s), nu), x_ok,
-                                       np.full(len(s), _PROVED_CAP), s, _PROVED_CAP - s]))
+            est_s = p_est / (2.0 * p ** 3) + 4.0 * _EPS * (xs * xs + nu * nu + np.abs(s))
+            slack = _PROVED_CAP - s
+        blocks.append(_gate_row(rep, nu, xs, slack, 1.0, est_s, -_GATE_SLACK,
+                                np.isfinite(p) & (p > 0), (np.full_like(s, _PROVED_CAP), s),
+                                gated=nu >= 0.0))
     _finish(rep, blocks)
+    sup_all, *sup_all_at = _sup_s(rep.rows)
+    sup_ver, *sup_ver_at = _sup_s(rep.rows[rep.rows[:, 0] >= 0.0])
     rep.worst_margin = _PROVED_CAP - sup_ver if math.isfinite(sup_ver) else math.nan
     rep.stats.update({
         "sup_s": sup_all,

@@ -69,7 +69,7 @@ def test_criterion_1_oracle_exactness_at_half_integers():
             while m < nu - 0.25:
                 r = 1.0 / (r + 2.0 * m / x)
                 m += 1.0
-            v = oracle.k_ratio(EvalPoint(nu, x), method="integration").value
+            v = oracle._k_seed_row(nu, np.array([x]))[0][0]  # direct seed, no ladder
             worst = max(worst, abs(v + r) / r)
 
     elapsed = time.perf_counter() - t0

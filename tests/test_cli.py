@@ -171,6 +171,14 @@ def test_verify_corrupt_claim_trips():
     assert "failing claims: trig-upper-I[corrupted]" in out
 
 
+def test_verify_rejects_unknown_corrupt_claim():
+    # a typo in the self-test id used to run the plain scan and exit 0
+    code, out, err = run(["verify", "--corrupt-claim", "trig-upper-X", "--nu", "1.5",
+                          "--x-points", "3"])
+    assert code == EXIT_USAGE
+    assert out == "" and "trig-upper-X" in err
+
+
 def test_verify_warns_on_empty_claim_ranges():
     code, out, _ = run(["verify", "--nu-min", "-0.75", "--nu-max", "-0.75",
                         "--x-min", "0.5", "--x-max", "2", "--x-points", "3"])
@@ -301,6 +309,21 @@ def test_sharpness_gates_pass(tmp_path):
     assert len(lines) == 7
     assert all("PASS" in ln for ln in lines)
     assert len(os.listdir(tmp_path / "fits")) == 7
+
+
+def test_sharpness_unfittable_cases_exit_3(monkeypatch):
+    # infinite estimates make every case unfittable, which used to exit 0
+    real = verify.OracleTable.quantity
+
+    def inf_estimates(self, qid, nu):
+        vals, ests = real(self, qid, nu)
+        return vals, np.full_like(ests, np.inf)
+
+    monkeypatch.setattr(verify.OracleTable, "quantity", inf_estimates)
+    code, out, err = run(["sharpness"])
+    assert code == EXIT_ORACLE
+    assert out.count("UNFITTABLE") == 7 and "PASS" not in out
+    assert "oracle failures: 7/7" in err
 
 
 # ---------------------------------------------------------------------------

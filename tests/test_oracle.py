@@ -26,6 +26,14 @@ F = RatioKind.FIRST
 S = RatioKind.SECOND
 
 
+def _direct_k(nu: float, x: float) -> oracle.OracleResult:
+    """Phi1 from one direct seed at the order itself (series, then Taylor
+    steps): no ladder step and no reflection, the reference the ladder and
+    the reflection are tested against."""
+    vals, ests, used = oracle._k_seed_row(nu, np.array([x]))
+    return oracle.OracleResult(float(vals[0]), float(ests[0]), used)
+
+
 def _k_pos_ratio_half(nu: float, x: float) -> float:
     """K_{nu-1}/K_nu for 2 nu an odd positive integer, by upward recurrence.
 
@@ -176,10 +184,10 @@ def test_k_ratio_large_x_series():
 
 
 def test_k_ratio_ode_vs_recurrence():
-    # force the integrator on half-integer rows where the exact answer is known
+    # the direct seed on half-integer rows, where the exact answer is known
     for nu in (0.5, 2.5, 7.5):
         for x in (0.1, 1.0, 10.0, 50.0):
-            r = oracle.k_ratio(EvalPoint(nu, x), method="integration")
+            r = _direct_k(nu, x)
             exact = -_k_pos_ratio_half(nu, x)
             assert_allclose(r.value, exact, rtol=1e-10)
             assert abs(r.value - exact) <= 50.0 * r.est_error + 1e-14 * abs(exact)
@@ -247,10 +255,10 @@ def test_half_order_i_ratio_matches_coth(x):
 @given(mu=st.one_of(st.just(0.5), st.floats(0.05, 0.95)), k=st.integers(0, 5),
        x=log_x(1e-3, 60.0))
 def test_ladder_matches_direct_integration(mu, k, x):
-    # mu = 1/2 pits forced integration against the exact half-integer ladder
+    # mu = 1/2 pits the direct seed against the exact half-integer ladder
     p = EvalPoint(mu + k, x)
     ladder = oracle.k_ratio(p)
-    direct = oracle.k_ratio(p, method="integration")
+    direct = _direct_k(p.nu, p.x)
     assert direct.method in ("taylor-riccati", "large-x-series")
     assert abs(ladder.value - direct.value) <= ladder.est_error + direct.est_error
 
@@ -281,7 +289,7 @@ def test_taylor_seed_error_estimate(nu, x):
 @given(nu=st.one_of(st.floats(-1.0, 100.25), st.just(100.25)),
        x=log_x(10 ** -3.5, 20.0))
 def test_forced_taylor_error_estimate(nu, x):
-    r = oracle.k_ratio(EvalPoint(nu, x), method="integration")
+    r = _direct_k(nu, x)
     assert r.method in ("taylor-riccati", "large-x-series")
     assert _within_estimate(r, nu, x)
 
@@ -299,7 +307,7 @@ def test_half_integer_ladder_matches_closed_form(n, x):
 def test_reflection_matches_direct_integration(nu, x):
     p = EvalPoint(nu, x)
     reflected = oracle.k_ratio(p)
-    direct = oracle.k_ratio(p, method="integration")
+    direct = _direct_k(p.nu, p.x)
     assert reflected.method.startswith("reflection+")
     assert "reflection" not in direct.method
     assert abs(reflected.value - direct.value) <= reflected.est_error + direct.est_error

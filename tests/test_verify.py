@@ -192,6 +192,29 @@ def test_fit_error_order_unfittable():
         fit_error_order([(10.0, 0.0), (20.0, 2e-4), (40.0, 5e-5)], "large-nu")
 
 
+def test_fit_error_order_nan_floor_is_unfittable():
+    # `eps <= floor` is False for a NaN floor, which used to let the fit run
+    samples = [(25.0, 4e-4), (50.0, 1e-4), (100.0, 2.5e-5)]
+    with pytest.raises(UnfittableError):
+        fit_error_order(samples, "large-x", noise_floor=[1e-9, math.nan, 1e-9])
+    with pytest.raises(UnfittableError):
+        fit_error_order(samples[:2] + [(100.0, math.nan)], "large-x")
+
+
+def test_sharpness_battery_fails_closed_on_nan_estimates(monkeypatch):
+    # NaN oracle estimates give NaN noise floors: no case may pass on them
+    real = OracleTable.quantity
+
+    def nan_estimates(self, qid, nu):
+        vals, ests = real(self, qid, nu)
+        return vals, np.full_like(ests, np.nan)
+
+    monkeypatch.setattr(OracleTable, "quantity", nan_estimates)
+    reports = sharpness_battery()
+    assert len(reports) == 7
+    assert all(rep.fitted is None and len(rep.oracle_failures) == 1 for rep in reports)
+
+
 def test_fit_error_order_measured_ratio_gap():
     # gap of the cubic-root bound on the I-ratio at nu=1, sampled over x
     from besselbounds import oracle, verify
@@ -280,7 +303,7 @@ def test_conjecture_scan_half_order_row_closed_form():
 def _nan_k_table() -> OracleTable:
     table = OracleTable(Grid(nu_values=(0.5, 1.5), x_values=(0.5, 1.0, 2.0)))
     for row in table.rows.values():
-        row.phi1_est = np.full(3, np.nan)
+        row.ratios["Phi1"] = (row.ratios["Phi1"][0], np.full(3, np.nan))
     return table
 
 
@@ -302,6 +325,18 @@ def test_scan_monotone_fails_closed():
 def test_conjecture_scan_fails_closed():
     rep = conjecture_scan(table=_nan_k_table())
     assert (rep.points_checked, len(rep.oracle_failures)) == (0, 6)
+
+
+def test_failed_table_rows_outside_the_range_are_skipped():
+    # the order -1.5 fails the whole table; every scan skips the rows outside
+    # its claim's proved range before fetching them, and counts failures on
+    # the in-range rows only
+    table = OracleTable(Grid(nu_values=(-1.5, 0.25, 1.5), x_values=(0.5, 1.0, 2.0)))
+    assert all(row.error is not None for row in table.rows.values())
+    for rep, skipped in ((scan_bound("amos-I-a0", table=table), 6),
+                         (scan_monotone("Phi0", table=table), 4)):
+        assert (rep.points_checked, rep.skipped) == (0, skipped), rep.claim_id
+        assert [nu for nu, _, _ in rep.oracle_failures] == [1.5] * 3, rep.claim_id
 
 
 # ---------------------------------------------------------------------------
