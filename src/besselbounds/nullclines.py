@@ -31,7 +31,9 @@ whose three real roots lambda_K < lambda_O < lambda_I drive both the
 trigonometric ratio bounds (``TRIG_I``/``TRIG_K``) and the nullcline levels
 w = (lambda**2 - nu**2) / x**2 of the double-ratio flow (``w_values_row``).
 Bounds for the product I_nu * K_nu follow from 1/(x*(Phi0 - Phi1)) and are
-collected in ``PRODUCT_FORMS``.
+collected in ``PRODUCT_FORMS``.  The cubic's roots and the w levels also
+bracket psi = x*Phi - nu and the double ratios W = Phi(nu)/Phi(nu+1).
+``BOUNDS`` is the one catalog of every checked bound, keyed by claim id.
 
 Every formula is array-first: it broadcasts over numpy arrays of nu and x
 (an x row at fixed nu is what the scans pass), and the scalar API
@@ -39,7 +41,10 @@ Every formula is array-first: it broadcasts over numpy arrays of nu and x
 ``EvalPoint``) is a one-point call into the same code.  A bound is a
 ``BoundForm``: its row formula, direction and proved order range.  Values
 are still computed outside that range, but ``valid`` is False there, so
-scanning code never treats an extrapolated value as a proved one.
+scanning code never treats an extrapolated value as a proved one.  A
+form's ``target`` is the ``oracle.quantity_row`` id of the quantity it
+bounds: "Phi0", "Phi1", "K-ratio-pos" (-Phi1 = K_{nu-1}/K_nu), "P",
+"psi_I", "psi_K", "W_I" or "W_K".
 """
 
 from __future__ import annotations
@@ -92,7 +97,7 @@ class Bound:
 
     value: float
     direction: str          # "upper" or "lower"
-    target: str             # "I-ratio", "K-ratio", "product", ...
+    target: str             # oracle quantity id: "Phi0", "Phi1", "P", ...
     valid: bool
     validity_note: str = ""
     conjectural: bool = False
@@ -160,15 +165,15 @@ ALL_NU = OrderRange(-math.inf, False, "all real nu")
 @dataclass(frozen=True)
 class BoundForm:
     """A closed-form bound: ``formula(nu, x)`` broadcasts over numpy arrays,
-    ``direction`` and ``target`` describe the inequality and ``proved`` is
-    the order range where it is a theorem.
+    ``direction`` and ``target`` (the oracle quantity id it bounds) describe
+    the inequality and ``proved`` is the order range where it is a theorem.
 
     ``row`` is the array path the scans use; ``at`` is its one-point call.
     """
 
     formula: Callable
     direction: str          # "upper" or "lower"
-    target: str             # "I-ratio", "K-ratio", "product", ...
+    target: str             # oracle quantity id
     proved: OrderRange
     conjectural: bool = False
 
@@ -368,9 +373,9 @@ def w_values(p: EvalPoint) -> WValues:
 # I_{nu-1}/I_nu <= (lambda_I + nu)/x and, in the positive ratio convention,
 # K_{nu-1}/K_nu <= -(lambda_K + nu)/x; both proved for nu >= 0.
 TRIG_I = BoundForm(lambda nu, x: (_cubic(nu, x)[2] + nu) / x,
-                   "upper", "I-ratio", NU_GE_0)
+                   "upper", "Phi0", NU_GE_0)
 TRIG_K = BoundForm(lambda nu, x: -_lambda_K_shift(nu, x, _cubic(nu, x)[0]) / x,
-                   "upper", "K-ratio", NU_GE_0)
+                   "upper", "K-ratio-pos", NU_GE_0)
 
 
 def trig_bound_I(p: EvalPoint) -> Bound:
@@ -407,9 +412,8 @@ def amos_forms(a: float) -> Tuple[BoundForm, BoundForm]:
     a = _check_a(a)
 
     def forms(i_dir: str, i_range: OrderRange, k_dir: str, k_range: OrderRange):
-        return (BoundForm(lambda nu, x: lambda_plus_row(a, nu, x), i_dir, "I-ratio", i_range),
-                BoundForm(lambda nu, x: -1.0 / lambda_plus_row(a, nu, x), k_dir, "K-ratio",
-                          k_range))
+        return (BoundForm(lambda nu, x: lambda_plus_row(a, nu, x), i_dir, "Phi0", i_range),
+                BoundForm(lambda nu, x: -1.0 / lambda_plus_row(a, nu, x), k_dir, "Phi1", k_range))
 
     if a == 0.0:
         return forms("lower", NU_GE_HALF,
@@ -444,15 +448,15 @@ def _product_lower_trig(nu, x):
 # Closed-form bounds for the product P(nu, x) = I_nu(x)*K_nu(x)
 PRODUCT_FORMS: Dict[str, BoundForm] = {
     "upper": BoundForm(lambda nu, x: 0.5 / np.hypot(nu - 0.5, x),
-                       "upper", "product", NU_GE_HALF),
+                       "upper", "P", NU_GE_HALF),
     "lower_amos": BoundForm(
         lambda nu, x: 1.0 / (1.0 + np.hypot(nu, x) + np.hypot(nu - 1.0, x)),
-        "lower", "product", NU_GE_M1),
-    "lower_trig": BoundForm(_product_lower_trig, "lower", "product", NU_GE_0),
+        "lower", "P", NU_GE_M1),
+    "lower_trig": BoundForm(_product_lower_trig, "lower", "P", NU_GE_0),
     "lower_simple": BoundForm(lambda nu, x: 0.5 / np.sqrt(x * x + nu * nu + 1.0 / 3.0),
-                              "lower", "product", NU_GE_0),
+                              "lower", "P", NU_GE_0),
     "lower_conjecture": BoundForm(lambda nu, x: 0.5 / np.sqrt(x * x + nu * nu + 0.2),
-                                  "lower", "product",
+                                  "lower", "P",
                                   OrderRange(-1.0, False, "conjectured for nu >= -1"),
                                   conjectural=True),
 }
@@ -463,15 +467,30 @@ def product_bounds(p: EvalPoint) -> ProductBounds:
     return ProductBounds(**{name: form.at(p) for name, form in PRODUCT_FORMS.items()})
 
 
-def bound_producers() -> Tuple[str, ...]:
-    """Canonical ids of every bound this module can produce.
+# psi_I in [nu, lambda_I], psi_K in [lambda_K, -nu], W_I in [0, w_I] and
+# W_K in [0, w_K], all proved for nu >= 0: (claim id stem, target, lower,
+# upper)
+_BRACKETS = (
+    ("psi-I", "psi_I", lambda nu, x: np.full_like(x, nu), lambda nu, x: cubic_roots_row(nu, x)[2]),
+    ("psi-K", "psi_K", lambda nu, x: cubic_roots_row(nu, x)[0], lambda nu, x: np.full_like(x, -nu)),
+    ("double-I", "W_I", lambda nu, x: np.zeros_like(x), lambda nu, x: w_values_row(nu, x)[0]),
+    ("double-K", "W_K", lambda nu, x: np.zeros_like(x), lambda nu, x: w_values_row(nu, x)[1]),
+)
 
-    The verification claim catalog must register each of these; a test
-    enumerates both sides and fails on any unregistered producer.
-    """
-    ids = ["trig-upper-I", "trig-upper-K"]
-    for a_tag in ("a0", "a-1", "a1", "a-2", "a2"):
-        ids.append(f"amos-I-{a_tag}")
-        ids.append(f"amos-K-{a_tag}")
-    ids += ["product-" + name.replace("_", "-") for name in PRODUCT_FORMS]
-    return tuple(ids)
+# Every checked bound, keyed by claim id, in catalog order: `verify`
+# registers each one as a claim and reports them in this order.
+BOUNDS: Dict[str, BoundForm] = {
+    "trig-upper-I": TRIG_I,
+    "trig-upper-K": TRIG_K,
+    **{f"amos-{side}-a{a:g}": form for a in (0.0, -1.0, 1.0, -2.0, 2.0)
+       for side, form in zip("IK", amos_forms(a))},
+    **{"product-" + name.replace("_", "-"): form for name, form in PRODUCT_FORMS.items()},
+    **{f"{stem}-{direction}": BoundForm(formula, direction, target, NU_GE_0)
+       for stem, target, lower, upper in _BRACKETS
+       for direction, formula in (("lower", lower), ("upper", upper))},
+}
+
+
+def bound_producers() -> Tuple[str, ...]:
+    """Claim ids of every bound in ``BOUNDS``, catalog order."""
+    return tuple(BOUNDS)

@@ -206,12 +206,14 @@ def large_x_coefficients(nu: float, c0: float, n: int = 61) -> List[float]:
     return c
 
 
-def large_x_series(nu: float, xs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Phi1(nu, x) from the Riccati-generated large-x series; (values,
-    est_errors).  Each x stops before its smallest omitted term; the error
-    estimate is the larger of the next two omitted terms (one coefficient
-    can vanish by accident, as c_4 does at nu = 5/2) plus roundoff."""
-    c = large_x_coefficients(nu, -1.0)
+def large_x_series(c: List[float], xs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Phi1(nu, x) from its Riccati-generated large-x series, whose
+    coefficients c = large_x_coefficients(nu, -1.0) are generated once per
+    order by the caller; (values, est_errors).  Each x stops before its
+    smallest omitted term; the error estimate is the larger of the next two
+    omitted terms (one coefficient can vanish by accident, as c_4 does at
+    nu = 5/2) plus roundoff.  Each x is summed on its own column, so its
+    value does not depend on the other xs."""
     k = np.arange(len(c))[:, None]
     terms = np.array(c)[:, None] * np.asarray(xs, dtype=float) ** -k
     omitted = np.maximum(np.abs(terms[1:-1]), np.abs(terms[2:]))  # row m: stop after m
@@ -220,16 +222,23 @@ def large_x_series(nu: float, xs: Sequence[float]) -> Tuple[np.ndarray, np.ndarr
     return vals, omitted[last, np.arange(len(xs))] + 2.0 * _EPS * np.abs(vals)
 
 
+def _series_start(c: List[float]) -> Tuple[float, float, float]:
+    """(x0, value, est_error): the first x0 of 20, 40, 80, ... where the
+    large-x series with coefficients c is good to roundoff, and its value
+    and estimate there."""
+    x, (v, e) = SERIES_X, large_x_series(c, [SERIES_X])
+    while e[0] > 4.0 * _EPS * abs(v[0]):
+        x *= 2.0
+        v, e = large_x_series(c, [x])
+    return x, v[0], e[0]
+
+
 def default_x_start(nu: float) -> float:
     """Start of the backward Taylor steps at order nu: the first of 20, 40,
     80, ... where the large-x series is good to roundoff.  That is 20 at
     every order in [-1, 1], which holds all ladder seeds; a direct seed at
     a high order starts near nu**2 and costs in proportion."""
-    x, (v, e) = SERIES_X, large_x_series(nu, [SERIES_X])
-    while e[0] > 4.0 * _EPS * abs(v[0]):
-        x *= 2.0
-        v, e = large_x_series(nu, [x])
-    return x
+    return _series_start(large_x_coefficients(nu, -1.0))[0]
 
 
 def taylor_coefficients(nu: float, x0: float, phi0: float, n: int) -> List[float]:
@@ -327,14 +336,15 @@ def _taylor_row(nu: float, x0: float, phi0: float, err0: float, xs: np.ndarray
 
 def _k_seed_row(nu: float, xs: np.ndarray):
     """(values, est_errors, method) of Phi1 at order nu: the series at
-    x >= default_x_start(nu), Taylor steps of the Riccati equation below it."""
-    x0 = default_x_start(nu)
+    x >= default_x_start(nu), Taylor steps of the Riccati equation below it;
+    the series coefficients are generated once."""
+    c = large_x_coefficients(nu, -1.0)
+    x0, v0, e0 = _series_start(c)
     lo = xs < x0
     vals, ests = np.empty(len(xs)), np.empty(len(xs))
-    vals[~lo], ests[~lo] = large_x_series(nu, xs[~lo])
+    vals[~lo], ests[~lo] = large_x_series(c, xs[~lo])
     if not lo.any():
         return vals, ests, "large-x-series"
-    (v0,), (e0,) = large_x_series(nu, [x0])
     vals[lo], ests[lo] = _taylor_row(nu, x0, v0, e0, xs[lo])
     return vals, ests, "taylor-riccati"
 

@@ -1,9 +1,10 @@
 """Grid-scan engine: bounds, monotonicity, sharpness orders, conjecture.
 
-Every closed-form inequality produced by `nullclines` is registered here as
-a claim with an oracle target and its `nullclines.BoundForm`: a row formula,
-a direction and a proved order range.  Every scan (bound, monotone,
-conjecture) runs the same row loop, `_rows`, and the same gate, `_gate_row`.
+Every bound in the `nullclines.BOUNDS` catalog is registered here as a
+claim holding its `nullclines.BoundForm`: a row formula, a direction, a
+proved order range and the oracle quantity it bounds.  Every scan (bound,
+monotone, conjecture) runs the same row loop, `_rows`, and the same gate,
+`_gate_row`.
 A row outside the claim's proved order range is skipped before anything is
 fetched, since every proved range depends on the order only; a row the
 oracle cannot serve is one failure per argument; every other row is
@@ -74,7 +75,7 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class Grid:
-    """Scan lattice: finite orders; x finite, positive and ascending."""
+    """Scan lattice: distinct finite orders; x finite, positive and ascending."""
 
     nu_values: Tuple[float, ...]
     x_values: Tuple[float, ...]
@@ -84,8 +85,8 @@ class Grid:
         xs = tuple(float(v) for v in self.x_values)
         if len(xs) == 0 or len(nus) == 0:
             raise DomainError("grid must contain at least one row and column")
-        if not all(math.isfinite(v) for v in nus):
-            raise DomainError("nu_values must be finite")
+        if not all(math.isfinite(v) for v in nus) or len(set(nus)) < len(nus):
+            raise DomainError("nu_values must be finite and distinct")
         if (not all(0 < x < math.inf for x in xs)
                 or any(b <= a for a, b in zip(xs, xs[1:]))):
             raise DomainError("x_values must be finite, positive and strictly ascending")
@@ -223,13 +224,16 @@ class OracleTable:
 
 @dataclass(frozen=True)
 class BoundClaim:
-    """A registered inequality: ``target`` is the oracle quantity it bounds
-    and ``form`` its closed form, whose ``form.row(nu, xs)`` returns
-    (values, direction, valid) along an x row."""
+    """A registered inequality: ``form`` is its closed form, whose
+    ``form.row(nu, xs)`` returns (values, direction, valid) along an x row."""
 
     claim_id: str
-    target: str                         # oracle quantity id
     form: nc.BoundForm
+
+    @property
+    def target(self) -> str:
+        """The oracle quantity id the claim bounds."""
+        return self.form.target
 
     @property
     def bound_fn(self) -> Callable[[EvalPoint], Bound]:
@@ -237,37 +241,7 @@ class BoundClaim:
         return self.form.at
 
 
-def _bracket(claim_id: str, target: str, direction: str, formula) -> BoundClaim:
-    # psi and double-ratio brackets, all proved for nu >= 0
-    return BoundClaim(claim_id, target, nc.BoundForm(formula, direction, target, nc.NU_GE_0))
-
-
-def _build_bound_claims() -> Dict[str, BoundClaim]:
-    claims: List[BoundClaim] = [
-        BoundClaim("trig-upper-I", "Phi0", nc.TRIG_I),
-        BoundClaim("trig-upper-K", "K-ratio-pos", nc.TRIG_K),
-    ]
-    for a, tag in ((0.0, "a0"), (-1.0, "a-1"), (1.0, "a1"),
-                   (-2.0, "a-2"), (2.0, "a2")):
-        form_i, form_k = nc.amos_forms(a)
-        claims.append(BoundClaim(f"amos-I-{tag}", "Phi0", form_i))
-        claims.append(BoundClaim(f"amos-K-{tag}", "Phi1", form_k))
-    claims += [BoundClaim("product-" + name.replace("_", "-"), "P", form)
-               for name, form in nc.PRODUCT_FORMS.items()]
-    claims += [
-        _bracket("psi-I-lower", "psi_I", "lower", lambda nu, x: np.full_like(x, nu)),
-        _bracket("psi-I-upper", "psi_I", "upper", lambda nu, x: nc.cubic_roots_row(nu, x)[2]),
-        _bracket("psi-K-lower", "psi_K", "lower", lambda nu, x: nc.cubic_roots_row(nu, x)[0]),
-        _bracket("psi-K-upper", "psi_K", "upper", lambda nu, x: np.full_like(x, -nu)),
-        _bracket("double-I-lower", "W_I", "lower", lambda nu, x: np.zeros_like(x)),
-        _bracket("double-I-upper", "W_I", "upper", lambda nu, x: nc.w_values_row(nu, x)[0]),
-        _bracket("double-K-lower", "W_K", "lower", lambda nu, x: np.zeros_like(x)),
-        _bracket("double-K-upper", "W_K", "upper", lambda nu, x: nc.w_values_row(nu, x)[1]),
-    ]
-    return {c.claim_id: c for c in claims}
-
-
-_BOUND_CLAIMS = _build_bound_claims()
+_BOUND_CLAIMS = {cid: BoundClaim(cid, form) for cid, form in nc.BOUNDS.items()}
 
 
 def bound_claims() -> Tuple[str, ...]:
@@ -295,14 +269,16 @@ def corrupt_claim(claim: Union[str, BoundClaim], factor: float = 1.001) -> Bound
         values = form.formula(nu, x)
         return values + sign * (np.abs(values) * (factor - 1.0))
 
-    return BoundClaim(claim.claim_id + "[corrupted]", claim.target,
-                      dataclasses.replace(form, formula=formula))
+    return BoundClaim(claim.claim_id + "[corrupted]", dataclasses.replace(form, formula=formula))
 
 
 def _table_for(grid: Optional[Grid], table: Optional[OracleTable],
                needed: bool = True) -> Tuple[Grid, Optional[OracleTable]]:
     """The grid a scan sweeps (the table's own, else the paper's) and the
-    table serving it, built over that grid when ``needed`` and not given."""
+    table serving it, built over that grid when ``needed`` and not given.
+    A table serves only its own grid."""
+    if grid is not None and table is not None and grid != table.grid:
+        raise DomainError("a scan sweeps its table's grid; the grid given differs")
     if grid is None:
         grid = table.grid if table is not None else default_grid()
     if table is None and needed:
@@ -678,7 +654,7 @@ def conjecture_scan(grid: Optional[Grid] = None,
         "sup_s_verified": sup_ver,
         "sup_s_verified_nu": sup_ver_at[0],
         "sup_s_verified_x": sup_ver_at[1],
-        "margin_proved_cap": _PROVED_CAP - sup_ver,
+        "margin_proved_cap": rep.worst_margin,
         "margin_conjectured_cap": _CONJECTURED_CAP - sup_all,
         "proved_cap": _PROVED_CAP,
         "conjectured_cap": _CONJECTURED_CAP,

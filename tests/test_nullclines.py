@@ -156,7 +156,7 @@ def test_w_values_ordering():
 
 def test_trig_bound_I_values():
     b = nc.trig_bound_I(EvalPoint(0.0, 1.0))
-    assert b.direction == "upper" and b.target == "I-ratio" and b.valid
+    assert b.direction == "upper" and b.target == "Phi0" and b.valid
     assert_allclose(b.value, 0.6180339887498949, rtol=1e-14)
     assert oracle.i_ratio(EvalPoint(0.0, 1.0)).value < b.value
 
@@ -175,7 +175,7 @@ def test_trig_bound_I_small_x_gap():
 
 def test_trig_bound_K_values():
     b = nc.trig_bound_K(EvalPoint(0.5, 1.0))
-    assert b.direction == "upper" and b.target == "K-ratio" and b.valid
+    assert b.direction == "upper" and b.target == "K-ratio-pos" and b.valid
     assert_allclose(b.value, 1.1617021380432389, rtol=1e-14)
     assert b.value > 1.0  # oracle ratio is exactly 1 at nu = 1/2
 
@@ -299,7 +299,7 @@ def test_product_bounds_ordering():
 
 def test_bound_producers_registry():
     ids = nc.bound_producers()
-    assert len(ids) == len(set(ids)) == 17
+    assert len(ids) == len(set(ids)) == 25
     assert "trig-upper-I" in ids and "product-lower-conjecture" in ids
 
 

@@ -43,7 +43,7 @@ def test_grid_validation():
         Grid(nu_values=(), x_values=(1.0,))
     # rows are no longer built from validated EvalPoints, so the grid checks
     for nus, xs in (((math.nan,), (1.0,)), ((1.0,), (1.0, math.nan)),
-                    ((1.0,), (1.0, math.inf))):
+                    ((1.0,), (1.0, math.inf)), ((1.5, 1.5), (1.0, 2.0))):
         with pytest.raises(DomainError):
             Grid(nu_values=nus, x_values=xs)
 
@@ -69,6 +69,30 @@ def test_default_grid_shape():
 def test_catalog_covers_every_bound_producer():
     missing = set(nc.bound_producers()) - set(bound_claims())
     assert missing == set()
+
+
+# the catalog in print order, each claim with the oracle quantity it bounds
+_CATALOG = (
+    ("trig-upper-I", "Phi0"), ("trig-upper-K", "K-ratio-pos"),
+    ("amos-I-a0", "Phi0"), ("amos-K-a0", "Phi1"), ("amos-I-a-1", "Phi0"),
+    ("amos-K-a-1", "Phi1"), ("amos-I-a1", "Phi0"), ("amos-K-a1", "Phi1"),
+    ("amos-I-a-2", "Phi0"), ("amos-K-a-2", "Phi1"), ("amos-I-a2", "Phi0"),
+    ("amos-K-a2", "Phi1"), ("product-upper", "P"), ("product-lower-amos", "P"),
+    ("product-lower-trig", "P"), ("product-lower-simple", "P"),
+    ("product-lower-conjecture", "P"), ("psi-I-lower", "psi_I"),
+    ("psi-I-upper", "psi_I"), ("psi-K-lower", "psi_K"), ("psi-K-upper", "psi_K"),
+    ("double-I-lower", "W_I"), ("double-I-upper", "W_I"), ("double-K-lower", "W_K"),
+    ("double-K-upper", "W_K"),
+)
+
+
+def test_catalog_order_and_targets(small_table):
+    assert bound_claims() == tuple(cid for cid, _ in _CATALOG)
+    assert [(cid, get_claim(cid).target) for cid in bound_claims()] == list(_CATALOG)
+    # a mistyped target would only show as per-row oracle failures in a scan
+    for cid, form in nc.BOUNDS.items():
+        vals, _ = small_table.quantity(form.target, 1.5)
+        assert vals.shape == (5,), cid
 
 
 def test_get_claim_and_corrupt():
@@ -327,6 +351,26 @@ def test_conjecture_scan_fails_closed():
     assert (rep.points_checked, len(rep.oracle_failures)) == (0, 6)
 
 
+def test_scan_sweeps_its_tables_grid():
+    # a table serves only its own grid: a different grid used to read the
+    # table's values under the grid's labels
+    table = OracleTable(Grid((1.5,), (4.0, 5.0, 6.0)))
+    for grid in (Grid((1.5,), (1.0, 2.0, 3.0)), Grid((1.5,), (4.0, 5.0))):
+        for scan in (lambda: scan_bound("trig-upper-I", grid=grid, table=table),
+                     lambda: scan_monotone("Phi0", grid=grid, table=table),
+                     lambda: conjecture_scan(grid=grid, table=table)):
+            with pytest.raises(DomainError):
+                scan()
+    assert scan_bound("trig-upper-I", grid=table.grid, table=table).points_checked == 3
+
+
+def test_conjecture_margin_is_nan_without_verified_rows():
+    # no row at nu >= 0 is gated, so there is no margin to the proved cap
+    rep = conjecture_scan(grid=Grid((-1.0,), (0.5, 1.0, 2.0)))
+    assert rep.points_checked == 3
+    assert math.isnan(rep.worst_margin) and math.isnan(rep.stats["margin_proved_cap"])
+
+
 def test_failed_table_rows_outside_the_range_are_skipped():
     # the order -1.5 fails the whole table; every scan skips the rows outside
     # its claim's proved range before fetching them, and counts failures on
@@ -402,6 +446,24 @@ def test_sharpness_battery_integrates_once(monkeypatch):
     steps = _count_seeds(monkeypatch)
     sharpness_battery()
     assert len(steps) == 1
+
+
+def test_large_x_coefficients_generated_once_per_seed(monkeypatch):
+    # the start probe, the series above the start and the Taylor start value
+    # share one coefficient list per K seed (3 seeds on the default grid)
+    calls = []
+    real = oracle.large_x_coefficients
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "large_x_coefficients", counting)
+    OracleTable(default_grid())
+    assert len(calls) == 3
+    calls.clear()
+    sharpness_battery()
+    assert len(calls) == 1
 
 
 def test_k_cost_is_flat_in_order(monkeypatch):
