@@ -170,13 +170,19 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
 def _grid_axes(cfg: RunConfig) -> Tuple[List[float], np.ndarray]:
     """(orders, arguments) of a grid command: `verify.ranged_orders` over
     the configured range, or --nu, which bypasses the integer exclusion;
-    --x or the log-spaced range.  Orders below -1, where the oracle is
-    undefined, are refused (one oracle call serves a whole table, so one
-    such order would fail every row), and so are arguments above X_LIMIT."""
+    --x or the log-spaced range.  Repeated orders (an order step below the
+    float spacing) are refused, since tabulate splits long rows into
+    one-order tables that no `verify.Grid` check would see; so are orders
+    below -1, where the oracle is undefined (one oracle call serves a whole
+    table, so one such order would fail every row), and arguments above
+    X_LIMIT."""
     nus = [cfg.nu] if cfg.nu is not None else verify.ranged_orders(
         cfg.nu_min, cfg.nu_max, cfg.nu_step)
     xs = np.array([cfg.x]) if cfg.x is not None else np.geomspace(
         cfg.x_min, cfg.x_max, max(cfg.x_points, 0))
+    if len(set(nus)) < len(nus):
+        raise DomainError("orders must be distinct; the order step is below "
+                          "the spacing of floats there")
     if min(nus, default=-1.0) < -1.0:
         raise DomainError(f"orders must be >= -1, got {min(nus):g}")
     if xs.max(initial=X_LIMIT) > X_LIMIT:
@@ -257,34 +263,47 @@ def cmd_verify(cfg: RunConfig) -> int:
         return EXIT_OK
     grid = verify.Grid(tuple(nus), tuple(xs))
     table = verify.OracleTable(grid)
+    text = None
     if cfg.out is not None:
         os.makedirs(cfg.out, exist_ok=True)
-    failing: List[str] = []
-    points = failures = 0
+        text = verify.CsvText(grid.nu_values, grid.x_values)
+    # scanned target by target, so the claims that bound one oracle
+    # quantity share its CSV text; reported in catalog order
+    by_target = {}
     for cid in verify.bound_claims():
-        claim = verify.get_claim(cid)
-        if cfg.corrupt_claim == cid:
-            claim = verify.corrupt_claim(claim)
-        rep = verify.scan_bound(claim, tol=cfg.tol, table=table)
-        points += rep.points_checked
-        failures += len(rep.oracle_failures)
-        status = "OK" if rep.ok() else "VIOLATION"
-        if not rep.ok():
-            failing.append(rep.claim_id)
-        extra = ""
-        if rep.oracle_failures:
-            extra += f" oracle_failures={len(rep.oracle_failures)}"
-        if rep.points_checked == 0:
-            print(f"{rep.claim_id}: WARNING 0 points{extra}")
-        else:
-            print(f"{rep.claim_id}: {status} points={rep.points_checked} "
-                  f"violations={len(rep.violations)} "
-                  f"worst_margin={_FMT % rep.worst_margin}{extra}")
-        if cfg.out is not None:
-            verify.write_report_csv(
-                rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)))
+        by_target.setdefault(verify.get_claim(cid).target, []).append(cid)
+    lines, failing = {}, {}
+    points = failures = 0
+    for cids in by_target.values():
+        if text is not None:
+            text.share_oracle()
+        for cid in cids:
+            claim = verify.get_claim(cid)
+            if cfg.corrupt_claim == cid:
+                claim = verify.corrupt_claim(claim)
+            rep = verify.scan_bound(claim, tol=cfg.tol, table=table)
+            points += rep.points_checked
+            failures += len(rep.oracle_failures)
+            status = "OK" if rep.ok() else "VIOLATION"
+            if not rep.ok():
+                failing[cid] = rep.claim_id
+            extra = ""
+            if rep.oracle_failures:
+                extra += f" oracle_failures={len(rep.oracle_failures)}"
+            if rep.points_checked == 0:
+                lines[cid] = f"{rep.claim_id}: WARNING 0 points{extra}"
+            else:
+                lines[cid] = (f"{rep.claim_id}: {status} points={rep.points_checked} "
+                              f"violations={len(rep.violations)} "
+                              f"worst_margin={_FMT % rep.worst_margin}{extra}")
+            if text is not None:
+                verify.write_report_csv(
+                    rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)), text)
+    for cid in verify.bound_claims():
+        print(lines[cid])
     if failing:
-        print("failing claims: " + ", ".join(failing))
+        print("failing claims: " + ", ".join(failing[cid] for cid in verify.bound_claims()
+                                             if cid in failing))
         return EXIT_VIOLATION
     if _too_many_failures(failures, points + failures):
         return EXIT_ORACLE
@@ -335,7 +354,7 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     print(f"margin to conjectured cap 1/5: {_FMT % st['margin_conjectured_cap']}"
           f" (reported, not gated)")
     if cfg.out is not None:
-        verify.write_report_csv(rep, cfg.out)
+        verify.write_report_csv(rep, cfg.out, verify.CsvText(grid.nu_values, grid.x_values))
     if rep.violations:
         print(f"violations of the proved cap: {len(rep.violations)}")
         return EXIT_VIOLATION

@@ -59,6 +59,7 @@ __all__ = [
     "SHARPNESS_TOL_COEFFICIENT",
     "write_report_csv",
     "write_csv_rows",
+    "CsvText",
     "default_grid",
     "ranged_orders",
 ]
@@ -145,6 +146,10 @@ class ScanReport:
 
 
 CSV_BLOCK_ROWS = 4096
+# rows per block of a report CSV: a block holds about five Python objects
+# per row (text and floats), so it is kept small enough that writing adds
+# nothing to a run's peak memory
+REPORT_BLOCK_ROWS = 1024
 
 
 def write_csv_rows(stream, line: str, rows: np.ndarray) -> None:
@@ -156,12 +161,102 @@ def write_csv_rows(stream, line: str, rows: np.ndarray) -> None:
         stream.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_report_csv(report: ScanReport, path) -> None:
-    """Emit the per-point rows as CSV: claim_id,nu,x,bound,oracle,margin."""
-    line = report.claim_id.replace("%", "%%") + ",%.17g,%.17g,%.17g,%.17g,%.17g\n"
-    with open(path, "w", newline="") as fh:
-        fh.write("claim_id,nu,x,bound,oracle,margin\n")
-        write_csv_rows(fh, line, np.asarray(report.rows, dtype=float).reshape(-1, 5))
+def _texts(values: np.ndarray) -> np.ndarray:
+    """The %.17g text of each value as fixed-width bytes (24 is the longest
+    such text), one format call for all."""
+    vals = values.tolist()
+    return np.array((b"%.17g," * len(vals) % tuple(vals)).split(b",")[:-1], dtype="S24")
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The bit patterns of float values: equal exactly for the same float
+    (so 0.0 and -0.0, whose text differs, never match)."""
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+class _Axis:
+    """Sorted values with their text, found again bit for bit."""
+
+    def __init__(self, values):
+        self.values = np.sort(np.asarray(values, dtype=float))
+        self.text = _texts(self.values)
+
+    def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(index, found): each value's place on the axis, and whether the
+        axis holds that very float there."""
+        at = np.minimum(np.searchsorted(self.values, values), len(self.values) - 1)
+        return at, _bits(self.values[at]) == _bits(values)
+
+
+class CsvText:
+    """%.17g text of the report values that CSVs over one grid share.
+
+    Each order and each x is formatted once.  After ``share_oracle`` the
+    oracle column keeps the text of each (order, x) value as reports bring
+    it, and serves it again only for the same float, bit for bit; any
+    other value is formatted anew.  So a report written through any
+    ``CsvText`` has the bytes of per-value formatting, and the claims that
+    bound one oracle quantity share its text.  Text is kept as fixed-width
+    bytes, not one object per value, so a table's worth stays small.
+    """
+
+    def __init__(self, nu_values, x_values):
+        self.nu, self.x = _Axis(nu_values), _Axis(x_values)
+        self._bits = self._text = None
+
+    def share_oracle(self) -> None:
+        """Start an empty oracle column, shared by the reports that follow
+        (the claims of one oracle quantity); until the first call each
+        oracle value is formatted per point."""
+        shape = (len(self.nu.values), len(self.x.values))
+        self._bits = self._text = None      # the last quantity's text goes first
+        self._bits = np.zeros(shape, dtype=np.int64)
+        self._text = np.zeros(shape, dtype="S24")     # b"" where unknown
+
+    def cells(self, rows: np.ndarray) -> np.ndarray:
+        """Report rows (nu, x, bound, oracle, margin) as an object array
+        with nu, x and oracle as text, bound and margin as floats."""
+        cells = np.empty(rows.shape, dtype=object)
+        at_nu, on_nu = self.nu.find(rows[:, 0])
+        at_x, on_x = self.x.find(rows[:, 1])
+        for col, axis, at, found in ((0, self.nu, at_nu, on_nu), (1, self.x, at_x, on_x)):
+            text = axis.text[at]
+            if not found.all():
+                text[~found] = _texts(rows[~found, col])
+            cells[:, col] = text
+        if self._text is None:
+            cells[:, 3] = _texts(rows[:, 3])
+        else:
+            cells[:, 3] = self._oracle(rows[:, 3], at_nu, at_x, on_nu & on_x)
+        cells[:, 2], cells[:, 4] = rows[:, 2], rows[:, 4]
+        return cells
+
+    def _oracle(self, values, at_nu, at_x, on) -> np.ndarray:
+        bits = _bits(values)
+        text = self._text[at_nu, at_x]
+        new = ~(on & (text != b"") & (self._bits[at_nu, at_x] == bits))
+        if new.any():
+            text[new] = _texts(values[new])
+            kept = new & on
+            self._bits[at_nu[kept], at_x[kept]] = bits[kept]
+            self._text[at_nu[kept], at_x[kept]] = text[kept]
+        return text
+
+
+def write_report_csv(report: ScanReport, path, text: Optional[CsvText] = None) -> None:
+    """Emit the per-point rows as CSV: claim_id,nu,x,bound,oracle,margin,
+    every value as %.17g.  With ``text``, the CsvText the reports over one
+    grid share, the nu, x and oracle columns come from its text and only
+    bound and margin are formatted per point; without it every value is."""
+    line = report.claim_id.replace("%", "%%").encode() + (
+        b",%.17g" * 5 if text is None else b",%b,%b,%.17g,%b,%.17g") + b"\n"
+    rows = np.asarray(report.rows, dtype=float).reshape(-1, 5)
+    with open(path, "wb") as fh:
+        fh.write(b"claim_id,nu,x,bound,oracle,margin\n")
+        for start in range(0, len(rows), REPORT_BLOCK_ROWS):
+            block = rows[start:start + REPORT_BLOCK_ROWS]
+            cells = block if text is None else text.cells(block)
+            fh.write((line * len(block)) % tuple(cells.ravel().tolist()))
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Tests for the command-line front end (run in-process through main)."""
 
-import io
 import contextlib
+import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -233,6 +234,17 @@ def test_grid_commands_refuse_orders_below_minus_one():
             assert code == EXIT_USAGE and "orders must be >= -1" in err and out == ""
 
 
+def test_grid_commands_refuse_repeated_orders():
+    # a sub-ulp step repeats nu = 1.5; tabulate splits rows longer than
+    # 2,048 x into one-order tables, where no Grid check saw the repeat,
+    # and used to write the row twice with exit 0
+    orders = ["--nu-min", "1.5", "--nu-max", "1.5000000000000002", "--nu-step", "1e-16"]
+    for command, points in (("tabulate", "2049"), ("tabulate", "20"),
+                            ("verify", "3"), ("conjecture", "3")):
+        code, out, err = run([command, "--x-points", points] + orders)
+        assert code == EXIT_USAGE and "orders must be distinct" in err and out == ""
+
+
 def test_grid_commands_refuse_arguments_past_x_limit():
     # the continued fraction takes about 6*sqrt(x) steps at one point
     for command in ("tabulate", "verify", "conjecture"):
@@ -296,6 +308,93 @@ def test_verify_reports_are_byte_stable(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     text = (d1 / names[0]).read_text()
     assert text.startswith("claim_id,nu,x,bound,oracle,margin\n")
+
+
+# orders -1 to 1.5 (rows outside several claims' proved ranges) x 9 points
+REFERENCE_GRID = ["--nu-min", "-1", "--nu-max", "1.5", "--nu-step", "0.25",
+                  "--x-min", "0.05", "--x-max", "40", "--x-points", "9"]
+
+
+def _plain_csv(rep) -> bytes:
+    """A report CSV by plain per-value %.17g formatting: the reference
+    every report CSV must equal byte for byte."""
+    lines = ["claim_id,nu,x,bound,oracle,margin\n"]
+    lines += ["%s,%s\n" % (rep.claim_id, ",".join("%.17g" % v for v in row))
+              for row in np.asarray(rep.rows).tolist()]
+    return "".join(lines).encode()
+
+
+def _cli_grid(argv):
+    """The grid a grid command builds from argv."""
+    nus, xs = cli._grid_axes(cli._merge_config(cli._build_parser().parse_args(argv)))
+    return verify.Grid(tuple(nus), tuple(xs))
+
+
+@pytest.mark.parametrize("corrupt", [None, "amos-I-a-1"])
+def test_verify_csvs_match_per_value_formatting(tmp_path, monkeypatch, corrupt):
+    # claims that bound one oracle quantity share its text in the CSVs; one
+    # Phi0 claim drops a point the others of Phi0 keep, as non-finite
+    argv = ["verify"] + REFERENCE_GRID + (["--corrupt-claim", corrupt] if corrupt else [])
+    grid = _cli_grid(argv)
+    drop = (0.5, grid.x_values[4])
+    plain = verify.get_claim("trig-upper-I").form
+
+    def formula(nu, x):
+        return np.where((nu == drop[0]) & (x == drop[1]), np.nan, plain.formula(nu, x))
+
+    monkeypatch.setitem(verify._BOUND_CLAIMS, "trig-upper-I", verify.BoundClaim(
+        "trig-upper-I", dataclasses.replace(plain, formula=formula)))
+    code, _, _ = run(argv + ["--out", str(tmp_path)])
+    assert code == (EXIT_VIOLATION if corrupt else EXIT_OK)
+    assert len(os.listdir(tmp_path)) == 25
+    table = verify.OracleTable(grid)
+    reports = {}
+    for cid in verify.bound_claims():
+        claim = verify.get_claim(cid)
+        if cid == corrupt:
+            claim = verify.corrupt_claim(claim)
+        rep = reports[cid] = verify.scan_bound(claim, table=table)
+        assert (tmp_path / cli._claim_filename(rep.claim_id)).read_bytes() == _plain_csv(rep)
+    assert grid.nu_values[0] == -1.0
+    assert any(rep.skipped for rep in reports.values())
+    assert any(len(rep.rows) and rep.rows[0, 0] == -1.0 for rep in reports.values())
+    assert drop in [(nu, x) for nu, x, _ in reports["trig-upper-I"].oracle_failures]
+    kept = reports["amos-I-a0"].rows
+    assert np.any((kept[:, 0] == drop[0]) & (kept[:, 1] == drop[1]))
+
+
+def test_verify_stdout_stays_in_catalog_order(tmp_path, monkeypatch):
+    # claims are scanned grouped by oracle quantity; the summary lines and
+    # the failing-claims list keep the catalog order
+    scanned = []
+    real = verify.scan_bound
+
+    def recording(claim, *args, **kwargs):
+        scanned.append(claim.claim_id)
+        return real(claim, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "scan_bound", recording)
+    monkeypatch.setitem(verify._BOUND_CLAIMS, "amos-I-a-1", verify.corrupt_claim("amos-I-a-1"))
+    code, out, _ = run(["verify"] + REFERENCE_GRID + ["--corrupt-claim", "trig-upper-K",
+                                                      "--out", str(tmp_path)])
+    assert code == EXIT_VIOLATION
+    lines = out.strip().split("\n")
+    assert [ln.split(":")[0] for ln in lines[:-1]] == [
+        verify._BOUND_CLAIMS[cid].claim_id + ("[corrupted]" if cid == "trig-upper-K" else "")
+        for cid in verify.bound_claims()]
+    assert lines[-1] == "failing claims: trig-upper-K[corrupted], amos-I-a-1[corrupted]"
+    assert scanned.index("amos-I-a-1[corrupted]") < scanned.index("trig-upper-K[corrupted]")
+
+
+def test_conjecture_and_sharpness_csvs_match_per_value_formatting(tmp_path):
+    argv = ["conjecture"] + REFERENCE_GRID
+    assert run(argv + ["--out", str(tmp_path / "conj.csv")])[0] == EXIT_OK
+    rep = verify.conjecture_scan(grid=_cli_grid(argv))
+    assert (tmp_path / "conj.csv").read_bytes() == _plain_csv(rep)
+    assert run(["sharpness", "--out", str(tmp_path / "fits")])[0] == EXIT_OK
+    for rep in verify.sharpness_battery():
+        path = tmp_path / "fits" / cli._claim_filename(rep.claim_id)
+        assert path.read_bytes() == _plain_csv(rep)
 
 
 # ---------------------------------------------------------------------------

@@ -493,3 +493,26 @@ def test_write_report_csv(tmp_path):
     assert first[1] == "0.5" and first[2] == "1"
     assert_allclose(float(first[3]), 1.1617021380432389, rtol=1e-16)
     assert "\r" not in text
+
+
+def test_shared_csv_text_matches_per_value_formatting(tmp_path, monkeypatch):
+    # values off the axes, signed zeros, non-finite values and a second
+    # report with other oracle floats at the same cells are all formatted
+    # anew; only the very same float reuses shared text
+    monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 7)
+    nus, xs = (-1.0, -0.0, 0.5, 2.5), (1e-3, 0.1, 1.0, 30.0)
+    text = verify.CsvText(nus, xs)
+    text.share_oracle()
+    rng = np.random.default_rng(5)
+    for k in range(3):
+        rows = np.column_stack([rng.choice(nus + (0.0, 7.25), 40), rng.choice(xs + (2.0,), 40),
+                                rng.normal(size=(40, 3))])
+        rows[:6, 3] = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324)
+        if k == 2:
+            rows[:, 3] = np.nextafter(rows[:, 3], np.inf)
+        rep = verify.ScanReport(claim_id="c%d", rows=rows)
+        plain = "".join("c%%d,%s\n" % ",".join("%.17g" % v for v in row)
+                        for row in rows.tolist())
+        for path, shared in ((tmp_path / "shared.csv", text), (tmp_path / "own.csv", None)):
+            write_report_csv(rep, path, shared)
+            assert path.read_text() == "claim_id,nu,x,bound,oracle,margin\n" + plain
