@@ -16,8 +16,8 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import Field, dataclass, field, fields
+from typing import List, Optional, Sequence, Tuple, get_args
 
 import numpy as np
 
@@ -59,46 +59,55 @@ _TABULATE_COLUMNS = (
 )
 
 
+def _option(default, help: str, commands: Optional[Tuple[str, ...]] = None):
+    """A RunConfig field, the one declaration of an option: its flag is
+    ``--`` plus the name with dashes, its config key is the name, its parse
+    type is the annotation's (``Optional[T]`` gives T), and ``commands``
+    names the subcommands that take its flag (None: all of them)."""
+    return field(default=default, metadata={"help": help, "commands": commands})
+
+
 @dataclass
 class RunConfig:
-    """Effective settings for one CLI run (flags merged over config file)."""
+    """Effective settings for one CLI run (flags merged over config file).
+    Every field but ``command`` is an option; a new option is one field."""
 
     command: str = ""
-    nu_min: float = -1.0
-    nu_max: float = 20.0
-    nu_step: float = 0.25
-    x_min: float = 1e-3
-    x_max: float = 1e3
-    x_points: int = 121
-    nu: Optional[float] = None       # single-row override, kept verbatim
-    x: Optional[float] = None        # single-column override
-    tol: float = verify.DEFAULT_TOL
-    out: Optional[str] = None
-    seed: int = 0
-    a: float = 0.0
-    x0: float = 1.0
-    y0: Optional[float] = None
-    sample: int = 0
-    corrupt_claim: Optional[str] = None
+    nu_min: float = _option(-1.0, "lowest order")
+    nu_max: float = _option(20.0, "highest order")
+    nu_step: float = _option(0.25, "order step")
+    x_min: float = _option(1e-3, "lowest argument")
+    x_max: float = _option(1e3, "highest argument")
+    x_points: int = _option(121, "log-spaced count")
+    nu: Optional[float] = _option(None, "single order (overrides the range)")
+    x: Optional[float] = _option(None, "single argument (overrides the range)")
+    tol: float = _option(verify.DEFAULT_TOL, "violation tolerance")
+    out: Optional[str] = _option(None, "output path (tabulate/explore/conjecture: CSV "
+                                       "file; verify/sharpness: report directory)")
+    seed: int = _option(0, "seed for randomized sampling")
+    a: float = _option(0.0, "rescaling exponent", ("explore",))
+    x0: float = _option(1.0, "initial abscissa", ("explore",))
+    y0: Optional[float] = _option(None, "initial value", ("explore",))
+    sample: int = _option(0, "also run N seeded-random starts between the principal "
+                             "branches", ("explore",))
+    corrupt_claim: Optional[str] = _option(
+        None, "deliberately corrupt this claim id (self-test hook)", ("verify",))
 
     def config_lines(self) -> List[str]:
-        out = []
-        for f in fields(self):
-            if f.name == "command":
-                continue
-            v = getattr(self, f.name)
-            if v is None:
-                continue
-            if isinstance(v, float):
-                out.append("%s=%s" % (f.name, _FMT % v))
-            else:
-                out.append("%s=%s" % (f.name, v))
-        return out
+        values = {name: getattr(self, name) for name in _OPTIONS}
+        return ["%s=%s" % (name, _FMT % v if isinstance(v, float) else v)
+                for name, v in values.items() if v is not None]
+
+
+_OPTIONS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
+
+
+def _parse_type(f: Field) -> type:
+    return next(iter(get_args(f.type)), f.type)
 
 
 def _read_config_file(path: str) -> dict:
     """Flat key=value text; '#' starts a comment; unknown keys rejected."""
-    known = {f.name: f for f in fields(RunConfig) if f.name != "command"}
     values = {}
     try:
         with open(path) as fh:
@@ -113,33 +122,21 @@ def _read_config_file(path: str) -> dict:
             raise DomainError(f"config line {ln}: expected key=value, got {raw!r}")
         key, _, txt = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in known:
+        if key not in _OPTIONS:
             raise DomainError(f"config line {ln}: unknown key {key!r}")
         txt = txt.strip()
-        ftype = known[key].type
         try:
-            if ftype in ("int", int) or key in ("x_points", "seed", "sample"):
-                values[key] = int(txt)
-            elif key in ("out", "corrupt_claim"):
-                values[key] = txt
-            else:
-                values[key] = float(txt)
+            values[key] = _parse_type(_OPTIONS[key])(txt)
         except ValueError:
             raise DomainError(f"config line {ln}: bad value for {key}: {txt!r}")
     return values
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    file_values = _read_config_file(args.config) if args.config else {}
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        cli_val = getattr(args, f.name, None)
-        if cli_val is not None:
-            setattr(cfg, f.name, cli_val)
-        elif f.name in file_values:
-            setattr(cfg, f.name, file_values[f.name])
+    values = _read_config_file(args.config) if args.config else {}
+    values.update((name, v) for name, v in vars(args).items()
+                  if name in _OPTIONS and v is not None)     # flags win over the file
+    cfg = RunConfig(command=args.command, **values)
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0.0):
         # a NaN tolerance would let every comparison pass
         raise DomainError(f"tol must be finite and non-negative, got {cfg.tol!r}")
@@ -274,31 +271,27 @@ def cmd_verify(cfg: RunConfig) -> int:
         by_target.setdefault(verify.get_claim(cid).target, []).append(cid)
     lines, failing = {}, {}
     points = failures = 0
-    for cids in by_target.values():
+    for cid in sum(by_target.values(), []):
+        claim = verify.get_claim(cid)
+        if cfg.corrupt_claim == cid:
+            claim = verify.corrupt_claim(claim)
+        rep = verify.scan_bound(claim, tol=cfg.tol, table=table)
+        points += rep.points_checked
+        failures += len(rep.oracle_failures)
+        status = "OK" if rep.ok() else "VIOLATION"
+        if not rep.ok():
+            failing[cid] = rep.claim_id
+        extra = ""
+        if rep.oracle_failures:
+            extra += f" oracle_failures={len(rep.oracle_failures)}"
+        if rep.points_checked == 0:
+            lines[cid] = f"{rep.claim_id}: WARNING 0 points{extra}"
+        else:
+            lines[cid] = (f"{rep.claim_id}: {status} points={rep.points_checked} "
+                          f"violations={len(rep.violations)} "
+                          f"worst_margin={_FMT % rep.worst_margin}{extra}")
         if text is not None:
-            text.share_oracle()
-        for cid in cids:
-            claim = verify.get_claim(cid)
-            if cfg.corrupt_claim == cid:
-                claim = verify.corrupt_claim(claim)
-            rep = verify.scan_bound(claim, tol=cfg.tol, table=table)
-            points += rep.points_checked
-            failures += len(rep.oracle_failures)
-            status = "OK" if rep.ok() else "VIOLATION"
-            if not rep.ok():
-                failing[cid] = rep.claim_id
-            extra = ""
-            if rep.oracle_failures:
-                extra += f" oracle_failures={len(rep.oracle_failures)}"
-            if rep.points_checked == 0:
-                lines[cid] = f"{rep.claim_id}: WARNING 0 points{extra}"
-            else:
-                lines[cid] = (f"{rep.claim_id}: {status} points={rep.points_checked} "
-                              f"violations={len(rep.violations)} "
-                              f"worst_margin={_FMT % rep.worst_margin}{extra}")
-            if text is not None:
-                verify.write_report_csv(
-                    rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)), text)
+            verify.write_report_csv(rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)), text)
     for cid in verify.bound_claims():
         print(lines[cid])
     if failing:
@@ -328,8 +321,7 @@ def cmd_sharpness(cfg: RunConfig) -> int:
               f"coefficient={c:.6g} (expected {exp_c:.6g} "
               f"+-{100.0 * verify.SHARPNESS_TOL_COEFFICIENT:g}%)")
         if cfg.out is not None:
-            verify.write_report_csv(rep, os.path.join(
-                cfg.out, _claim_filename(rep.claim_id)))
+            verify.write_report_csv(rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)))
     if bad:
         return EXIT_VIOLATION
     if _too_many_failures(unfittable, len(verify.SHARPNESS_EXPECTED)):
@@ -354,7 +346,7 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     print(f"margin to conjectured cap 1/5: {_FMT % st['margin_conjectured_cap']}"
           f" (reported, not gated)")
     if cfg.out is not None:
-        verify.write_report_csv(rep, cfg.out, verify.CsvText(grid.nu_values, grid.x_values))
+        verify.write_report_csv(rep, cfg.out)
     if rep.violations:
         print(f"violations of the proved cap: {len(rep.violations)}")
         return EXIT_VIOLATION
@@ -391,7 +383,10 @@ def cmd_explore(cfg: RunConfig) -> int:
         # seeded uniform draws strictly inside the two principal branches
         lo, hi = _explore_band(cfg.nu if cfg.nu is not None else 0.5, cfg.x0)
         rng = np.random.default_rng(cfg.seed)
-        scale = cfg.x0 ** (-cfg.a)
+        try:
+            scale = cfg.x0 ** (-cfg.a)
+        except OverflowError:       # each start then fails check_start below
+            scale = math.inf
         for k, t in enumerate(rng.uniform(0.02, 0.98, size=cfg.sample)):
             starts.append((k + 1, scale * (lo + t * (hi - lo))))
 
@@ -438,56 +433,46 @@ def cmd_explore(cfg: RunConfig) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+# subcommand -> (function, help)
+_COMMANDS = {
+    "tabulate": (cmd_tabulate, "CSV table of oracle values, bounds and nullcline data"),
+    "verify": (cmd_verify, "scan every registered bound claim over the grid"),
+    "sharpness": (cmd_sharpness, "fit sharpness error orders against expected constants"),
+    "conjecture": (cmd_conjecture, "map s = 1/(4P^2) - x^2 - nu^2 and report its supremum"),
+    "explore": (cmd_explore, "integrate rescaled-Riccati trajectories"),
+}
+
+
+def _add_option(parser, f: Field) -> None:
+    default = "" if f.default is None else " (default %g)" % f.default
+    parser.add_argument("--" + f.name.replace("_", "-"), type=_parse_type(f),
+                        help=f.metadata["help"] + default)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # the options every subcommand takes are added once, to a group of a
+    # parent parser whose actions each subparser shares (argparse builds a
+    # help formatter to check each argument added to a parser, not to a
+    # group); adding them to each subparser anew doubles the build time
     common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("grid")
-    g.add_argument("--nu-min", dest="nu_min", type=float, help="lowest order (default -1)")
-    g.add_argument("--nu-max", dest="nu_max", type=float, help="highest order (default 20)")
-    g.add_argument("--nu-step", dest="nu_step", type=float, help="order step (default 0.25)")
-    g.add_argument("--x-min", dest="x_min", type=float, help="lowest argument (default 1e-3)")
-    g.add_argument("--x-max", dest="x_max", type=float, help="highest argument (default 1e3)")
-    g.add_argument("--x-points", dest="x_points", type=int, help="log-spaced count (default 121)")
-    g.add_argument("--nu", type=float, help="single order (overrides the range)")
-    g.add_argument("--x", type=float, help="single argument (overrides the range)")
-    common.add_argument("--tol", type=float, help="violation tolerance (default 1e-12)")
-    common.add_argument("--out", help="output path (tabulate/explore/conjecture: CSV file; verify/sharpness: report directory)")
+    group = common.add_argument_group("run options")
+    for f in _OPTIONS.values():
+        if f.metadata["commands"] is None:
+            _add_option(group, f)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--seed", type=int, help="seed for randomized sampling (default 0)")
     common.add_argument("--dump-config", action="store_true",
                         help="print the effective config as key=value lines and exit")
-
     ap = argparse.ArgumentParser(
         prog="besselbounds",
         description="Evaluate, tabulate and verify ratio/product bounds for "
                     "the modified Bessel recurrence flows.")
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("tabulate", parents=[common],
-                   help="CSV table of oracle values, bounds and nullcline data")
-    pv = sub.add_parser("verify", parents=[common],
-                        help="scan every registered bound claim over the grid")
-    pv.add_argument("--corrupt-claim", dest="corrupt_claim",
-                    help="deliberately corrupt this claim id (self-test hook)")
-    sub.add_parser("sharpness", parents=[common],
-                   help="fit sharpness error orders against expected constants")
-    sub.add_parser("conjecture", parents=[common],
-                   help="map s = 1/(4P^2) - x^2 - nu^2 and report its supremum")
-    pe = sub.add_parser("explore", parents=[common],
-                        help="integrate rescaled-Riccati trajectories")
-    pe.add_argument("--a", type=float, help="rescaling exponent (default 0)")
-    pe.add_argument("--x0", type=float, help="initial abscissa (default 1)")
-    pe.add_argument("--y0", type=float, help="initial value")
-    pe.add_argument("--sample", type=int,
-                    help="also run N seeded-random starts between the principal branches")
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common], help=help_text)
+        for f in _OPTIONS.values():
+            if command in (f.metadata["commands"] or ()):
+                _add_option(p, f)
     return ap
-
-
-_COMMANDS = {
-    "tabulate": cmd_tabulate,
-    "verify": cmd_verify,
-    "sharpness": cmd_sharpness,
-    "conjecture": cmd_conjecture,
-    "explore": cmd_explore,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -498,13 +483,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BesselBoundsError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "dump_config", False):
+    if args.dump_config:
         for line in cfg.config_lines():
             print(line)
         return EXIT_OK
     try:
-        return _COMMANDS[cfg.command](cfg)
-    except BesselBoundsError as exc:
+        return _COMMANDS[cfg.command][0](cfg)
+    except (BesselBoundsError, OSError) as exc:     # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -175,10 +175,13 @@ def _bits(values: np.ndarray) -> np.ndarray:
 
 
 class _Axis:
-    """Sorted values with their text, found again bit for bit."""
+    """Distinct values, sorted, with their text, found again bit for bit."""
 
     def __init__(self, values):
-        self.values = np.sort(np.asarray(values, dtype=float))
+        values = np.sort(np.asarray(values, dtype=float))
+        distinct = np.ones(len(values), dtype=bool)
+        distinct[1:] = values[1:] != values[:-1]
+        self.values = values[distinct]
         self.text = _texts(self.values)
 
     def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -191,25 +194,19 @@ class _Axis:
 class CsvText:
     """%.17g text of the report values that CSVs over one grid share.
 
-    Each order and each x is formatted once.  After ``share_oracle`` the
-    oracle column keeps the text of each (order, x) value as reports bring
-    it, and serves it again only for the same float, bit for bit; any
-    other value is formatted anew.  So a report written through any
-    ``CsvText`` has the bytes of per-value formatting, and the claims that
-    bound one oracle quantity share its text.  Text is kept as fixed-width
-    bytes, not one object per value, so a table's worth stays small.
+    Each order and each x is formatted once.  The oracle column keeps the
+    text of each (order, x) value as reports bring it, and serves it again
+    only for the same float, bit for bit; any other value is formatted anew
+    and takes its place.  So a report written through any ``CsvText`` has
+    the bytes of per-value formatting, and claims that bound one oracle
+    quantity, written one after another, share its text.  Text is kept as
+    fixed-width bytes, not one object per value, so a table's worth stays
+    small.
     """
 
     def __init__(self, nu_values, x_values):
         self.nu, self.x = _Axis(nu_values), _Axis(x_values)
-        self._bits = self._text = None
-
-    def share_oracle(self) -> None:
-        """Start an empty oracle column, shared by the reports that follow
-        (the claims of one oracle quantity); until the first call each
-        oracle value is formatted per point."""
         shape = (len(self.nu.values), len(self.x.values))
-        self._bits = self._text = None      # the last quantity's text goes first
         self._bits = np.zeros(shape, dtype=np.int64)
         self._text = np.zeros(shape, dtype="S24")     # b"" where unknown
 
@@ -224,10 +221,7 @@ class CsvText:
             if not found.all():
                 text[~found] = _texts(rows[~found, col])
             cells[:, col] = text
-        if self._text is None:
-            cells[:, 3] = _texts(rows[:, 3])
-        else:
-            cells[:, 3] = self._oracle(rows[:, 3], at_nu, at_x, on_nu & on_x)
+        cells[:, 3] = self._oracle(rows[:, 3], at_nu, at_x, on_nu & on_x)
         cells[:, 2], cells[:, 4] = rows[:, 2], rows[:, 4]
         return cells
 
@@ -245,18 +239,19 @@ class CsvText:
 
 def write_report_csv(report: ScanReport, path, text: Optional[CsvText] = None) -> None:
     """Emit the per-point rows as CSV: claim_id,nu,x,bound,oracle,margin,
-    every value as %.17g.  With ``text``, the CsvText the reports over one
-    grid share, the nu, x and oracle columns come from its text and only
-    bound and margin are formatted per point; without it every value is."""
-    line = report.claim_id.replace("%", "%%").encode() + (
-        b",%.17g" * 5 if text is None else b",%b,%b,%.17g,%b,%.17g") + b"\n"
+    every value as %.17g.  The nu, x and oracle columns come from ``text``,
+    the CsvText the reports over one grid share, or by default from one
+    over this report's own orders and x values; bound and margin are
+    formatted per point."""
     rows = np.asarray(report.rows, dtype=float).reshape(-1, 5)
+    if text is None:
+        text = CsvText(rows[:, 0], rows[:, 1])
+    line = report.claim_id.replace("%", "%%").encode() + b",%b,%b,%.17g,%b,%.17g\n"
     with open(path, "wb") as fh:
         fh.write(b"claim_id,nu,x,bound,oracle,margin\n")
         for start in range(0, len(rows), REPORT_BLOCK_ROWS):
             block = rows[start:start + REPORT_BLOCK_ROWS]
-            cells = block if text is None else text.cells(block)
-            fh.write((line * len(block)) % tuple(cells.ravel().tolist()))
+            fh.write((line * len(block)) % tuple(text.cells(block).ravel().tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -510,8 +505,7 @@ def monotone_claims() -> Tuple[str, ...]:
     return tuple(_MONOTONE_CLAIMS)
 
 
-def scan_monotone(quantity: str, grid: Optional[Grid] = None,
-                  expected: Optional[str] = None, tol: float = MONOTONE_TOL,
+def scan_monotone(quantity: str, grid: Optional[Grid] = None, tol: float = MONOTONE_TOL,
                   table: Optional[OracleTable] = None) -> ScanReport:
     """Forward-difference monotonicity check along x for each order row.
 
@@ -525,9 +519,6 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None,
         claim = _MONOTONE_CLAIMS[quantity]
     except KeyError:
         raise DomainError(f"unknown monotone quantity {quantity!r}") from None
-    direction = expected or claim.expected
-    if direction not in ("increasing", "decreasing"):
-        raise DomainError(f"unknown direction {direction!r}")
     grid, table = _table_for(grid, table, needed=claim.closed_form is None)
 
     def fetch(nu, xs):
@@ -536,8 +527,8 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None,
         vals = claim.closed_form(nu, xs)
         return vals, 4.0 * _EPS * np.abs(vals)
 
-    rep = ScanReport(claim_id=f"monotone-{quantity}-{direction}")
-    sign = 1.0 if direction == "increasing" else -1.0
+    rep = ScanReport(claim_id=f"monotone-{quantity}-{claim.expected}")
+    sign = 1.0 if claim.expected == "increasing" else -1.0
     blocks = []
     for nu, xs, vals, ests in _rows(rep, grid, claim.proved.holds, fetch,
                                     len(grid.x_values) - 1):

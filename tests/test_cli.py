@@ -1,5 +1,6 @@
 """Tests for the command-line front end (run in-process through main)."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -535,6 +536,19 @@ def test_explore_step_failure_before_first_step():
     assert "termination=step-failure" in err
 
 
+def test_explore_reports_overflowing_scale():
+    # x0**(-a) overflows a float: each sampled start is reported on its own
+    # line, as an overflowing --y0 start is; this used to end in an
+    # OverflowError traceback
+    code, out, err = run(["explore", "--x0", "1000", "--x-max", "2000", "--a", "-200",
+                          "--sample", "3"])
+    assert (code, out) == (EXIT_OK, "sample,x,y\n")
+    lines = err.splitlines()
+    assert len(lines) == 3
+    for k, line in enumerate(lines, start=1):
+        assert line.startswith(f"sample {k}: y0=") and "inf error: initial value" in line
+
+
 def test_explore_rejects_bad_window():
     code, _, _ = run(["explore", "--a", "0", "--nu", "2", "--x0", "100",
                       "--y0", "1", "--x-min", "0.1", "--x-max", "30"])
@@ -588,6 +602,102 @@ def test_config_rejects_unknown_key(tmp_path):
     code, _, err = run(["tabulate", "--config", str(cfg)])
     assert code == EXIT_USAGE
     assert "wibble" in err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    # an --out that cannot be written used to end in a traceback and exit 1,
+    # the violation code
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    missing = str(tmp_path / "missing" / "out.csv")
+    for argv in (["tabulate", "--nu", "1", "--x", "1", "--out", missing],
+                 ["conjecture", "--nu", "1", "--x", "1", "--out", missing],
+                 ["explore", "--nu", "2", "--y0", "0.3", "--out", missing],
+                 ["verify", "--nu", "1.5", "--x", "1", "--out", str(taken)],
+                 ["sharpness", "--out", str(taken)]):
+        code, _, err = run(argv)
+        assert code == EXIT_USAGE and err.startswith("error: "), argv
+
+
+def _option_surface(parser):
+    """subcommand -> {(option strings, dest, parse type name)}; a flag that
+    takes no value has no type, and one without a type keeps its text."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {(tuple(a.option_strings), a.dest,
+                    None if a.nargs == 0 else (a.type or str).__name__) for a in sub._actions}
+            for name, sub in subs.choices.items()}
+
+
+_COMMON_OPTIONS = {
+    (("-h", "--help"), "help", None), (("--config",), "config", "str"),
+    (("--dump-config",), "dump_config", None),
+    (("--nu-min",), "nu_min", "float"), (("--nu-max",), "nu_max", "float"),
+    (("--nu-step",), "nu_step", "float"), (("--x-min",), "x_min", "float"),
+    (("--x-max",), "x_max", "float"), (("--x-points",), "x_points", "int"),
+    (("--nu",), "nu", "float"), (("--x",), "x", "float"), (("--tol",), "tol", "float"),
+    (("--out",), "out", "str"), (("--seed",), "seed", "int"),
+}
+_OWN_OPTIONS = {
+    "verify": {(("--corrupt-claim",), "corrupt_claim", "str")},
+    "explore": {(("--a",), "a", "float"), (("--x0",), "x0", "float"),
+                (("--y0",), "y0", "float"), (("--sample",), "sample", "int")},
+}
+
+
+def test_option_surface_per_subcommand():
+    surface = _option_surface(cli._build_parser())
+    assert list(surface) == ["tabulate", "verify", "sharpness", "conjecture", "explore"]
+    for command, options in surface.items():
+        assert options == _COMMON_OPTIONS | _OWN_OPTIONS.get(command, set()), command
+
+
+# two values per option, neither its default, each printed by --dump-config
+# as written here
+_OPTION_VALUES = {
+    "nu_min": ("-0.5", "0.75"), "nu_max": ("3", "4"), "nu_step": ("0.5", "0.125"),
+    "x_min": ("0.25", "0.5"), "x_max": ("50", "60"), "x_points": ("7", "9"),
+    "nu": ("1.5", "2.5"), "x": ("2", "3"), "tol": ("0.25", "0.125"),
+    "out": ("a.csv", "b.csv"), "seed": ("4", "5"), "a": ("0.5", "-1"),
+    "x0": ("2", "3"), "y0": ("0.25", "-0.5"), "sample": ("3", "6"),
+    "corrupt_claim": ("amos-K-a1", "trig-upper-I"),
+}
+
+
+def _dump_lines(names, values):
+    return [f"{name}={values[name]}" for name in names if name in values]
+
+
+def test_every_option_round_trips_through_dump_config(tmp_path):
+    names = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"]
+    assert sorted(names) == sorted(_OPTION_VALUES)
+    first = {name: pair[0] for name, pair in _OPTION_VALUES.items()}
+    cfg = tmp_path / "run.cfg"
+    for command in ("tabulate", "sharpness", "conjecture", "verify", "explore"):
+        taken = [d for _, d, _ in _COMMON_OPTIONS | _OWN_OPTIONS.get(command, set())
+                 if d in _OPTION_VALUES]
+        defaults = dict(line.split("=", 1)
+                        for line in run([command, "--dump-config"])[1].splitlines())
+        dump = _dump_lines(names, {**defaults, **{name: first[name] for name in taken}})
+        flags = [arg for name in taken for arg in ("--" + name.replace("_", "-"), first[name])]
+        code, out, err = run([command] + flags + ["--dump-config"])
+        assert (code, out.splitlines()) == (EXIT_OK, dump), (command, err)
+        # the dump read back as a config file gives the same config
+        cfg.write_text(out)
+        code, out, err = run([command, "--config", str(cfg), "--dump-config"])
+        assert (code, out.splitlines()) == (EXIT_OK, dump), (command, err)
+        # and each flag wins over the file
+        for name in taken:
+            second = _OPTION_VALUES[name][1]
+            code, out, err = run([command, "--config", str(cfg),
+                                  "--" + name.replace("_", "-"), second, "--dump-config"])
+            expect = [f"{name}={second}" if line.startswith(name + "=") else line
+                      for line in dump]
+            assert (code, out.splitlines()) == (EXIT_OK, expect), (command, name, err)
+    # every key reads back from a file, also under a subcommand that does
+    # not take its flag
+    cfg.write_text("\n".join(_dump_lines(names, first)) + "\n")
+    code, out, err = run(["tabulate", "--config", str(cfg), "--dump-config"])
+    assert (code, out.splitlines()) == (EXIT_OK, _dump_lines(names, first)), err
 
 
 def test_exit_code_constants():

@@ -4,6 +4,7 @@ Full default-grid sweeps live in the acceptance suite; these tests exercise
 the machinery on small grids.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -182,10 +183,12 @@ def test_scan_monotone_closed_form_rows():
         assert rep.claim_id == f"monotone-{qid}-{expected}"
 
 
-def test_scan_monotone_detects_wrong_direction():
+def test_scan_monotone_detects_wrong_direction(monkeypatch):
     g = Grid(nu_values=(2.0,), x_values=tuple(np.geomspace(0.01, 100.0, 21)))
-    rep = scan_monotone("w_K", grid=g, expected="increasing")
-    assert len(rep.violations) > 0
+    claims = verify._MONOTONE_CLAIMS
+    monkeypatch.setitem(claims, "w_K", dataclasses.replace(claims["w_K"], expected="increasing"))
+    rep = scan_monotone("w_K", grid=g)
+    assert rep.claim_id == "monotone-w_K-increasing" and len(rep.violations) > 0
 
 
 def test_scan_monotone_unknown_quantity():
@@ -341,7 +344,7 @@ def test_scan_bound_fails_closed():
 
 
 def test_scan_monotone_fails_closed():
-    rep = scan_monotone("P", expected="increasing", table=_nan_k_table())
+    rep = scan_monotone("P", table=_nan_k_table())
     assert rep.violations == []
     assert (rep.points_checked, len(rep.oracle_failures)) == (0, 4)
 
@@ -495,19 +498,30 @@ def test_write_report_csv(tmp_path):
     assert "\r" not in text
 
 
+def test_csv_text_holds_each_value_once():
+    # a report repeats each order and x over its rows; the text a report
+    # CSV is written through keeps each once, so its oracle column stays
+    # the size of a grid, not of rows x rows
+    text = verify.CsvText([1.5, 0.5, 1.5, 0.5], [2.0, 1.0, 2.0, 2.0])
+    assert text.nu.values.tolist() == [0.5, 1.5] and text.x.values.tolist() == [1.0, 2.0]
+    assert text._text.shape == (2, 2)
+
+
 def test_shared_csv_text_matches_per_value_formatting(tmp_path, monkeypatch):
     # values off the axes, signed zeros, non-finite values and a second
     # report with other oracle floats at the same cells are all formatted
-    # anew; only the very same float reuses shared text
+    # anew; only the very same float reuses shared text.  Without shared
+    # text the writer builds its own over the report's orders and x values,
+    # which repeat here
     monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 7)
     nus, xs = (-1.0, -0.0, 0.5, 2.5), (1e-3, 0.1, 1.0, 30.0)
     text = verify.CsvText(nus, xs)
-    text.share_oracle()
     rng = np.random.default_rng(5)
     for k in range(3):
         rows = np.column_stack([rng.choice(nus + (0.0, 7.25), 40), rng.choice(xs + (2.0,), 40),
                                 rng.normal(size=(40, 3))])
         rows[:6, 3] = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324)
+        rows[6:9, :2] = np.nan      # repeated NaN orders and x
         if k == 2:
             rows[:, 3] = np.nextafter(rows[:, 3], np.inf)
         rep = verify.ScanReport(claim_id="c%d", rows=rows)
