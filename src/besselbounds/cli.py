@@ -13,8 +13,10 @@ error, 3 oracle failure rate above 1%.  All CSV output uses '.' decimals,
 
 import argparse
 import contextlib
+import functools
 import math
 import os
+import re
 import sys
 from dataclasses import Field, dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple, get_args
@@ -94,9 +96,19 @@ class RunConfig:
         None, "deliberately corrupt this claim id (self-test hook)", ("verify",))
 
     def config_lines(self) -> List[str]:
-        values = {name: getattr(self, name) for name in _OPTIONS}
-        return ["%s=%s" % (name, _FMT % v if isinstance(v, float) else v)
-                for name, v in values.items() if v is not None]
+        """The options as key=value lines that read back as this config;
+        DomainError for a value that no config line reads back as itself
+        (a '#' after whitespace, a line break)."""
+        lines = []
+        for name in _OPTIONS:
+            v = getattr(self, name)
+            if v is None:
+                continue
+            line = "%s=%s" % (name, _FMT % v if isinstance(v, float) else v)
+            if "\n" in line or "\r" in line or _config_line(line, 0) != (name, v):
+                raise DomainError(f"{name}={v!r} cannot be read back from a config line")
+            lines.append(line)
+        return lines
 
 
 _OPTIONS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
@@ -106,30 +118,35 @@ def _parse_type(f: Field) -> type:
     return next(iter(get_args(f.type)), f.type)
 
 
+def _config_line(raw: str, ln: int) -> Optional[tuple]:
+    """(key, value) of config line ``ln``, None if it holds no setting.  A
+    '#' at the start of the line or after whitespace starts a comment;
+    unknown keys are rejected."""
+    line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
+    if not line:
+        return None
+    if "=" not in line:
+        raise DomainError(f"config line {ln}: expected key=value, got {raw!r}")
+    key, _, txt = line.partition("=")
+    key = key.strip().replace("-", "_")
+    if key not in _OPTIONS:
+        raise DomainError(f"config line {ln}: unknown key {key!r}")
+    txt = txt.strip()
+    try:
+        return key, _parse_type(_OPTIONS[key])(txt)
+    except ValueError:
+        raise DomainError(f"config line {ln}: bad value for {key}: {txt!r}")
+
+
 def _read_config_file(path: str) -> dict:
-    """Flat key=value text; '#' starts a comment; unknown keys rejected."""
-    values = {}
+    """Flat key=value text, one ``_config_line`` per line."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DomainError(f"cannot read config file: {exc}")
-    for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DomainError(f"config line {ln}: expected key=value, got {raw!r}")
-        key, _, txt = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _OPTIONS:
-            raise DomainError(f"config line {ln}: unknown key {key!r}")
-        txt = txt.strip()
-        try:
-            values[key] = _parse_type(_OPTIONS[key])(txt)
-        except ValueError:
-            raise DomainError(f"config line {ln}: bad value for {key}: {txt!r}")
-    return values
+    settings = (_config_line(raw, ln) for ln, raw in enumerate(lines, start=1))
+    return dict(item for item in settings if item is not None)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -306,8 +323,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sharpness(cfg: RunConfig) -> int:
     if cfg.out is not None:
         os.makedirs(cfg.out, exist_ok=True)
+    reports = verify.sharpness_battery()
+    # one CsvText over the battery's orders and x serves every case's CSV
+    points = np.concatenate([rep.rows[:, :2] for rep in reports])
+    text = verify.CsvText(points[:, 0], points[:, 1])
     bad, unfittable = False, 0
-    for rep, (_, exp_k, exp_c) in zip(verify.sharpness_battery(), verify.SHARPNESS_EXPECTED):
+    for rep, (_, exp_k, exp_c) in zip(reports, verify.SHARPNESS_EXPECTED):
         if rep.fitted is None:
             msgs = "; ".join(m for _, _, m in rep.oracle_failures)
             print(f"{rep.claim_id}: UNFITTABLE ({msgs})")
@@ -321,7 +342,8 @@ def cmd_sharpness(cfg: RunConfig) -> int:
               f"coefficient={c:.6g} (expected {exp_c:.6g} "
               f"+-{100.0 * verify.SHARPNESS_TOL_COEFFICIENT:g}%)")
         if cfg.out is not None:
-            verify.write_report_csv(rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)))
+            verify.write_report_csv(rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)),
+                                    text)
     if bad:
         return EXIT_VIOLATION
     if _too_many_failures(unfittable, len(verify.SHARPNESS_EXPECTED)):
@@ -449,11 +471,13 @@ def _add_option(parser, f: Field) -> None:
                         help=f.metadata["help"] + default)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # the options every subcommand takes are added once, to a group of a
     # parent parser whose actions each subparser shares (argparse builds a
     # help formatter to check each argument added to a parser, not to a
-    # group); adding them to each subparser anew doubles the build time
+    # group); adding them to each subparser anew doubles the build time.
+    # Built once per process: parse_args leaves a parser unchanged.
     common = argparse.ArgumentParser(add_help=False)
     group = common.add_argument_group("run options")
     for f in _OPTIONS.values():
@@ -480,11 +504,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
+        dump = cfg.config_lines() if args.dump_config else None
     except BesselBoundsError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.dump_config:
-        for line in cfg.config_lines():
+    if dump is not None:
+        for line in dump:
             print(line)
         return EXIT_OK
     try:

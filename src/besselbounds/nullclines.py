@@ -36,7 +36,8 @@ bracket psi = x*Phi - nu and the double ratios W = Phi(nu)/Phi(nu+1).
 ``BOUNDS`` is the one catalog of every checked bound, keyed by claim id.
 
 Every formula is array-first: it broadcasts over numpy arrays of nu and x
-(an x row at fixed nu is what the scans pass), and the scalar API
+(the scans pass a column of orders against the x row, each element
+computed exactly as in a one-order row), and the scalar API
 (``lambda_plus``, ``cubic_roots``, ``trig_bound_I``, ... taking an
 ``EvalPoint``) is a one-point call into the same code.  A bound is a
 ``BoundForm``: its row formula, direction and proved order range.  Values
@@ -168,7 +169,8 @@ class BoundForm:
     ``direction`` and ``target`` (the oracle quantity id it bounds) describe
     the inequality and ``proved`` is the order range where it is a theorem.
 
-    ``row`` is the array path the scans use; ``at`` is its one-point call.
+    The scans call ``formula`` on a column of orders against the x row;
+    ``row`` is its one-order call and ``at`` its one-point call.
     """
 
     formula: Callable
@@ -467,14 +469,21 @@ def product_bounds(p: EvalPoint) -> ProductBounds:
     return ProductBounds(**{name: form.at(p) for name, form in PRODUCT_FORMS.items()})
 
 
+def _level(value, nu, x) -> np.ndarray:
+    """``value`` (a number, or an array of orders' values) at every point of
+    the (nu, x) broadcast; copied, not added to zeros, so -0.0 keeps its sign."""
+    shape = np.broadcast_shapes(np.shape(nu), np.shape(x))
+    return np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
+
+
 # psi_I in [nu, lambda_I], psi_K in [lambda_K, -nu], W_I in [0, w_I] and
 # W_K in [0, w_K], all proved for nu >= 0: (claim id stem, target, lower,
 # upper)
 _BRACKETS = (
-    ("psi-I", "psi_I", lambda nu, x: np.full_like(x, nu), lambda nu, x: cubic_roots_row(nu, x)[2]),
-    ("psi-K", "psi_K", lambda nu, x: cubic_roots_row(nu, x)[0], lambda nu, x: np.full_like(x, -nu)),
-    ("double-I", "W_I", lambda nu, x: np.zeros_like(x), lambda nu, x: w_values_row(nu, x)[0]),
-    ("double-K", "W_K", lambda nu, x: np.zeros_like(x), lambda nu, x: w_values_row(nu, x)[1]),
+    ("psi-I", "psi_I", lambda nu, x: _level(nu, nu, x), lambda nu, x: cubic_roots_row(nu, x)[2]),
+    ("psi-K", "psi_K", lambda nu, x: cubic_roots_row(nu, x)[0], lambda nu, x: _level(-nu, nu, x)),
+    ("double-I", "W_I", lambda nu, x: _level(0.0, nu, x), lambda nu, x: w_values_row(nu, x)[0]),
+    ("double-K", "W_K", lambda nu, x: _level(0.0, nu, x), lambda nu, x: w_values_row(nu, x)[1]),
 )
 
 # Every checked bound, keyed by claim id, in catalog order: `verify`

@@ -411,13 +411,16 @@ def k_ratio(p: EvalPoint) -> OracleResult:
 def quantity_row(qid: str, nu: float, xs: np.ndarray,
                  ratio: Callable[[str], Tuple[np.ndarray, np.ndarray]]
                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """(values, est_errors) of one oracle quantity along an order row.
+    """(values, est_errors) of one oracle quantity along an order row, or
+    over a block of rows when ``nu`` is a column of orders.
 
     ``qid`` is one of "Phi0", "Phi1", "K-ratio-pos" (-Phi1), "xPhi0",
     "psi_I", "psi_K" (psi = x*Phi - nu), "W_I", "W_K" (W = Phi(nu)/Phi(nu+1)),
     "P" (I_nu*K_nu) or "xP".  ``ratio(name)`` serves the (values,
-    est_errors) row of "Phi0", "Phi0_up" (Phi0 at order nu + 1) or "Phi1";
-    it is asked only for the ratios ``qid`` needs.
+    est_errors) rows of "Phi0", "Phi0_up" (Phi0 at order nu + 1) or "Phi1";
+    it is asked only for the ratios ``qid`` needs.  Every element is
+    computed as in its own one-point call; a P gap that is not positive
+    raises, naming the first order row that holds one.
     """
     if qid in ("Phi0", "Phi1"):
         return ratio(qid)
@@ -449,7 +452,8 @@ def quantity_row(qid: str, nu: float, xs: np.ndarray,
         (phi0, est0), (phi1, est1) = ratio("Phi0"), ratio("Phi1")
         gap = phi0 - phi1      # both-signs gap, always > 0
         if np.any(gap <= 0):
-            raise EvaluationError(f"ratio gap not positive at nu={nu}")
+            first = np.argmax(np.any(gap <= 0, axis=-1))    # order row
+            raise EvaluationError(f"ratio gap not positive at nu={np.ravel(nu)[first]}")
         p = 1.0 / (xs * gap)
         est = (est0 + est1) / (xs * gap * gap) + _EPS * p
         if qid == "P":

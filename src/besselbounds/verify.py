@@ -1,14 +1,18 @@
 """Grid-scan engine: bounds, monotonicity, sharpness orders, conjecture.
 
 Every bound in the `nullclines.BOUNDS` catalog is registered here as a
-claim holding its `nullclines.BoundForm`: a row formula, a direction, a
+claim holding its `nullclines.BoundForm`: a formula, a direction, a
 proved order range and the oracle quantity it bounds.  Every scan (bound,
-monotone, conjecture) runs the same row loop, `_rows`, and the same gate,
-`_gate_row`.
+monotone, conjecture) runs the same block loop, `_blocks`, and the same
+gate, `_gate`.
 A row outside the claim's proved order range is skipped before anything is
-fetched, since every proved range depends on the order only; a row the
-oracle cannot serve is one failure per argument; every other row is
-evaluated on the whole x row in one numpy pass.  `scan_bound` reports signed
+fetched, since every proved range depends on the order only.  The other
+rows are taken in blocks of whole order rows, at most SCAN_BLOCK_POINTS
+points each (one row when a row is longer), and each block is one oracle
+fetch, one formula call on its column of orders against the x row and one
+2-d gate; every element is computed as in its own row, and report rows
+stay in grid order.  A row the oracle cannot serve is one failure per
+argument and fails alone.  `scan_bound` reports signed
 relative margins; a margin is a violation only when it undercuts the
 tolerance plus the oracle's own error estimate, so oracle noise cannot
 manufacture false counterexamples, and a non-finite margin, gate or oracle
@@ -66,6 +70,11 @@ __all__ = [
 
 DEFAULT_TOL = 1.0e-12
 MONOTONE_TOL = 1.0e-9
+# most (order, x) points a scan evaluates in one numpy pass: a block of
+# whole order rows, or one row when a row is longer.  Twice as many saved
+# no measurable time but held about 1 MiB more of formula temporaries at
+# the peak of a 20 x 1,001 verify run
+SCAN_BLOCK_POINTS = 4096
 _TINY = 1.0e-300
 _EPS = float(np.finfo(float).eps)
 
@@ -275,7 +284,8 @@ class OracleTable:
     table.  One ``oracle.k_ratio_rows`` call serves all second-kind rows:
     one seed per order class, then the order ladder.  Each call serves many
     rows, so a failure of either marks every row.  Derived quantities come
-    from ``oracle.quantity_row`` over the cached ratios.
+    from ``oracle.quantity_row`` over the cached ratios, for a block of
+    rows at once (``block``) or one row (``quantity``).
     """
 
     def __init__(self, grid: Grid):
@@ -301,11 +311,21 @@ class OracleTable:
 
     def quantity(self, qid: str, nu: float) -> Tuple[np.ndarray, np.ndarray]:
         """(values, est_errors) for one quantity along an order row: the
-        cached ratio rows handed to ``oracle.quantity_row``."""
-        r = self.row(nu)
-        if r.error is not None:
-            raise EvaluationError(f"row nu={nu} unavailable: {r.error}")
-        return oracle.quantity_row(qid, nu, self.xs, r.ratios.__getitem__)
+        one-row call of ``block``."""
+        return tuple(part[0] for part in self.block(qid, [nu]))
+
+    def block(self, qid: str, nus) -> Tuple[np.ndarray, np.ndarray]:
+        """(values, est_errors) for one quantity, one row per order of
+        ``nus``: each row's ``ratios``, stacked as they are read, handed to
+        ``oracle.quantity_row`` with the orders as a column.  Raises if any
+        row is unavailable."""
+        nus = np.asarray(nus, dtype=float).reshape(-1, 1)
+        rows = [self.row(nu) for nu in nus[:, 0].tolist()]
+        for r in rows:
+            if r.error is not None:
+                raise EvaluationError(f"row nu={r.nu} unavailable: {r.error}")
+        return oracle.quantity_row(qid, nus, self.xs, lambda name: tuple(
+            np.array(part) for part in zip(*(r.ratios[name] for r in rows))))
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +335,7 @@ class OracleTable:
 @dataclass(frozen=True)
 class BoundClaim:
     """A registered inequality: ``form`` is its closed form, whose
-    ``form.row(nu, xs)`` returns (values, direction, valid) along an x row."""
+    ``form.formula(nu, xs)`` scans evaluate on a column of orders."""
 
     claim_id: str
     form: nc.BoundForm
@@ -376,43 +396,49 @@ def _table_for(grid: Optional[Grid], table: Optional[OracleTable],
     return grid, table
 
 
-def _rows(rep: ScanReport, grid: Grid, holds: Callable[[float], bool],
-          fetch: Callable, skip: int) -> Iterator[tuple]:
-    """The row loop of every scan: (nu, xs, values, est_errors) for each
-    order row where ``holds(nu)``.  A row outside that range adds ``skip``
-    to ``rep.skipped`` and is never fetched; a row whose ``fetch(nu, xs)``
-    raises is one oracle failure per argument."""
+def _blocks(rep: ScanReport, grid: Grid, holds: Callable[[float], bool],
+            fetch: Callable, skip: int) -> Iterator[tuple]:
+    """The block loop of every scan: (nus, xs, values, est_errors) for
+    blocks of the order rows where ``holds(nu)``, in grid order, ``nus`` a
+    column and ``values`` one row per order.  A row outside that range adds
+    ``skip`` to ``rep.skipped`` and is never fetched.  A block whose
+    ``fetch(nus)`` raises is fetched again one row at a time, so a row that
+    cannot be served is one oracle failure per argument and fails alone."""
     xs = np.asarray(grid.x_values)
-    for nu in grid.nu_values:
-        if not holds(nu):
-            rep.skipped += skip
-            continue
-        try:
-            vals, ests = fetch(nu, xs)
+    nus = [nu for nu in grid.nu_values if holds(nu)]
+    rep.skipped += skip * (len(grid.nu_values) - len(nus))
+    per = max(1, SCAN_BLOCK_POINTS // len(xs))
+    pending = [nus[first:first + per] for first in range(0, len(nus), per)]
+    while pending:
+        col = np.array(pending.pop(0)).reshape(-1, 1)
+        try:    # catches what fetch raises; the caller's errors never enter here
+            yield (col, xs, *fetch(col))
         except (DomainError, EvaluationError) as exc:
-            rep.oracle_failures += [(nu, x, str(exc)) for x in grid.x_values]
-            continue
-        yield nu, xs, vals, ests
+            if len(col) > 1:
+                pending[:0] = col.tolist()      # one block per row: [[nu], ...]
+            else:
+                rep.oracle_failures += [(col.item(), x, str(exc)) for x in grid.x_values]
 
 
-def _gate_row(rep: ScanReport, nu: float, xs: np.ndarray, slack, scale, est,
-              tol: float, finite, cols, gated: bool = True) -> np.ndarray:
-    """Gate one order row: margin = slack/scale is a violation when it is
-    below -(tol + est/scale) and the row is ``gated``.  A point whose oracle
-    values, margin or gate are not finite is an oracle failure, never a
-    pass.  Returns the checked points as report rows (nu, x, *cols, margin)."""
+def _gate(rep: ScanReport, nus: np.ndarray, xs: np.ndarray, slack, scale, est,
+          tol: float, finite, cols, gated=True) -> np.ndarray:
+    """Gate a block of order rows (``nus`` a column against the x row):
+    margin = slack/scale is a violation where it is below -(tol + est/scale)
+    and ``gated``.  A point whose oracle values, margin or gate are not
+    finite is an oracle failure, never a pass.  Returns the checked points
+    as report rows (nu, x, *cols, margin), row by row."""
     with np.errstate(all="ignore"):
         margin = slack / scale
         gate = tol + est / scale
     ok = finite & np.isfinite(margin) & np.isfinite(gate)
-    for i in np.flatnonzero(~ok):
-        rep.oracle_failures.append((nu, float(xs[i]), "non-finite margin or gate"
-                                    if finite[i] else "non-finite oracle value"))
-    if gated:
-        bad = ok & (margin < -gate)
-        rep.violations += [(nu, x, m) for x, m in zip(xs[bad].tolist(), margin[bad].tolist())]
-    return np.column_stack([np.full(np.count_nonzero(ok), nu), xs[ok],
-                            *(c[ok] for c in cols), margin[ok]])
+    nu_at, x_at = np.broadcast_arrays(nus, xs)
+    rep.oracle_failures += [(nu, x, "non-finite margin or gate" if f else "non-finite oracle value")
+                            for nu, x, f in zip(nu_at[~ok].tolist(), x_at[~ok].tolist(),
+                                                finite[~ok].tolist())]
+    bad = ok & gated & (margin < -gate)
+    rep.violations += zip(nu_at[bad].tolist(), x_at[bad].tolist(), margin[bad].tolist())
+    return np.column_stack([nu_at[ok], x_at[ok],
+                            *(np.broadcast_to(c, ok.shape)[ok] for c in cols), margin[ok]])
 
 
 def _finish(rep: ScanReport, blocks: List[np.ndarray]) -> ScanReport:
@@ -425,7 +451,7 @@ def _finish(rep: ScanReport, blocks: List[np.ndarray]) -> ScanReport:
 def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
                tol: float = DEFAULT_TOL,
                table: Optional[OracleTable] = None) -> ScanReport:
-    """Sweep one bound claim over the grid, one order row at a time.
+    """Sweep one bound claim over the grid, a block of order rows at a time.
 
     A point is a violation when its signed relative margin is below
     -(tol + est_error/|oracle|).  A row is checked exactly when the
@@ -439,14 +465,14 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
     grid, table = _table_for(grid, table)
     rep = ScanReport(claim_id=claim.claim_id)
     blocks = []
-    for nu, xs, vals, ests in _rows(rep, grid, claim.form.proved.holds,
-                                    lambda nu, xs: table.quantity(claim.target, nu),
-                                    len(grid.x_values)):
-        bound = claim.form.formula(nu, xs)
+    for nus, xs, vals, ests in _blocks(rep, grid, claim.form.proved.holds,
+                                       lambda nus: table.block(claim.target, nus),
+                                       len(grid.x_values)):
+        bound = claim.form.formula(nus, xs)
         with np.errstate(all="ignore"):
             slack = bound - vals if claim.form.direction == "upper" else vals - bound
-        blocks.append(_gate_row(rep, nu, xs, slack, np.maximum(np.abs(vals), _TINY),
-                                ests, tol, np.isfinite(vals), (bound, vals)))
+        blocks.append(_gate(rep, nus, xs, slack, np.maximum(np.abs(vals), _TINY),
+                            ests, tol, np.isfinite(vals), (bound, vals)))
     return _finish(rep, blocks)
 
 
@@ -459,8 +485,8 @@ class MonotoneClaim:
     quantity: str
     expected: str                       # "increasing" or "decreasing"
     proved: nc.OrderRange = nc.ALL_NU
-    # row function (nu, xs) -> values for closed-form quantities, which
-    # need no oracle table; None: the quantity is an oracle-table row
+    # function (nu, xs) -> values for closed-form quantities, broadcast over
+    # a column of orders; None: the quantity is an oracle-table row
     closed_form: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
 
@@ -507,7 +533,8 @@ def monotone_claims() -> Tuple[str, ...]:
 
 def scan_monotone(quantity: str, grid: Optional[Grid] = None, tol: float = MONOTONE_TOL,
                   table: Optional[OracleTable] = None) -> ScanReport:
-    """Forward-difference monotonicity check along x for each order row.
+    """Forward-difference monotonicity check along x for each order row,
+    a block of rows at a time.
 
     Margin for one difference is its signed step (oriented so that the
     expected direction is positive) divided by the larger neighbour
@@ -521,24 +548,24 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None, tol: float = MONOT
         raise DomainError(f"unknown monotone quantity {quantity!r}") from None
     grid, table = _table_for(grid, table, needed=claim.closed_form is None)
 
-    def fetch(nu, xs):
+    def fetch(nus):
         if claim.closed_form is None:
-            return table.quantity(quantity, nu)
-        vals = claim.closed_form(nu, xs)
+            return table.block(quantity, nus)
+        vals = claim.closed_form(nus, np.asarray(grid.x_values))
         return vals, 4.0 * _EPS * np.abs(vals)
 
     rep = ScanReport(claim_id=f"monotone-{quantity}-{claim.expected}")
     sign = 1.0 if claim.expected == "increasing" else -1.0
     blocks = []
-    for nu, xs, vals, ests in _rows(rep, grid, claim.proved.holds, fetch,
-                                    len(grid.x_values) - 1):
-        v0, v1 = vals[:-1], vals[1:]
+    for nus, xs, vals, ests in _blocks(rep, grid, claim.proved.holds, fetch,
+                                       len(grid.x_values) - 1):
+        v0, v1 = vals[:, :-1], vals[:, 1:]
         with np.errstate(all="ignore"):
             slack = sign * (v1 - v0)
-        blocks.append(_gate_row(rep, nu, xs[:-1], slack,
-                                np.maximum(np.maximum(np.abs(v0), np.abs(v1)), _TINY),
-                                ests[:-1] + ests[1:], tol,
-                                np.isfinite(v0) & np.isfinite(v1), (v1, v0)))
+        blocks.append(_gate(rep, nus, xs[:-1], slack,
+                            np.maximum(np.maximum(np.abs(v0), np.abs(v1)), _TINY),
+                            ests[:, :-1] + ests[:, 1:], tol,
+                            np.isfinite(v0) & np.isfinite(v1), (v1, v0)))
     return _finish(rep, blocks)
 
 
@@ -719,30 +746,21 @@ def conjecture_scan(grid: Optional[Grid] = None,
     grid, table = _table_for(grid, table)
     rep = ScanReport(claim_id="conjecture-scan")
     blocks = []
-    for nu, xs, p, p_est in _rows(rep, grid, nc.ALL_NU.holds,
-                                  lambda nu, xs: table.quantity("P", nu), 0):
+    for nus, xs, p, p_est in _blocks(rep, grid, nc.ALL_NU.holds,
+                                     lambda nus: table.block("P", nus), 0):
         with np.errstate(all="ignore"):
-            s = 1.0 / (4.0 * p * p) - xs * xs - nu * nu
+            s = 1.0 / (4.0 * p * p) - xs * xs - nus * nus
             # cancellation-aware error: d s / d P = -1/(2 P**3)
-            est_s = p_est / (2.0 * p ** 3) + 4.0 * _EPS * (xs * xs + nu * nu + np.abs(s))
+            est_s = p_est / (2.0 * p ** 3) + 4.0 * _EPS * (xs * xs + nus * nus + np.abs(s))
             slack = _PROVED_CAP - s
-        blocks.append(_gate_row(rep, nu, xs, slack, 1.0, est_s, -_GATE_SLACK,
-                                np.isfinite(p) & (p > 0), (np.full_like(s, _PROVED_CAP), s),
-                                gated=nu >= 0.0))
+        blocks.append(_gate(rep, nus, xs, slack, 1.0, est_s, -_GATE_SLACK,
+                            np.isfinite(p) & (p > 0), (_PROVED_CAP, s), gated=nus >= 0.0))
     _finish(rep, blocks)
-    sup_all, *sup_all_at = _sup_s(rep.rows)
-    sup_ver, *sup_ver_at = _sup_s(rep.rows[rep.rows[:, 0] >= 0.0])
-    rep.worst_margin = _PROVED_CAP - sup_ver if math.isfinite(sup_ver) else math.nan
-    rep.stats.update({
-        "sup_s": sup_all,
-        "sup_s_nu": sup_all_at[0],
-        "sup_s_x": sup_all_at[1],
-        "sup_s_verified": sup_ver,
-        "sup_s_verified_nu": sup_ver_at[0],
-        "sup_s_verified_x": sup_ver_at[1],
-        "margin_proved_cap": rep.worst_margin,
-        "margin_conjectured_cap": _CONJECTURED_CAP - sup_all,
-        "proved_cap": _PROVED_CAP,
-        "conjectured_cap": _CONJECTURED_CAP,
-    })
+    sup_all, sup_ver = _sup_s(rep.rows), _sup_s(rep.rows[rep.rows[:, 0] >= 0.0])
+    for key, (top, nu, x) in (("sup_s", sup_all), ("sup_s_verified", sup_ver)):
+        rep.stats.update({key: top, key + "_nu": nu, key + "_x": x})
+    rep.worst_margin = _PROVED_CAP - sup_ver[0] if math.isfinite(sup_ver[0]) else math.nan
+    rep.stats.update({"margin_proved_cap": rep.worst_margin,
+                      "margin_conjectured_cap": _CONJECTURED_CAP - sup_all[0],
+                      "proved_cap": _PROVED_CAP, "conjectured_cap": _CONJECTURED_CAP})
     return rep

@@ -411,6 +411,20 @@ def test_sharpness_gates_pass(tmp_path):
     assert len(os.listdir(tmp_path / "fits")) == 7
 
 
+def test_sharpness_writes_every_case_through_one_csv_text(tmp_path, monkeypatch):
+    # a CsvText per 3-4 row case cost more than formatting the values
+    built = []
+
+    class CountingText(verify.CsvText):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(verify, "CsvText", CountingText)
+    assert run(["sharpness", "--out", str(tmp_path / "fits")])[0] == EXIT_OK
+    assert len(built) == 1 and len(os.listdir(tmp_path / "fits")) == 7
+
+
 def test_sharpness_unfittable_cases_exit_3(monkeypatch):
     # infinite estimates make every case unfittable, which used to exit 0
     real = verify.OracleTable.quantity
@@ -594,6 +608,28 @@ def test_dump_config_round_trip(tmp_path):
     code, dump3, _ = run(["tabulate", "--config", str(cfg), "--nu-max", "7",
                           "--dump-config"])
     assert "nu_max=7" in dump3
+
+
+def test_config_hash_starts_a_comment_only_after_whitespace(tmp_path):
+    # out=res#1.csv used to read back as out=res
+    code, dump, _ = run(["tabulate", "--out", "res#1.csv", "--dump-config"])
+    assert code == EXIT_OK and "out=res#1.csv" in dump.splitlines()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(dump + "seed=3 # a comment\n# a comment line\n  #indented\n")
+    code, dump2, _ = run(["tabulate", "--config", str(cfg), "--dump-config"])
+    assert (code, dump2) == (EXIT_OK, dump.replace("seed=0", "seed=3"))
+    cfg.write_text("out=#1.csv\n")
+    assert "out=#1.csv" in run(["tabulate", "--config", str(cfg), "--dump-config"])[1]
+    # a value that no config line reads back is refused, nothing printed
+    for out in ("res #1.csv", "res\t#1.csv", "a\nb.csv", "a\rb.csv", " lead.csv"):
+        code, stdout, err = run(["tabulate", "--out", out, "--dump-config"])
+        assert (code, stdout) == (EXIT_USAGE, "") and err.startswith("config error:"), out
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+    assert run(["tabulate", "--nu", "1.5", "--x", "1", "--dump-config"])[0] == EXIT_OK
+    assert run(["verify", "--nu", "2.5", "--dump-config"])[1].count("nu=2.5") == 1
 
 
 def test_config_rejects_unknown_key(tmp_path):

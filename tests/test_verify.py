@@ -4,6 +4,7 @@ Full default-grid sweeps live in the acceptance suite; these tests exercise
 the machinery on small grids.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -384,6 +385,116 @@ def test_failed_table_rows_outside_the_range_are_skipped():
                          (scan_monotone("Phi0", table=table), 4)):
         assert (rep.points_checked, rep.skipped) == (0, skipped), rep.claim_id
         assert [nu for nu, _, _ in rep.oracle_failures] == [1.5] * 3, rep.claim_id
+
+
+# ---------------------------------------------------------------------------
+# block scans: a scan over a grid is the concatenation of its one-order scans
+
+
+def _one_order(table: OracleTable, nu: float) -> OracleTable:
+    """A table over the order row ``nu`` alone that shares ``table``'s row
+    object, so both read the same (possibly altered) ratios."""
+    sub = copy.copy(table)
+    sub.grid = Grid((nu,), table.grid.x_values)
+    sub.rows = {nu: table.rows[nu]}
+    return sub
+
+
+def _altered_table() -> OracleTable:
+    """Negative orders, rows outside most claims' ranges, a row with NaN K
+    estimates, one with a NaN K value, one whose P gap is zero at one x and
+    one the table failed to serve."""
+    table = OracleTable(Grid((-1.0, -0.75, -0.25, 0.25, 0.5, 0.75, 1.5, 2.5, 3.25, 4.5),
+                             tuple(np.geomspace(1e-2, 50.0, 9))))
+    rows = table.rows
+    rows[0.75].ratios["Phi1"] = (rows[0.75].ratios["Phi1"][0], np.full(9, np.nan))
+    vals, ests = rows[1.5].ratios["Phi1"]
+    rows[1.5].ratios["Phi1"] = (np.where(np.arange(9) == 4, np.nan, vals), ests)
+    phi0, est0 = rows[2.5].ratios["Phi0"]
+    rows[2.5].ratios["Phi0"] = (np.where(np.arange(9) == 3, rows[2.5].ratios["Phi1"][0], phi0),
+                                est0)
+    rows[-0.25].error = "row withheld"
+    return table
+
+
+def _report_fields(reports) -> tuple:
+    rows = np.concatenate([np.asarray(r.rows).reshape(-1, 5) for r in reports])
+    return (rows.tobytes(), rows.shape, sum((r.violations for r in reports), []),
+            sum((r.oracle_failures for r in reports), []),
+            sum(r.skipped for r in reports), sum(r.points_checked for r in reports))
+
+
+def _scans(table: OracleTable) -> list:
+    claims = [get_claim(cid) for cid in bound_claims()]
+    return ([scan_bound(c, table=table) for c in claims]
+            + [scan_bound(corrupt_claim(c), table=table) for c in claims]
+            + [scan_monotone(q, table=table) for q in monotone_claims()]
+            + [conjecture_scan(table=table)])
+
+
+@pytest.mark.parametrize("block_points", [None, 20, 5])
+def test_block_scans_equal_row_scans(monkeypatch, block_points):
+    # every field of every scan, also where violations, non-finite oracle
+    # values, a zero P gap and a withheld row fail single points or rows;
+    # a block constant of 20 points holds two rows of 9, one of 5 splits no
+    # row, so one row is a block
+    if block_points is not None:
+        monkeypatch.setattr(verify, "SCAN_BLOCK_POINTS", block_points)
+    table = _altered_table()
+    for flip in (False, True):
+        if flip:    # every monotone claim expects the other direction
+            for q, claim in verify._MONOTONE_CLAIMS.items():
+                other = "decreasing" if claim.expected == "increasing" else "increasing"
+                monkeypatch.setitem(verify._MONOTONE_CLAIMS, q,
+                                    dataclasses.replace(claim, expected=other))
+            monkeypatch.setattr(verify, "_PROVED_CAP", 0.15)
+        whole = _scans(table)
+        per_row = [_scans(_one_order(table, nu)) for nu in table.grid.nu_values]
+        assert len(whole) == 72
+        for k, rep in enumerate(whole):
+            assert _report_fields([rep]) == _report_fields([scans[k] for scans in per_row]), \
+                (flip, rep.claim_id)
+    failures = {m for rep in whole for _, _, m in rep.oracle_failures}
+    assert {"ratio gap not positive at nu=2.5", "row nu=-0.25 unavailable: row withheld",
+            "non-finite oracle value", "non-finite margin or gate"} <= failures
+    assert any(rep.violations for rep in whole)
+
+
+def test_scan_blocks_stay_within_the_block_constant(monkeypatch):
+    monkeypatch.setattr(verify, "SCAN_BLOCK_POINTS", 20)
+    sizes = []
+    real = verify._gate
+
+    def recording(rep, nus, xs, *args, **kwargs):
+        sizes.append((len(nus), len(nus) * len(xs)))
+        return real(rep, nus, xs, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_gate", recording)
+    table = OracleTable(Grid((0.5, 1.5, 2.5, 3.5, 4.5), tuple(np.geomspace(0.1, 10.0, 9))))
+    _scans(table)
+    assert max(n for n, _ in sizes) == 2 and max(p for _, p in sizes) <= 20
+    # a row longer than the constant is a block of its own
+    sizes.clear()
+    scan_bound("trig-upper-I", grid=Grid((0.5, 1.5), tuple(np.geomspace(0.1, 10.0, 30))))
+    assert sizes == [(1, 30), (1, 30)]
+
+
+def test_every_formula_broadcasts_over_an_order_column():
+    # the scans evaluate each bound and closed-form monotone quantity on a
+    # column of orders against the x row: every element must equal its
+    # one-order row bit for bit, signed zeros included
+    nus = [-1.0, -0.75, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 19.75]
+    formulas = {**{cid: form.formula for cid, form in nc.BOUNDS.items()},
+                **{q: c.closed_form for q, c in verify._MONOTONE_CLAIMS.items()
+                   if c.closed_form is not None}}
+    assert len(formulas) == 25 + 14
+    for xs in (np.geomspace(1e-3, 1e3, 37), np.array([2.5])):
+        col = np.array(nus).reshape(-1, 1)
+        for name, formula in formulas.items():
+            block = formula(col, xs)
+            assert block.shape == (len(nus), len(xs)), name
+            rows = np.array([formula(nu, xs) for nu in nus])
+            assert block.tobytes() == rows.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
