@@ -1,127 +1,16 @@
-"""Bounds, oracles and verification tools for modified Bessel ratios and products."""
+"""Bounds, oracles and verification tools for modified Bessel ratios and products.
 
-from .errors import BesselBoundsError, DomainError, EvaluationError, UnfittableError
-from .expansions import (
-    Expansion,
-    REGIMES,
-    large_nu_ratio,
-    large_x_double,
-    large_x_ratio,
-    product_expansion,
-    relative_error,
-    small_x_I,
-    small_x_K,
-)
-from .nullclines import (
-    Bound,
-    CubicRoots,
-    EvalPoint,
-    Extremum,
-    ProductBounds,
-    WValues,
-    amos_bounds,
-    bound_producers,
-    cubic_roots,
-    gamma_hat,
-    lambda_plus,
-    nullcline_extremum,
-    product_bounds,
-    trig_bound_I,
-    trig_bound_K,
-    w_values,
-)
-from .oracle import (
-    OracleResult,
-    RatioKind,
-    double_ratio,
-    i_ratio,
-    i_ratio_row,
-    k_ratio,
-    k_ratio_row,
-    product,
-    psi,
-)
-from .riccati_lab import (
-    SolutionClass,
-    Trajectory,
-    classify,
-    nullcline_contact,
-    solve_riccati,
-    w_along,
-)
-from .verify import (
-    BoundClaim,
-    Grid,
-    OracleTable,
-    ScanReport,
-    bound_claims,
-    conjecture_scan,
-    default_grid,
-    fit_error_order,
-    monotone_claims,
-    scan_bound,
-    scan_monotone,
-    sharpness_battery,
-)
+The submodules are the API; the package root re-exports nothing:
+
+* ``nullclines``: the closed forms and the ``BOUNDS`` catalog, as row
+  functions that broadcast over orders and arguments;
+* ``oracle``: reference ratio rows and the derived quantities
+  (``quantity_row``);
+* ``verify``: the oracle table, the claim registry and the scans;
+* ``riccati_lab``: trajectories of the Riccati flows;
+* ``expansions``: truncated asymptotic expansions;
+* ``cli``: the ``besselbounds`` command;
+* ``errors``: the exception types.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BesselBoundsError",
-    "DomainError",
-    "EvaluationError",
-    "UnfittableError",
-    "Expansion",
-    "REGIMES",
-    "large_nu_ratio",
-    "large_x_double",
-    "large_x_ratio",
-    "product_expansion",
-    "relative_error",
-    "small_x_I",
-    "small_x_K",
-    "Bound",
-    "CubicRoots",
-    "EvalPoint",
-    "Extremum",
-    "ProductBounds",
-    "WValues",
-    "amos_bounds",
-    "bound_producers",
-    "cubic_roots",
-    "gamma_hat",
-    "lambda_plus",
-    "nullcline_extremum",
-    "product_bounds",
-    "trig_bound_I",
-    "trig_bound_K",
-    "w_values",
-    "OracleResult",
-    "RatioKind",
-    "double_ratio",
-    "i_ratio",
-    "i_ratio_row",
-    "k_ratio",
-    "k_ratio_row",
-    "product",
-    "psi",
-    "SolutionClass",
-    "Trajectory",
-    "classify",
-    "nullcline_contact",
-    "solve_riccati",
-    "w_along",
-    "BoundClaim",
-    "Grid",
-    "OracleTable",
-    "ScanReport",
-    "bound_claims",
-    "conjecture_scan",
-    "default_grid",
-    "fit_error_order",
-    "monotone_claims",
-    "scan_bound",
-    "scan_monotone",
-    "sharpness_battery",
-    "__version__",
-]

@@ -236,28 +236,29 @@ def cmd_tabulate(cfg: RunConfig) -> int:
         failures = 0
         # one oracle table per CSV block: whole rows of a few orders, or one
         # x-block of a long row (no oracle value at x depends on the other
-        # points of its table), so memory stays bounded as rows grow
+        # points of its table), so memory stays bounded as rows grow; the
+        # closed forms take the table's orders as a column against its x row
         size = verify.CSV_BLOCK_ROWS
         per = max(1, size // len(xs))
         for first in range(0, len(nus), per):
             for lo in range(0, len(xs), size):
                 table = verify.OracleTable(verify.Grid(tuple(nus[first:first + per]),
                                                        tuple(xs[lo:lo + size])))
-                block_xs = np.asarray(table.grid.x_values)
-                for nu in table.grid.nu_values:
+                nu, x = np.array(table.grid.nu_values).reshape(-1, 1), table.xs
+                oracle_cols = np.full((3, len(nu), len(x)), math.nan)
+                for i, row_nu in enumerate(table.grid.nu_values):
                     try:
-                        oracle_cols = [table.quantity(q, nu)[0] for q in ("Phi0", "Phi1", "P")]
+                        oracle_cols[:, i] = [table.quantity(q, row_nu)[0] for q in ("Phi0", "Phi1", "P")]
                     except (DomainError, EvaluationError):
-                        oracle_cols = [np.full(len(block_xs), math.nan)] * 3
-                        failures += len(block_xs)
-                    lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, block_xs)
-                    verify.write_csv_rows(stream, line, np.column_stack([
-                        np.full(len(block_xs), nu), block_xs, *oracle_cols,
-                        nc.TRIG_I.formula(nu, block_xs), nc.TRIG_K.formula(nu, block_xs),
-                        lam_i, lam_k, lam_o, *nc.w_values_row(nu, block_xs),
-                        nc.PRODUCT_FORMS["upper"].formula(nu, block_xs),
-                        nc.PRODUCT_FORMS["lower_trig"].formula(nu, block_xs),
-                    ]))
+                        failures += len(x)
+                lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, x)
+                columns = [nu, x, *oracle_cols, nc.TRIG_I.formula(nu, x), nc.TRIG_K.formula(nu, x),
+                           lam_i, lam_k, lam_o, *nc.w_values_row(nu, x),
+                           nc.PRODUCT_FORMS["upper"].formula(nu, x),
+                           nc.PRODUCT_FORMS["lower_trig"].formula(nu, x)]
+                shape = (len(nu), len(x))
+                verify.write_csv_rows(stream, line, np.column_stack(
+                    [np.broadcast_to(c, shape).ravel() for c in columns]))
         if _too_many_failures(failures, len(nus) * len(xs)):
             return EXIT_ORACLE
         return EXIT_OK

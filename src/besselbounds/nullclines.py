@@ -37,15 +37,14 @@ bracket psi = x*Phi - nu and the double ratios W = Phi(nu)/Phi(nu+1).
 
 Every formula is array-first: it broadcasts over numpy arrays of nu and x
 (the scans pass a column of orders against the x row, each element
-computed exactly as in a one-order row), and the scalar API
-(``lambda_plus``, ``cubic_roots``, ``trig_bound_I``, ... taking an
-``EvalPoint``) is a one-point call into the same code.  A bound is a
-``BoundForm``: its row formula, direction and proved order range.  Values
-are still computed outside that range, but ``valid`` is False there, so
-scanning code never treats an extrapolated value as a proved one.  A
-form's ``target`` is the ``oracle.quantity_row`` id of the quantity it
-bounds: "Phi0", "Phi1", "K-ratio-pos" (-Phi1 = K_{nu-1}/K_nu), "P",
-"psi_I", "psi_K", "W_I" or "W_K".
+computed exactly as in a one-order row), and a one-point value is the
+same call on a one-element x row.  A bound is a ``BoundForm``: its row
+formula, direction and proved order range.  Values are still computed
+outside that range, but ``valid`` is False there, so scanning code never
+treats an extrapolated value as a proved one.  A form's ``target`` is the
+``oracle.quantity_row`` id of the quantity it bounds: "Phi0", "Phi1",
+"K-ratio-pos" (-Phi1 = K_{nu-1}/K_nu), "P", "psi_I", "psi_K", "W_I" or
+"W_K".
 """
 
 from __future__ import annotations
@@ -105,43 +104,12 @@ class Bound:
 
 
 @dataclass(frozen=True)
-class CubicRoots:
-    """The three real roots of t**3 + t**2 - (nu**2+x**2)*t - nu**2."""
-
-    lambda_K: float
-    lambda_O: float
-    lambda_I: float
-    g: float                # sqrt(3*(nu**2 + x**2) + 1)
-    acos_arg: float         # clamped argument passed to acos
-
-
-@dataclass(frozen=True)
-class WValues:
-    """Nullcline levels of the double-ratio flow, w = lambda/(lambda+1)."""
-
-    w_I: float
-    w_K: float
-    w_O: float
-
-
-@dataclass(frozen=True)
 class Extremum:
     """Location of the interior extremum of a nullcline branch."""
 
     x: float
     branch: str             # "plus" or "minus"
     kind: str               # "min" or "max"
-
-
-@dataclass(frozen=True)
-class ProductBounds:
-    """All closed-form bounds for P(nu, x) = I_nu(x) * K_nu(x)."""
-
-    upper: Bound
-    lower_amos: Bound
-    lower_trig: Bound
-    lower_simple: Bound
-    lower_conjecture: Bound
 
 
 class OrderRange(NamedTuple):
@@ -170,7 +138,8 @@ class BoundForm:
     the inequality and ``proved`` is the order range where it is a theorem.
 
     The scans call ``formula`` on a column of orders against the x row;
-    ``row`` is its one-order call and ``at`` its one-point call.
+    ``row`` is its one-order call.  ``at``, its one-point ``Bound``, serves
+    only ``verify.BoundClaim.bound_fn``, which the benchmark times.
     """
 
     formula: Callable
@@ -212,11 +181,6 @@ def lambda_plus_row(a: float, nu, x) -> np.ndarray:
     return np.where(c >= 0.0, s / x, x / s)
 
 
-def lambda_plus(a: float, p: EvalPoint) -> float:
-    """One-point ``lambda_plus_row``."""
-    return float(lambda_plus_row(a, p.nu, np.array([p.x]))[0])
-
-
 def gamma_hat_row(a: float, nu, x) -> Tuple[np.ndarray, np.ndarray]:
     """Both nullcline branches (plus, minus) of the rescaled Riccati flow.
 
@@ -225,12 +189,6 @@ def gamma_hat_row(a: float, nu, x) -> Tuple[np.ndarray, np.ndarray]:
     lam = lambda_plus_row(a, nu, x)
     scale = np.power(x, -float(a))
     return scale * lam, -scale / lam
-
-
-def gamma_hat(a: float, p: EvalPoint) -> Tuple[float, float]:
-    """One-point ``gamma_hat_row``."""
-    plus, minus = gamma_hat_row(a, p.nu, np.array([p.x]))
-    return float(plus[0]), float(minus[0])
 
 
 def nullcline_extremum(a: float, nu: float) -> Optional[Extremum]:
@@ -336,18 +294,13 @@ def _lambda_K_shift(nu, x, lam_k) -> np.ndarray:
 
 
 def cubic_roots_row(nu, x) -> Tuple[np.ndarray, ...]:
-    """(lambda_K, lambda_O, lambda_I, g, acos_arg), the fields of
-    ``CubicRoots``, broadcast over nu and x."""
-    return _cubic(nu, x)[:5]
-
-
-def cubic_roots(p: EvalPoint) -> CubicRoots:
-    """All three real roots of t**3 + t**2 - (nu**2+x**2)*t - nu**2.
-
-    Ordered lambda_K < lambda_O < lambda_I with lambda_I > 0 always,
-    lambda_K < -1, and lambda_O in (-|nu|, 0] (zero exactly when nu == 0).
+    """(lambda_K, lambda_O, lambda_I, g, acos_arg), broadcast over nu and x:
+    the three real roots of t**3 + t**2 - (nu**2+x**2)*t - nu**2, ordered
+    lambda_K < lambda_O < lambda_I with lambda_I > 0 always, lambda_K < -1
+    and lambda_O in (-|nu|, 0] (zero exactly when nu == 0); then
+    g = sqrt(3*(nu**2 + x**2) + 1) and the clamped argument passed to acos.
     """
-    return CubicRoots(*(float(v[0]) for v in cubic_roots_row(p.nu, np.array([p.x]))))
+    return _cubic(nu, x)[:5]
 
 
 def w_values_row(nu, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -366,11 +319,6 @@ def w_values_row(nu, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lam_i / u_i, lam_k / u_k, lam_o / (-(x * x) / (u_i * u_k))
 
 
-def w_values(p: EvalPoint) -> WValues:
-    """One-point ``w_values_row``."""
-    return WValues(*(float(v[0]) for v in w_values_row(p.nu, np.array([p.x]))))
-
-
 # Trigonometric ratio bounds, sharp as x -> 0, x -> oo and nu -> oo:
 # I_{nu-1}/I_nu <= (lambda_I + nu)/x and, in the positive ratio convention,
 # K_{nu-1}/K_nu <= -(lambda_K + nu)/x; both proved for nu >= 0.
@@ -378,16 +326,6 @@ TRIG_I = BoundForm(lambda nu, x: (_cubic(nu, x)[2] + nu) / x,
                    "upper", "Phi0", NU_GE_0)
 TRIG_K = BoundForm(lambda nu, x: -_lambda_K_shift(nu, x, _cubic(nu, x)[0]) / x,
                    "upper", "K-ratio-pos", NU_GE_0)
-
-
-def trig_bound_I(p: EvalPoint) -> Bound:
-    """Trigonometric upper bound for I_{nu-1}(x)/I_nu(x) (``TRIG_I``)."""
-    return TRIG_I.at(p)
-
-
-def trig_bound_K(p: EvalPoint) -> Bound:
-    """Trigonometric upper bound for K_{nu-1}(x)/K_nu(x) (``TRIG_K``)."""
-    return TRIG_K.at(p)
 
 
 def amos_forms(a: float) -> Tuple[BoundForm, BoundForm]:
@@ -436,12 +374,6 @@ def amos_forms(a: float) -> Tuple[BoundForm, BoundForm]:
                  "upper", NU_GE_HALF)
 
 
-def amos_bounds(p: EvalPoint, a: float) -> Tuple[Bound, Bound]:
-    """One-point ``amos_forms``: (bound_I, bound_K) at p."""
-    bound_i, bound_k = amos_forms(a)
-    return bound_i.at(p), bound_k.at(p)
-
-
 def _product_lower_trig(nu, x):
     lam_k, _, lam_i, _, _, _ = _cubic(nu, x)
     return 1.0 / (lam_i - lam_k)
@@ -462,11 +394,6 @@ PRODUCT_FORMS: Dict[str, BoundForm] = {
                                   OrderRange(-1.0, False, "conjectured for nu >= -1"),
                                   conjectural=True),
 }
-
-
-def product_bounds(p: EvalPoint) -> ProductBounds:
-    """One-point ``PRODUCT_FORMS``: every product bound at p."""
-    return ProductBounds(**{name: form.at(p) for name, form in PRODUCT_FORMS.items()})
 
 
 def _level(value, nu, x) -> np.ndarray:
@@ -498,8 +425,3 @@ BOUNDS: Dict[str, BoundForm] = {
        for stem, target, lower, upper in _BRACKETS
        for direction, formula in (("lower", lower), ("upper", upper))},
 }
-
-
-def bound_producers() -> Tuple[str, ...]:
-    """Claim ids of every bound in ``BOUNDS``, catalog order."""
-    return tuple(BOUNDS)

@@ -6,8 +6,7 @@ the Riccati equation the ratios satisfy,
 
       Phi'(x) = 1 + ((2*nu-1)/x)*Phi - Phi**2.
 
-* ``i_ratio_rows`` (and its one-row and one-point forms ``i_ratio_row`` and
-  ``i_ratio``): Phi0 = I_{nu-1}/I_nu via the continued fraction
+* ``i_ratio_rows`` (and its one-row form ``i_ratio_row``): Phi0 = I_{nu-1}/I_nu via the continued fraction
 
       Phi0(nu, x) = 2*nu/x + 1/(2*(nu+1)/x + 1/(2*(nu+2)/x + ...)),
 
@@ -16,8 +15,7 @@ the Riccati equation the ratios satisfy,
   freezes at the step where it converges.  The fraction converges to the
   minimal-solution ratio, which is the I family (Gautschi 1967).
 
-* ``k_ratio_rows`` (and its one-row and one-point forms ``k_ratio_row`` and
-  ``k_ratio``): Phi1 = -K_{nu-1}/K_nu as seed, then ladder.  Orders are
+* ``k_ratio_rows`` (and its one-row form ``k_ratio_row``): Phi1 = -K_{nu-1}/K_nu as seed, then ladder.  Orders are
   grouped by class nu mod 1 and each class is computed once at its lowest
   order (the seed), then carried up by the forward recurrence
   r_{nu+1} = 1/(2*nu/x + r_nu) on r = K_{nu-1}/K_nu > 0.  K is the dominant
@@ -48,8 +46,12 @@ every claim whose proved order range reaches these rows.
 
 Derived quantities are assembled from the two ratios through exact
 algebraic relations, arranged to avoid cancellation, by one row function,
-``quantity_row``; each result carries an honest ``est_error``.  ``psi``,
-``double_ratio`` and ``product`` are its one-point calls.
+``quantity_row``; each result carries an honest ``est_error``.
+
+The one-point calls ``i_ratio``, ``k_ratio`` and ``product`` (an
+``OracleResult`` at an ``EvalPoint``) serve the CLI's ``explore`` seeds,
+``riccati_lab.w_along`` and the benchmark's reference check; every other
+caller takes rows.
 """
 
 from __future__ import annotations
@@ -415,12 +417,12 @@ def quantity_row(qid: str, nu: float, xs: np.ndarray,
     over a block of rows when ``nu`` is a column of orders.
 
     ``qid`` is one of "Phi0", "Phi1", "K-ratio-pos" (-Phi1), "xPhi0",
-    "psi_I", "psi_K" (psi = x*Phi - nu), "W_I", "W_K" (W = Phi(nu)/Phi(nu+1)),
-    "P" (I_nu*K_nu) or "xP".  ``ratio(name)`` serves the (values,
-    est_errors) rows of "Phi0", "Phi0_up" (Phi0 at order nu + 1) or "Phi1";
-    it is asked only for the ratios ``qid`` needs.  Every element is
-    computed as in its own one-point call; a P gap that is not positive
-    raises, naming the first order row that holds one.
+    "psi_I", "psi_K" (psi = x*Phi - nu = x*C_nu'/C_nu for C = I, K), "W_I",
+    "W_K" (W = Phi(nu)/Phi(nu+1)), "P" (I_nu*K_nu) or "xP".  ``ratio(name)``
+    serves the (values, est_errors) rows of "Phi0", "Phi0_up" (Phi0 at
+    order nu + 1) or "Phi1"; it is asked only for the ratios ``qid`` needs.
+    Every element is computed as in its own one-point call; a P gap that is
+    not positive raises, naming the first order row that holds one.
     """
     if qid in ("Phi0", "Phi1"):
         return ratio(qid)
@@ -462,57 +464,16 @@ def quantity_row(qid: str, nu: float, xs: np.ndarray,
     raise DomainError(f"unknown oracle quantity {qid!r}")
 
 
-def _at_point(qid: str, p: EvalPoint) -> OracleResult:
-    """One-point call of ``quantity_row``, fed by ``i_ratio`` and ``k_ratio``;
-    the method names the ratio methods used."""
-    used: Dict[str, OracleResult] = {}
-
-    def ratio(name: str) -> Tuple[np.ndarray, np.ndarray]:
-        if name == "Phi1":
-            r = k_ratio(p)
-        else:
-            r = i_ratio(EvalPoint(p.nu + 1.0, p.x) if name == "Phi0_up" else p)
-        used[name] = r
-        return np.array([r.value]), np.array([r.est_error])
-
-    vals, ests = quantity_row(qid, p.nu, np.array([p.x]), ratio)
-    method = "/".join(dict.fromkeys(r.method for r in used.values()))
-    return OracleResult(float(vals[0]), float(ests[0]), method)
-
-
-def _kind_suffix(kind: RatioKind) -> str:
-    if kind is RatioKind.FIRST:
-        return "_I"
-    if kind is RatioKind.SECOND:
-        return "_K"
-    raise DomainError(f"unknown ratio kind {kind!r}")
-
-
-def psi(kind: RatioKind, p: EvalPoint) -> OracleResult:
-    """Logarithmic-derivative shift psi = x*Phi - nu.
-
-    For FIRST this equals x*I_nu'(x)/I_nu(x); for SECOND, x*K_nu'(x)/K_nu(x)
-    (both from C' = C_{nu-1} -+ (nu/x)*C with the sign conventions above).
-    """
-    return _at_point("psi" + _kind_suffix(kind), p)
-
-
-def double_ratio(kind: RatioKind, p: EvalPoint) -> OracleResult:
-    """W = Phi(nu)/Phi(nu+1), the ratio of consecutive ratios.
-
-    Algebraically W = (psi**2 - nu**2)/x**2 = Phi*(Phi - 2*nu/x).  The I
-    side is computed as a quotient of two continued fractions and the K side
-    through the factored form (Phi - 2*nu/x has no cancellation for nu >= 0
-    since Phi1 < 0); both routes avoid the psi**2 - nu**2 subtraction, which
-    loses most of its precision at small x.
-    """
-    return _at_point("W" + _kind_suffix(kind), p)
-
-
 def product(p: EvalPoint) -> OracleResult:
-    """P = I_nu(x)*K_nu(x) through the Wronskian relation P = 1/(x*(Phi0 - Phi1)).
+    """P = I_nu(x)*K_nu(x) through the Wronskian relation P = 1/(x*(Phi0 - Phi1)):
+    ``quantity_row("P", ...)`` fed by ``i_ratio`` and ``k_ratio``, whose
+    methods it names.
 
     Valid for nu >= -1 (orders in [-1, 0) ride on the documented oracle
     extensions for the two ratios).
     """
-    return _at_point("P", p)
+    used = {"Phi0": i_ratio(p), "Phi1": k_ratio(p)}
+    vals, ests = quantity_row("P", p.nu, np.array([p.x]), lambda name: (
+        np.array([used[name].value]), np.array([used[name].est_error])))
+    method = "/".join(dict.fromkeys(r.method for r in used.values()))
+    return OracleResult(float(vals[0]), float(ests[0]), method)

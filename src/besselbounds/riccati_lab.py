@@ -60,7 +60,7 @@ import numpy as np
 # not called here: a module attribute that perfbench's tracer wraps by name
 from ._lazy import solve_ivp  # noqa: F401
 from .errors import DomainError, EvaluationError
-from .nullclines import EvalPoint, w_values
+from .nullclines import EvalPoint, w_values_row
 from .oracle import RatioKind, horner, i_ratio, k_ratio, taylor_step
 
 __all__ = ["BLOWUP_THRESHOLD", "Trajectory", "SolutionClass", "check_start",
@@ -366,5 +366,5 @@ def nullcline_contact(traj: Trajectory) -> List[Tuple[float, float, float]]:
         i = int(np.searchsorted(xs, xm))
         if i >= len(xs) or xs[i] != xm:
             raise EvaluationError(f"extremum at x={xm} missing from samples")
-        out.append((xm, float(ys[i]), w_values(EvalPoint(traj.nu, xm)).w_O))
+        out.append((xm, float(ys[i]), float(w_values_row(traj.nu, np.array([xm]))[2][0])))
     return out

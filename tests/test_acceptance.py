@@ -104,21 +104,20 @@ def test_criterion_3_nullcline_structure():
     res_tol = 1e-10
     worst_res = 0.0
     ok = True
+    xs = np.asarray(grid.x_values)
     for nu in grid.nu_values:
-        for x in grid.x_values:
-            p = EvalPoint(nu, x)
-            r = nc.cubic_roots(p)
-            scale = max(1.0, (nu * nu + x * x) ** 1.5)
-            for lam in (r.lambda_K, r.lambda_O, r.lambda_I):
-                res = abs(((lam + 1.0) * lam - (nu * nu + x * x)) * lam - nu * nu)
-                worst_res = max(worst_res, res / scale)
-            ok &= r.lambda_K < r.lambda_O < r.lambda_I
-            ok &= r.lambda_I > abs(nu)
-            ok &= -1.0 < r.lambda_O <= 0.0
-            ok &= r.lambda_K < -abs(nu) or (nu == 0.0 and r.lambda_K < 0.0)
-            if nu > 0.0:
-                w = nc.w_values(p)
-                ok &= w.w_K > w.w_I > 0.0 > w.w_O
+        lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, xs)
+        scale = np.maximum(1.0, (nu * nu + xs * xs) ** 1.5)
+        for lam in (lam_k, lam_o, lam_i):
+            res = np.abs(((lam + 1.0) * lam - (nu * nu + xs * xs)) * lam - nu * nu)
+            worst_res = max(worst_res, float(np.max(res / scale)))
+        ok &= bool(np.all((lam_k < lam_o) & (lam_o < lam_i)))
+        ok &= bool(np.all(lam_i > abs(nu)))
+        ok &= bool(np.all((-1.0 < lam_o) & (lam_o <= 0.0)))
+        ok &= bool(np.all((lam_k < -abs(nu)) | ((nu == 0.0) & (lam_k < 0.0))))
+        if nu > 0.0:
+            w_i, w_k, w_o = nc.w_values_row(nu, xs)
+            ok &= bool(np.all((w_k > w_i) & (w_i > 0.0) & (0.0 > w_o)))
     ok = ok and worst_res <= res_tol
     _gate(3, "cubic residuals/ordering/intervals and w ordering", ok,
           f"worst scaled residual {worst_res:.2e} <= {res_tol:.0e}, "

@@ -8,6 +8,7 @@ import io
 from pathlib import Path
 
 from besselbounds import cli, oracle, riccati_lab, verify
+from besselbounds.nullclines import EvalPoint
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -32,6 +33,18 @@ def test_traced_names_exist():
         for name in names:
             assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
     assert isinstance(verify.BoundClaim.bound_fn, property)
+
+
+def test_runtime_calls_still_run():
+    # the reference check calls the one-point oracle functions and the
+    # closed-form pass every bound at run time; a deletion that breaks
+    # either must fail here
+    p = EvalPoint(1.5, 1.0)
+    for fn in (oracle.i_ratio, oracle.k_ratio, oracle.product):
+        r = fn(p)
+        assert isinstance(r, oracle.OracleResult) and 0.0 < r.est_error < 1e-12, fn.__name__
+    evals, seconds = _load("tracing").closed_forms_pass(verify, [(1.5, 1.0)])
+    assert evals == 25 and seconds >= 0.0
 
 
 def test_read_fields_exist():

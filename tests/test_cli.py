@@ -15,6 +15,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from besselbounds import cli, oracle, riccati_lab, verify
+from besselbounds import nullclines as nc
 from besselbounds.errors import DomainError
 from besselbounds.cli import (
     EXIT_OK,
@@ -126,6 +127,54 @@ def test_tabulate_tables_stay_within_one_block(tmp_path, monkeypatch):
         assert run(argv + ["--out", str(blocked)])[0] == EXIT_OK
         assert blocked.read_bytes() == whole.read_bytes()
         assert len(sizes) == tables and max(sizes) <= block
+
+
+def _tabulate_rows(table, bad=None):
+    """The default-grid ``tabulate`` CSV assembled row by row: the oracle
+    columns from ``table.quantity``, each closed form from its one-row
+    call; the row at order ``bad`` gets NaN oracle columns."""
+    xs = table.xs
+    text = [HEADER + "\n"]
+    for nu in table.grid.nu_values:
+        if nu == bad:
+            oracle_cols = [np.full(len(xs), np.nan)] * 3
+        else:
+            oracle_cols = [table.quantity(q, nu)[0] for q in ("Phi0", "Phi1", "P")]
+        lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, xs)
+        cols = [np.full(len(xs), nu), xs, *oracle_cols,
+                nc.TRIG_I.row(nu, xs)[0], nc.TRIG_K.row(nu, xs)[0], lam_i, lam_k, lam_o,
+                *nc.w_values_row(nu, xs), nc.PRODUCT_FORMS["upper"].row(nu, xs)[0],
+                nc.PRODUCT_FORMS["lower_trig"].row(nu, xs)[0]]
+        text += [",".join("%.17g" % v for v in row) + "\n" for row in zip(*cols)]
+    return "".join(text).encode()
+
+
+def test_tabulate_blocks_equal_row_by_row_csv(tmp_path, default_table):
+    out = tmp_path / "table.csv"
+    assert run(["tabulate", "--out", str(out)])[0] == EXIT_OK
+    assert out.read_bytes() == _tabulate_rows(default_table)
+
+
+def test_tabulate_unservable_row_fails_alone(tmp_path, monkeypatch, default_table):
+    # one order's K row makes its P gap negative: that row's three oracle
+    # columns turn NaN, every other value keeps its bytes, and its 121
+    # failures (1.6% of the grid) exceed the exit-3 limit
+    bad = default_table.grid.nu_values[10]
+    k_rows = oracle.k_ratio_rows
+
+    def bad_gap(nus, xs):
+        rows = k_rows(nus, xs)
+        if bad in rows:
+            vals, ests, used = rows[bad]
+            rows[bad] = (np.full(len(vals), 1e300), ests, used)
+        return rows
+
+    monkeypatch.setattr(oracle, "k_ratio_rows", bad_gap)
+    out = tmp_path / "table.csv"
+    code, _, err = run(["tabulate", "--out", str(out)])
+    assert code == EXIT_ORACLE
+    assert "oracle failures: 121/7744" in err
+    assert out.read_bytes() == _tabulate_rows(default_table, bad=bad)
 
 
 def test_no_command_loads_scipy():

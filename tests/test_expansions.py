@@ -7,6 +7,7 @@ omitted term.
 """
 
 import pytest
+from conftest import quantity_at
 from numpy.testing import assert_allclose
 
 from besselbounds import expansions as ex
@@ -167,10 +168,10 @@ def test_relative_error_sign_convention():
 
 def test_relative_error_matches_trig_bound_order():
     # gap of the cubic-root upper bound on the I-ratio is ~ 1/(4 x^2)
-    from besselbounds.nullclines import trig_bound_I
+    from besselbounds.nullclines import TRIG_I
 
     p = EvalPoint(1.0, 100.0)
-    eps = ex.relative_error(trig_bound_I(p).value, oracle.i_ratio(p).value, "upper")
+    eps = ex.relative_error(TRIG_I.row(p.nu, [p.x])[0][0], oracle.i_ratio(p).value, "upper")
     assert_allclose(eps, 2.5e-5, rtol=0.10)
 
 
@@ -191,8 +192,8 @@ def test_large_x_agreement():
     assert _rel(ex.large_x_ratio(S, p).value, -oracle.k_ratio(p).value) <= 10 * next_ratio
 
     next_double = 0.75 / x ** 4
-    assert _rel(ex.large_x_double(F, p).value, oracle.double_ratio(F, p).value) <= 10 * next_double
-    assert _rel(ex.large_x_double(S, p).value, oracle.double_ratio(S, p).value) <= 10 * next_double
+    assert _rel(ex.large_x_double(F, p).value, quantity_at("W_I", p.nu, x)[0]) <= 10 * next_double
+    assert _rel(ex.large_x_double(S, p).value, quantity_at("W_K", p.nu, x)[0]) <= 10 * next_double
 
     next_prod = 0.36 / x ** 4
     assert _rel(ex.product_expansion("large-x", p).value, oracle.product(p).value) <= 10 * next_prod
@@ -205,7 +206,7 @@ def test_small_x_agreement():
     # next term of the scaled series is x^6/1536 at nu=1, far below roundoff
     # at this anchor; gate at a roundoff floor instead
     assert _rel(ser.value, x * oracle.i_ratio(p).value) <= 1e-13
-    assert _rel(dbl.value, oracle.double_ratio(F, p).value) <= 10 * 0.008 * x ** 4 / 0.5
+    assert _rel(dbl.value, quantity_at("W_I", p.nu, x)[0]) <= 10 * 0.008 * x ** 4 / 0.5
 
     pk = EvalPoint(2.5, 1e-2)
     # remainder O(x^{2 nu - 2}) = O(x^3), measured coefficient ~ 1/3

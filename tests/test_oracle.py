@@ -12,18 +12,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from conftest import PROPERTY, log_x
+from conftest import PROPERTY, log_x, quantity_at
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from besselbounds import oracle
 from besselbounds.errors import DomainError
 from besselbounds.nullclines import EvalPoint
-from besselbounds.oracle import RatioKind, default_x_start
+from besselbounds.oracle import default_x_start
 from besselbounds.verify import Grid, OracleTable, default_grid
-
-F = RatioKind.FIRST
-S = RatioKind.SECOND
 
 
 def _direct_k(nu: float, x: float) -> oracle.OracleResult:
@@ -356,18 +353,18 @@ def test_ratio_recurrence_step():
 
 
 def test_psi_values():
-    assert_allclose(oracle.psi(S, EvalPoint(0.5, 3.0)).value, -3.5, rtol=1e-15)
+    assert_allclose(quantity_at("psi_K", 0.5, 3.0)[0], -3.5, rtol=1e-15)
     assert_allclose(
-        oracle.psi(F, EvalPoint(0.5, 1.0)).value, 1.0 / math.tanh(1.0) - 0.5, rtol=1e-12
+        quantity_at("psi_I", 0.5, 1.0)[0], 1.0 / math.tanh(1.0) - 0.5, rtol=1e-12
     )
-    gap = oracle.psi(F, EvalPoint(2.0, 1e-3)).value - 2.0
+    gap = quantity_at("psi_I", 2.0, 1e-3)[0] - 2.0
     assert_allclose(gap, 1e-6 / 6.0, rtol=1e-5)
 
 
 def test_double_ratio_values():
-    assert_allclose(oracle.double_ratio(F, EvalPoint(1.0, 1e-3)).value, 0.5, rtol=1e-6)
-    assert_allclose(oracle.double_ratio(S, EvalPoint(0.5, 2.0)).value, 1.5, rtol=1e-13)
-    assert_allclose(oracle.double_ratio(F, EvalPoint(0.0, 100.0)).value, 0.99, rtol=1e-4)
+    assert_allclose(quantity_at("W_I", 1.0, 1e-3)[0], 0.5, rtol=1e-6)
+    assert_allclose(quantity_at("W_K", 0.5, 2.0)[0], 1.5, rtol=1e-13)
+    assert_allclose(quantity_at("W_I", 0.0, 100.0)[0], 0.99, rtol=1e-4)
 
 
 def test_product_values():
@@ -409,10 +406,19 @@ def _half_order_derived(x: float) -> dict:
                 "P": prod, "xP": X * prod}
 
 
-def _one_point(p: EvalPoint) -> dict:
-    return {"psi_I": oracle.psi(F, p), "psi_K": oracle.psi(S, p),
-            "W_I": oracle.double_ratio(F, p), "W_K": oracle.double_ratio(S, p),
-            "P": oracle.product(p)}
+def _one_point(nu: float, x: float) -> dict:
+    """(value, est_error) at one point of the ratios from ``oracle.i_ratio``
+    and ``oracle.k_ratio``, of psi and W from ``oracle.quantity_row`` fed by
+    those ratios, and of P from ``oracle.product``."""
+    ratios = {name: (np.array([r.value]), np.array([r.est_error])) for name, r in (
+        ("Phi0", oracle.i_ratio(EvalPoint(nu, x))),
+        ("Phi0_up", oracle.i_ratio(EvalPoint(nu + 1.0, x))),
+        ("Phi1", oracle.k_ratio(EvalPoint(nu, x))))}
+    point = {qid: oracle.quantity_row(qid, nu, np.array([x]), ratios.__getitem__)
+             for qid in ("psi_I", "psi_K", "W_I", "W_K")}
+    r = oracle.product(EvalPoint(nu, x))
+    return {**{qid: (vals[0], ests[0]) for qid, (vals, ests) in {**ratios, **point}.items()},
+            "P": (r.value, r.est_error)}
 
 
 @PROPERTY
@@ -420,12 +426,12 @@ def _one_point(p: EvalPoint) -> dict:
 def test_half_order_derived_est_error_is_honest(x):
     # through table rows (all six) and the one-point API (all but xP)
     table = OracleTable(Grid((0.5,), (x,)))
-    point = _one_point(EvalPoint(0.5, x))
+    point = _one_point(0.5, x)
     for qid, exact in _half_order_derived(x).items():
         vals, ests = table.quantity(qid, 0.5)
         results = [(vals[0], ests[0])]
         if qid in point:
-            results.append((point[qid].value, point[qid].est_error))
+            results.append(point[qid])
         for value, est in results:
             assert float(abs(Decimal(float(value)) - exact)) <= est, qid
 
@@ -434,9 +440,10 @@ def test_half_order_derived_est_error_is_honest(x):
                                    (7.5, 80.0), (-0.25, 1.7), (-1.0, 2.0)])
 def test_one_point_api_equals_one_row_table(nu, x):
     table = OracleTable(Grid((nu,), (x,)))
-    for qid, r in _one_point(EvalPoint(nu, x)).items():
-        vals, ests = table.quantity(qid, nu)
-        assert (r.value, r.est_error) == (vals[0], ests[0]), qid
+    for qid, (value, est) in _one_point(nu, x).items():
+        vals, ests = (table.row(nu).ratios[qid] if qid == "Phi0_up"
+                      else table.quantity(qid, nu))
+        assert (value, est) == (vals[0], ests[0]), qid
 
 
 def test_first_kind_derived_quantities_run_no_k_integration(monkeypatch):
@@ -444,8 +451,20 @@ def test_first_kind_derived_quantities_run_no_k_integration(monkeypatch):
         raise AssertionError("K integration on a first-kind quantity")
 
     monkeypatch.setattr(oracle, "_taylor_row", no_integration)
-    p = EvalPoint(0.8, 0.05)
-    assert oracle.psi(F, p).method == "continued-fraction"
-    assert oracle.double_ratio(F, p).method == "continued-fraction"
+    nu, xs, methods = 0.8, np.array([0.05]), []
+
+    def ratio(name):
+        # the one-point ratio rows quantity_row asks for, by name
+        if name == "Phi1":
+            vals, ests, used = oracle.k_ratio_row(nu, xs)
+        else:
+            vals, ests, used = oracle.i_ratio_row(nu + 1.0 if name == "Phi0_up" else nu, xs)
+        methods.append(used)
+        return vals, ests
+
+    for qid in ("psi_I", "W_I"):
+        methods.clear()
+        oracle.quantity_row(qid, nu, xs, ratio)
+        assert set(methods) == {"continued-fraction"}, qid
     with pytest.raises(AssertionError):
-        oracle.psi(S, p)
+        oracle.quantity_row("psi_K", nu, xs, ratio)

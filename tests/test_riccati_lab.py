@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from besselbounds import oracle, riccati_lab
 from besselbounds.errors import DomainError
-from besselbounds.nullclines import EvalPoint, cubic_roots, gamma_hat, w_values
+from besselbounds.nullclines import EvalPoint, cubic_roots_row, gamma_hat_row, w_values_row
 from besselbounds.oracle import RatioKind
 from besselbounds.riccati_lab import (
     BLOWUP_THRESHOLD,
@@ -93,10 +93,10 @@ def test_w_along_oracle_kinds():
     ):
         traj = w_along(kind, 1.0, 0.1, 50.0)
         assert classify(traj) is expected_cls
-        for x, w in traj.samples[:: max(1, len(traj.samples) // 10)]:
-            wv = w_values(EvalPoint(1.0, float(x)))
-            cap = wv.w_I if kind is F else wv.w_K
-            assert 0.0 < w < cap + 1e-9
+        x, w = traj.samples[:: max(1, len(traj.samples) // 10)].T
+        w_i, w_k, _ = w_values_row(1.0, x)
+        cap = w_i if kind is F else w_k
+        assert np.all((0.0 < w) & (w < cap + 1e-9))
 
 
 def test_w_along_mixed_contacts_middle_nullcline():
@@ -130,7 +130,7 @@ def test_random_mixed_band_classification():
 def test_extremum_between_seed_and_first_backward_sample():
     # seeded just above the nullcline, the maximum lies a few 1e-5 to the
     # left of x0, before the first backward sample
-    y0 = gamma_hat(0.0, EvalPoint(1.5, 1.0))[0] + 1e-4
+    y0 = float(gamma_hat_row(0.0, 1.5, np.array([1.0]))[0][0]) + 1e-4
     traj = solve_riccati(0.0, 1.5, 1.0, y0, 1e-3, 1e3)
     assert [kind for xm, kind in traj.extrema if 0.999 < xm < 1.0] == ["max"]
 
@@ -139,7 +139,7 @@ def test_w_along_extremum_next_to_seed():
     # psi seeded 1e-2 off the middle root: the cubic changes sign within
     # 0.3% of x0, on the backward side (+) or the forward side (-)
     nu = 2.0
-    lam_o = cubic_roots(EvalPoint(nu, 1.0)).lambda_O
+    lam_o = float(cubic_roots_row(nu, [1.0])[1][0])
     for offset, lo, hi in ((1e-2, 0.997, 1.0), (-1e-2, 1.0, 1.003)):
         traj = w_along((1.0, lam_o + offset + nu), nu, 0.2, 30.0)
         assert [xm for xm, _ in traj.extrema if lo < xm < hi], offset

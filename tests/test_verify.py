@@ -69,7 +69,7 @@ def test_default_grid_shape():
 
 
 def test_catalog_covers_every_bound_producer():
-    missing = set(nc.bound_producers()) - set(bound_claims())
+    missing = set(nc.BOUNDS) - set(bound_claims())
     assert missing == set()
 
 
@@ -247,12 +247,12 @@ def test_fit_error_order_measured_ratio_gap():
     # gap of the cubic-root bound on the I-ratio at nu=1, sampled over x
     from besselbounds import oracle, verify
     from besselbounds.expansions import relative_error
-    from besselbounds.nullclines import EvalPoint, trig_bound_I
+    from besselbounds.nullclines import EvalPoint, TRIG_I
 
     samples = []
     for x in (25.0, 50.0, 100.0, 200.0):
         p = EvalPoint(1.0, x)
-        samples.append((x, relative_error(trig_bound_I(p).value,
+        samples.append((x, relative_error(TRIG_I.row(1.0, [x])[0][0],
                                           oracle.i_ratio(p).value, "upper")))
     k, c = fit_error_order(samples, "large-x")
     assert abs(k - (-2.0)) <= 0.1
@@ -278,16 +278,16 @@ def test_sharpness_rows_equal_one_point_values():
     # the battery reads one oracle table and the claims' row formulas; each
     # row must still carry the one-point bound and oracle values bit for bit
     one_point = {
-        "I": lambda p: (nc.trig_bound_I(p).value, oracle.i_ratio(p).value),
-        "K": lambda p: (nc.trig_bound_K(p).value, -oracle.k_ratio(p).value),
-        "P": lambda p: (nc.PRODUCT_FORMS["lower_trig"].at(p).value,
-                        oracle.product(p).value),
+        "I": (nc.TRIG_I, lambda p: oracle.i_ratio(p).value),
+        "K": (nc.TRIG_K, lambda p: -oracle.k_ratio(p).value),
+        "P": (nc.PRODUCT_FORMS["lower_trig"], lambda p: oracle.product(p).value),
     }
     n = 0
     for rep in sharpness_battery():
-        values = one_point[rep.claim_id.split("-")[1]]
+        form, value = one_point[rep.claim_id.split("-")[1]]
         for nu, x, bound, orc, _ in rep.rows.tolist():
-            assert (bound, orc) == values(nc.EvalPoint(nu, x)), (rep.claim_id, nu, x)
+            assert (bound, orc) == (form.row(nu, [x])[0][0], value(nc.EvalPoint(nu, x))), \
+                (rep.claim_id, nu, x)
             n += 1
     assert n == 25
 
