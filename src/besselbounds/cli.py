@@ -28,7 +28,6 @@ from . import oracle
 from . import riccati_lab
 from . import verify
 from .errors import BesselBoundsError, DomainError, EvaluationError
-from .nullclines import EvalPoint
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -282,39 +281,30 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.out is not None:
         os.makedirs(cfg.out, exist_ok=True)
         text = verify.CsvText(grid.nu_values, grid.x_values)
-    # scanned target by target, so the claims that bound one oracle
-    # quantity share its CSV text; reported in catalog order
-    by_target = {}
-    for cid in verify.bound_claims():
-        by_target.setdefault(verify.get_claim(cid).target, []).append(cid)
-    lines, failing = {}, {}
+    # the catalog groups claims by the oracle quantity they bound, so the
+    # claims of one quantity, scanned one after another, share its CSV text
+    failing = []
     points = failures = 0
-    for cid in sum(by_target.values(), []):
+    for cid in verify.bound_claims():
         claim = verify.get_claim(cid)
         if cfg.corrupt_claim == cid:
             claim = verify.corrupt_claim(claim)
         rep = verify.scan_bound(claim, tol=cfg.tol, table=table)
         points += rep.points_checked
         failures += len(rep.oracle_failures)
-        status = "OK" if rep.ok() else "VIOLATION"
-        if not rep.ok():
-            failing[cid] = rep.claim_id
-        extra = ""
-        if rep.oracle_failures:
-            extra += f" oracle_failures={len(rep.oracle_failures)}"
+        extra = f" oracle_failures={len(rep.oracle_failures)}" if rep.oracle_failures else ""
         if rep.points_checked == 0:
-            lines[cid] = f"{rep.claim_id}: WARNING 0 points{extra}"
+            print(f"{rep.claim_id}: WARNING 0 points{extra}")
         else:
-            lines[cid] = (f"{rep.claim_id}: {status} points={rep.points_checked} "
-                          f"violations={len(rep.violations)} "
-                          f"worst_margin={_FMT % rep.worst_margin}{extra}")
+            print(f"{rep.claim_id}: {'OK' if rep.ok() else 'VIOLATION'} "
+                  f"points={rep.points_checked} violations={len(rep.violations)} "
+                  f"worst_margin={_FMT % rep.worst_margin}{extra}")
+        if not rep.ok():
+            failing.append(rep.claim_id)
         if text is not None:
             verify.write_report_csv(rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)), text)
-    for cid in verify.bound_claims():
-        print(lines[cid])
     if failing:
-        print("failing claims: " + ", ".join(failing[cid] for cid in verify.bound_claims()
-                                             if cid in failing))
+        print("failing claims: " + ", ".join(failing))
         return EXIT_VIOLATION
     if _too_many_failures(failures, points + failures):
         return EXIT_ORACLE
@@ -379,13 +369,6 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _explore_band(nu: float, x0: float) -> Tuple[float, float]:
-    p = EvalPoint(nu, x0)
-    lo = oracle.k_ratio(p).value
-    hi = oracle.i_ratio(p).value
-    return lo, hi
-
-
 def cmd_explore(cfg: RunConfig) -> int:
     x_lo, x_hi = cfg.x_min, cfg.x_max
     if not (0 < x_lo < cfg.x0 < x_hi):
@@ -399,12 +382,14 @@ def cmd_explore(cfg: RunConfig) -> int:
         print("explore needs --y0 or --sample N", file=sys.stderr)
         return EXIT_USAGE
 
+    nu = cfg.nu if cfg.nu is not None else 0.5
     starts: List[Tuple[int, float]] = []
     if cfg.y0 is not None:
         starts.append((0, cfg.y0))
     if cfg.sample > 0:
         # seeded uniform draws strictly inside the two principal branches
-        lo, hi = _explore_band(cfg.nu if cfg.nu is not None else 0.5, cfg.x0)
+        lo, hi = (float(ratio_row(nu, [cfg.x0])[0][0])
+                  for ratio_row in (oracle.k_ratio_row, oracle.i_ratio_row))
         rng = np.random.default_rng(cfg.seed)
         try:
             scale = cfg.x0 ** (-cfg.a)
@@ -413,7 +398,6 @@ def cmd_explore(cfg: RunConfig) -> int:
         for k, t in enumerate(rng.uniform(0.02, 0.98, size=cfg.sample)):
             starts.append((k + 1, scale * (lo + t * (hi - lo))))
 
-    nu = cfg.nu if cfg.nu is not None else 0.5
     errors = {}
     for tag, y0 in starts:
         try:

@@ -21,8 +21,7 @@ the signed ratio Phi1).  The large-x ratio truncations take their
 coefficients from ``oracle.large_x_coefficients``, the generator behind
 ``oracle.large_x_series`` that seeds the K oracle; the truncations
 themselves are reference forms that the tests compare with the oracle in
-each regime, and ``relative_error`` is the error measure of the sharpness
-battery.
+each regime.
 """
 
 from dataclasses import dataclass
@@ -40,7 +39,6 @@ __all__ = [
     "small_x_K",
     "large_nu_ratio",
     "product_expansion",
-    "relative_error",
 ]
 
 REGIMES = ("large-x", "small-x", "large-nu")
@@ -205,17 +203,3 @@ def product_expansion(regime: str, p: EvalPoint) -> Expansion:
         return Expansion(val, "O(nu^-5)", "large-nu", "product")
     raise DomainError(f"unknown regime {regime!r}")
 
-
-def relative_error(bound_value: float, oracle_value: float, direction: str) -> float:
-    """Signed relative accuracy of a bound against a positive reference.
-
-    upper: bound/oracle - 1; lower: 1 - bound/oracle.  Either is >= 0
-    exactly when the bound actually bounds on the correct side.
-    """
-    if oracle_value <= 0.0:
-        raise DomainError(f"reference value must be positive, got {oracle_value}")
-    if direction == "upper":
-        return bound_value / oracle_value - 1.0
-    if direction == "lower":
-        return 1.0 - bound_value / oracle_value
-    raise DomainError(f"unknown direction {direction!r}")

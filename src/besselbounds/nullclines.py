@@ -255,7 +255,7 @@ def _cubic(nu, x):
     raw = (18.0 * nu2 - 9.0 * x * x - 2.0) / (2.0 * g ** 3)
     # Roundoff may push the argument marginally outside [-1, 1]; anything
     # beyond ACOS_CLAMP_LIMIT indicates a real defect, not roundoff.
-    worst = np.abs(raw).max()
+    worst = np.abs(raw).max(initial=0.0)     # an empty row has nothing to clamp
     if worst > 1.0 + ACOS_CLAMP_LIMIT:
         raise DomainError(f"acos argument {float(worst)!r} exceeds [-1, 1] beyond roundoff")
     arg = np.clip(raw, -1.0, 1.0)
@@ -314,6 +314,7 @@ def w_values_row(nu, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     there, and lambda_O + 1 = -x**2/((lambda_I + 1)*(lambda_K + 1)) from the
     product of its roots.
     """
+    x = np.asarray(x, dtype=float)
     lam_k, lam_o, lam_i, _, _, u_k = _cubic(nu, x)
     u_i = lam_i + 1.0
     return lam_i / u_i, lam_k / u_k, lam_o / (-(x * x) / (u_i * u_k))
@@ -413,13 +414,17 @@ _BRACKETS = (
     ("double-K", "W_K", lambda nu, x: _level(0.0, nu, x), lambda nu, x: w_values_row(nu, x)[1]),
 )
 
-# Every checked bound, keyed by claim id, in catalog order: `verify`
-# registers each one as a claim and reports them in this order.
+_AMOS_EXPONENTS = (0.0, -1.0, 1.0, -2.0, 2.0)
+
+# Every checked bound, keyed by claim id, in catalog order: grouped by the
+# oracle quantity it bounds (Phi0, K-ratio-pos, Phi1, P, psi_I, psi_K, W_I,
+# W_K).  `verify` registers each one as a claim and scans and reports them
+# in this order, so the claims of one quantity share its CSV text.
 BOUNDS: Dict[str, BoundForm] = {
     "trig-upper-I": TRIG_I,
+    **{f"amos-I-a{a:g}": amos_forms(a)[0] for a in _AMOS_EXPONENTS},
     "trig-upper-K": TRIG_K,
-    **{f"amos-{side}-a{a:g}": form for a in (0.0, -1.0, 1.0, -2.0, 2.0)
-       for side, form in zip("IK", amos_forms(a))},
+    **{f"amos-K-a{a:g}": amos_forms(a)[1] for a in _AMOS_EXPONENTS},
     **{"product-" + name.replace("_", "-"): form for name, form in PRODUCT_FORMS.items()},
     **{f"{stem}-{direction}": BoundForm(formula, direction, target, NU_GE_0)
        for stem, target, lower, upper in _BRACKETS

@@ -49,9 +49,8 @@ algebraic relations, arranged to avoid cancellation, by one row function,
 ``quantity_row``; each result carries an honest ``est_error``.
 
 The one-point calls ``i_ratio``, ``k_ratio`` and ``product`` (an
-``OracleResult`` at an ``EvalPoint``) serve the CLI's ``explore`` seeds,
-``riccati_lab.w_along`` and the benchmark's reference check; every other
-caller takes rows.
+``OracleResult`` at an ``EvalPoint``) serve only the benchmark's reference
+check; every package caller takes rows, a lone point as a one-element row.
 """
 
 from __future__ import annotations

@@ -60,8 +60,8 @@ import numpy as np
 # not called here: a module attribute that perfbench's tracer wraps by name
 from ._lazy import solve_ivp  # noqa: F401
 from .errors import DomainError, EvaluationError
-from .nullclines import EvalPoint, w_values_row
-from .oracle import RatioKind, horner, i_ratio, k_ratio, taylor_step
+from .nullclines import w_values_row
+from .oracle import RatioKind, horner, i_ratio_row, k_ratio_row, taylor_step
 
 __all__ = ["BLOWUP_THRESHOLD", "Trajectory", "SolutionClass", "check_start",
            "solve_riccati", "classify", "w_along", "nullcline_contact"]
@@ -339,8 +339,8 @@ def w_along(source: Union[RatioKind, Tuple[float, float]], nu: float,
     if isinstance(source, RatioKind):
         # seeded at the attracting end: the left edge for FIRST (forward
         # run), the right edge for SECOND (backward run)
-        x0, ratio = (x_lo, i_ratio) if source is RatioKind.FIRST else (x_hi, k_ratio)
-        phi0 = ratio(EvalPoint(nu, x0)).value
+        x0, ratio_row = (x_lo, i_ratio_row) if source is RatioKind.FIRST else (x_hi, k_ratio_row)
+        phi0 = float(ratio_row(nu, [x0])[0][0])
     else:
         x0, phi0 = (float(source[0]), float(source[1]))
         if not (x_lo <= x0 <= x_hi):

@@ -37,7 +37,6 @@ import numpy as np
 
 from . import nullclines as nc
 from .errors import DomainError, EvaluationError, UnfittableError
-from .expansions import REGIMES, relative_error
 from .nullclines import Bound, EvalPoint
 from . import oracle
 
@@ -56,6 +55,7 @@ __all__ = [
     "scan_bound",
     "scan_monotone",
     "fit_error_order",
+    "relative_error",
     "conjecture_scan",
     "sharpness_battery",
     "SHARPNESS_EXPECTED",
@@ -573,28 +573,39 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None, tol: float = MONOT
 # sharpness fits
 # ----------------------------------------------------------------------
 
-def fit_error_order(samples: Sequence[Tuple[float, float]], regime: str,
+def relative_error(bound, oracle_value, direction: str):
+    """Signed relative accuracy of a bound against a positive reference,
+    on scalars or arrays: bound/oracle - 1 for an upper bound, 1 -
+    bound/oracle for a lower one.  Either is positive exactly when the
+    bound is on the correct side.
+    """
+    if direction not in ("upper", "lower"):
+        raise DomainError(f"unknown direction {direction!r}")
+    ratio = bound / oracle_value
+    return ratio - 1.0 if direction == "upper" else 1.0 - ratio
+
+
+def fit_error_order(samples: Sequence[Tuple[float, float]],
                     noise_floor: Union[float, Sequence[float]] = 0.0
                     ) -> Tuple[float, float]:
     """Least-squares (exponent, coefficient) of eps ~ C * scale**k.
 
     Needs at least 3 positive samples spanning at least half a decade in
-    the scaling variable.  ``noise_floor`` (scalar or per-sample) marks the
-    level below which eps is oracle noise; any sample not above its floor
-    (a NaN floor or eps included) makes the fit unfittable.
+    the scaling variable.  A sample whose eps is not positive (a NaN
+    included) makes the fit unfittable, and so does one not above its
+    ``noise_floor`` (scalar or per-sample: the level below which eps is
+    oracle noise; a NaN floor included).
     """
-    if regime not in REGIMES:
-        raise DomainError(f"unknown regime {regime!r}")
     if len(samples) < 3:
         raise UnfittableError(f"need >= 3 samples, got {len(samples)}")
     scales = np.array([s for s, _ in samples], dtype=float)
     eps = np.array([e for _, e in samples], dtype=float)
     if np.any(scales <= 0):
         raise DomainError("scaling variable must be positive")
-    if np.any(eps <= 0):
-        raise UnfittableError("non-positive relative error in samples")
+    if not np.all(eps > 0):
+        raise UnfittableError("relative error not positive in samples")
     floors = np.broadcast_to(np.asarray(noise_floor, dtype=float), eps.shape)
-    if not np.all(eps > floors):    # a NaN floor or eps is never above noise
+    if not np.all(eps > floors):    # a NaN floor is never below eps
         raise UnfittableError("samples at or below the oracle noise floor")
     span = math.log10(scales.max() / scales.min())
     if span < 0.5:
@@ -607,13 +618,14 @@ def fit_error_order(samples: Sequence[Tuple[float, float]], regime: str,
 # fit gates: absolute on the exponent, relative on the coefficient
 SHARPNESS_TOL_EXPONENT = 0.15
 SHARPNESS_TOL_COEFFICIENT = 0.10
-# sample points as (order, xs) rows: x scales at nu = 1, nu scales at x = 1
-_LARGE_X = ((1.0, (25.0, 50.0, 100.0, 200.0)),)
-_SMALL_X = ((1.0, (0.02, 0.04, 0.08, 0.16)),)
-_LARGE_NU = ((10.0, (1.0,)), (20.0, (1.0,)), (40.0, (1.0,)))
+# sample points as (orders, xs), every order at every x: x scales at
+# nu = 1, nu scales at x = 1
+_LARGE_X = ((1.0,), (25.0, 50.0, 100.0, 200.0))
+_SMALL_X = ((1.0,), (0.02, 0.04, 0.08, 0.16))
+_LARGE_NU = ((10.0, 20.0, 40.0), (1.0,))
 _TRIG_I, _TRIG_K, _TRIG_P = (_BOUND_CLAIMS[c] for c in
                              ("trig-upper-I", "trig-upper-K", "product-lower-trig"))
-# (case id, bound claim, regime, sample rows, expected exponent, expected
+# (case id, bound claim, regime, (orders, xs), expected exponent, expected
 # coefficient): the relative error of the claim's bound against its oracle
 # target, and the sharpness constants its fit must reproduce
 _SHARPNESS_CASES = (
@@ -660,41 +672,42 @@ def sharpness_battery() -> List[ScanReport]:
     """Measure and fit the trig-bound relative errors in all three regimes.
 
     One oracle table over the union of the battery's points serves every
-    case.  One report per case; ``rows`` holds (nu, x, bound, oracle, eps),
-    ``fitted`` (exponent, coefficient) and ``stats`` the expected pair plus
-    pass flags at SHARPNESS_TOL_EXPONENT and SHARPNESS_TOL_COEFFICIENT.
-    large-x and small-x cases use the plain log-log fit; large-nu cases use
-    the 1/nu-corrected extrapolation (see _extrapolate_large_nu), with the
-    raw fit kept in ``stats`` for comparison.
+    case, and each case is one ``OracleTable.block`` fetch and one formula
+    call on its column of orders against its x row.  One report per case;
+    ``rows`` holds (nu, x, bound, oracle, eps), order by order, with
+    eps = bound/oracle - 1 for an upper bound and 1 - bound/oracle for a
+    lower one; ``fitted`` is (exponent, coefficient) and ``stats`` the
+    expected pair plus pass flags at SHARPNESS_TOL_EXPONENT and
+    SHARPNESS_TOL_COEFFICIENT.  large-x and small-x cases use the plain
+    log-log fit; large-nu cases use the 1/nu-corrected extrapolation (see
+    _extrapolate_large_nu) on samples that pass the same checks.  A case
+    fails closed: an oracle failure, an oracle value that is not positive
+    and finite, an eps that is not positive (a bound on the wrong side) or
+    samples at the noise floor leave it unfitted, with one oracle failure
+    naming the cause.
     """
-    pairs = [pair for case in _SHARPNESS_CASES for pair in case[3]]
-    table = OracleTable(Grid(tuple(sorted({nu for nu, _ in pairs})),
-                             tuple(sorted({x for _, xs in pairs for x in xs}))))
-    table_xs = np.asarray(table.grid.x_values)
+    points = [case[3] for case in _SHARPNESS_CASES]
+    table = OracleTable(Grid(*(tuple(sorted(set().union(*axis))) for axis in zip(*points))))
     reports: List[ScanReport] = []
-    for case_id, claim, regime, orders, exp_k, exp_c in _SHARPNESS_CASES:
+    for case_id, claim, regime, (orders, xs), exp_k, exp_c in _SHARPNESS_CASES:
         rep = ScanReport(claim_id=case_id)
         reports.append(rep)
-        rows, floors = [], []
-        for nu, xs in orders:
-            vals, ests = table.quantity(claim.target, nu)
-            cols = np.searchsorted(table_xs, xs)
-            bounds, direction, _ = claim.form.row(nu, xs)
-            for x, b, q, est in zip(xs, bounds.tolist(), vals[cols].tolist(),
-                                    ests[cols].tolist()):
-                rows.append((nu, x, b, q, relative_error(b, q, direction)))
-                floors.append(100.0 * est / abs(q))
-        rep.rows = np.array(rows)
-        # (scale, eps): the scale is nu at large nu, else x
-        samples = rep.rows[:, [0 if regime == "large-nu" else 1, 4]].tolist()
+        nus, xs = np.array(orders).reshape(-1, 1), np.array(xs)
         try:
-            raw_k, raw_c = fit_error_order(samples, regime, noise_floor=floors)
+            vals, ests = (part[:, np.searchsorted(table.xs, xs)]
+                          for part in table.block(claim.target, nus))
+            if not np.all((vals > 0.0) & np.isfinite(vals)):
+                raise UnfittableError("oracle value not positive and finite")
+            bounds = claim.form.formula(nus, xs)
+            eps = relative_error(bounds, vals, claim.form.direction)
+            rep.rows = np.column_stack([np.broadcast_to(col, vals.shape).ravel()
+                                        for col in (nus, xs, bounds, vals, eps)])
+            # (scale, eps): the scale is nu at large nu, else x
+            samples = rep.rows[:, [0 if regime == "large-nu" else 1, 4]].tolist()
+            k, c = fit_error_order(samples, noise_floor=(100.0 * ests / np.abs(vals)).ravel())
             if regime == "large-nu":
                 k, c = _extrapolate_large_nu(samples, exp_k)
-                rep.stats.update({"raw_exponent": raw_k, "raw_coefficient": raw_c})
-            else:
-                k, c = raw_k, raw_c
-        except UnfittableError as exc:
+        except EvaluationError as exc:     # UnfittableError included
             rep.oracle_failures.append((math.nan, math.nan, str(exc)))
             rep.stats.update({"fit_ok": 0.0})
             continue

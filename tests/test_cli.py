@@ -414,8 +414,8 @@ def test_verify_csvs_match_per_value_formatting(tmp_path, monkeypatch, corrupt):
 
 
 def test_verify_stdout_stays_in_catalog_order(tmp_path, monkeypatch):
-    # claims are scanned grouped by oracle quantity; the summary lines and
-    # the failing-claims list keep the catalog order
+    # claims are scanned and reported in one pass in catalog order, which
+    # groups them by oracle quantity; the failing-claims list keeps it too
     scanned = []
     real = verify.scan_bound
 
@@ -432,7 +432,7 @@ def test_verify_stdout_stays_in_catalog_order(tmp_path, monkeypatch):
     assert [ln.split(":")[0] for ln in lines[:-1]] == [
         verify._BOUND_CLAIMS[cid].claim_id + ("[corrupted]" if cid == "trig-upper-K" else "")
         for cid in verify.bound_claims()]
-    assert lines[-1] == "failing claims: trig-upper-K[corrupted], amos-I-a-1[corrupted]"
+    assert lines[-1] == "failing claims: amos-I-a-1[corrupted], trig-upper-K[corrupted]"
     assert scanned.index("amos-I-a-1[corrupted]") < scanned.index("trig-upper-K[corrupted]")
 
 
@@ -476,13 +476,13 @@ def test_sharpness_writes_every_case_through_one_csv_text(tmp_path, monkeypatch)
 
 def test_sharpness_unfittable_cases_exit_3(monkeypatch):
     # infinite estimates make every case unfittable, which used to exit 0
-    real = verify.OracleTable.quantity
+    real = verify.OracleTable.block
 
-    def inf_estimates(self, qid, nu):
-        vals, ests = real(self, qid, nu)
+    def inf_estimates(self, qid, nus):
+        vals, ests = real(self, qid, nus)
         return vals, np.full_like(ests, np.inf)
 
-    monkeypatch.setattr(verify.OracleTable, "quantity", inf_estimates)
+    monkeypatch.setattr(verify.OracleTable, "block", inf_estimates)
     code, out, err = run(["sharpness"])
     assert code == EXIT_ORACLE
     assert out.count("UNFITTABLE") == 7 and "PASS" not in out

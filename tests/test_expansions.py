@@ -15,6 +15,7 @@ from besselbounds import oracle
 from besselbounds.errors import DomainError
 from besselbounds.nullclines import EvalPoint
 from besselbounds.oracle import RatioKind
+from besselbounds.verify import relative_error
 
 F = RatioKind.FIRST
 S = RatioKind.SECOND
@@ -155,15 +156,15 @@ def test_product_expansion_rejects_unknown_regime():
 
 
 # ---------------------------------------------------------------------------
-# relative gap helper
+# relative gap helper (verify.relative_error, the sharpness battery's measure)
 
 
 def test_relative_error_sign_convention():
-    assert_allclose(ex.relative_error(1.05, 1.0, "upper"), 0.05, rtol=1e-12)
-    assert_allclose(ex.relative_error(0.95, 1.0, "lower"), 0.05, rtol=1e-12)
+    assert_allclose(relative_error(1.05, 1.0, "upper"), 0.05, rtol=1e-12)
+    assert_allclose(relative_error(0.95, 1.0, "lower"), 0.05, rtol=1e-12)
     # a violated bound comes out negative
-    assert ex.relative_error(0.95, 1.0, "upper") < 0.0
-    assert ex.relative_error(1.05, 1.0, "lower") < 0.0
+    assert relative_error(0.95, 1.0, "upper") < 0.0
+    assert relative_error(1.05, 1.0, "lower") < 0.0
 
 
 def test_relative_error_matches_trig_bound_order():
@@ -171,7 +172,7 @@ def test_relative_error_matches_trig_bound_order():
     from besselbounds.nullclines import TRIG_I
 
     p = EvalPoint(1.0, 100.0)
-    eps = ex.relative_error(TRIG_I.row(p.nu, [p.x])[0][0], oracle.i_ratio(p).value, "upper")
+    eps = relative_error(TRIG_I.row(p.nu, [p.x])[0][0], oracle.i_ratio(p).value, "upper")
     assert_allclose(eps, 2.5e-5, rtol=0.10)
 
 

@@ -156,6 +156,26 @@ def test_w_values_ordering():
         assert np.all((w_k > w_i) & (w_i > 0.0) & (0.0 > w_o))
 
 
+def test_w_values_take_a_list_row():
+    # x is converted as cubic_roots_row converts it; a list row used to
+    # raise TypeError in x * x
+    for got, want in zip(nc.w_values_row(1.0, [1.0, 2.0]),
+                         nc.w_values_row(1.0, np.array([1.0, 2.0]))):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_cubic_forms_return_empty_rows_on_empty_x():
+    # the acos clamp check used to reduce an empty array and raise ValueError
+    for nu in (1.0, np.array([[0.5], [2.5]])):
+        shape = np.broadcast_shapes(np.shape(nu), (0,))
+        for part in (*nc.cubic_roots_row(nu, np.array([])), *nc.w_values_row(nu, [])):
+            assert part.shape == shape
+        for cid, form in nc.BOUNDS.items():
+            assert form.formula(nu, np.array([])).shape == shape, cid
+    values, _, _ = nc.TRIG_I.row(1.0, [])
+    assert values.shape == (0,)
+
+
 # ---------------------------------------------------------------------------
 # trigonometric ratio bounds
 

@@ -73,13 +73,14 @@ def test_catalog_covers_every_bound_producer():
     assert missing == set()
 
 
-# the catalog in print order, each claim with the oracle quantity it bounds
+# the catalog in scan and print order, each claim with the oracle quantity
+# it bounds
 _CATALOG = (
-    ("trig-upper-I", "Phi0"), ("trig-upper-K", "K-ratio-pos"),
-    ("amos-I-a0", "Phi0"), ("amos-K-a0", "Phi1"), ("amos-I-a-1", "Phi0"),
-    ("amos-K-a-1", "Phi1"), ("amos-I-a1", "Phi0"), ("amos-K-a1", "Phi1"),
-    ("amos-I-a-2", "Phi0"), ("amos-K-a-2", "Phi1"), ("amos-I-a2", "Phi0"),
-    ("amos-K-a2", "Phi1"), ("product-upper", "P"), ("product-lower-amos", "P"),
+    ("trig-upper-I", "Phi0"), ("amos-I-a0", "Phi0"), ("amos-I-a-1", "Phi0"),
+    ("amos-I-a1", "Phi0"), ("amos-I-a-2", "Phi0"), ("amos-I-a2", "Phi0"),
+    ("trig-upper-K", "K-ratio-pos"), ("amos-K-a0", "Phi1"), ("amos-K-a-1", "Phi1"),
+    ("amos-K-a1", "Phi1"), ("amos-K-a-2", "Phi1"), ("amos-K-a2", "Phi1"),
+    ("product-upper", "P"), ("product-lower-amos", "P"),
     ("product-lower-trig", "P"), ("product-lower-simple", "P"),
     ("product-lower-conjecture", "P"), ("psi-I-lower", "psi_I"),
     ("psi-I-upper", "psi_I"), ("psi-K-lower", "psi_K"), ("psi-K-upper", "psi_K"),
@@ -95,6 +96,15 @@ def test_catalog_order_and_targets(small_table):
     for cid, form in nc.BOUNDS.items():
         vals, _ = small_table.quantity(form.target, 1.5)
         assert vals.shape == (5,), cid
+
+
+def test_claims_of_one_target_are_contiguous():
+    # verify scans and prints the claims in catalog order in one pass, and
+    # the claims of one oracle quantity share its CSV text only when they
+    # are scanned one after another
+    targets = [form.target for form in nc.BOUNDS.values()]
+    runs = [t for i, t in enumerate(targets) if i == 0 or t != targets[i - 1]]
+    assert len(runs) == len(set(runs)) == 8
 
 
 def test_get_claim_and_corrupt():
@@ -202,59 +212,95 @@ def test_scan_monotone_unknown_quantity():
 
 
 def test_fit_error_order_exact_power_law():
-    fit = fit_error_order([(s, 0.25 / (s * s)) for s in (25.0, 50.0, 100.0, 200.0)], "large-x")
+    fit = fit_error_order([(s, 0.25 / (s * s)) for s in (25.0, 50.0, 100.0, 200.0)])
     assert_allclose(fit, (-2.0, 0.25), rtol=1e-10)
-    fit = fit_error_order([(s, s ** 4 / 192.0) for s in (0.02, 0.04, 0.08, 0.16)], "small-x")
+    fit = fit_error_order([(s, s ** 4 / 192.0) for s in (0.02, 0.04, 0.08, 0.16)])
     assert_allclose(fit, (4.0, 1.0 / 192.0), rtol=1e-10)
 
 
 def test_fit_error_order_unfittable():
     with pytest.raises(UnfittableError):
-        fit_error_order([(10.0, 1e-3), (20.0, 2e-4)], "large-nu")
+        fit_error_order([(10.0, 1e-3), (20.0, 2e-4)])
     with pytest.raises(UnfittableError):
-        fit_error_order([(10.0, 1e-3), (12.0, 9e-4), (13.0, 8e-4)], "large-nu")
+        fit_error_order([(10.0, 1e-3), (12.0, 9e-4), (13.0, 8e-4)])
     with pytest.raises(UnfittableError):
-        fit_error_order([(10.0, 1e-3), (20.0, 2e-4), (40.0, 5e-5)], "large-nu",
-                        noise_floor=1e-2)
+        fit_error_order([(10.0, 1e-3), (20.0, 2e-4), (40.0, 5e-5)], noise_floor=1e-2)
     with pytest.raises(UnfittableError):
-        fit_error_order([(10.0, 0.0), (20.0, 2e-4), (40.0, 5e-5)], "large-nu")
+        fit_error_order([(10.0, 0.0), (20.0, 2e-4), (40.0, 5e-5)])
 
 
 def test_fit_error_order_nan_floor_is_unfittable():
     # `eps <= floor` is False for a NaN floor, which used to let the fit run
     samples = [(25.0, 4e-4), (50.0, 1e-4), (100.0, 2.5e-5)]
     with pytest.raises(UnfittableError):
-        fit_error_order(samples, "large-x", noise_floor=[1e-9, math.nan, 1e-9])
+        fit_error_order(samples, noise_floor=[1e-9, math.nan, 1e-9])
     with pytest.raises(UnfittableError):
-        fit_error_order(samples[:2] + [(100.0, math.nan)], "large-x")
+        fit_error_order(samples[:2] + [(100.0, math.nan)])
 
 
 def test_sharpness_battery_fails_closed_on_nan_estimates(monkeypatch):
     # NaN oracle estimates give NaN noise floors: no case may pass on them
-    real = OracleTable.quantity
+    real = OracleTable.block
 
-    def nan_estimates(self, qid, nu):
-        vals, ests = real(self, qid, nu)
+    def nan_estimates(self, qid, nus):
+        vals, ests = real(self, qid, nus)
         return vals, np.full_like(ests, np.nan)
 
-    monkeypatch.setattr(OracleTable, "quantity", nan_estimates)
+    monkeypatch.setattr(OracleTable, "block", nan_estimates)
     reports = sharpness_battery()
     assert len(reports) == 7
     assert all(rep.fitted is None and len(rep.oracle_failures) == 1 for rep in reports)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_sharpness_battery_fails_closed_on_bad_oracle_values(monkeypatch, bad):
+    # an oracle value that is not positive and finite measures nothing: the
+    # case is unfittable, never a pass and never an exception
+    real = OracleTable.block
+
+    def bad_value(self, qid, nus):
+        vals, ests = real(self, qid, nus)
+        vals = vals.copy()
+        vals[-1] = bad       # the last order row of each case
+        return vals, ests
+
+    monkeypatch.setattr(OracleTable, "block", bad_value)
+    reports = sharpness_battery()
+    assert all(rep.fitted is None and rep.stats["fit_ok"] == 0.0 for rep in reports)
+    assert all(rep.oracle_failures[0][2] == "oracle value not positive and finite"
+               for rep in reports)
+
+
+def test_sharpness_battery_fails_closed_on_bounds_on_the_wrong_side(monkeypatch):
+    # oracle values moved 5% past each bound (up for the upper bounds on
+    # Phi0 and K-ratio-pos, down for the lower bound on P), where every
+    # true gap is below 1e-3: eps = bound/oracle - 1 (upper) and
+    # 1 - bound/oracle (lower) come out negative, and no case may fit
+    real = OracleTable.block
+
+    def moved(self, qid, nus):
+        vals, ests = real(self, qid, nus)
+        return vals * (0.95 if qid == "P" else 1.05), ests
+
+    monkeypatch.setattr(OracleTable, "block", moved)
+    reports = sharpness_battery()
+    for rep in reports:
+        moved_eps = 1.0 - 1.0 / 0.95 if rep.claim_id.startswith("sharpness-P") else 1.0 / 1.05 - 1.0
+        assert_allclose(rep.rows[:, 4], moved_eps, rtol=0.02)
+        assert rep.fitted is None and np.all(rep.rows[:, 4] < 0.0)
+    assert all(rep.oracle_failures[0][2] == "relative error not positive in samples"
+               for rep in reports)
+
+
 def test_fit_error_order_measured_ratio_gap():
     # gap of the cubic-root bound on the I-ratio at nu=1, sampled over x
-    from besselbounds import oracle, verify
-    from besselbounds.expansions import relative_error
     from besselbounds.nullclines import EvalPoint, TRIG_I
 
     samples = []
     for x in (25.0, 50.0, 100.0, 200.0):
         p = EvalPoint(1.0, x)
-        samples.append((x, relative_error(TRIG_I.row(1.0, [x])[0][0],
-                                          oracle.i_ratio(p).value, "upper")))
-    k, c = fit_error_order(samples, "large-x")
+        samples.append((x, TRIG_I.row(1.0, [x])[0][0] / oracle.i_ratio(p).value - 1.0))
+    k, c = fit_error_order(samples)
     assert abs(k - (-2.0)) <= 0.1
     assert abs(c - 0.25) <= 0.025
 
@@ -275,8 +321,9 @@ def test_sharpness_battery_structure():
 
 
 def test_sharpness_rows_equal_one_point_values():
-    # the battery reads one oracle table and the claims' row formulas; each
-    # row must still carry the one-point bound and oracle values bit for bit
+    # the battery reads one oracle block per case and the claims' formulas
+    # on order columns; each row must still carry the one-point bound and
+    # oracle values, and the relative error of the bound, bit for bit
     one_point = {
         "I": (nc.TRIG_I, lambda p: oracle.i_ratio(p).value),
         "K": (nc.TRIG_K, lambda p: -oracle.k_ratio(p).value),
@@ -285,9 +332,16 @@ def test_sharpness_rows_equal_one_point_values():
     n = 0
     for rep in sharpness_battery():
         form, value = one_point[rep.claim_id.split("-")[1]]
-        for nu, x, bound, orc, _ in rep.rows.tolist():
+        for nu, x, bound, orc, eps in rep.rows.tolist():
             assert (bound, orc) == (form.row(nu, [x])[0][0], value(nc.EvalPoint(nu, x))), \
                 (rep.claim_id, nu, x)
+            # upper: bound/oracle - 1; lower: 1 - bound/oracle; either is
+            # positive exactly when the bound is on the correct side
+            assert eps == (bound / orc - 1.0 if form.direction == "upper" else 1.0 - bound / orc)
+            assert eps > 0.0, (rep.claim_id, nu, x)
+            if (rep.claim_id, nu, x) == ("sharpness-I-large-x", 1.0, 100.0):
+                # gap of the cubic-root upper bound on the I-ratio is ~ 1/(4 x^2)
+                assert_allclose(eps, 2.5e-5, rtol=0.10)
             n += 1
     assert n == 25
 
@@ -558,8 +612,17 @@ def test_sharpness_battery_integrates_once(monkeypatch):
     # one table over all 25 battery points: the nu = 1 seed below x = 20 is
     # the only Taylor-stepped K row (six one-point seeds before the table)
     steps = _count_seeds(monkeypatch)
+    blocks = []
+    real = OracleTable.block
+
+    def counting(self, qid, nus):
+        blocks.append(qid)
+        return real(self, qid, nus)
+
+    monkeypatch.setattr(OracleTable, "block", counting)
     sharpness_battery()
     assert len(steps) == 1
+    assert len(blocks) == 7     # one block per case
 
 
 def test_large_x_coefficients_generated_once_per_seed(monkeypatch):
