@@ -9,6 +9,7 @@ The submodules are the API; the package root re-exports nothing:
 * ``verify``: the oracle table, the claim registry and the scans;
 * ``riccati_lab``: trajectories of the Riccati flows;
 * ``expansions``: truncated asymptotic expansions;
+* ``g17``: ``%.17g`` text of float arrays, for the CSV writers;
 * ``cli``: the ``besselbounds`` command;
 * ``errors``: the exception types.
 """

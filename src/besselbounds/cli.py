@@ -231,7 +231,6 @@ def cmd_tabulate(cfg: RunConfig) -> int:
         stream.write(",".join(_TABULATE_COLUMNS) + "\n")
         if not nus or not len(xs):
             return EXIT_OK
-        line = ",".join([_FMT] * len(_TABULATE_COLUMNS)) + "\n"
         failures = 0
         # one oracle table per CSV block: whole rows of a few orders, or one
         # x-block of a long row (no oracle value at x depends on the other
@@ -255,9 +254,8 @@ def cmd_tabulate(cfg: RunConfig) -> int:
                            lam_i, lam_k, lam_o, *nc.w_values_row(nu, x),
                            nc.PRODUCT_FORMS["upper"].formula(nu, x),
                            nc.PRODUCT_FORMS["lower_trig"].formula(nu, x)]
-                shape = (len(nu), len(x))
-                verify.write_csv_rows(stream, line, np.column_stack(
-                    [np.broadcast_to(c, shape).ravel() for c in columns]))
+                verify.write_csv_rows(stream, "", np.column_stack(
+                    [np.broadcast_to(c, (len(nu), len(x))).ravel() for c in columns]))
         if _too_many_failures(failures, len(nus) * len(xs)):
             return EXIT_ORACLE
         return EXIT_OK
@@ -416,7 +414,7 @@ def cmd_explore(cfg: RunConfig) -> int:
                 print(f"sample {tag}: y0={_FMT % y0} error: {errors[tag]}", file=summary)
                 continue
             traj = next(trajs)
-            verify.write_csv_rows(stream, "%d,%%.17g,%%.17g\n" % tag, traj.samples)
+            verify.write_csv_rows(stream, "%d," % tag, traj.samples)
             note = ""
             if traj.termination == "step-failure":
                 note = " termination=step-failure"

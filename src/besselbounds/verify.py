@@ -35,6 +35,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 
 import numpy as np
 
+from . import g17
 from . import nullclines as nc
 from .errors import DomainError, EvaluationError, UnfittableError
 from .nullclines import Bound, EvalPoint
@@ -154,27 +155,39 @@ class ScanReport:
         return not self.violations
 
 
+# CSV rows (points) per `tabulate` oracle table
 CSV_BLOCK_ROWS = 4096
-# rows per block of a report CSV: a block holds about five Python objects
-# per row (text and floats), so it is kept small enough that writing adds
-# nothing to a run's peak memory
+# rows per block of every CSV writer: small enough that a block's texts
+# and line bytes add nothing to a run's peak memory
 REPORT_BLOCK_ROWS = 1024
 
 
-def write_csv_rows(stream, line: str, rows: np.ndarray) -> None:
-    """Write each row of a 2-d array through the %-format ``line``, one
-    format call per block of CSV_BLOCK_ROWS rows, so the text built at once
-    stays bounded however long ``rows`` is."""
-    for start in range(0, len(rows), CSV_BLOCK_ROWS):
-        block = rows[start:start + CSV_BLOCK_ROWS]
-        stream.write((line * len(block)) % tuple(block.ravel().tolist()))
+def _write_lines(write, prefix: bytes, rows: np.ndarray, fill) -> None:
+    """Write rows as CSV lines, ``prefix`` and then one cell per column,
+    REPORT_BLOCK_ROWS rows at a time: each block's lines are one byte
+    matrix, whose cells (an S{g17.WIDTH} view) ``fill(block, cells)`` sets
+    to NUL-padded ``g17.texts``, compacted by one ``translate`` into
+    ``write``.  The matrix is made once, so a writer's memory stays one
+    block's."""
+    width, n, cols = g17.WIDTH + 1, max(1, min(len(rows), REPORT_BLOCK_ROWS)), rows.shape[1]
+    line = bytearray(prefix + bytes(cols * width))
+    line[len(prefix) + g17.WIDTH::width] = b"," * (cols - 1) + b"\n"
+    raw = line * n
+    # (shape, dtype, buffer, offset, strides): the cells of n lines, a view
+    cells = np.ndarray((n, cols), "S%d" % g17.WIDTH, raw, len(prefix), (len(line), width))
+    for start in range(0, len(rows), n):
+        block = rows[start:start + n]
+        fill(block, cells[:len(block)])
+        # a whole block is compacted with no copy of its bytes first
+        write((raw if len(block) == n else raw[:len(block) * len(line)]).translate(None, b"\0"))
 
 
-def _texts(values: np.ndarray) -> np.ndarray:
-    """The %.17g text of each value as fixed-width bytes (24 is the longest
-    such text), one format call for all."""
-    vals = values.tolist()
-    return np.array((b"%.17g," * len(vals) % tuple(vals)).split(b",")[:-1], dtype="S24")
+def write_csv_rows(stream, prefix: str, rows: np.ndarray) -> None:
+    """Write each row of a 2-d float array to a text stream as one CSV
+    line: ``prefix``, then the row's values as %.17g, one ``g17.texts``
+    call and one write per block of REPORT_BLOCK_ROWS rows."""
+    _write_lines(lambda data: stream.write(data.decode("ascii")), prefix.encode(), rows,
+                 lambda block, cells: np.copyto(cells, g17.texts(block)))
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -191,7 +204,7 @@ class _Axis:
         distinct = np.ones(len(values), dtype=bool)
         distinct[1:] = values[1:] != values[:-1]
         self.values = values[distinct]
-        self.text = _texts(self.values)
+        self.text = g17.texts(self.values)
 
     def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(index, found): each value's place on the axis, and whether the
@@ -209,37 +222,34 @@ class CsvText:
     and takes its place.  So a report written through any ``CsvText`` has
     the bytes of per-value formatting, and claims that bound one oracle
     quantity, written one after another, share its text.  Text is kept as
-    fixed-width bytes, not one object per value, so a table's worth stays
-    small.
+    fixed-width bytes (``g17.texts``), not one object per value, so a
+    table's worth stays small.
     """
 
     def __init__(self, nu_values, x_values):
         self.nu, self.x = _Axis(nu_values), _Axis(x_values)
         shape = (len(self.nu.values), len(self.x.values))
         self._bits = np.zeros(shape, dtype=np.int64)
-        self._text = np.zeros(shape, dtype="S24")     # b"" where unknown
+        self._text = np.zeros(shape, dtype="S%d" % g17.WIDTH)     # b"" where unknown
 
-    def cells(self, rows: np.ndarray) -> np.ndarray:
-        """Report rows (nu, x, bound, oracle, margin) as an object array
-        with nu, x and oracle as text, bound and margin as floats."""
-        cells = np.empty(rows.shape, dtype=object)
+    def fill(self, rows: np.ndarray, cells: np.ndarray) -> None:
+        """Set ``cells`` to the text of report rows (nu, x, bound, oracle,
+        margin): shared text for nu, x and oracle, bound and margin anew."""
         at_nu, on_nu = self.nu.find(rows[:, 0])
         at_x, on_x = self.x.find(rows[:, 1])
         for col, axis, at, found in ((0, self.nu, at_nu, on_nu), (1, self.x, at_x, on_x)):
-            text = axis.text[at]
+            cells[:, col] = axis.text[at]
             if not found.all():
-                text[~found] = _texts(rows[~found, col])
-            cells[:, col] = text
+                cells[~found, col] = g17.texts(rows[~found, col])
         cells[:, 3] = self._oracle(rows[:, 3], at_nu, at_x, on_nu & on_x)
-        cells[:, 2], cells[:, 4] = rows[:, 2], rows[:, 4]
-        return cells
+        cells[:, 2::2] = g17.texts(rows[:, 2::2])
 
     def _oracle(self, values, at_nu, at_x, on) -> np.ndarray:
         bits = _bits(values)
         text = self._text[at_nu, at_x]
         new = ~(on & (text != b"") & (self._bits[at_nu, at_x] == bits))
         if new.any():
-            text[new] = _texts(values[new])
+            text[new] = g17.texts(values[new])
             kept = new & on
             self._bits[at_nu[kept], at_x[kept]] = bits[kept]
             self._text[at_nu[kept], at_x[kept]] = text[kept]
@@ -255,12 +265,9 @@ def write_report_csv(report: ScanReport, path, text: Optional[CsvText] = None) -
     rows = np.asarray(report.rows, dtype=float).reshape(-1, 5)
     if text is None:
         text = CsvText(rows[:, 0], rows[:, 1])
-    line = report.claim_id.replace("%", "%%").encode() + b",%b,%b,%.17g,%b,%.17g\n"
     with open(path, "wb") as fh:
         fh.write(b"claim_id,nu,x,bound,oracle,margin\n")
-        for start in range(0, len(rows), REPORT_BLOCK_ROWS):
-            block = rows[start:start + REPORT_BLOCK_ROWS]
-            fh.write((line * len(block)) % tuple(text.cells(block).ravel().tolist()))
+        _write_lines(fh.write, report.claim_id.encode() + b",", rows, text.fill)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ the machinery on small grids.
 
 import copy
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from besselbounds import nullclines as nc
-from besselbounds import oracle, verify
+from besselbounds import g17, oracle, verify
 from besselbounds.errors import DomainError, UnfittableError
 from besselbounds.verify import (
     Grid,
@@ -704,3 +705,78 @@ def test_shared_csv_text_matches_per_value_formatting(tmp_path, monkeypatch):
         for path, shared in ((tmp_path / "shared.csv", text), (tmp_path / "own.csv", None)):
             write_report_csv(rep, path, shared)
             assert path.read_text() == "claim_id,nu,x,bound,oracle,margin\n" + plain
+
+
+_CUTOFF = g17.MIN_KERNEL_VALUES
+# values the kernel must get right in every column: NaN, infinities, signed
+# zeros, subnormals, a decimal tie and the edges of its 17-digit window
+_SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.225073858507201e-308,
+                      1000000000000000.25, 1e17, 2.0 ** 53, -1e16])
+
+
+def _with_specials(rows: np.ndarray, cols) -> np.ndarray:
+    """``rows`` with every len(cols)-th row of each column in ``cols``
+    cycling through _SPECIALS, each column in another phase."""
+    for k, col in enumerate(cols):
+        rows[k::len(cols), col] = np.resize(np.roll(_SPECIALS, k), len(rows[k::len(cols)]))
+    return rows
+
+
+@pytest.mark.parametrize("cutoff", [0, _CUTOFF, 10 ** 9])
+def test_report_csv_bytes_at_block_and_cutoff_edges(tmp_path, monkeypatch, cutoff):
+    # at each size where a block or the kernel's cutoff (two values a row,
+    # bound and margin) begins or ends, the bytes are those of per-value
+    # %.17g: with the kernel on every block (cutoff 0), at the real cutoff,
+    # and with every block on the % fallback (a huge cutoff)
+    monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 200)
+    monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
+    rng = np.random.default_rng(11)
+    nus, xs = (-1.0, -0.0, 0.5, 2.5), (1e-3, 1.0, 30.0)
+    half = _CUTOFF // 2
+    for n in (0, 1, half - 1, half, half + 1, 199, 200, 201, 401):
+        rows = np.column_stack([rng.choice(nus + (7.25,), n), rng.choice(xs + (2.0,), n),
+                                rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))])
+        rep = verify.ScanReport(claim_id="c%d", rows=_with_specials(rows, (2, 3, 4)))
+        plain = "".join("c%%d,%s\n" % ",".join("%.17g" % v for v in row) for row in rows.tolist())
+        path = tmp_path / ("r%d.csv" % n)
+        for shared in (verify.CsvText(nus, xs), None):
+            write_report_csv(rep, path, shared)
+            assert path.read_text() == "claim_id,nu,x,bound,oracle,margin\n" + plain
+
+
+@pytest.mark.parametrize("cutoff", [0, _CUTOFF, 10 ** 9])
+def test_csv_rows_bytes_at_block_and_cutoff_edges(monkeypatch, cutoff):
+    # the same for the explore and tabulate writer, which takes blocks of
+    # as many rows: three values a row, so 85 and 86 rows sit on either side
+    # of the cutoff; a text stream gets the decoded text
+    monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 150)
+    monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
+    rng = np.random.default_rng(12)
+    for n in (0, 1, _CUTOFF // 3, _CUTOFF // 3 + 1, 149, 150, 151, 301):
+        rows = _with_specials(rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-30, 30, (n, 3)),
+                              (0, 1, 2))
+        stream = io.StringIO()
+        verify.write_csv_rows(stream, "7,", rows)
+        assert stream.getvalue() == "".join("7,%s\n" % ",".join("%.17g" % v for v in row)
+                                            for row in rows.tolist())
+
+
+def test_report_csv_of_a_scan_with_zero_and_subnormal_bounds(tmp_path, monkeypatch):
+    # a form whose bounds are signed zeros, subnormals and huge values goes
+    # through a real scan; its report keeps per-value %.17g bytes
+    monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", 0)
+    form = get_claim("trig-upper-K").form
+    bounds = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e300, 0.5])
+
+    def formula(nu, x):
+        return np.resize(bounds, np.broadcast(nu, x).shape)
+
+    claim = verify.BoundClaim("bent", dataclasses.replace(form, formula=formula))
+    rep = scan_bound(claim, grid=Grid((0.5, 1.5), tuple(np.geomspace(0.01, 100.0, 150))))
+    bound = rep.rows[:, 2]
+    assert len(bound) == 300 and (np.signbit(bound) & (bound == 0)).any()
+    assert (bound == 5e-324).any() and (bound == 1e300).any()
+    path = tmp_path / "bent.csv"
+    write_report_csv(rep, path)
+    assert path.read_text() == "claim_id,nu,x,bound,oracle,margin\n" + "".join(
+        "bent,%s\n" % ",".join("%.17g" % v for v in row) for row in rep.rows.tolist())

@@ -1,0 +1,83 @@
+"""Print a sha256 of everything the report commands emit, so two source
+trees can be compared for byte-identical output with one ``diff``.
+
+Runs, in-process and into a temporary directory: ``verify --out`` on the
+default grid and on 20 half-integer orders x 1,001 x (plain and with
+``--corrupt-claim amos-K-a1``), ``conjecture --out``, ``sharpness --out``,
+``tabulate --out`` and ``explore --sample 100 --out``.  For each run it
+prints the exit code and the digests of stdout and stderr, then one line
+per output file.
+
+    python3 tools/output_digest.py [--src DIR] [--tiny] > digest.txt
+
+``--src`` names the source tree to import (default: this repository's
+``src``), so the same script digests another checkout; it takes effect in
+a fresh interpreter, since a process that has already imported
+``besselbounds`` keeps that copy.  ``--tiny`` runs every command on a
+small grid, for a quick check.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DENSE = ["--nu-min", "0.5", "--nu-max", "19.5", "--nu-step", "1", "--x-points", "1001"]
+TINY_GRID = ["--nu-min", "-1", "--nu-max", "0.5", "--nu-step", "0.25", "--x-points", "5"]
+TINY_DENSE = ["--nu-min", "0.5", "--nu-max", "2.5", "--nu-step", "1", "--x-points", "9"]
+
+
+def runs(tiny: bool):
+    """(name, argv, output is a directory) of each run, without --out."""
+    default, dense = (TINY_GRID, TINY_DENSE) if tiny else ([], DENSE)
+    corrupt = ["--corrupt-claim", "amos-K-a1"]
+    sample = ["--sample", "3" if tiny else "100"]
+    return [("verify-default", ["verify", *default], True),
+            ("verify-dense", ["verify", *dense], True),
+            ("verify-dense-corrupt", ["verify", *dense, *corrupt], True),
+            ("conjecture", ["conjecture", *default], False),
+            ("sharpness", ["sharpness"], True),
+            ("tabulate", ["tabulate", *default], False),
+            ("explore", ["explore", *sample], False)]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(cli, tiny: bool, workdir: str) -> list:
+    """The digest lines of every run, each writing under ``workdir``."""
+    lines = []
+    for name, argv, to_dir in runs(tiny):
+        out_path = os.path.join(workdir, name if to_dir else name + ".csv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--out", out_path])
+        lines.append(f"{name} exit={code} stdout={_sha(out.getvalue().encode())} "
+                     f"stderr={_sha(err.getvalue().encode())}")
+        target = Path(out_path)
+        files = sorted(target.iterdir()) if target.is_dir() else [target]
+        lines += [f"{name}/{path.name} {_sha(path.read_bytes())}"
+                  for path in files if path.is_file()]
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(SRC), help="source tree to import")
+    ap.add_argument("--tiny", action="store_true", help="run on a small grid")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, args.src)
+    from besselbounds import cli
+    with tempfile.TemporaryDirectory() as workdir:
+        print("\n".join(digest(cli, args.tiny, workdir)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
