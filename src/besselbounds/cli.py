@@ -60,11 +60,18 @@ _TABULATE_COLUMNS = (
 )
 
 
-def _option(default, help: str, commands: Optional[Tuple[str, ...]] = None):
+# the subcommands that build a grid, those that also read an order and an
+# x window, and all of them
+_GRID = ("tabulate", "verify", "conjecture")
+_WINDOW = _GRID + ("explore",)
+_ALL = _WINDOW + ("sharpness",)
+
+
+def _option(default, help: str, commands: Tuple[str, ...]):
     """A RunConfig field, the one declaration of an option: its flag is
     ``--`` plus the name with dashes, its config key is the name, its parse
     type is the annotation's (``Optional[T]`` gives T), and ``commands``
-    names the subcommands that take its flag (None: all of them)."""
+    names the subcommands that read it, the only ones that take its flag."""
     return field(default=default, metadata={"help": help, "commands": commands})
 
 
@@ -74,18 +81,18 @@ class RunConfig:
     Every field but ``command`` is an option; a new option is one field."""
 
     command: str = ""
-    nu_min: float = _option(-1.0, "lowest order")
-    nu_max: float = _option(20.0, "highest order")
-    nu_step: float = _option(0.25, "order step")
-    x_min: float = _option(1e-3, "lowest argument")
-    x_max: float = _option(1e3, "highest argument")
-    x_points: int = _option(121, "log-spaced count")
-    nu: Optional[float] = _option(None, "single order (overrides the range)")
-    x: Optional[float] = _option(None, "single argument (overrides the range)")
-    tol: float = _option(verify.DEFAULT_TOL, "violation tolerance")
+    nu_min: float = _option(-1.0, "lowest order", _GRID)
+    nu_max: float = _option(20.0, "highest order", _GRID)
+    nu_step: float = _option(0.25, "order step", _GRID)
+    x_min: float = _option(1e-3, "lowest argument", _WINDOW)
+    x_max: float = _option(1e3, "highest argument", _WINDOW)
+    x_points: int = _option(121, "log-spaced count", _GRID)
+    nu: Optional[float] = _option(None, "single order (overrides the range)", _WINDOW)
+    x: Optional[float] = _option(None, "single argument (overrides the range)", _GRID)
+    tol: float = _option(verify.DEFAULT_TOL, "violation tolerance", ("verify",))
     out: Optional[str] = _option(None, "output path (tabulate/explore/conjecture: CSV "
-                                       "file; verify/sharpness: report directory)")
-    seed: int = _option(0, "seed for randomized sampling")
+                                       "file; verify/sharpness: report directory)", _ALL)
+    seed: int = _option(0, "seed for randomized sampling", ("explore",))
     a: float = _option(0.0, "rescaling exponent", ("explore",))
     x0: float = _option(1.0, "initial abscissa", ("explore",))
     y0: Optional[float] = _option(None, "initial value", ("explore",))
@@ -170,6 +177,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise DomainError(f"seed must be non-negative, got {cfg.seed!r}")
     if cfg.sample > SAMPLE_LIMIT:
         raise DomainError(f"sample must not exceed {SAMPLE_LIMIT}, got {cfg.sample!r}")
+    if cfg.command not in _GRID:
+        return cfg
     # the sizes _grid_axes would build, with an empty axis as 1
     n_nu = 1.0
     if cfg.nu is None and cfg.nu_step > 0 and cfg.nu_max >= cfg.nu_min:
@@ -213,12 +222,16 @@ def _open_out(cfg: RunConfig):
             yield fh
 
 
-def _too_many_failures(failures: int, attempted: int) -> bool:
-    """The exit-3 rule: oracle failures above 1% of the points attempted."""
+def _verdict(violated: bool, failures: int, attempted: int) -> int:
+    """The exit code of a run: 1 on a violation, else 3 (with an ``oracle
+    failures`` line) when oracle failures exceed 1% of the points
+    attempted, else 0."""
+    if violated:
+        return EXIT_VIOLATION
     if failures and failures / attempted > ORACLE_FAILURE_LIMIT:
         print(f"oracle failures: {failures}/{attempted}", file=sys.stderr)
-        return True
-    return False
+        return EXIT_ORACLE
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +249,7 @@ def cmd_tabulate(cfg: RunConfig) -> int:
         # x-block of a long row (no oracle value at x depends on the other
         # points of its table), so memory stays bounded as rows grow; the
         # closed forms take the table's orders as a column against its x row
-        size = verify.CSV_BLOCK_ROWS
+        size = verify.SCAN_BLOCK_POINTS
         per = max(1, size // len(xs))
         for first in range(0, len(nus), per):
             for lo in range(0, len(xs), size):
@@ -256,9 +269,7 @@ def cmd_tabulate(cfg: RunConfig) -> int:
                            nc.PRODUCT_FORMS["lower_trig"].formula(nu, x)]
                 verify.write_csv_rows(stream, "", np.column_stack(
                     [np.broadcast_to(c, (len(nu), len(x))).ravel() for c in columns]))
-        if _too_many_failures(failures, len(nus) * len(xs)):
-            return EXIT_ORACLE
-        return EXIT_OK
+        return _verdict(False, failures, len(nus) * len(xs))
 
 
 def _claim_filename(claim_id: str) -> str:
@@ -303,10 +314,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             verify.write_report_csv(rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)), text)
     if failing:
         print("failing claims: " + ", ".join(failing))
-        return EXIT_VIOLATION
-    if _too_many_failures(failures, points + failures):
-        return EXIT_ORACLE
-    return EXIT_OK
+    return _verdict(bool(failing), failures, points + failures)
 
 
 def cmd_sharpness(cfg: RunConfig) -> int:
@@ -333,11 +341,7 @@ def cmd_sharpness(cfg: RunConfig) -> int:
         if cfg.out is not None:
             verify.write_report_csv(rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)),
                                     text)
-    if bad:
-        return EXIT_VIOLATION
-    if _too_many_failures(unfittable, len(verify.SHARPNESS_EXPECTED)):
-        return EXIT_ORACLE
-    return EXIT_OK
+    return _verdict(bad, unfittable, len(verify.SHARPNESS_EXPECTED))
 
 
 def cmd_conjecture(cfg: RunConfig) -> int:
@@ -354,31 +358,27 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     print(f"sup s (verified rows) = {_FMT % st['sup_s_verified']} at "
           f"(nu={st['sup_s_verified_nu']:g}, x={_FMT % st['sup_s_verified_x']})")
     print(f"margin to proved cap 1/3: {_FMT % st['margin_proved_cap']}")
-    print(f"margin to conjectured cap 1/5: {_FMT % st['margin_conjectured_cap']}"
-          f" (reported, not gated)")
+    # a margin within the estimate of s is roundoff, not a sign either way
+    margin, note = st["margin_conjectured_cap"], "reported, not gated"
+    if abs(margin) <= st["sup_s_est"]:
+        note = f"undecided within estimate {_FMT % st['sup_s_est']}, {note}"
+    print(f"margin to conjectured cap 1/5: {_FMT % margin} ({note})")
     if cfg.out is not None:
         verify.write_report_csv(rep, cfg.out)
     if rep.violations:
         print(f"violations of the proved cap: {len(rep.violations)}")
-        return EXIT_VIOLATION
     failures = len(rep.oracle_failures)
-    if _too_many_failures(failures, rep.points_checked + failures):
-        return EXIT_ORACLE
-    return EXIT_OK
+    return _verdict(bool(rep.violations), failures, rep.points_checked + failures)
 
 
 def cmd_explore(cfg: RunConfig) -> int:
     x_lo, x_hi = cfg.x_min, cfg.x_max
     if not (0 < x_lo < cfg.x0 < x_hi):
-        print(f"explore needs x_min < x0 < x_max, got ({x_lo}, {cfg.x0}, {x_hi})",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError(f"explore needs x_min < x0 < x_max, got ({x_lo}, {cfg.x0}, {x_hi})")
     if x_hi > EXPLORE_X_LIMIT:
-        print(f"explore needs x_max <= {EXPLORE_X_LIMIT:g}, got {x_hi}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError(f"explore needs x_max <= {EXPLORE_X_LIMIT:g}, got {x_hi}")
     if cfg.y0 is None and cfg.sample <= 0:
-        print("explore needs --y0 or --sample N", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("explore needs --y0 or --sample N")
 
     nu = cfg.nu if cfg.nu is not None else 0.5
     starts: List[Tuple[int, float]] = []
@@ -456,29 +456,21 @@ def _add_option(parser, f: Field) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    # the options every subcommand takes are added once, to a group of a
-    # parent parser whose actions each subparser shares (argparse builds a
-    # help formatter to check each argument added to a parser, not to a
-    # group); adding them to each subparser anew doubles the build time.
-    # Built once per process: parse_args leaves a parser unchanged.
-    common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group("run options")
-    for f in _OPTIONS.values():
-        if f.metadata["commands"] is None:
-            _add_option(group, f)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--dump-config", action="store_true",
-                        help="print the effective config as key=value lines and exit")
+    # built once per process: parse_args leaves a parser unchanged
     ap = argparse.ArgumentParser(
         prog="besselbounds",
         description="Evaluate, tabulate and verify ratio/product bounds for "
                     "the modified Bessel recurrence flows.")
     sub = ap.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, parents=[common], help=help_text)
+        p = sub.add_parser(command, help=help_text)
         for f in _OPTIONS.values():
-            if command in (f.metadata["commands"] or ()):
+            if command in f.metadata["commands"]:
                 _add_option(p, f)
+        p.add_argument("--config", help="key=value config file (every key, shared by "
+                                        "all subcommands)")
+        p.add_argument("--dump-config", action="store_true",
+                       help="print the effective config as key=value lines and exit")
     return ap
 
 

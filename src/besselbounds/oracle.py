@@ -428,9 +428,10 @@ def quantity_row(qid: str, nu: float, xs: np.ndarray,
     if qid == "K-ratio-pos":
         phi1, est = ratio("Phi1")
         return -phi1, est
-    if qid == "xPhi0":
-        phi0, est = ratio("Phi0")
-        v = xs * phi0
+    if qid in ("xPhi0", "xP"):
+        # x times Phi0 or P: one rounding more
+        v, est = quantity_row(qid[1:], nu, xs, ratio)
+        v = xs * v
         return v, xs * est + _EPS * np.abs(v)
     if qid in ("psi_I", "psi_K"):
         phi, est = ratio("Phi0" if qid == "psi_I" else "Phi1")
@@ -448,7 +449,7 @@ def quantity_row(qid: str, nu: float, xs: np.ndarray,
         v = phi1 * shift
         return v, ((np.abs(phi1) + np.abs(shift)) * est
                    + _EPS * (np.abs(phi1) + np.abs(shift)) * np.abs(phi1))
-    if qid in ("P", "xP"):
+    if qid == "P":
         # the Wronskian relation P = 1/(x*(Phi0 - Phi1))
         (phi0, est0), (phi1, est1) = ratio("Phi0"), ratio("Phi1")
         gap = phi0 - phi1      # both-signs gap, always > 0
@@ -456,10 +457,7 @@ def quantity_row(qid: str, nu: float, xs: np.ndarray,
             first = np.argmax(np.any(gap <= 0, axis=-1))    # order row
             raise EvaluationError(f"ratio gap not positive at nu={np.ravel(nu)[first]}")
         p = 1.0 / (xs * gap)
-        est = (est0 + est1) / (xs * gap * gap) + _EPS * p
-        if qid == "P":
-            return p, est
-        return xs * p, xs * est + _EPS * xs * p
+        return p, (est0 + est1) / (xs * gap * gap) + _EPS * p
     raise DomainError(f"unknown oracle quantity {qid!r}")
 
 

@@ -71,8 +71,9 @@ __all__ = [
 
 DEFAULT_TOL = 1.0e-12
 MONOTONE_TOL = 1.0e-9
-# most (order, x) points a scan evaluates in one numpy pass: a block of
-# whole order rows, or one row when a row is longer.  Twice as many saved
+# most (order, x) points a scan evaluates in one numpy pass, and that one
+# `tabulate` oracle table holds: a block of whole order rows, or one row
+# (tabulate: one x-block of a row) when a row is longer.  Twice as many saved
 # no measurable time but held about 1 MiB more of formula temporaries at
 # the peak of a 20 x 1,001 verify run
 SCAN_BLOCK_POINTS = 4096
@@ -155,8 +156,6 @@ class ScanReport:
         return not self.violations
 
 
-# CSV rows (points) per `tabulate` oracle table
-CSV_BLOCK_ROWS = 4096
 # rows per block of every CSV writer: small enough that a block's texts
 # and line bytes add nothing to a run's peak memory
 REPORT_BLOCK_ROWS = 1024
@@ -753,6 +752,14 @@ def _sup_s(rows: np.ndarray) -> Tuple[float, float, float]:
     return float(rows[top, 3]), float(rows[top, 0]), float(rows[top, 1])
 
 
+def _s_map(nus, xs, p, p_est):
+    """(s, est_s): s = 1/(4 P**2) - x**2 - nu**2 and its cancellation-aware
+    error estimate (d s / d P = -1/(2 P**3))."""
+    with np.errstate(all="ignore"):
+        s = 1.0 / (4.0 * p * p) - xs * xs - nus * nus
+        return s, p_est / (2.0 * p ** 3) + 4.0 * _EPS * (xs * xs + nus * nus + np.abs(s))
+
+
 def conjecture_scan(grid: Optional[Grid] = None,
                     table: Optional[OracleTable] = None) -> ScanReport:
     """Map s(nu, x) = 1/(4 P**2) - x**2 - nu**2 over the grid.
@@ -761,24 +768,26 @@ def conjecture_scan(grid: Optional[Grid] = None,
     stay below 1/3 - 1e-6 (violations otherwise), and the ``sup_s_verified``
     stats and ``margin_proved_cap`` cover the same rows.  Every row is
     mapped: rows below order 0 enter ``sup_s``, the full-grid supremum that
-    the conjectured cap 1/5 is compared with in ``stats``, never gated.
+    the conjectured cap 1/5 is compared with in ``stats``, never gated;
+    ``sup_s_est`` is the error estimate of s there, the one its gate used.
     """
     grid, table = _table_for(grid, table)
     rep = ScanReport(claim_id="conjecture-scan")
     blocks = []
     for nus, xs, p, p_est in _blocks(rep, grid, nc.ALL_NU.holds,
                                      lambda nus: table.block("P", nus), 0):
-        with np.errstate(all="ignore"):
-            s = 1.0 / (4.0 * p * p) - xs * xs - nus * nus
-            # cancellation-aware error: d s / d P = -1/(2 P**3)
-            est_s = p_est / (2.0 * p ** 3) + 4.0 * _EPS * (xs * xs + nus * nus + np.abs(s))
-            slack = _PROVED_CAP - s
-        blocks.append(_gate(rep, nus, xs, slack, 1.0, est_s, -_GATE_SLACK,
+        s, est_s = _s_map(nus, xs, p, p_est)
+        blocks.append(_gate(rep, nus, xs, _PROVED_CAP - s, 1.0, est_s, -_GATE_SLACK,
                             np.isfinite(p) & (p > 0), (_PROVED_CAP, s), gated=nus >= 0.0))
     _finish(rep, blocks)
     sup_all, sup_ver = _sup_s(rep.rows), _sup_s(rep.rows[rep.rows[:, 0] >= 0.0])
     for key, (top, nu, x) in (("sup_s", sup_all), ("sup_s_verified", sup_ver)):
         rep.stats.update({key: top, key + "_nu": nu, key + "_x": x})
+    rep.stats["sup_s_est"] = math.nan
+    if len(rep.rows):
+        nus = np.array([[sup_all[1]]])
+        est_s = _s_map(nus, table.xs, *table.block("P", nus))[1]
+        rep.stats["sup_s_est"] = float(est_s[0, np.searchsorted(table.xs, sup_all[2])])
     rep.worst_margin = _PROVED_CAP - sup_ver[0] if math.isfinite(sup_ver[0]) else math.nan
     rep.stats.update({"margin_proved_cap": rep.worst_margin,
                       "margin_conjectured_cap": _CONJECTURED_CAP - sup_all[0],

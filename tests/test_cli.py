@@ -94,19 +94,19 @@ def test_tabulate_grid_row_count(tmp_path):
 
 def test_tabulate_row_longer_than_one_block(tmp_path, monkeypatch):
     # a row written in blocks has the bytes of one format call over the row
-    n = verify.CSV_BLOCK_ROWS + 3
+    n = verify.SCAN_BLOCK_POINTS + 3
     argv = ["tabulate", "--nu", "1.5", "--x-min", "0.01", "--x-max", "10",
             "--x-points", str(n)]
     blocked, whole = tmp_path / "blocked.csv", tmp_path / "whole.csv"
     assert run(argv + ["--out", str(blocked)])[0] == EXIT_OK
-    monkeypatch.setattr(verify, "CSV_BLOCK_ROWS", 10 * n)
+    monkeypatch.setattr(verify, "SCAN_BLOCK_POINTS", 10 * n)
     assert run(argv + ["--out", str(whole)])[0] == EXIT_OK
     assert blocked.read_bytes() == whole.read_bytes()
     assert blocked.read_text().count("\n") == n + 1
 
 
 def test_tabulate_tables_stay_within_one_block(tmp_path, monkeypatch):
-    # each oracle table holds at most CSV_BLOCK_ROWS points (whole rows of a
+    # each oracle table holds at most SCAN_BLOCK_POINTS points (whole rows of a
     # few orders, or one x-block of one order) and the bytes do not change
     argv = ["tabulate", "--nu-min", "0.25", "--nu-max", "2.75", "--nu-step", "0.5",
             "--x-min", "0.01", "--x-max", "10", "--x-points", "12"]
@@ -121,7 +121,7 @@ def test_tabulate_tables_stay_within_one_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(verify, "OracleTable", CountingTable)
     for block, tables in ((5, 18), (30, 3)):
-        monkeypatch.setattr(verify, "CSV_BLOCK_ROWS", block)
+        monkeypatch.setattr(verify, "SCAN_BLOCK_POINTS", block)
         sizes.clear()
         blocked = tmp_path / f"block{block}.csv"
         assert run(argv + ["--out", str(blocked)])[0] == EXIT_OK
@@ -304,14 +304,14 @@ def test_grid_commands_refuse_arguments_past_x_limit():
             assert code == EXIT_USAGE and "must not exceed 1e+06" in err and out == ""
 
 
-def test_oversized_runs_fail_fast(tmp_path):
+def test_oversized_runs_fail_fast(tmp_path, monkeypatch):
     # --nu-step 1e-12 asks for about 2e13 orders and --x-points 2e9 for
-    # 16 GB of arguments.  Only the merged config is built here, and
-    # sharpness builds no list, so a broken check fails the test instead
-    # of starting such a build.
+    # 16 GB of arguments.  Only the merged config is built here, and the
+    # end-to-end run fails if it reaches the grid build, so a broken check
+    # fails the test instead of starting such a build.
     parser = cli._build_parser()
     cfg = tmp_path / "big.cfg"
-    cfg.write_text("x_points=2000000000\n")
+    cfg.write_text("nu_step=1e-12\nx_points=2000000000\n")
     for argv in (["verify", "--nu-step", "1e-12"],
                  ["tabulate", "--x-points", "2000000000"],
                  ["conjecture", "--config", str(cfg)],
@@ -319,13 +319,21 @@ def test_oversized_runs_fail_fast(tmp_path):
                  ["explore", "--sample", str(cli.SAMPLE_LIMIT + 1)]):
         with pytest.raises(DomainError):
             cli._merge_config(parser.parse_args(argv))
-    code, out, err = run(["sharpness", "--nu-step", "1e-12"])
+
+    def unreached(cfg):
+        raise AssertionError("the grid size check let an oversized grid through")
+
+    monkeypatch.setattr(cli, "_grid_axes", unreached)
+    code, out, err = run(["verify", "--nu-step", "1e-12"])
     assert code == EXIT_USAGE and "at most" in err and out == ""
-    # the largest benchmark grid (20 x 1001) and 100 samples stay inside
+    # the largest benchmark grid (20 x 1001) and 100 samples stay inside;
+    # config files are shared, and commands that build no grid take one
+    # sized for no grid
     for argv in (["verify", "--nu-min", "0.5", "--nu-max", "19.5", "--nu-step", "1",
                   "--x-points", "1001"],
                  ["explore", "--nu", "2", "--sample", "100"],
-                 ["tabulate", "--nu", "1", "--x-points", str(cli.GRID_LIMIT)]):
+                 ["tabulate", "--nu", "1", "--x-points", str(cli.GRID_LIMIT)],
+                 ["sharpness", "--config", str(cfg)], ["explore", "--config", str(cfg)]):
         cli._merge_config(parser.parse_args(argv))
 
 
@@ -506,6 +514,24 @@ def test_conjecture_report(tmp_path):
     assert len(lines) == 1 + 54  # header + 6 nu rows x 9 points
 
 
+def test_conjecture_margin_within_roundoff_is_undecided():
+    # s cancels terms near 4e7 here, so its estimate at the supremum (about
+    # 3e-6) dwarfs a -3e-9 margin to 1/5, which used to print as a plain
+    # negative margin: roundoff read as a counterexample
+    code, out, _ = run(["conjecture", "--nu", "6400.5", "--x-min", "5100", "--x-max", "5350",
+                        "--x-points", "2001"])
+    assert code == EXIT_OK
+    line = next(ln for ln in out.splitlines() if ln.startswith("margin to conjectured cap"))
+    margin, note = line.split(": ", 1)[1].split(" ", 1)
+    est = float(note.split("estimate ")[1].split(",")[0])
+    assert float(margin) < 0.0 and abs(float(margin)) <= est
+    assert note == f"(undecided within estimate {est!r}, reported, not gated)"
+    # a margin outside the estimate keeps its line
+    code, out, _ = run(["conjecture"])
+    assert code == EXIT_OK
+    assert "margin to conjectured cap 1/5: 0.00023468638398754793 (reported, not gated)\n" in out
+
+
 # ---------------------------------------------------------------------------
 # explore
 
@@ -613,9 +639,12 @@ def test_explore_reports_overflowing_scale():
 
 
 def test_explore_rejects_bad_window():
-    code, _, _ = run(["explore", "--a", "0", "--nu", "2", "--x0", "100",
-                      "--y0", "1", "--x-min", "0.1", "--x-max", "30"])
-    assert code == EXIT_USAGE
+    code, out, err = run(["explore", "--a", "0", "--nu", "2", "--x0", "100",
+                          "--y0", "1", "--x-min", "0.1", "--x-max", "30"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: explore needs x_min < x0 < x_max, got (0.1, 100.0, 30.0)\n"
+    code, out, err = run(["explore", "--nu", "2"])
+    assert (code, out, err) == (EXIT_USAGE, "", "error: explore needs --y0 or --sample N\n")
 
 
 def test_explore_rejects_far_window_edge():
@@ -625,7 +654,7 @@ def test_explore_rejects_far_window_edge():
         code, out, err = run(["explore", "--nu", "2", "--y0", "1",
                               "--x-min", "0.5", "--x-max", x_max])
         assert code == EXIT_USAGE and out == ""
-        assert "x_max <= 10000" in err
+        assert err.startswith("error: explore needs x_max <= 10000, got ")
 
 
 # ---------------------------------------------------------------------------
@@ -644,17 +673,17 @@ def test_help_exits_zero():
 
 
 def test_dump_config_round_trip(tmp_path):
-    code, dump, _ = run(["tabulate", "--tol", "5e-9", "--nu-max", "3",
+    code, dump, _ = run(["verify", "--tol", "5e-9", "--nu-max", "3",
                          "--dump-config"])
     assert code == EXIT_OK
     assert "tol=5.0000000000000001e-09" in dump
     cfg = tmp_path / "run.cfg"
     cfg.write_text(dump + "# trailing comment\n")
-    code, dump2, _ = run(["tabulate", "--config", str(cfg), "--dump-config"])
+    code, dump2, _ = run(["verify", "--config", str(cfg), "--dump-config"])
     assert code == EXIT_OK
     assert dump2 == dump
     # CLI flags take precedence over the file
-    code, dump3, _ = run(["tabulate", "--config", str(cfg), "--nu-max", "7",
+    code, dump3, _ = run(["verify", "--config", str(cfg), "--nu-max", "7",
                           "--dump-config"])
     assert "nu_max=7" in dump3
 
@@ -713,27 +742,58 @@ def _option_surface(parser):
             for name, sub in subs.choices.items()}
 
 
-_COMMON_OPTIONS = {
-    (("-h", "--help"), "help", None), (("--config",), "config", "str"),
-    (("--dump-config",), "dump_config", None),
-    (("--nu-min",), "nu_min", "float"), (("--nu-max",), "nu_max", "float"),
-    (("--nu-step",), "nu_step", "float"), (("--x-min",), "x_min", "float"),
-    (("--x-max",), "x_max", "float"), (("--x-points",), "x_points", "int"),
-    (("--nu",), "nu", "float"), (("--x",), "x", "float"), (("--tol",), "tol", "float"),
-    (("--out",), "out", "str"), (("--seed",), "seed", "int"),
+_COMMANDS = ("tabulate", "verify", "sharpness", "conjecture", "explore")
+_GRID = ("tabulate", "verify", "conjecture")
+# option -> (parse type name, the subcommands that read it): the only ones
+# that take its flag
+_READERS = {
+    "nu_min": ("float", _GRID), "nu_max": ("float", _GRID), "nu_step": ("float", _GRID),
+    "x_points": ("int", _GRID), "x": ("float", _GRID),
+    "nu": ("float", _GRID + ("explore",)), "x_min": ("float", _GRID + ("explore",)),
+    "x_max": ("float", _GRID + ("explore",)),
+    "tol": ("float", ("verify",)), "corrupt_claim": ("str", ("verify",)),
+    "seed": ("int", ("explore",)), "a": ("float", ("explore",)), "x0": ("float", ("explore",)),
+    "y0": ("float", ("explore",)), "sample": ("int", ("explore",)),
+    "out": ("str", _COMMANDS),
 }
-_OWN_OPTIONS = {
-    "verify": {(("--corrupt-claim",), "corrupt_claim", "str")},
-    "explore": {(("--a",), "a", "float"), (("--x0",), "x0", "float"),
-                (("--y0",), "y0", "float"), (("--sample",), "sample", "int")},
-}
+# what every subcommand takes besides its options
+_ALWAYS = {(("-h", "--help"), "help", None), (("--config",), "config", "str"),
+           (("--dump-config",), "dump_config", None)}
+
+
+def _taken(command):
+    return [name for name, (_, readers) in _READERS.items() if command in readers]
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def test_option_surface_per_subcommand():
     surface = _option_surface(cli._build_parser())
-    assert list(surface) == ["tabulate", "verify", "sharpness", "conjecture", "explore"]
+    assert list(surface) == list(_COMMANDS)
     for command, options in surface.items():
-        assert options == _COMMON_OPTIONS | _OWN_OPTIONS.get(command, set()), command
+        assert options == _ALWAYS | {((_flag(name),), name, _READERS[name][0])
+                                     for name in _taken(command)}, command
+    counts = {command: len(_taken(command)) for command in _COMMANDS}
+    assert counts == {"tabulate": 9, "verify": 11, "sharpness": 1, "conjecture": 9,
+                      "explore": 9}
+    assert sum(counts.values()) == 39
+
+
+def test_options_a_subcommand_does_not_read_are_refused():
+    # a flag that its subcommand ignored used to run and exit 0: the 21
+    # pairs of an option that every subcommand took with one that does not
+    # read it
+    refused = [(command, name) for command in _COMMANDS for name in _READERS
+               if command not in _READERS[name][1]]
+    once_everywhere = ("nu_min", "nu_max", "nu_step", "x_min", "x_max", "x_points", "nu",
+                       "x", "tol", "out", "seed")
+    assert len(refused) == 41
+    assert len([pair for pair in refused if pair[1] in once_everywhere]) == 21
+    for command, name in refused:
+        code, out, err = run([command, _flag(name), "1"])
+        assert (code, out) == (EXIT_USAGE, "") and "error:" in err, (command, name)
 
 
 # two values per option, neither its default, each printed by --dump-config
@@ -754,16 +814,15 @@ def _dump_lines(names, values):
 
 def test_every_option_round_trips_through_dump_config(tmp_path):
     names = [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "command"]
-    assert sorted(names) == sorted(_OPTION_VALUES)
+    assert sorted(names) == sorted(_OPTION_VALUES) == sorted(_READERS)
     first = {name: pair[0] for name, pair in _OPTION_VALUES.items()}
     cfg = tmp_path / "run.cfg"
     for command in ("tabulate", "sharpness", "conjecture", "verify", "explore"):
-        taken = [d for _, d, _ in _COMMON_OPTIONS | _OWN_OPTIONS.get(command, set())
-                 if d in _OPTION_VALUES]
+        taken = _taken(command)
         defaults = dict(line.split("=", 1)
                         for line in run([command, "--dump-config"])[1].splitlines())
         dump = _dump_lines(names, {**defaults, **{name: first[name] for name in taken}})
-        flags = [arg for name in taken for arg in ("--" + name.replace("_", "-"), first[name])]
+        flags = [arg for name in taken for arg in (_flag(name), first[name])]
         code, out, err = run([command] + flags + ["--dump-config"])
         assert (code, out.splitlines()) == (EXIT_OK, dump), (command, err)
         # the dump read back as a config file gives the same config
@@ -773,8 +832,8 @@ def test_every_option_round_trips_through_dump_config(tmp_path):
         # and each flag wins over the file
         for name in taken:
             second = _OPTION_VALUES[name][1]
-            code, out, err = run([command, "--config", str(cfg),
-                                  "--" + name.replace("_", "-"), second, "--dump-config"])
+            code, out, err = run([command, "--config", str(cfg), _flag(name), second,
+                                  "--dump-config"])
             expect = [f"{name}={second}" if line.startswith(name + "=") else line
                       for line in dump]
             assert (code, out.splitlines()) == (EXIT_OK, expect), (command, name, err)
