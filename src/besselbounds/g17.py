@@ -3,7 +3,9 @@
 ``texts(values)`` gives each value's ``b"%.17g" % v`` as one fixed-width
 bytes item, NUL-padded anywhere inside it, so removing every NUL byte
 (``bytes.translate(None, b"\\0")``) leaves the text.  CSV writers lay such
-items out as a byte matrix and compact it once.
+items out as a byte matrix and compact it once.  ``percent(values, width)``
+is ``%`` itself, NUL-padded at the end only; with ``width=TEXT_WIDTH`` it
+gives text compact enough for the writers' narrow cells.
 
 The 17 digits of |v| = f * 2**q (``np.frexp``) are N = f * 2**q * 10**(16 - k)
 rounded to an integer, for the k that puts N in [10**16, 10**17).  A table
@@ -11,7 +13,12 @@ filled on demand holds, for each q, 2**q * 10**(16 - k) for both decades
 that q spans, as double-double (hi, lo) pairs made with Python int true
 division (correctly rounded), and the threshold on f between the two
 decades.  Dekker's exact product f * hi, plus f * lo, gives N's integer and
-fractional parts to within about 2**-46.  A value whose fraction lies within
+fractional parts to within about 2**-46.  N splits into a lead digit and
+four 4-digit groups, and each group's text is one lookup in a table of
+10,000 uint64 entries (4 ASCII digits, each followed by an empty point
+place), ORed into the slot; a second table of each group's trailing zeros,
+read at the lowest nonzero group, finds the last digit kept.  Both tables
+are made on the kernel's first call.  A value whose fraction lies within
 TIE_MARGIN of one half (true ties among them), whose integer part falls
 outside [10**16, 10**17) or that is not finite is formatted by ``%``
 instead, so the result never rests on a tolerance; so is every value of an
@@ -24,8 +31,12 @@ import numpy as np
 # bytes per text: a sign, the "0.000" of a fixed-point value below 1, 17
 # digits each followed by a place for the point, and an exponent "e-324"
 WIDTH = 44
+# bytes of the longest %.17g text, "-2.2250738585072014e-308"
+TEXT_WIDTH = 24
 TIE_MARGIN = 2.0 ** -40
-MIN_KERNEL_VALUES = 256
+# below this many values % is faster than the kernel's fixed cost (the two
+# cross near 140 values on a 2-core x86-64 box)
+MIN_KERNEL_VALUES = 192
 _QOFF = 1075            # frexp exponents of nonzero finite floats: -1073 .. 1024
 _SPLIT = 2.0 ** 27 + 1  # Dekker's splitter for 53-bit floats
 _threshold = np.full(2 * _QOFF, np.nan)     # NaN: q not yet in the table
@@ -38,6 +49,25 @@ _KEEP = ((np.arange(33) <= 2 * np.arange(17)[:, None]) * 0xFF).astype(np.uint8)
 # point is in a leading "0.")
 _LAYOUT = np.zeros((633, WIDTH), dtype=np.uint8)
 _POINT = np.array([k if -4 <= k < 17 else 0 for k in range(-324, 309)])
+
+
+_GROUPS = None
+
+
+def _groups():
+    """Per 4-digit group value: its ASCII digits, each followed by an empty
+    point place, as one uint64 (the slot's bytes in memory order), and its
+    number of trailing zeros (4 for 0000).  Made on first use."""
+    global _GROUPS
+    spaced = np.zeros((10,) * 4 + (8,), dtype=np.uint8)     # indexed by the 4 digits
+    zeros, run = np.zeros((10,) * 4, dtype=np.uint8), True
+    for i in (3, 2, 1, 0):
+        digit = np.arange(10, dtype=np.uint8).reshape((10,) + (1,) * (3 - i))
+        spaced[..., 2 * i] = digit + ord("0")
+        run = run & (digit == 0)
+        zeros += run
+    _GROUPS = spaced.view(np.uint64).ravel(), zeros.ravel()
+    return _GROUPS
 
 
 def _fill(qi: int) -> None:
@@ -61,9 +91,13 @@ def _fill(qi: int) -> None:
     _threshold[qi] = 10 ** 16 * den / num
 
 
-def _percent(values: np.ndarray) -> np.ndarray:
-    texts = [b"%.17g" % v for v in values.ravel().tolist()]
-    return np.array(texts, dtype="S%d" % WIDTH).reshape(values.shape)
+def percent(values, width: int = WIDTH) -> np.ndarray:
+    """The %.17g text of each value by ``%`` itself, as an array of the
+    values' shape with dtype S{width}, NUL-padded at the end only (any
+    width from TEXT_WIDTH up holds every text)."""
+    v = np.asarray(values, dtype=float)
+    texts = [b"%.17g" % x for x in v.ravel().tolist()]
+    return np.array(texts, dtype="S%d" % width).reshape(v.shape)
 
 
 def texts(values) -> np.ndarray:
@@ -71,10 +105,10 @@ def texts(values) -> np.ndarray:
     dtype S{WIDTH}: NUL-padded anywhere, not only at the end."""
     v = np.asarray(values, dtype=float)
     if v.size < MIN_KERNEL_VALUES:
-        return _percent(v)
+        return percent(v)
     v = v.ravel()
     zero, ok = v == 0, np.isfinite(v)
-    f, qi = np.frexp(np.where(ok & ~zero, np.abs(v), 1.0))     # zero: 1's digits, "1" -> "0"
+    f, qi = np.frexp(np.where(ok & ~zero, np.abs(v), 1.0))     # zero: 1's layout
     qi += _QOFF
     for new in set(qi[np.isnan(_threshold.take(qi))].tolist()):
         _fill(new)
@@ -93,16 +127,23 @@ def texts(values) -> np.ndarray:
     del f, hi, lo, hh, hl, p, fh, fl, whole     # keeps a block's peak memory down
     k = k.astype(np.int64) + 324
     out = _LAYOUT.take(k, axis=0)
-    high, low = (part.astype(np.uint32) for part in np.divmod(n, 10 ** 8))
-    for part, cols in ((low, range(16, 8, -1)), (high, range(8, -1, -1))):
-        for col in cols:
-            np.divmod(part, 10, out=(part, out[:, 6 + 2 * col]))
-    last = 16 - np.argmax(out[:, 38:5:-2] != 0, axis=1)     # last nonzero digit
-    out[zero, 6] = 0
-    out[:, 6:40:2] += ord("0")
+    n[zero | ~ok] = 0       # zero's digits, and valid table indices where % formats
+    lead, rest = np.divmod(n, 10 ** 16)
+    high, low = (part.astype(np.uint32) for part in np.divmod(rest, 10 ** 8))
+    groups = np.divmod(high, 10 ** 4) + np.divmod(low, 10 ** 4)
+    digits, zeros = _GROUPS or _groups()
+    words = out[:, 8:40].view(np.uint64)    # digits 1-16 with their point places
+    for col, group in enumerate(groups):
+        words[:, col] |= digits.take(group)
+    # the last nonzero digit, from the trailing zeros of the lowest nonzero group
+    trailing = zeros.take(groups[0])
+    for group in groups[1:]:
+        trailing = zeros.take(group) + (group == 0) * trailing
+    last = 16 - trailing
+    out[:, 6] = lead + ord("0")
     out[:, 0] = np.signbit(v) * ord("-")
     # trailing zeros after the point go, and the point too if no digit follows
     out[:, 6:39] &= _KEEP.take(np.maximum(last, _POINT.take(k)), axis=0)
     out = out.view("S%d" % WIDTH)[:, 0]
-    out[~ok] = _percent(v[~ok])
+    out[~ok] = percent(v[~ok])
     return out.reshape(np.shape(values))

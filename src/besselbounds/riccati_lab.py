@@ -61,7 +61,7 @@ import numpy as np
 from ._lazy import solve_ivp  # noqa: F401
 from .errors import DomainError, EvaluationError
 from .nullclines import w_values_row
-from .oracle import RatioKind, horner, i_ratio_row, k_ratio_row, taylor_step
+from .oracle import RatioKind, i_ratio_row, k_ratio_row, taylor_step
 
 __all__ = ["BLOWUP_THRESHOLD", "Trajectory", "SolutionClass", "check_start",
            "solve_riccati", "classify", "w_along", "nullcline_contact"]
@@ -116,16 +116,28 @@ class Trajectory:
 _Flow = namedtuple("_Flow", "nu weight shift turn scale kinds")
 
 
+def _polyval(b: list, s, lane=None):
+    """sum b_k s**k by Horner's rule, the value alone (``oracle.horner``
+    also carries a roundoff bound, which trajectories do not use).  b holds
+    floats or arrays shaped like s; with ``lane``, term k is b[k][lane],
+    gathered as the loop reaches it."""
+    terms = reversed(b) if lane is None else (bk[lane] for bk in reversed(b))
+    y = next(terms)
+    for bk in terms:
+        y = y * s + bk
+    return y
+
+
 def _solve_on_step(f, b: list, xc: float, lo: float, hi: float):
     """(x, y) at a root of f(x, y) along one step (centre xc, coefficients
     b of y) between s = lo and s = hi, where f changes sign: Newton on the
     step's polynomial, kept inside the bracket by bisection.  f' comes from
     the complex step f(t + i*d) = f(t) + i*d*f'(t) + O(d**2)."""
-    f_lo = f(xc * (1.0 + lo), horner(b, lo)[0])
+    f_lo = f(xc * (1.0 + lo), _polyval(b, lo))
     t, moved = 0.5 * (lo + hi), 1.0
     while moved > 4.0e-16:      # the bracket shrinks every pass, so this ends
         u = complex(t, _DS)
-        z = f(xc * (1.0 + u), horner(b, u)[0])
+        z = f(xc * (1.0 + u), _polyval(b, u))
         if z.real == 0.0:
             break
         lo, hi = (t, hi) if (z.real > 0.0) == (f_lo > 0.0) else (lo, t)
@@ -133,7 +145,7 @@ def _solve_on_step(f, b: list, xc: float, lo: float, hi: float):
         if not min(lo, hi) < nxt < max(lo, hi):
             nxt = 0.5 * (lo + hi)
         t, moved = nxt, abs(nxt - t)
-    return xc * (1.0 + t), horner(b, t)[0]
+    return xc * (1.0 + t), _polyval(b, t)
 
 
 def _integrate_side(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
@@ -179,7 +191,7 @@ def _integrate_side(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
             k = np.arange(len(lane)) - first[lane] + count[live][lane]   # sample index, j at the end
             x = np.where(k < j[lane], xs[np.minimum(k, len(xs) - 1)], x_next[lane])
             s = x / xc[lane] - 1.0
-            y = horner([bk[lane] for bk in b], s)[0]
+            y = _polyval(b, s, lane)
             p = np.where(inv[lane], 1.0 / y, y)
             w = flow.weight(x)
             v = w * p + flow.shift

@@ -161,22 +161,26 @@ class ScanReport:
 REPORT_BLOCK_ROWS = 1024
 
 
-def _write_lines(write, prefix: bytes, rows: np.ndarray, fill) -> None:
+def _write_lines(write, prefix: bytes, rows: np.ndarray, widths, fill) -> None:
     """Write rows as CSV lines, ``prefix`` and then one cell per column,
     REPORT_BLOCK_ROWS rows at a time: each block's lines are one byte
-    matrix, whose cells (an S{g17.WIDTH} view) ``fill(block, cells)`` sets
-    to NUL-padded ``g17.texts``, compacted by one ``translate`` into
-    ``write``.  The matrix is made once, so a writer's memory stays one
-    block's."""
-    width, n, cols = g17.WIDTH + 1, max(1, min(len(rows), REPORT_BLOCK_ROWS)), rows.shape[1]
-    line = bytearray(prefix + bytes(cols * width))
-    line[len(prefix) + g17.WIDTH::width] = b"," * (cols - 1) + b"\n"
+    matrix, whose cells (one S{width} view per column, ``widths`` giving
+    each column's) ``fill(block, cells)`` sets to NUL-padded text,
+    compacted by one ``translate`` into ``write``.  The matrix is made
+    once, so a writer's memory stays one block's."""
+    line, starts = bytearray(prefix), []
+    for width in widths:
+        starts.append(len(line))
+        line += bytes(width) + b","
+    line[-1:] = b"\n"
+    n = max(1, min(len(rows), REPORT_BLOCK_ROWS))
     raw = line * n
-    # (shape, dtype, buffer, offset, strides): the cells of n lines, a view
-    cells = np.ndarray((n, cols), "S%d" % g17.WIDTH, raw, len(prefix), (len(line), width))
+    # (shape, dtype, buffer, offset, strides): a column's cells of n lines, a view
+    cells = [np.ndarray((n,), "S%d" % width, raw, start, (len(line),))
+             for width, start in zip(widths, starts)]
     for start in range(0, len(rows), n):
         block = rows[start:start + n]
-        fill(block, cells[:len(block)])
+        fill(block, [col[:len(block)] for col in cells])
         # a whole block is compacted with no copy of its bytes first
         write((raw if len(block) == n else raw[:len(block) * len(line)]).translate(None, b"\0"))
 
@@ -185,8 +189,12 @@ def write_csv_rows(stream, prefix: str, rows: np.ndarray) -> None:
     """Write each row of a 2-d float array to a text stream as one CSV
     line: ``prefix``, then the row's values as %.17g, one ``g17.texts``
     call and one write per block of REPORT_BLOCK_ROWS rows."""
+    def fill(block, cells):
+        for cell, text in zip(cells, g17.texts(block).T):
+            cell[:] = text
+
     _write_lines(lambda data: stream.write(data.decode("ascii")), prefix.encode(), rows,
-                 lambda block, cells: np.copyto(cells, g17.texts(block)))
+                 (g17.WIDTH,) * rows.shape[1], fill)
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -203,7 +211,7 @@ class _Axis:
         distinct = np.ones(len(values), dtype=bool)
         distinct[1:] = values[1:] != values[:-1]
         self.values = values[distinct]
-        self.text = g17.texts(self.values)
+        self.text = g17.percent(self.values, g17.TEXT_WIDTH)
 
     def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(index, found): each value's place on the axis, and whether the
@@ -221,9 +229,13 @@ class CsvText:
     and takes its place.  So a report written through any ``CsvText`` has
     the bytes of per-value formatting, and claims that bound one oracle
     quantity, written one after another, share its text.  Text is kept as
-    fixed-width bytes (``g17.texts``), not one object per value, so a
-    table's worth stays small.
+    fixed-width bytes, not one object per value, so a table's worth stays
+    small: order and x text compact (S{g17.TEXT_WIDTH}, so their report
+    cells are narrow too), oracle text as ``g17.texts`` gives it.
     """
+
+    # cell widths of a report row (nu, x, bound, oracle, margin)
+    WIDTHS = (g17.TEXT_WIDTH, g17.TEXT_WIDTH, g17.WIDTH, g17.WIDTH, g17.WIDTH)
 
     def __init__(self, nu_values, x_values):
         self.nu, self.x = _Axis(nu_values), _Axis(x_values)
@@ -237,11 +249,11 @@ class CsvText:
         at_nu, on_nu = self.nu.find(rows[:, 0])
         at_x, on_x = self.x.find(rows[:, 1])
         for col, axis, at, found in ((0, self.nu, at_nu, on_nu), (1, self.x, at_x, on_x)):
-            cells[:, col] = axis.text[at]
+            cells[col][:] = axis.text[at]
             if not found.all():
-                cells[~found, col] = g17.texts(rows[~found, col])
-        cells[:, 3] = self._oracle(rows[:, 3], at_nu, at_x, on_nu & on_x)
-        cells[:, 2::2] = g17.texts(rows[:, 2::2])
+                cells[col][~found] = g17.percent(rows[~found, col], g17.TEXT_WIDTH)
+        cells[3][:] = self._oracle(rows[:, 3], at_nu, at_x, on_nu & on_x)
+        cells[2][:], cells[4][:] = g17.texts(rows[:, 2::2]).T
 
     def _oracle(self, values, at_nu, at_x, on) -> np.ndarray:
         bits = _bits(values)
@@ -266,7 +278,7 @@ def write_report_csv(report: ScanReport, path, text: Optional[CsvText] = None) -
         text = CsvText(rows[:, 0], rows[:, 1])
     with open(path, "wb") as fh:
         fh.write(b"claim_id,nu,x,bound,oracle,margin\n")
-        _write_lines(fh.write, report.claim_id.encode() + b",", rows, text.fill)
+        _write_lines(fh.write, report.claim_id.encode() + b",", rows, text.WIDTHS, text.fill)
 
 
 # ----------------------------------------------------------------------

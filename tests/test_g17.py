@@ -34,6 +34,39 @@ def _adversarial() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
+def _groups(text: bytes) -> list:
+    """The four 4-digit groups after the lead digit of a value's 17 digits."""
+    digits = text.split(b"e")[0].lstrip(b"-").replace(b".", b"")
+    return [int(digits[1 + 4 * i:5 + 4 * i]) for i in range(4)]
+
+
+def _every_group_everywhere() -> np.ndarray:
+    """Values whose 17 digits hold each 4-digit group value 0000..9999 in
+    each of the four groups after the lead digit.  Groups 1-3 come from
+    decimal strings whose last group, 5000, keeps the double's rounding
+    away from them; group 4 from runs of consecutive doubles above 1000,
+    spaced about 1.14 units of the last digit, in two phases."""
+    heads = [float("%d.%04d%04d%04d5000e%d" % (1 + i % 9, i, (3 * i + 7) % 10 ** 4,
+                                              (7 * i + 3) % 10 ** 4, i % 41 - 20))
+             for i in range(10 ** 4)]
+    runs = np.array([1000.0, 1011.1]).view(np.int64)[:, None] + np.arange(9000)
+    return np.concatenate([heads, runs.view(float).ravel()])
+
+
+def _trailing_zeros(z: int) -> np.ndarray:
+    """Values of both signs whose 17 digits end in exactly z zeros, with the
+    point at many places: each candidate d.ddd * 10**e of 17 - z digits is
+    kept when the double keeps its digits."""
+    rng = np.random.default_rng(z)
+    heads = rng.integers(10 ** (16 - z), 10 ** (17 - z), 400)
+    heads += heads % 10 == 0        # a last digit that is not zero
+    values = np.array([float("%de%d" % (h, e)) for h, e in
+                       zip(heads.tolist(), rng.integers(-30, 30, 400).tolist())])
+    mantissas = [(b"%.16e" % v).split(b"e")[0] for v in values.tolist()]
+    exact = np.array([len(m) - len(m.rstrip(b"0")) == z for m in mantissas])
+    return np.concatenate([values[exact], -values[exact]])
+
+
 @pytest.fixture
 def kernel_only(monkeypatch):
     monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", 0)
@@ -75,3 +108,24 @@ def test_small_arrays_take_percent_whole(monkeypatch):
     values = np.arange(g17.MIN_KERNEL_VALUES - 1) * 1.25e300
     assert _kernel(values) == _plain(values) and calls == []
     assert _kernel(np.empty((0, 3))) == []
+
+
+def test_texts_match_percent_on_every_group_value(kernel_only):
+    values = _every_group_everywhere()
+    plain = _plain(values)
+    groups = np.array([_groups(b"%.16e" % v) for v in values.tolist()])
+    assert all(len(set(col.tolist())) == 10 ** 4 for col in groups.T)
+    assert _kernel(values) == plain
+
+
+@pytest.mark.parametrize("zeros", [4, 8, 12, 16])
+def test_texts_match_percent_on_trailing_zero_groups(kernel_only, zeros):
+    # the last digit kept comes from the lowest nonzero group
+    values = _trailing_zeros(zeros)
+    assert len(values) >= 100
+    assert _kernel(values) == _plain(values)
+
+
+def test_kernel_on_signed_zeros_and_empty_arrays(kernel_only):
+    assert _kernel(np.array([0.0, -0.0, 0.0])) == [b"0", b"-0", b"0"]
+    assert _kernel(np.empty(0)) == [] and _kernel(np.empty((0, 3))) == []

@@ -707,6 +707,25 @@ def test_shared_csv_text_matches_per_value_formatting(tmp_path, monkeypatch):
             assert path.read_text() == "claim_id,nu,x,bound,oracle,margin\n" + plain
 
 
+def test_narrow_order_and_x_cells_hold_the_longest_text(tmp_path, monkeypatch):
+    # order and x cells are TEXT_WIDTH bytes wide: a 24-byte text on an axis
+    # fits whole, and one off the axes is formatted by the fallback and
+    # compacted to fit, with the kernel on every block or on none
+    longest = -2.2250738585072014e-308
+    assert len(b"%.17g" % longest) == g17.TEXT_WIDTH
+    text = verify.CsvText((longest, 0.5), (longest, 1.0))
+    off = (-1.7976931348623157e308, -2.2250738585072009e-308, -4.9406564584124654e-324)
+    rows = np.array([(nu, x, -1.0000000000000002e-300, 0.1, 1.0 / 3.0)
+                     for nu in (longest, 0.5) + off for x in (longest, 1.0) + off])
+    rep = verify.ScanReport(claim_id="c", rows=rows)
+    plain = "".join("c,%s\n" % ",".join("%.17g" % v for v in row) for row in rows.tolist())
+    for cutoff in (0, 10 ** 9):
+        monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
+        for shared in (text, None):
+            write_report_csv(rep, tmp_path / "r.csv", shared)
+            assert (tmp_path / "r.csv").read_text() == "claim_id,nu,x,bound,oracle,margin\n" + plain
+
+
 _CUTOFF = g17.MIN_KERNEL_VALUES
 # values the kernel must get right in every column: NaN, infinities, signed
 # zeros, subnormals, a decimal tie and the edges of its 17-digit window

@@ -2,11 +2,13 @@
 trees can be compared for byte-identical output with one ``diff``.
 
 Runs, in-process and into a temporary directory: ``verify --out`` on the
-default grid and on 20 half-integer orders x 1,001 x (plain and with
-``--corrupt-claim amos-K-a1``), ``conjecture --out``, ``sharpness --out``,
-``tabulate --out`` and ``explore --sample 100 --out``.  For each run it
-prints the exit code and the digests of stdout and stderr, then one line
-per output file.
+default grid (plain, with ``--x-min 0.000567`` and with
+``--corrupt-claim trig-upper-I``) and on 20 half-integer orders x 1,001 x
+(plain and with ``--corrupt-claim amos-K-a1``), ``conjecture --out``,
+``sharpness --out``, ``tabulate --out`` and ``explore --out`` three ways
+(``--sample 100``, ``--sample 20 --nu 2.5 --a 1`` and ``--y0 0.7``).  For
+each run it prints the exit code and the digests of stdout and stderr,
+then one line per output file.
 
     python3 tools/output_digest.py [--src DIR] [--tiny] > digest.txt
 
@@ -36,14 +38,20 @@ def runs(tiny: bool):
     """(name, argv, output is a directory) of each run, without --out."""
     default, dense = (TINY_GRID, TINY_DENSE) if tiny else ([], DENSE)
     corrupt = ["--corrupt-claim", "amos-K-a1"]
-    sample = ["--sample", "3" if tiny else "100"]
+    sample, small = (["--sample", "3"], ["--sample", "2"]) if tiny else (
+        ["--sample", "100"], ["--sample", "20"])
     return [("verify-default", ["verify", *default], True),
+            ("verify-x-min", ["verify", *default, "--x-min", "0.000567"], True),
+            ("verify-default-corrupt", ["verify", *default, "--corrupt-claim", "trig-upper-I"],
+             True),
             ("verify-dense", ["verify", *dense], True),
             ("verify-dense-corrupt", ["verify", *dense, *corrupt], True),
             ("conjecture", ["conjecture", *default], False),
             ("sharpness", ["sharpness"], True),
             ("tabulate", ["tabulate", *default], False),
-            ("explore", ["explore", *sample], False)]
+            ("explore", ["explore", *sample], False),
+            ("explore-nu", ["explore", *small, "--nu", "2.5", "--a", "1"], False),
+            ("explore-y0", ["explore", "--y0", "0.7"], False)]
 
 
 def _sha(data: bytes) -> str:
