@@ -91,13 +91,12 @@ def _fill(qi: int) -> None:
     _threshold[qi] = 10 ** 16 * den / num
 
 
-def percent(values, width: int = WIDTH) -> np.ndarray:
-    """The %.17g text of each value by ``%`` itself, as an array of the
-    values' shape with dtype S{width}, NUL-padded at the end only (any
+def percent(values: np.ndarray, width: int = WIDTH) -> np.ndarray:
+    """The %.17g text of each value of a float array by ``%`` itself, as an
+    array of its shape with dtype S{width}, NUL-padded at the end only (any
     width from TEXT_WIDTH up holds every text)."""
-    v = np.asarray(values, dtype=float)
-    texts = [b"%.17g" % x for x in v.ravel().tolist()]
-    return np.array(texts, dtype="S%d" % width).reshape(v.shape)
+    texts = [b"%.17g" % v for v in values.ravel().tolist()]
+    return np.array(texts, dtype="S%d" % width).reshape(values.shape)
 
 
 def texts(values) -> np.ndarray:
@@ -124,12 +123,14 @@ def texts(values) -> np.ndarray:
     ok &= (np.abs(frac - 0.5) >= TIE_MARGIN) & (n >= 10 ** 16)
     n += frac > 0.5
     ok &= n < 10 ** 17
-    del f, hi, lo, hh, hl, p, fh, fl, whole     # keeps a block's peak memory down
+    del qi, j, f, hi, lo, hh, hl, p, fh, fl, whole, frac    # keeps a block's peak memory down
     k = k.astype(np.int64) + 324
     out = _LAYOUT.take(k, axis=0)
     n[zero | ~ok] = 0       # zero's digits, and valid table indices where % formats
-    lead, rest = np.divmod(n, 10 ** 16)
-    high, low = (part.astype(np.uint32) for part in np.divmod(rest, 10 ** 8))
+    lead, n = np.divmod(n, 10 ** 16)
+    out[:, 6] = lead + ord("0")
+    high, low = (part.astype(np.uint32) for part in np.divmod(n, 10 ** 8))
+    del lead, n
     groups = np.divmod(high, 10 ** 4) + np.divmod(low, 10 ** 4)
     digits, zeros = _GROUPS or _groups()
     words = out[:, 8:40].view(np.uint64)    # digits 1-16 with their point places
@@ -140,7 +141,6 @@ def texts(values) -> np.ndarray:
     for group in groups[1:]:
         trailing = zeros.take(group) + (group == 0) * trailing
     last = 16 - trailing
-    out[:, 6] = lead + ord("0")
     out[:, 0] = np.signbit(v) * ord("-")
     # trailing zeros after the point go, and the point too if no digit follows
     out[:, 6:39] &= _KEEP.take(np.maximum(last, _POINT.take(k)), axis=0)

@@ -161,26 +161,27 @@ class ScanReport:
 REPORT_BLOCK_ROWS = 1024
 
 
-def _write_lines(write, prefix: bytes, rows: np.ndarray, widths, fill) -> None:
+def _write_lines(write, prefix: bytes, rows: np.ndarray, cells, fill) -> None:
     """Write rows as CSV lines, ``prefix`` and then one cell per column,
     REPORT_BLOCK_ROWS rows at a time: each block's lines are one byte
-    matrix, whose cells (one S{width} view per column, ``widths`` giving
-    each column's) ``fill(block, cells)`` sets to NUL-padded text,
-    compacted by one ``translate`` into ``write``.  The matrix is made
-    once, so a writer's memory stays one block's."""
+    matrix, written after one ``translate`` compacts it.  ``cells`` lists
+    runs of columns as (count, width) pairs; each run is one view of the
+    matrix, of dtype S{width} and one column per cell, and
+    ``fill(block, views)`` sets them to NUL-padded text.  The matrix is
+    made once, so a writer's memory stays one block's."""
     line, starts = bytearray(prefix), []
-    for width in widths:
+    for count, width in cells:
         starts.append(len(line))
-        line += bytes(width) + b","
+        line += (bytes(width) + b",") * count
     line[-1:] = b"\n"
     n = max(1, min(len(rows), REPORT_BLOCK_ROWS))
     raw = line * n
-    # (shape, dtype, buffer, offset, strides): a column's cells of n lines, a view
-    cells = [np.ndarray((n,), "S%d" % width, raw, start, (len(line),))
-             for width, start in zip(widths, starts)]
+    # (shape, dtype, buffer, offset, strides): a run's cells of n lines, a view
+    views = [np.ndarray((n, count), "S%d" % width, raw, start, (len(line), width + 1))
+             for (count, width), start in zip(cells, starts)]
     for start in range(0, len(rows), n):
         block = rows[start:start + n]
-        fill(block, [col[:len(block)] for col in cells])
+        fill(block, views if len(block) == n else [view[:len(block)] for view in views])
         # a whole block is compacted with no copy of its bytes first
         write((raw if len(block) == n else raw[:len(block) * len(line)]).translate(None, b"\0"))
 
@@ -189,12 +190,8 @@ def write_csv_rows(stream, prefix: str, rows: np.ndarray) -> None:
     """Write each row of a 2-d float array to a text stream as one CSV
     line: ``prefix``, then the row's values as %.17g, one ``g17.texts``
     call and one write per block of REPORT_BLOCK_ROWS rows."""
-    def fill(block, cells):
-        for cell, text in zip(cells, g17.texts(block).T):
-            cell[:] = text
-
     _write_lines(lambda data: stream.write(data.decode("ascii")), prefix.encode(), rows,
-                 (g17.WIDTH,) * rows.shape[1], fill)
+                 [(rows.shape[1], g17.WIDTH)], lambda block, views: np.copyto(views[0], g17.texts(block)))
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -234,8 +231,9 @@ class CsvText:
     cells are narrow too), oracle text as ``g17.texts`` gives it.
     """
 
-    # cell widths of a report row (nu, x, bound, oracle, margin)
-    WIDTHS = (g17.TEXT_WIDTH, g17.TEXT_WIDTH, g17.WIDTH, g17.WIDTH, g17.WIDTH)
+    # the cells of a report row, as (count, width) runs: nu and x, then
+    # bound, oracle and margin
+    CELLS = ((2, g17.TEXT_WIDTH), (3, g17.WIDTH))
 
     def __init__(self, nu_values, x_values):
         self.nu, self.x = _Axis(nu_values), _Axis(x_values)
@@ -243,17 +241,19 @@ class CsvText:
         self._bits = np.zeros(shape, dtype=np.int64)
         self._text = np.zeros(shape, dtype="S%d" % g17.WIDTH)     # b"" where unknown
 
-    def fill(self, rows: np.ndarray, cells: np.ndarray) -> None:
-        """Set ``cells`` to the text of report rows (nu, x, bound, oracle,
-        margin): shared text for nu, x and oracle, bound and margin anew."""
+    def fill(self, rows: np.ndarray, views) -> None:
+        """Set the ``CELLS`` views to the text of report rows (nu, x, bound,
+        oracle, margin): shared text for nu, x and oracle, bound and margin
+        anew."""
+        axes, values = views
         at_nu, on_nu = self.nu.find(rows[:, 0])
         at_x, on_x = self.x.find(rows[:, 1])
         for col, axis, at, found in ((0, self.nu, at_nu, on_nu), (1, self.x, at_x, on_x)):
-            cells[col][:] = axis.text[at]
+            axes[:, col] = axis.text[at]
             if not found.all():
-                cells[col][~found] = g17.percent(rows[~found, col], g17.TEXT_WIDTH)
-        cells[3][:] = self._oracle(rows[:, 3], at_nu, at_x, on_nu & on_x)
-        cells[2][:], cells[4][:] = g17.texts(rows[:, 2::2]).T
+                axes[~found, col] = g17.percent(rows[~found, col], g17.TEXT_WIDTH)
+        values[:, 1] = self._oracle(rows[:, 3], at_nu, at_x, on_nu & on_x)
+        values[:, 0::2] = g17.texts(rows[:, 2::2])
 
     def _oracle(self, values, at_nu, at_x, on) -> np.ndarray:
         bits = _bits(values)
@@ -278,7 +278,7 @@ def write_report_csv(report: ScanReport, path, text: Optional[CsvText] = None) -
         text = CsvText(rows[:, 0], rows[:, 1])
     with open(path, "wb") as fh:
         fh.write(b"claim_id,nu,x,bound,oracle,margin\n")
-        _write_lines(fh.write, report.claim_id.encode() + b",", rows, text.WIDTHS, text.fill)
+        _write_lines(fh.write, report.claim_id.encode() + b",", rows, text.CELLS, text.fill)
 
 
 # ----------------------------------------------------------------------
