@@ -191,7 +191,8 @@ def write_csv_rows(stream, prefix: str, rows: np.ndarray) -> None:
     line: ``prefix``, then the row's values as %.17g, one ``g17.texts``
     call and one write per block of REPORT_BLOCK_ROWS rows."""
     _write_lines(lambda data: stream.write(data.decode("ascii")), prefix.encode(), rows,
-                 [(rows.shape[1], g17.WIDTH)], lambda block, views: np.copyto(views[0], g17.texts(block)))
+                 [(rows.shape[1], g17.WIDTH)],
+                 lambda block, views: np.copyto(views[0], g17.texts(block)))
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
