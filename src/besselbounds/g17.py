@@ -35,7 +35,7 @@ WIDTH = 44
 TEXT_WIDTH = 24
 TIE_MARGIN = 2.0 ** -40
 # below this many values % is faster than the kernel's fixed cost (the two
-# cross near 140 values on a 2-core x86-64 box)
+# cross near 145 values on a 2-core x86-64 box)
 MIN_KERNEL_VALUES = 192
 _QOFF = 1075            # frexp exponents of nonzero finite floats: -1073 .. 1024
 _SPLIT = 2.0 ** 27 + 1  # Dekker's splitter for 53-bit floats
