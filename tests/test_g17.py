@@ -34,7 +34,7 @@ def _adversarial() -> np.ndarray:
     return np.concatenate([values, -values])
 
 
-def _groups(text: bytes) -> list:
+def _digit_groups(text: bytes) -> list:
     """The four 4-digit groups after the lead digit of a value's 17 digits."""
     digits = text.split(b"e")[0].lstrip(b"-").replace(b".", b"")
     return [int(digits[1 + 4 * i:5 + 4 * i]) for i in range(4)]
@@ -113,7 +113,7 @@ def test_small_arrays_take_percent_whole(monkeypatch):
 def test_texts_match_percent_on_every_group_value(kernel_only):
     values = _every_group_everywhere()
     plain = _plain(values)
-    groups = np.array([_groups(b"%.16e" % v) for v in values.tolist()])
+    groups = np.array([_digit_groups(b"%.16e" % v) for v in values.tolist()])
     assert all(len(set(col.tolist())) == 10 ** 4 for col in groups.T)
     assert _kernel(values) == plain
 
