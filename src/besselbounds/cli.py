@@ -276,10 +276,23 @@ def _claim_filename(claim_id: str) -> str:
     return claim_id.replace("[", "-").replace("]", "") + ".csv"
 
 
+def _corrupted(claim_id: str, nus: List[float], xs: np.ndarray) -> verify.BoundClaim:
+    """The corrupted copy of a claim that ``verify --corrupt-claim`` scans.
+    A corruption that changes no bound value the scan checks on the grid
+    (a bound that is 0 there, whose relative shift is 0) tests nothing, so
+    it is a usage error, as an unknown claim id is."""
+    form = verify.get_claim(claim_id).form
+    bad = verify.corrupt_claim(claim_id)
+    if any(form.proved.holds(nu) and not np.array_equal(
+            bad.form.formula(nu, xs), form.formula(nu, xs), equal_nan=True) for nu in nus):
+        return bad
+    raise DomainError(f"corrupting claim {claim_id!r} changes no bound value checked on "
+                      "this grid")
+
+
 def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.corrupt_claim is not None:
-        verify.get_claim(cfg.corrupt_claim)     # an unknown id is a usage error
     nus, xs = _grid_axes(cfg)
+    bad = None if cfg.corrupt_claim is None else _corrupted(cfg.corrupt_claim, nus, xs)
     if not nus or not len(xs):
         for cid in verify.bound_claims():
             print(f"{cid}: WARNING 0 points (empty grid)")
@@ -290,14 +303,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.out is not None:
         os.makedirs(cfg.out, exist_ok=True)
         text = verify.CsvText(grid.nu_values, grid.x_values)
-    # the catalog groups claims by the oracle quantity they bound, so the
-    # claims of one quantity, scanned one after another, share its CSV text
+    # claims are scanned and printed in catalog order, grouped by the oracle
+    # quantity they bound; that sets only the order of the lines printed, and
+    # every CSV shares the one order and x text
     failing = []
     points = failures = 0
     for cid in verify.bound_claims():
-        claim = verify.get_claim(cid)
-        if cfg.corrupt_claim == cid:
-            claim = verify.corrupt_claim(claim)
+        claim = bad if cfg.corrupt_claim == cid else verify.get_claim(cid)
         rep = verify.scan_bound(claim, tol=cfg.tol, table=table)
         points += rep.points_checked
         failures += len(rep.oracle_failures)

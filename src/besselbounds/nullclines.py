@@ -86,24 +86,6 @@ class EvalPoint:
 
 
 @dataclass(frozen=True)
-class Bound:
-    """One side of an inequality for a ratio/product quantity.
-
-    ``value`` is always the formula value at the evaluation point; ``valid``
-    states whether the point lies inside the proved range recorded in
-    ``validity_note``.  ``conjectural`` marks bounds that are numerically
-    supported but not proved anywhere.
-    """
-
-    value: float
-    direction: str          # "upper" or "lower"
-    target: str             # oracle quantity id: "Phi0", "Phi1", "P", ...
-    valid: bool
-    validity_note: str = ""
-    conjectural: bool = False
-
-
-@dataclass(frozen=True)
 class Extremum:
     """Location of the interior extremum of a nullcline branch."""
 
@@ -138,7 +120,7 @@ class BoundForm:
     the inequality and ``proved`` is the order range where it is a theorem.
 
     The scans call ``formula`` on a column of orders against the x row;
-    ``row`` is its one-order call.  ``at``, its one-point ``Bound``, serves
+    ``row`` is its one-order call.  ``at``, its value at one point, serves
     only ``verify.BoundClaim.bound_fn``, which the benchmark times.
     """
 
@@ -152,10 +134,8 @@ class BoundForm:
         """(values, direction, valid) along an x row at fixed order nu."""
         return self.formula(nu, np.asarray(xs, dtype=float)), self.direction, self.proved.holds(nu)
 
-    def at(self, p: EvalPoint) -> Bound:
-        values, direction, valid = self.row(p.nu, [p.x])
-        return Bound(float(values[0]), direction, self.target, valid,
-                     self.proved.note, self.conjectural)
+    def at(self, p: EvalPoint) -> float:
+        return float(self.formula(p.nu, np.array([p.x]))[0])
 
 
 def _check_a(a: float) -> float:
@@ -418,8 +398,8 @@ _AMOS_EXPONENTS = (0.0, -1.0, 1.0, -2.0, 2.0)
 
 # Every checked bound, keyed by claim id, in catalog order: grouped by the
 # oracle quantity it bounds (Phi0, K-ratio-pos, Phi1, P, psi_I, psi_K, W_I,
-# W_K).  `verify` registers each one as a claim and scans and reports them
-# in this order, so the claims of one quantity share its CSV text.
+# W_K).  `verify` registers each one as a claim and scans and prints them
+# in this order; the grouping sets only the order of its output lines.
 BOUNDS: Dict[str, BoundForm] = {
     "trig-upper-I": TRIG_I,
     **{f"amos-I-a{a:g}": amos_forms(a)[0] for a in _AMOS_EXPONENTS},

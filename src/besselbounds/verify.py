@@ -11,8 +11,8 @@ rows are taken in blocks of whole order rows, at most SCAN_BLOCK_POINTS
 points each (one row when a row is longer), and each block is one oracle
 fetch, one formula call on its column of orders against the x row and one
 2-d gate; every element is computed as in its own row, and report rows
-stay in grid order.  A row the oracle cannot serve is one failure per
-argument and fails alone.  `scan_bound` reports signed
+stay in grid order.  A row the oracle cannot serve fails alone, one
+failure per point the scan has in that row.  `scan_bound` reports signed
 relative margins; a margin is a violation only when it undercuts the
 tolerance plus the oracle's own error estimate, so oracle noise cannot
 manufacture false counterexamples, and a non-finite margin, gate or oracle
@@ -38,7 +38,7 @@ import numpy as np
 from . import g17
 from . import nullclines as nc
 from .errors import DomainError, EvaluationError, UnfittableError
-from .nullclines import Bound, EvalPoint
+from .nullclines import EvalPoint
 from . import oracle
 
 __all__ = [
@@ -195,12 +195,6 @@ def write_csv_rows(stream, prefix: str, rows: np.ndarray) -> None:
                  lambda block, views: np.copyto(views[0], g17.texts(block)))
 
 
-def _bits(values: np.ndarray) -> np.ndarray:
-    """The bit patterns of float values: equal exactly for the same float
-    (so 0.0 and -0.0, whose text differs, never match)."""
-    return np.ascontiguousarray(values, dtype=float).view(np.int64)
-
-
 class _Axis:
     """Distinct values, sorted, with their text, found again bit for bit."""
 
@@ -213,23 +207,23 @@ class _Axis:
 
     def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(index, found): each value's place on the axis, and whether the
-        axis holds that very float there."""
+        axis holds that very float there, bit for bit (so 0.0 and -0.0,
+        whose text differs, never match)."""
         at = np.minimum(np.searchsorted(self.values, values), len(self.values) - 1)
-        return at, _bits(self.values[at]) == _bits(values)
+        return at, self.values[at].view(np.int64) == np.asarray(values, dtype=float).view(np.int64)
 
 
 class CsvText:
-    """%.17g text of the report values that CSVs over one grid share.
+    """%.17g text of the orders and x values that report CSVs over one grid
+    share.
 
-    Each order and each x is formatted once.  The oracle column keeps the
-    text of each (order, x) value as reports bring it, and serves it again
-    only for the same float, bit for bit; any other value is formatted anew
-    and takes its place.  So a report written through any ``CsvText`` has
-    the bytes of per-value formatting, and claims that bound one oracle
-    quantity, written one after another, share its text.  Text is kept as
-    fixed-width bytes, not one object per value, so a table's worth stays
-    small: order and x text compact (S{g17.TEXT_WIDTH}, so their report
-    cells are narrow too), oracle text as ``g17.texts`` gives it.
+    Each order and each x is formatted once and kept compact
+    (S{g17.TEXT_WIDTH}, so their report cells are narrow too), not one
+    object per value; an order or x off the axes is formatted anew.  Bound,
+    oracle and margin are formatted with each report, one ``g17.texts``
+    call per block.  So a report written through any ``CsvText`` has the
+    bytes of per-value formatting, and the text held stays the size of the
+    two axes, not of the grid.
     """
 
     # the cells of a report row, as (count, width) runs: nu and x, then
@@ -238,42 +232,25 @@ class CsvText:
 
     def __init__(self, nu_values, x_values):
         self.nu, self.x = _Axis(nu_values), _Axis(x_values)
-        shape = (len(self.nu.values), len(self.x.values))
-        self._bits = np.zeros(shape, dtype=np.int64)
-        self._text = np.zeros(shape, dtype="S%d" % g17.WIDTH)     # b"" where unknown
 
     def fill(self, rows: np.ndarray, views) -> None:
         """Set the ``CELLS`` views to the text of report rows (nu, x, bound,
-        oracle, margin): shared text for nu, x and oracle, bound and margin
-        anew."""
+        oracle, margin): shared text for nu and x, the rest anew."""
         axes, values = views
-        at_nu, on_nu = self.nu.find(rows[:, 0])
-        at_x, on_x = self.x.find(rows[:, 1])
-        for col, axis, at, found in ((0, self.nu, at_nu, on_nu), (1, self.x, at_x, on_x)):
+        for col, axis in ((0, self.nu), (1, self.x)):
+            at, found = axis.find(rows[:, col])
             axes[:, col] = axis.text[at]
             if not found.all():
                 axes[~found, col] = g17.percent(rows[~found, col], g17.TEXT_WIDTH)
-        values[:, 1] = self._oracle(rows[:, 3], at_nu, at_x, on_nu & on_x)
-        values[:, 0::2] = g17.texts(rows[:, 2::2])
-
-    def _oracle(self, values, at_nu, at_x, on) -> np.ndarray:
-        bits = _bits(values)
-        text = self._text[at_nu, at_x]
-        new = ~(on & (text != b"") & (self._bits[at_nu, at_x] == bits))
-        if new.any():
-            text[new] = g17.texts(values[new])
-            kept = new & on
-            self._bits[at_nu[kept], at_x[kept]] = bits[kept]
-            self._text[at_nu[kept], at_x[kept]] = text[kept]
-        return text
+        values[...] = g17.texts(rows[:, 2:])
 
 
 def write_report_csv(report: ScanReport, path, text: Optional[CsvText] = None) -> None:
     """Emit the per-point rows as CSV: claim_id,nu,x,bound,oracle,margin,
-    every value as %.17g.  The nu, x and oracle columns come from ``text``,
-    the CsvText the reports over one grid share, or by default from one
-    over this report's own orders and x values; bound and margin are
-    formatted per point."""
+    every value as %.17g.  The nu and x columns come from ``text``, the
+    CsvText the reports over one grid share, or by default from one over
+    this report's own orders and x values; bound, oracle and margin are
+    formatted with the report."""
     rows = np.asarray(report.rows, dtype=float).reshape(-1, 5)
     if text is None:
         text = CsvText(rows[:, 0], rows[:, 1])
@@ -365,8 +342,8 @@ class BoundClaim:
         return self.form.target
 
     @property
-    def bound_fn(self) -> Callable[[EvalPoint], Bound]:
-        """One-point call of the claim's row formula."""
+    def bound_fn(self) -> Callable[[EvalPoint], float]:
+        """The claim's bound value at one point."""
         return self.form.at
 
 
@@ -416,16 +393,18 @@ def _table_for(grid: Optional[Grid], table: Optional[OracleTable],
 
 
 def _blocks(rep: ScanReport, grid: Grid, holds: Callable[[float], bool],
-            fetch: Callable, skip: int) -> Iterator[tuple]:
+            fetch: Callable, points: Sequence[float]) -> Iterator[tuple]:
     """The block loop of every scan: (nus, xs, values, est_errors) for
     blocks of the order rows where ``holds(nu)``, in grid order, ``nus`` a
-    column and ``values`` one row per order.  A row outside that range adds
-    ``skip`` to ``rep.skipped`` and is never fetched.  A block whose
+    column and ``values`` one row per order.  ``points`` are the x of the
+    scan's points in a row.  A row outside that range adds one skipped
+    point per x of ``points`` and is never fetched.  A block whose
     ``fetch(nus)`` raises is fetched again one row at a time, so a row that
-    cannot be served is one oracle failure per argument and fails alone."""
+    cannot be served fails alone, one oracle failure at each x of
+    ``points``."""
     xs = np.asarray(grid.x_values)
     nus = [nu for nu in grid.nu_values if holds(nu)]
-    rep.skipped += skip * (len(grid.nu_values) - len(nus))
+    rep.skipped += len(points) * (len(grid.nu_values) - len(nus))
     per = max(1, SCAN_BLOCK_POINTS // len(xs))
     pending = [nus[first:first + per] for first in range(0, len(nus), per)]
     while pending:
@@ -436,7 +415,7 @@ def _blocks(rep: ScanReport, grid: Grid, holds: Callable[[float], bool],
             if len(col) > 1:
                 pending[:0] = col.tolist()      # one block per row: [[nu], ...]
             else:
-                rep.oracle_failures += [(col.item(), x, str(exc)) for x in grid.x_values]
+                rep.oracle_failures += [(col.item(), x, str(exc)) for x in points]
 
 
 def _gate(rep: ScanReport, nus: np.ndarray, xs: np.ndarray, slack, scale, est,
@@ -486,7 +465,7 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
     blocks = []
     for nus, xs, vals, ests in _blocks(rep, grid, claim.form.proved.holds,
                                        lambda nus: table.block(claim.target, nus),
-                                       len(grid.x_values)):
+                                       grid.x_values):
         bound = claim.form.formula(nus, xs)
         with np.errstate(all="ignore"):
             slack = bound - vals if claim.form.direction == "upper" else vals - bound
@@ -577,7 +556,7 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None, tol: float = MONOT
     sign = 1.0 if claim.expected == "increasing" else -1.0
     blocks = []
     for nus, xs, vals, ests in _blocks(rep, grid, claim.proved.holds, fetch,
-                                       len(grid.x_values) - 1):
+                                       grid.x_values[:-1]):
         v0, v1 = vals[:, :-1], vals[:, 1:]
         with np.errstate(all="ignore"):
             slack = sign * (v1 - v0)
@@ -788,7 +767,7 @@ def conjecture_scan(grid: Optional[Grid] = None,
     rep = ScanReport(claim_id="conjecture-scan")
     blocks = []
     for nus, xs, p, p_est in _blocks(rep, grid, nc.ALL_NU.holds,
-                                     lambda nus: table.block("P", nus), 0):
+                                     lambda nus: table.block("P", nus), grid.x_values):
         s, est_s = _s_map(nus, xs, p, p_est)
         blocks.append(_gate(rep, nus, xs, _PROVED_CAP - s, 1.0, est_s, -_GATE_SLACK,
                             np.isfinite(p) & (p > 0), (_PROVED_CAP, s), gated=nus >= 0.0))

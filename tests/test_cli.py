@@ -230,6 +230,19 @@ def test_verify_rejects_unknown_corrupt_claim():
     assert out == "" and "trig-upper-X" in err
 
 
+@pytest.mark.parametrize("claim_id, grid", [
+    ("double-I-lower", ["--nu-min", "0.5", "--nu-max", "3", "--x-points", "21"]),
+    ("double-K-lower", ["--nu-min", "0.5", "--nu-max", "3", "--x-points", "21"]),
+    ("psi-K-upper", ["--nu", "0", "--x-points", "5"]),
+])
+def test_verify_refuses_a_corruption_that_changes_no_bound(claim_id, grid):
+    # these bounds are 0 on the grid, and a relative shift of 0 is 0: the
+    # corrupted scan used to print OK and exit 0, testing nothing
+    code, out, err = run(["verify", "--corrupt-claim", claim_id] + grid)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and claim_id in err
+
+
 def test_verify_warns_on_empty_claim_ranges():
     code, out, _ = run(["verify", "--nu-min", "-0.75", "--nu-max", "-0.75",
                         "--x-min", "0.5", "--x-max", "2", "--x-points", "3"])
@@ -390,8 +403,8 @@ def _cli_grid(argv):
 
 @pytest.mark.parametrize("corrupt", [None, "amos-I-a-1"])
 def test_verify_csvs_match_per_value_formatting(tmp_path, monkeypatch, corrupt):
-    # claims that bound one oracle quantity share its text in the CSVs; one
-    # Phi0 claim drops a point the others of Phi0 keep, as non-finite
+    # every CSV of a run shares one order and x text; one Phi0 claim drops
+    # a point the others of Phi0 keep, as non-finite
     argv = ["verify"] + REFERENCE_GRID + (["--corrupt-claim", corrupt] if corrupt else [])
     grid = _cli_grid(argv)
     drop = (0.5, grid.x_values[4])

@@ -8,6 +8,7 @@ import copy
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -436,10 +437,31 @@ def test_failed_table_rows_outside_the_range_are_skipped():
     # the in-range rows only
     table = OracleTable(Grid(nu_values=(-1.5, 0.25, 1.5), x_values=(0.5, 1.0, 2.0)))
     assert all(row.error is not None for row in table.rows.values())
-    for rep, skipped in ((scan_bound("amos-I-a0", table=table), 6),
-                         (scan_monotone("Phi0", table=table), 4)):
+    for rep, skipped, failed in ((scan_bound("amos-I-a0", table=table), 6, 3),
+                                 (scan_monotone("Phi0", table=table), 4, 2)):
         assert (rep.points_checked, rep.skipped) == (0, skipped), rep.claim_id
-        assert [nu for nu, _, _ in rep.oracle_failures] == [1.5] * 3, rep.claim_id
+        assert [nu for nu, _, _ in rep.oracle_failures] == [1.5] * failed, rep.claim_id
+
+
+@pytest.mark.parametrize("failing", ["table", "P-gap row"])
+def test_every_point_is_checked_failed_or_skipped(failing):
+    # a monotone row has one point fewer than x values (its differences); a
+    # row the table cannot serve used to add one failure per x value, so
+    # counts overran the scan's points
+    if failing == "table":
+        table = OracleTable(Grid(nu_values=(-1.5, 0.25, 1.5), x_values=(0.5, 1.0, 2.0)))
+    else:
+        table = _altered_table()
+    grid = table.grid
+    reports = ([(scan_bound(c, table=table), 0) for c in bound_claims()]
+               + [(scan_monotone(q, table=table), 1) for q in monotone_claims()]
+               + [(conjecture_scan(table=table), 0)])
+    for rep, fewer in reports:
+        assert rep.points_checked + len(rep.oracle_failures) + rep.skipped == \
+            len(grid.nu_values) * (len(grid.x_values) - fewer), rep.claim_id
+    monotone_p = scan_monotone("P", table=table)
+    assert monotone_p.oracle_failures and all(
+        x in grid.x_values[:-1] for _, x, _ in monotone_p.oracle_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -675,19 +697,26 @@ def test_write_report_csv(tmp_path):
 
 def test_csv_text_holds_each_value_once():
     # a report repeats each order and x over its rows; the text a report
-    # CSV is written through keeps each once, so its oracle column stays
-    # the size of a grid, not of rows x rows
+    # CSV is written through keeps each once, and nothing the size of the
+    # grid: text per (order, x) would be about 50 MiB here
     text = verify.CsvText([1.5, 0.5, 1.5, 0.5], [2.0, 1.0, 2.0, 2.0])
     assert text.nu.values.tolist() == [0.5, 1.5] and text.x.values.tolist() == [1.0, 2.0]
-    assert text._text.shape == (2, 2)
+    nus, xs = np.arange(1000) + 0.25, np.geomspace(1e-3, 1e3, 1000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = verify.CsvText(nus, xs)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20, held
 
 
 def test_shared_csv_text_matches_per_value_formatting(tmp_path, monkeypatch):
-    # values off the axes, signed zeros, non-finite values and a second
-    # report with other oracle floats at the same cells are all formatted
-    # anew; only the very same float reuses shared text.  Without shared
-    # text the writer builds its own over the report's orders and x values,
-    # which repeat here
+    # orders and x off the axes, signed zeros, non-finite values and a
+    # second report with other oracle floats at the same cells all keep
+    # per-value bytes.  Without shared text the writer builds its own over
+    # the report's orders and x values, which repeat here
     monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 7)
     nus, xs = (-1.0, -0.0, 0.5, 2.5), (1e-3, 0.1, 1.0, 30.0)
     text = verify.CsvText(nus, xs)
@@ -743,16 +772,16 @@ def _with_specials(rows: np.ndarray, cols) -> np.ndarray:
 
 @pytest.mark.parametrize("cutoff", [0, _CUTOFF, 10 ** 9])
 def test_report_csv_bytes_at_block_and_cutoff_edges(tmp_path, monkeypatch, cutoff):
-    # at each size where a block or the kernel's cutoff (two values a row,
-    # bound and margin) begins or ends, the bytes are those of per-value
-    # %.17g: with the kernel on every block (cutoff 0), at the real cutoff,
-    # and with every block on the % fallback (a huge cutoff)
+    # at each size where a block or the kernel's cutoff (three values a row,
+    # bound, oracle and margin) begins or ends, the bytes are those of
+    # per-value %.17g: with the kernel on every block (cutoff 0), at the real
+    # cutoff, and with every block on the % fallback (a huge cutoff)
     monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 200)
     monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
     rng = np.random.default_rng(11)
     nus, xs = (-1.0, -0.0, 0.5, 2.5), (1e-3, 1.0, 30.0)
-    half = _CUTOFF // 2
-    for n in (0, 1, half - 1, half, half + 1, 199, 200, 201, 401):
+    third = _CUTOFF // 3
+    for n in (0, 1, third - 1, third, third + 1, 199, 200, 201, 401):
         rows = np.column_stack([rng.choice(nus + (7.25,), n), rng.choice(xs + (2.0,), n),
                                 rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))])
         rep = verify.ScanReport(claim_id="c%d", rows=_with_specials(rows, (2, 3, 4)))

@@ -2,8 +2,9 @@
 trees can be compared for byte-identical output with one ``diff``.
 
 Runs, in-process and into a temporary directory: ``verify --out`` on the
-default grid (plain, with ``--x-min 0.000567`` and with
-``--corrupt-claim trig-upper-I``) and on 20 half-integer orders x 1,001 x
+default grid (plain, with ``--x-min 0.000567``, with
+``--corrupt-claim trig-upper-I`` and with ``--corrupt-claim
+double-I-lower``, which is refused) and on 20 half-integer orders x 1,001 x
 (plain and with ``--corrupt-claim amos-K-a1``), ``conjecture --out``,
 ``sharpness --out``, ``tabulate --out`` and ``explore --out`` three ways
 (``--sample 100``, ``--sample 20 --nu 2.5 --a 1`` and ``--y0 0.7``).  For
@@ -43,6 +44,8 @@ def runs(tiny: bool):
     return [("verify-default", ["verify", *default], True),
             ("verify-x-min", ["verify", *default, "--x-min", "0.000567"], True),
             ("verify-default-corrupt", ["verify", *default, "--corrupt-claim", "trig-upper-I"],
+             True),
+            ("verify-corrupt-zero", ["verify", *default, "--corrupt-claim", "double-I-lower"],
              True),
             ("verify-dense", ["verify", *dense], True),
             ("verify-dense-corrupt", ["verify", *dense, *corrupt], True),
