@@ -8,7 +8,8 @@ The submodules are the API; the package root re-exports nothing:
   (``quantity_row``);
 * ``verify``: the oracle table, the claim registry and the scans;
 * ``riccati_lab``: trajectories of the Riccati flows;
-* ``expansions``: truncated asymptotic expansions;
+* ``expansions``: exact truncated series over Fractions in each regime,
+  which derive the sharpness constants (off the command line);
 * ``g17``: ``%.17g`` text of float arrays, for the CSV writers;
 * ``cli``: the ``besselbounds`` command;
 * ``errors``: the exception types.

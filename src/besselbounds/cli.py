@@ -276,29 +276,27 @@ def _claim_filename(claim_id: str) -> str:
     return claim_id.replace("[", "-").replace("]", "") + ".csv"
 
 
-def _corrupted(claim_id: str, nus: List[float], xs: np.ndarray) -> verify.BoundClaim:
-    """The corrupted copy of a claim that ``verify --corrupt-claim`` scans.
-    A corruption that changes no bound value the scan checks on the grid
-    (a bound that is 0 there, whose relative shift is 0) tests nothing, so
-    it is a usage error, as an unknown claim id is."""
-    form = verify.get_claim(claim_id).form
-    bad = verify.corrupt_claim(claim_id)
-    if any(form.proved.holds(nu) and not np.array_equal(
-            bad.form.formula(nu, xs), form.formula(nu, xs), equal_nan=True) for nu in nus):
-        return bad
-    raise DomainError(f"corrupting claim {claim_id!r} changes no bound value checked on "
-                      "this grid")
-
-
 def cmd_verify(cfg: RunConfig) -> int:
     nus, xs = _grid_axes(cfg)
-    bad = None if cfg.corrupt_claim is None else _corrupted(cfg.corrupt_claim, nus, xs)
+    bad = None if cfg.corrupt_claim is None else verify.corrupt_claim(cfg.corrupt_claim)
     if not nus or not len(xs):
+        if bad is not None:
+            raise DomainError(f"corrupting claim {cfg.corrupt_claim!r} tests nothing on an "
+                              "empty grid")
         for cid in verify.bound_claims():
             print(f"{cid}: WARNING 0 points (empty grid)")
         return EXIT_OK
     grid = verify.Grid(tuple(nus), tuple(xs))
     table = verify.OracleTable(grid)
+    # the corrupted claim is scanned first: a corruption that makes no
+    # violation on the grid tests nothing, so it is a usage error, as an
+    # unknown claim id is; a bound that is 0 at every checked point, whose
+    # relative shift is 0, gets its own message
+    bad_rep = None if bad is None else verify.scan_bound(bad, tol=cfg.tol, table=table)
+    if bad_rep is not None and not bad_rep.violations:
+        why = (f"makes no violation on this grid (worst margin {bad_rep.worst_margin:.3g})"
+               if np.any(bad_rep.rows[:, 2]) else "changes no bound value checked on this grid")
+        raise DomainError(f"corrupting claim {cfg.corrupt_claim!r} {why}")
     text = None
     if cfg.out is not None:
         os.makedirs(cfg.out, exist_ok=True)
@@ -309,8 +307,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     failing = []
     points = failures = 0
     for cid in verify.bound_claims():
-        claim = bad if cfg.corrupt_claim == cid else verify.get_claim(cid)
-        rep = verify.scan_bound(claim, tol=cfg.tol, table=table)
+        rep = bad_rep if cfg.corrupt_claim == cid else verify.scan_bound(
+            verify.get_claim(cid), tol=cfg.tol, table=table)
         points += rep.points_checked
         failures += len(rep.oracle_failures)
         extra = f" oracle_failures={len(rep.oracle_failures)}" if rep.oracle_failures else ""

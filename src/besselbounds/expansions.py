@@ -1,205 +1,195 @@
-"""Truncated asymptotic and Maclaurin series for the ratio quantities.
+"""Exact truncated series of the ratio quantities and of the trigonometric
+bounds, over ``fractions.Fraction``.
 
-Three regimes are covered, each as the exact printed truncation with an
-explicit order tag (no resummation, no extra terms):
+A series is the list of its first n coefficients c_0 .. c_{n-1} in its
+regime's variable t; it is known modulo t**n, and arithmetic on series of
+different lengths is known to the shorter one.  Each regime has one source
+for the ratios:
 
-* large x:   Phi0 = I_{nu-1}/I_nu and the positive second-kind ratio
-             K_{nu-1}/K_nu behave like 1 +- (nu - 1/2)/x + (nu^2 - 1/4)/(2 x^2);
-             the double ratios C_{nu-1} C_{nu+1} / C_nu^2 like 1 -+ 1/x
-             +- (nu^2 - 1/4)/(2 x^3).
-* small x:   x*Phi0 = 2 nu + x^2/(2(nu+1)) - x^4/(8(nu+1)^2(nu+2)) and the
-             double ratio tends to nu/(nu+1); the second-kind series
-             x*K_{nu-1}/K_nu = x^2/(2(nu-1)) - x^4/(8(nu-1)^2(nu-2)) needs
-             nu > 1 and breaks down at integer orders, where a logarithmic
-             term enters.
-* large nu:  re-expansions of the small-x series in powers of 1/nu, valid
-             for fixed x.
+* large x (t = 1/x, order nu fixed): Phi ~ sum c_k t**k from
+  ``oracle.large_x_coefficients``, the generator that also seeds the K
+  oracle, run on Fractions (c_0 = 1 for Phi0, -1 for Phi1);
+* small x (t = x, nu fixed): y = x*Phi solves x y' = x**2 + 2 nu y - y**2
+  (``small_x_coefficients``);
+* large nu (t = 1/nu, x fixed): the order recurrences
+  y(nu) = 2 nu + x**2/y(nu+1) of y = x*Phi0 and
+  s(nu) = x**2/(2(nu-1) + s(nu-1)) of s = -x*Phi1
+  (``large_nu_coefficients``).
 
-The product I_nu(x) K_nu(x) has one expansion per regime.  Values returned
-for the second kind are the positive ratios K_{nu-1}/K_nu (negate to get
-the signed ratio Phi1).  The large-x ratio truncations take their
-coefficients from ``oracle.large_x_coefficients``, the generator behind
-``oracle.large_x_series`` that seeds the K oracle; the truncations
-themselves are reference forms that the tests compare with the oracle in
-each regime.
+The roots lambda_I > 0 and lambda_K < -1 of the ratio cubic
+lambda**3 + lambda**2 - (nu**2 + x**2) lambda - nu**2 are solved order by
+order (``cubic_root``).  In each regime the ratios and roots are carried as
+sigma*x*Phi and sigma*lambda, where sigma = t at large x and large nu and
+sigma = 1 at small x, so every one of them is a power series.
+``bound_series`` builds the three trigonometric bounds of the sharpness
+battery (``trig-upper-I``, ``trig-upper-K``, ``product-lower-trig``) and
+their oracle targets from these, and ``relative_error_series`` the signed
+relative error that the battery fits.  The command line imports none of
+this.
 """
 
-from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from math import comb
 
 from .errors import DomainError
-from .nullclines import EvalPoint
-from .oracle import RatioKind, large_x_coefficients
+from .nullclines import BOUNDS
+from .oracle import large_x_coefficients
 
-__all__ = [
-    "Expansion",
-    "REGIMES",
-    "large_x_ratio",
-    "large_x_double",
-    "small_x_I",
-    "small_x_K",
-    "large_nu_ratio",
-    "product_expansion",
-]
+__all__ = ["REGIMES", "mul", "div", "value", "small_x_coefficients",
+           "large_nu_coefficients", "cubic_root", "bound_series", "relative_error_series"]
 
 REGIMES = ("large-x", "small-x", "large-nu")
 
-_KINDS = ("I-ratio", "K-ratio", "double-I", "double-K", "product")
+
+def _mono(c, k: int, n: int) -> list:
+    """c * t**k as a series of n terms."""
+    return [Fraction(c) if i == k else Fraction(0) for i in range(n)]
 
 
-@dataclass(frozen=True)
-class Expansion:
-    """One evaluated truncation: value, remainder order, regime and kind."""
-
-    value: float
-    order_tag: str
-    regime: str
-    kind: str
-
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise DomainError(f"unknown regime {self.regime!r}")
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown expansion kind {self.kind!r}")
+def _add(*terms) -> list:
+    return [sum(cs) for cs in zip(*terms)]
 
 
-def _ratio_kind_name(kind: RatioKind) -> str:
-    return "I-ratio" if kind is RatioKind.FIRST else "K-ratio"
+def _scale(c, a) -> list:
+    return [c * v for v in a]
 
 
-def large_x_ratio(kind: RatioKind, p: EvalPoint) -> Expansion:
-    """Large-x series of the ratio C_{nu-1}(x)/C_nu(x), both kinds positive.
-
-    FIRST:  1 + (nu - 1/2)/x + (nu^2 - 1/4)/(2 x^2)
-    SECOND: 1 - (nu - 1/2)/x + (nu^2 - 1/4)/(2 x^2)
-
-    The two kinds differ exactly by 2(nu - 1/2)/x at the printed order.
-    The coefficients are the first three of the Riccati series generator
-    ``oracle.large_x_coefficients`` (c_0 = +1 for Phi0, -1 for Phi1).
-    """
-    s = 1.0 if kind is RatioKind.FIRST else -1.0
-    c0, c1, c2 = large_x_coefficients(p.nu, s, 3)
-    inv = 1.0 / p.x
-    val = s * (c0 + c1 * inv + c2 * inv * inv)
-    return Expansion(val, "O(x^-3)", "large-x", _ratio_kind_name(kind))
+def mul(a: list, b: list) -> list:
+    """The product a*b."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(min(len(a), len(b)))]
 
 
-def large_x_double(kind: RatioKind, p: EvalPoint) -> Expansion:
-    """Large-x series of the double ratio C_{nu-1} C_{nu+1} / C_nu^2.
-
-    FIRST:  1 - 1/x + (nu^2 - 1/4)/(2 x^3)
-    SECOND: 1 + 1/x - (nu^2 - 1/4)/(2 x^3)
-
-    The 1/x^2 term cancels identically for both kinds.
-    """
-    s = 1.0 if kind is RatioKind.FIRST else -1.0
-    inv = 1.0 / p.x
-    val = 1.0 - s * inv + s * 0.5 * (p.nu * p.nu - 0.25) * inv ** 3
-    name = "double-I" if kind is RatioKind.FIRST else "double-K"
-    return Expansion(val, "O(x^-4)", "large-x", name)
+def div(a: list, b: list) -> list:
+    """The quotient a/b.  The z leading zero terms of b must lead a too;
+    they cancel, and the quotient is z terms shorter."""
+    z = next(i for i, c in enumerate(b) if c)
+    if any(a[:z]):
+        raise DomainError("the quotient is not a power series")
+    a, b, q = a[z:], b[z:], []
+    for k in range(min(len(a), len(b))):
+        q.append((a[k] - sum(b[i] * q[k - i] for i in range(1, k + 1))) / Fraction(b[0]))
+    return q
 
 
-def small_x_I(p: EvalPoint):
-    """Maclaurin behaviour of the first-kind quantities, nu >= 0.
-
-    Returns (ratio_times_x, double) where
-
-        x*Phi0 = 2 nu + x^2/(2(nu+1)) - x^4/(8(nu+1)^2(nu+2))
-        W_I    = nu/(nu+1) + x^2/(2(nu+1)^2(nu+2))
-
-    Both follow from the power series of I_nu; the x^2 coefficient of the
-    double ratio is the exact quotient coefficient 1/(2(nu+1)^2(nu+2)).
-    """
-    if p.nu < 0.0:
-        raise DomainError(f"small-x first-kind series needs nu >= 0, got {p.nu}")
-    nu, x = p.nu, p.x
-    x2 = x * x
-    rx = 2.0 * nu + x2 / (2.0 * (nu + 1.0)) \
-        - x2 * x2 / (8.0 * (nu + 1.0) ** 2 * (nu + 2.0))
-    dbl = nu / (nu + 1.0) + x2 / (2.0 * (nu + 1.0) ** 2 * (nu + 2.0))
-    return (
-        Expansion(rx, "O(x^6)", "small-x", "I-ratio"),
-        Expansion(dbl, "O(x^4)", "small-x", "double-I"),
-    )
+def value(a: list, t) -> Fraction:
+    """sum a_k t**k, exact for a Fraction (or float) t."""
+    return reduce(lambda v, c: v * Fraction(t) + c, reversed(a), Fraction(0))
 
 
-def _is_integer(nu: float) -> bool:
-    return nu == int(nu)
+def small_x_coefficients(nu, a0, n: int) -> list:
+    """The first n coefficients a_k of y = x*Phi = sum a_k x**k, the power
+    series solution of x y' = x**2 + 2 nu y - y**2 with y(0) = a0:
+
+        (k + 2 a0 - 2 nu) a_k = [k == 2] - sum_{0<i<k} a_i a_{k-i}.
+
+    a0 = 2 nu gives x*Phi0 (I_nu is x**nu times a power series in x**2;
+    at nu = 0 the two starts coincide, and this is x*Phi0).  a0 = 0 gives
+    x*Phi1 only below x**(2 nu), where K's second power series (with a
+    logarithm at integer nu) enters, so asking for a term at or past it
+    raises DomainError, as does a term the equation leaves free."""
+    nu, a = Fraction(nu), [Fraction(a0)]
+    if a0 != 2 * nu and n - 1 >= 2 * nu:
+        raise DomainError(f"the small-x K series at nu={nu} holds only below x**{2 * nu}")
+    for k in range(1, n):
+        m = k + 2 * a[0] - 2 * nu
+        if not m:
+            raise DomainError(f"the x**{k} term of the small-x series is free at nu={nu}")
+        a.append(((k == 2) - sum(a[i] * a[k - i] for i in range(1, k))) / m)
+    return a
 
 
-def small_x_K(p: EvalPoint) -> Expansion:
-    """Small-x behaviour of x*K_{nu-1}(x)/K_nu(x).
-
-    For nu > 1 (non-integer):
-
-        x^2/(2(nu-1)) - x^4/(8(nu-1)^2(nu-2)),  relative error O(x^{2(nu-1)})
-
-    so the absolute remainder is O(x^{min(6, 2 nu)}).  For 0 < nu < 1 only
-    the order statement O(x^{2 nu}) holds; the value returned is 0 with the
-    order recorded in the tag.  Integer orders pick up logarithmic terms and
-    are rejected, as is nu <= 0.
-    """
-    nu, x = p.nu, p.x
-    if nu <= 0.0:
-        raise DomainError(f"small-x second-kind series needs nu > 0, got {nu}")
-    if _is_integer(nu):
-        raise DomainError(
-            f"small-x second-kind series undefined at integer order nu={nu} "
-            "(logarithmic terms)")
-    if nu < 1.0:
-        return Expansion(0.0, f"O(x^{2.0 * nu:g})", "small-x", "K-ratio")
-    x2 = x * x
-    val = x2 / (2.0 * (nu - 1.0)) \
-        - x2 * x2 / (8.0 * (nu - 1.0) ** 2 * (nu - 2.0))
-    return Expansion(val, f"O(x^{min(6.0, 2.0 * nu):g})", "small-x", "K-ratio")
+def _shift(a: list, d: int) -> list:
+    """a(t/(1 + d t)): a series in t = 1/nu moved to order nu + d, by
+    (t/(1 + d t))**k = sum_{m>=k} C(m-1, m-k) (-d)**(m-k) t**m."""
+    return a[:1] + [sum(a[k] * comb(m - 1, m - k) * (-d) ** (m - k) for k in range(1, m + 1))
+                    for m in range(1, len(a))]
 
 
-def large_nu_ratio(kind: RatioKind, p: EvalPoint) -> Expansion:
-    """Large-order series at fixed x of x*C_{nu-1}(x)/C_nu(x), nu > 0.
+def large_nu_coefficients(x, n: int) -> tuple:
+    """(Y_I, Y_K): the first n coefficients in t = 1/nu of t*x*Phi0 and
+    t*x*Phi1 at fixed x.  With Y = t*y and S = s, the order recurrences
+    (module docstring) read
 
-    FIRST:  2 nu + x^2/(2 nu) - x^2/(2 nu^2) - (x^4 - 4 x^2)/(8 nu^3)
-                 + (x^4 - x^2)/(2 nu^4)
-    SECOND: x^2/(2 nu) + x^2/(2 nu^2) - (x^4 - 4 x^2)/(8 nu^3)
-                 - (x^4 - x^2)/(2 nu^4)
-    """
-    nu, x = p.nu, p.x
-    if nu <= 0.0:
-        raise DomainError(f"large-order series needs nu > 0, got {nu}")
-    x2 = x * x
-    x4 = x2 * x2
-    common = -(x4 - 4.0 * x2) / (8.0 * nu ** 3)
-    tail = (x4 - x2) / (2.0 * nu ** 4)
-    if kind is RatioKind.FIRST:
-        val = 2.0 * nu + x2 / (2.0 * nu) - x2 / (2.0 * nu * nu) + common + tail
-    else:
-        val = x2 / (2.0 * nu) + x2 / (2.0 * nu * nu) + common - tail
-    return Expansion(val, "O(nu^-5)", "large-nu", _ratio_kind_name(kind))
+        Y(t) = 2 + x**2 t t'/Y(t'),       t' = t/(1 + t),
+        S(t) = x**2 t/(2 - 2t + t S(t'')),  t'' = t/(1 - t),
+
+    and each pass of their fixed-point iteration fixes at least one more
+    term.  Y_K = -t S."""
+    x2, t, two = Fraction(x) ** 2, _mono(1, 1, n), _mono(2, 0, n)
+    tt, y, s = mul(t, _shift(t, 1)), two, _mono(0, 0, n)
+    for _ in range(n):
+        y = _add(two, _scale(x2, div(tt, _shift(y, 1))))
+        s = _scale(x2, div(t, _add(two, _scale(-2, t), mul(t, _shift(s, -1)))))
+    return y, _scale(-1, mul(t, s))
 
 
-def product_expansion(regime: str, p: EvalPoint) -> Expansion:
-    """Series for the product I_nu(x) K_nu(x) in the requested regime.
+def cubic_root(b: list, c: list, d: list, seed) -> list:
+    """The series root u of u**3 + b u**2 + c u + d with u(0) = seed, a
+    simple root of the constant terms.  Each Newton step on series doubles
+    the number of terms known."""
+    n = len(c)
+    u = _mono(seed, 0, n)
+    for _ in range(n.bit_length()):
+        f = _add(mul(_add(mul(_add(u, b), u), c), u), d)
+        df = _add(mul(_add(_scale(3, u), _scale(2, b)), u), c)
+        if not df[0]:
+            raise DomainError(f"the cubic has a multiple root at {seed}")
+        u = _add(u, _scale(-1, div(f, df)))
+    return u
 
-    large-x:  1/(2x) - (nu^2 - 1/4)/(4 x^3)
-    small-x:  1/(2 nu) - x^2/(4 nu (nu^2 - 1)); holds up to a relative
-              O(x^{2 nu}) factor, needs nu > 0 non-integer (the printed
-              coefficient has a pole at nu = 1, and integer orders bring
-              logarithmic terms)
-    large-nu: 1/(2 nu) - x^2/(4 nu^3), nu > 0
-    """
-    nu, x = p.nu, p.x
+
+def _units(regime: str, fixed, n: int) -> tuple:
+    """(sigma, sigma*x, sigma*nu) as series in the regime's variable; fixed
+    is nu at large and small x and x at large nu."""
+    if regime not in REGIMES:
+        raise DomainError(f"unknown regime {regime!r}")
+    one, t = _mono(1, 0, n), _mono(1, 1, n)
+    return {"large-x": (t, one, _scale(Fraction(fixed), t)),
+            "small-x": (one, t, _scale(Fraction(fixed), one)),
+            "large-nu": (t, _scale(Fraction(fixed), t), one)}[regime]
+
+
+def _family(kind: int, regime: str, fixed, n: int) -> tuple:
+    """(sigma*x*Phi, sigma*lambda) of one family: kind 1 for I (Phi0 and
+    lambda_I), -1 for K (Phi1 and lambda_K)."""
+    sigma, sx, snu = _units(regime, fixed, n)
     if regime == "large-x":
-        val = 0.5 / x - (nu * nu - 0.25) / (4.0 * x ** 3)
-        return Expansion(val, "O(x^-5)", "large-x", "product")
-    if regime == "small-x":
-        if nu <= 0.0 or _is_integer(nu):
-            raise DomainError(
-                f"small-x product series needs non-integer nu > 0, got {nu}")
-        val = 0.5 / nu - x * x / (4.0 * nu * (nu * nu - 1.0))
-        return Expansion(
-            val, f"O(x^4) + rel O(x^{2.0 * nu:g})", "small-x", "product")
-    if regime == "large-nu":
-        if nu <= 0.0:
-            raise DomainError(f"large-order product series needs nu > 0, got {nu}")
-        val = 0.5 / nu - x * x / (4.0 * nu ** 3)
-        return Expansion(val, "O(nu^-5)", "large-nu", "product")
-    raise DomainError(f"unknown regime {regime!r}")
+        y = large_x_coefficients(Fraction(fixed), kind, n)
+    elif regime == "small-x":
+        y = small_x_coefficients(fixed, 2 * Fraction(fixed) if kind > 0 else 0, n)
+    else:
+        y = large_nu_coefficients(fixed, n)[kind < 0]
+    seed = kind if regime != "small-x" else (fixed if kind > 0 else -max(fixed, 1))
+    # the cubic in sigma*lambda, multiplied through by sigma**3
+    nu2 = mul(snu, snu)
+    return y, cubic_root(sigma, _scale(-1, _add(nu2, mul(sx, sx))), _scale(-1, mul(sigma, nu2)),
+                         seed)
 
+
+def bound_series(claim: str, regime: str, fixed, n: int) -> tuple:
+    """(bound, target, unit): series in the regime's variable t, with fixed
+    as in ``_units``, such that bound(t)/unit(t) is the claim's bound and
+    target(t)/unit(t) its oracle target (``BOUNDS[claim].target``)."""
+    sigma, sx, snu = _units(regime, fixed, n)
+    if claim == "trig-upper-I":
+        y, lam = _family(1, regime, fixed, n)
+        return _add(lam, snu), y, sx
+    if claim == "trig-upper-K":
+        y, lam = _family(-1, regime, fixed, n)
+        return _scale(-1, _add(lam, snu)), _scale(-1, y), sx
+    if claim == "product-lower-trig":
+        (yi, li), (yk, lk) = _family(1, regime, fixed, n), _family(-1, regime, fixed, n)
+        return (div(sigma, _add(li, _scale(-1, lk))), div(sigma, _add(yi, _scale(-1, yk))),
+                _mono(1, 0, n))
+    raise DomainError(f"no exact series for claim {claim!r}")
+
+
+def relative_error_series(claim: str, regime: str, fixed, n: int) -> list:
+    """The claim's signed relative error as a series: bound/target - 1 for
+    an upper bound, 1 - bound/target for a lower one, as the sharpness
+    battery measures it (``verify.relative_error``)."""
+    bound, target, _ = bound_series(claim, regime, fixed, n)
+    q = div(bound, target)
+    sign = 1 if BOUNDS[claim].direction == "upper" else -1
+    return _add(_scale(sign, q), _mono(-sign, 0, len(q)))

@@ -193,14 +193,16 @@ def i_ratio(p: EvalPoint) -> OracleResult:
 SERIES_X = 20.0           # the series serves x >= this at every seed order
 
 
-def large_x_coefficients(nu: float, c0: float, n: int = 61) -> List[float]:
+def large_x_coefficients(nu, c0, n: int = 61) -> list:
     """The first n coefficients c_k of the large-x series Phi ~ sum c_k x**-k
     of the Riccati equation: c0 = 1 gives Phi0, c0 = -1 gives Phi1 (module
-    docstring).  Stops early before the first non-finite coefficient."""
+    docstring).  Generic over numbers: floats for the K seeds, Fractions
+    for the exact series of ``expansions``.  Stops early before the first
+    non-finite coefficient."""
     c = [c0]
     for k in range(n - 1):
-        nxt = ((k + 2.0 * nu - 1.0) * c[k]
-               - sum(map(operator.mul, c[1:k + 1], c[k:0:-1]))) / (2.0 * c0)
+        nxt = ((k + 2 * nu - 1) * c[k]
+               - sum(map(operator.mul, c[1:k + 1], c[k:0:-1]))) / (2 * c0)
         if not math.isfinite(nxt):
             break
         c.append(nxt)

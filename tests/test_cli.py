@@ -178,17 +178,20 @@ def test_tabulate_unservable_row_fails_alone(tmp_path, monkeypatch, default_tabl
 
 
 def test_no_command_loads_scipy():
-    # scipy is not a dependency; a fresh process shows what loads
+    # scipy is not a dependency, and the exact series of expansions (on
+    # fractions) stay off the command line; a fresh process shows what loads
     script = textwrap.dedent("""
         import sys
         import besselbounds.cli as cli
         assert "scipy" not in sys.modules, "import besselbounds.cli"
+        assert "fractions" not in sys.modules, "import besselbounds.cli"
         grid = ["--nu-min", "0.25", "--nu-max", "2.25", "--nu-step", "0.5",
                 "--x-min", "0.01", "--x-max", "50", "--x-points", "7"]
         for argv in (["verify"] + grid, ["conjecture"] + grid, ["sharpness"],
                      ["tabulate"] + grid, ["explore", "--sample", "2"]):
             assert cli.main(argv) == 0, argv[0]
             assert "scipy" not in sys.modules, argv[0]
+            assert "besselbounds.expansions" not in sys.modules, argv[0]
     """)
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -241,6 +244,21 @@ def test_verify_refuses_a_corruption_that_changes_no_bound(claim_id, grid):
     code, out, err = run(["verify", "--corrupt-claim", claim_id] + grid)
     assert code == EXIT_USAGE
     assert out == "" and err.startswith("error: ") and claim_id in err
+
+
+@pytest.mark.parametrize("claim_id, grid, margin", [
+    ("amos-I-a2", [], "3.74e-07"),
+    ("psi-K-upper", ["--nu", "0.5", "--x-points", "5"], "0.000998"),
+])
+def test_verify_refuses_a_corruption_that_violates_nothing(tmp_path, claim_id, grid, margin):
+    # the corruption moves these bounds by less than their slack: the
+    # corrupted scan used to print OK and exit 0, testing nothing
+    target = tmp_path / "report"
+    code, out, err = run(["verify", "--corrupt-claim", claim_id, "--out", str(target)] + grid)
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: ") and claim_id in err
+    assert f"worst margin {margin}" in err
+    assert not target.exists()
 
 
 def test_verify_warns_on_empty_claim_ranges():
@@ -435,8 +453,8 @@ def test_verify_csvs_match_per_value_formatting(tmp_path, monkeypatch, corrupt):
 
 
 def test_verify_stdout_stays_in_catalog_order(tmp_path, monkeypatch):
-    # claims are scanned and reported in one pass in catalog order, which
-    # groups them by oracle quantity; the failing-claims list keeps it too
+    # claims are reported in one pass in catalog order, which groups them by
+    # oracle quantity; the failing-claims list keeps it too
     scanned = []
     real = verify.scan_bound
 
@@ -454,7 +472,11 @@ def test_verify_stdout_stays_in_catalog_order(tmp_path, monkeypatch):
         verify._BOUND_CLAIMS[cid].claim_id + ("[corrupted]" if cid == "trig-upper-K" else "")
         for cid in verify.bound_claims()]
     assert lines[-1] == "failing claims: amos-I-a-1[corrupted], trig-upper-K[corrupted]"
-    assert scanned.index("amos-I-a-1[corrupted]") < scanned.index("trig-upper-K[corrupted]")
+    # the --corrupt-claim scan runs first, so that a corruption that violates
+    # nothing is refused before any output; every claim is scanned once
+    assert scanned == ["trig-upper-K[corrupted]"] + [
+        verify._BOUND_CLAIMS[cid].claim_id for cid in verify.bound_claims()
+        if cid != "trig-upper-K"]
 
 
 def test_conjecture_and_sharpness_csvs_match_per_value_formatting(tmp_path):

@@ -29,13 +29,15 @@ def test_output_digest_on_a_tiny_grid(capsys, tmp_path):
     runs = dict(re.fullmatch(r"(\S+) exit=(\d) stdout=[0-9a-f]{64} stderr=[0-9a-f]{64}",
                              line).groups() for line in lines if " exit=" in line)
     assert runs == {"verify-default": "0", "verify-x-min": "0", "verify-default-corrupt": "1",
-                    "verify-corrupt-zero": "2", "verify-dense": "0", "verify-dense-corrupt": "1",
+                    "verify-corrupt-zero": "2", "verify-corrupt-slack": "2", "verify-dense": "0",
+                    "verify-dense-corrupt": "1",
                     "conjecture": "0", "sharpness": "0", "tabulate": "0", "explore": "0",
                     "explore-nu": "0", "explore-y0": "0"}
     files = dict(line.split() for line in lines if " exit=" not in line)
     for run in ("verify-default", "verify-x-min", "verify-default-corrupt", "verify-dense"):
         assert sum(name.startswith(run + "/") for name in files) == 25
-    assert not any(name.startswith("verify-corrupt-zero") for name in files)
+    assert not any(name.startswith(("verify-corrupt-zero", "verify-corrupt-slack"))
+                   for name in files)
     assert sum(name.startswith("sharpness/") for name in files) == 7
     # a digest is the sha256 of what the command writes
     out = tmp_path / "table.csv"

@@ -3,8 +3,9 @@ trees can be compared for byte-identical output with one ``diff``.
 
 Runs, in-process and into a temporary directory: ``verify --out`` on the
 default grid (plain, with ``--x-min 0.000567``, with
-``--corrupt-claim trig-upper-I`` and with ``--corrupt-claim
-double-I-lower``, which is refused) and on 20 half-integer orders x 1,001 x
+``--corrupt-claim trig-upper-I``, and with ``--corrupt-claim
+double-I-lower`` and ``--corrupt-claim amos-I-a2``, which are refused)
+and on 20 half-integer orders x 1,001 x
 (plain and with ``--corrupt-claim amos-K-a1``), ``conjecture --out``,
 ``sharpness --out``, ``tabulate --out`` and ``explore --out`` three ways
 (``--sample 100``, ``--sample 20 --nu 2.5 --a 1`` and ``--y0 0.7``).  For
@@ -47,6 +48,7 @@ def runs(tiny: bool):
              True),
             ("verify-corrupt-zero", ["verify", *default, "--corrupt-claim", "double-I-lower"],
              True),
+            ("verify-corrupt-slack", ["verify", *default, "--corrupt-claim", "amos-I-a2"], True),
             ("verify-dense", ["verify", *dense], True),
             ("verify-dense-corrupt", ["verify", *dense, *corrupt], True),
             ("conjecture", ["conjecture", *default], False),
