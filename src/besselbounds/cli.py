@@ -262,9 +262,9 @@ def cmd_tabulate(cfg: RunConfig) -> int:
                         oracle_cols[:, i] = [table.quantity(q, row_nu)[0] for q in ("Phi0", "Phi1", "P")]
                     except (DomainError, EvaluationError):
                         failures += len(x)
-                lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, x)
+                lam_k, lam_o, lam_i, _, _, *w_levels = nc.cubic_levels(nu, x)
                 columns = [nu, x, *oracle_cols, nc.TRIG_I.formula(nu, x), nc.TRIG_K.formula(nu, x),
-                           lam_i, lam_k, lam_o, *nc.w_values_row(nu, x),
+                           lam_i, lam_k, lam_o, *w_levels,
                            nc.PRODUCT_FORMS["upper"].formula(nu, x),
                            nc.PRODUCT_FORMS["lower_trig"].formula(nu, x)]
                 verify.write_csv_rows(stream, "", np.column_stack(

@@ -29,7 +29,8 @@ The second-order structure (ratios of consecutive ratios) leads to the cubic
 
 whose three real roots lambda_K < lambda_O < lambda_I drive both the
 trigonometric ratio bounds (``TRIG_I``/``TRIG_K``) and the nullcline levels
-w = (lambda**2 - nu**2) / x**2 of the double-ratio flow (``w_values_row``).
+w = (lambda**2 - nu**2) / x**2 of the double-ratio flow (``w_values_row``);
+``cubic_levels`` gives both from one solve.
 Bounds for the product I_nu * K_nu follow from 1/(x*(Phi0 - Phi1)) and are
 collected in ``PRODUCT_FORMS``.  The cubic's roots and the w levels also
 bracket psi = x*Phi - nu and the double ratios W = Phi(nu)/Phi(nu+1).
@@ -273,31 +274,46 @@ def _lambda_K_shift(nu, x, lam_k) -> np.ndarray:
                          nu * x * x, lam_k + nu)
 
 
+# the names of ``cubic_levels``' values, in order
+CUBIC_LEVELS = ("lambda_K", "lambda_O", "lambda_I", "g", "acos_arg", "w_I", "w_K", "w_O")
+
+
+def cubic_levels(nu, x) -> Tuple[np.ndarray, ...]:
+    """(lambda_K, lambda_O, lambda_I, g, acos_arg, w_I, w_K, w_O) from one
+    solve of the ratio cubic, broadcast over nu and x: the values of
+    ``cubic_roots_row`` and then those of ``w_values_row``.
+
+    The w levels w_A = (lambda_A**2 - nu**2)/x**2 are evaluated through the
+    algebraically equivalent form lambda/(lambda + 1) (the cubic gives
+    (lambda**2 - nu**2)*(lambda + 1) = x**2*lambda), which avoids the
+    cancellation of lambda**2 against nu**2 at small x.  Each lambda + 1 is
+    a root of the shifted cubic: lambda_K + 1 is refined there, and
+    lambda_O + 1 = -x**2/((lambda_I + 1)*(lambda_K + 1)) from the product
+    of its roots.
+    """
+    x = np.asarray(x, dtype=float)
+    lam_k, lam_o, lam_i, g, arg, u_k = _cubic(nu, x)
+    u_i = lam_i + 1.0
+    return (lam_k, lam_o, lam_i, g, arg,
+            lam_i / u_i, lam_k / u_k, lam_o / (-(x * x) / (u_i * u_k)))
+
+
 def cubic_roots_row(nu, x) -> Tuple[np.ndarray, ...]:
     """(lambda_K, lambda_O, lambda_I, g, acos_arg), broadcast over nu and x:
     the three real roots of t**3 + t**2 - (nu**2+x**2)*t - nu**2, ordered
     lambda_K < lambda_O < lambda_I with lambda_I > 0 always, lambda_K < -1
     and lambda_O in (-|nu|, 0] (zero exactly when nu == 0); then
     g = sqrt(3*(nu**2 + x**2) + 1) and the clamped argument passed to acos.
+    The first five values of ``cubic_levels``.
     """
-    return _cubic(nu, x)[:5]
+    return cubic_levels(nu, x)[:5]
 
 
 def w_values_row(nu, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(w_I, w_K, w_O), the nullcline levels w_A = (lambda_A**2 - nu**2)/x**2
-    of the W flow, broadcast over nu and x.
-
-    Evaluated through the algebraically equivalent form lambda/(lambda + 1)
-    (the cubic gives (lambda**2 - nu**2)*(lambda + 1) = x**2*lambda), which
-    avoids the cancellation of lambda**2 against nu**2 at small x.  Each
-    lambda + 1 is a root of the shifted cubic: lambda_K + 1 is refined
-    there, and lambda_O + 1 = -x**2/((lambda_I + 1)*(lambda_K + 1)) from the
-    product of its roots.
-    """
-    x = np.asarray(x, dtype=float)
-    lam_k, lam_o, lam_i, _, _, u_k = _cubic(nu, x)
-    u_i = lam_i + 1.0
-    return lam_i / u_i, lam_k / u_k, lam_o / (-(x * x) / (u_i * u_k))
+    of the W flow, broadcast over nu and x: the last three values of
+    ``cubic_levels``."""
+    return cubic_levels(nu, x)[5:]
 
 
 # Trigonometric ratio bounds, sharp as x -> 0, x -> oo and nu -> oo:

@@ -30,8 +30,9 @@ no randomness.
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import InitVar, dataclass, field
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "MONOTONE_TOL",
     "Grid",
     "ScanReport",
+    "ReportBlock",
     "OracleTable",
     "BoundClaim",
     "MonotoneClaim",
@@ -129,12 +131,44 @@ def default_grid(x_lo: float = 1e-3) -> Grid:
 # reports
 # ----------------------------------------------------------------------
 
+class ReportBlock(NamedTuple):
+    """One block of a report's points, in the grid-block form a scan
+    computes them in.  ``nus`` and ``xs`` broadcast against each other to
+    the block's shape: a column of orders against the x row for a scan
+    block, or two columns, one point per row, for rows given whole.
+    ``checked`` marks the points checked, and ``cols`` (the columns reported
+    between x and the margin: bound and oracle) and ``margin`` have the
+    block's shape too.  The block's report rows are its checked points in
+    row-major order."""
+
+    nus: np.ndarray
+    xs: np.ndarray
+    checked: np.ndarray
+    cols: tuple
+    margin: np.ndarray
+
+    @classmethod
+    def of_rows(cls, rows) -> "ReportBlock":
+        """The one block of (n, 5) report rows."""
+        rows = np.asarray(rows, dtype=float).reshape(-1, 5)
+        return cls(rows[:, :1], rows[:, 1:2], np.ones((len(rows), 1), dtype=bool),
+                   (rows[:, 2:3], rows[:, 3:4]), rows[:, 4:])
+
+    def rows(self) -> np.ndarray:
+        return np.column_stack([np.broadcast_to(c, self.checked.shape)[self.checked]
+                                for c in (self.nus, self.xs, *self.cols, self.margin)])
+
+
 @dataclass
 class ScanReport:
     """Outcome of one scan; margins are signed relative slack (neg = bad).
 
-    ``rows`` is an (n, 5) array of (nu, x, bound, oracle, margin) in
-    evaluation order — exactly the CSV columns.  ``fitted`` is set only by
+    A scan keeps its checked points in ``blocks`` (see ``ReportBlock``), and
+    ``points_checked`` and ``worst_margin`` come from them.  ``rows`` is an
+    (n, 5) array of (nu, x, bound, oracle, margin) in evaluation order —
+    exactly the CSV columns — built from the blocks on its first read and
+    then kept; rows given whole (``rows=`` or set later) are kept as given
+    and become the report's one block.  ``fitted`` is set only by
     order-estimation scans.  ``skipped`` counts points outside a claim's
     proved order range; every other point is checked or is an oracle
     failure.  ``unverified`` is always empty; it stays for
@@ -146,14 +180,35 @@ class ScanReport:
     violations: List[Tuple[float, float, float]] = field(default_factory=list)
     worst_margin: float = math.nan
     fitted: Optional[Tuple[float, float]] = None
-    rows: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
     oracle_failures: List[Tuple[float, float, str]] = field(default_factory=list)
     unverified: List[Tuple[float, float, str]] = field(default_factory=list)
     skipped: int = 0
     stats: Dict[str, float] = field(default_factory=dict)
+    blocks: List[ReportBlock] = field(default_factory=list)
+    rows: InitVar[Optional[np.ndarray]] = None
+
+    def __post_init__(self, rows):
+        self._rows = None
+        if rows is not None:
+            self.rows = rows
 
     def ok(self) -> bool:
         return not self.violations
+
+    def _get_rows(self) -> np.ndarray:
+        if self._rows is None:
+            self._rows = (np.concatenate([block.rows() for block in self.blocks])
+                          if self.blocks else np.empty((0, 5)))
+        return self._rows
+
+    def _set_rows(self, rows) -> None:
+        self._rows = rows
+        self.blocks = [ReportBlock.of_rows(rows)]
+
+
+# set once the dataclass is made, so that ``rows`` is both an argument of
+# its __init__ and a property of its instances
+ScanReport.rows = property(ScanReport._get_rows, ScanReport._set_rows)
 
 
 # rows per block of every CSV writer: small enough that a block's texts
@@ -161,38 +216,41 @@ class ScanReport:
 REPORT_BLOCK_ROWS = 1024
 
 
-def _write_lines(write, prefix: bytes, rows: np.ndarray, cells, fill) -> None:
-    """Write rows as CSV lines, ``prefix`` and then one cell per column,
-    REPORT_BLOCK_ROWS rows at a time: each block's lines are one byte
-    matrix, written after one ``translate`` compacts it.  ``cells`` lists
-    runs of columns as (count, width) pairs; each run is one view of the
-    matrix, of dtype S{width} and one column per cell, and
-    ``fill(block, views)`` sets them to NUL-padded text.  The matrix is
-    made once, so a writer's memory stays one block's."""
+def _write_lines(write, prefix: bytes, count: int, cells, texts) -> None:
+    """Write ``count`` CSV lines, ``prefix`` and then one cell per column,
+    at most REPORT_BLOCK_ROWS lines at a time: each block's lines are one
+    byte matrix, written after one ``translate`` compacts it.  ``cells``
+    lists runs of columns as (count, width) pairs; each run is one view of
+    the matrix, of dtype S{width} and one column per cell.  ``texts``
+    yields, block by block, one NUL-padded text array per run, (lines,
+    cells), that its view is set to.  The matrix is made once, so a
+    writer's memory stays one block's."""
     line, starts = bytearray(prefix), []
-    for count, width in cells:
+    for cols, width in cells:
         starts.append(len(line))
-        line += (bytes(width) + b",") * count
+        line += (bytes(width) + b",") * cols
     line[-1:] = b"\n"
-    n = max(1, min(len(rows), REPORT_BLOCK_ROWS))
+    n = max(1, min(count, REPORT_BLOCK_ROWS))
     raw = line * n
     # (shape, dtype, buffer, offset, strides): a run's cells of n lines, a view
-    views = [np.ndarray((n, count), "S%d" % width, raw, start, (len(line), width + 1))
-             for (count, width), start in zip(cells, starts)]
-    for start in range(0, len(rows), n):
-        block = rows[start:start + n]
-        fill(block, views if len(block) == n else [view[:len(block)] for view in views])
+    views = [np.ndarray((n, cols), "S%d" % width, raw, start, (len(line), width + 1))
+             for (cols, width), start in zip(cells, starts)]
+    for block in texts:
+        lines = len(block[0])
+        for view, text in zip(views, block):
+            view[:lines] = text
         # a whole block is compacted with no copy of its bytes first
-        write((raw if len(block) == n else raw[:len(block) * len(line)]).translate(None, b"\0"))
+        write((raw if lines == n else raw[:lines * len(line)]).translate(None, b"\0"))
 
 
 def write_csv_rows(stream, prefix: str, rows: np.ndarray) -> None:
     """Write each row of a 2-d float array to a text stream as one CSV
     line: ``prefix``, then the row's values as %.17g, one ``g17.texts``
     call and one write per block of REPORT_BLOCK_ROWS rows."""
-    _write_lines(lambda data: stream.write(data.decode("ascii")), prefix.encode(), rows,
+    _write_lines(lambda data: stream.write(data.decode("ascii")), prefix.encode(), len(rows),
                  [(rows.shape[1], g17.WIDTH)],
-                 lambda block, views: np.copyto(views[0], g17.texts(block)))
+                 ((g17.texts(rows[start:start + REPORT_BLOCK_ROWS]),)
+                  for start in range(0, len(rows), REPORT_BLOCK_ROWS)))
 
 
 class _Axis:
@@ -205,12 +263,18 @@ class _Axis:
         self.values = values[distinct]
         self.text = g17.percent(self.values, g17.TEXT_WIDTH)
 
-    def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(index, found): each value's place on the axis, and whether the
-        axis holds that very float there, bit for bit (so 0.0 and -0.0,
-        whose text differs, never match)."""
-        at = np.minimum(np.searchsorted(self.values, values), len(self.values) - 1)
-        return at, self.values[at].view(np.int64) == np.asarray(values, dtype=float).view(np.int64)
+    def text_of(self, values) -> np.ndarray:
+        """The text of each value, in the values' shape: the axis's own
+        where it holds that very float, bit for bit (so 0.0 and -0.0, whose
+        text differs, never match), else formatted anew."""
+        values = np.asarray(values, dtype=float)
+        flat = values.ravel()
+        at = np.minimum(np.searchsorted(self.values, flat), len(self.values) - 1)
+        text = self.text[at]
+        found = self.values[at].view(np.int64) == flat.view(np.int64)
+        if not found.all():
+            text[~found] = g17.percent(flat[~found], g17.TEXT_WIDTH)
+        return text.reshape(values.shape)
 
 
 class CsvText:
@@ -226,37 +290,43 @@ class CsvText:
     two axes, not of the grid.
     """
 
-    # the cells of a report row, as (count, width) runs: nu and x, then
-    # bound, oracle and margin
-    CELLS = ((2, g17.TEXT_WIDTH), (3, g17.WIDTH))
+    # the cells of a report row, as (count, width) runs: nu, x, then bound,
+    # oracle and margin
+    CELLS = ((1, g17.TEXT_WIDTH), (1, g17.TEXT_WIDTH), (3, g17.WIDTH))
 
     def __init__(self, nu_values, x_values):
         self.nu, self.x = _Axis(nu_values), _Axis(x_values)
 
-    def fill(self, rows: np.ndarray, views) -> None:
-        """Set the ``CELLS`` views to the text of report rows (nu, x, bound,
-        oracle, margin): shared text for nu and x, the rest anew."""
-        axes, values = views
-        for col, axis in ((0, self.nu), (1, self.x)):
-            at, found = axis.find(rows[:, col])
-            axes[:, col] = axis.text[at]
-            if not found.all():
-                axes[~found, col] = g17.percent(rows[~found, col], g17.TEXT_WIDTH)
-        values[...] = g17.texts(rows[:, 2:])
+    def texts(self, blocks: Sequence[ReportBlock]) -> Iterator[tuple]:
+        """The ``CELLS`` text of report blocks' checked points, at most
+        REPORT_BLOCK_ROWS lines at a time: a block's orders and x are
+        looked up once each and shared by its points; bound, oracle and
+        margin are formatted anew."""
+        for block in blocks:
+            checked = block.checked
+            nu, x = (np.broadcast_to(axis.text_of(values), checked.shape)[checked]
+                     for axis, values in ((self.nu, block.nus), (self.x, block.xs)))
+            values = np.column_stack([col[checked] for col in (*block.cols, block.margin)])
+            for start in range(0, len(values), REPORT_BLOCK_ROWS):
+                end = start + REPORT_BLOCK_ROWS
+                yield nu[start:end, None], x[start:end, None], g17.texts(values[start:end])
 
 
 def write_report_csv(report: ScanReport, path, text: Optional[CsvText] = None) -> None:
-    """Emit the per-point rows as CSV: claim_id,nu,x,bound,oracle,margin,
-    every value as %.17g.  The nu and x columns come from ``text``, the
-    CsvText the reports over one grid share, or by default from one over
-    this report's own orders and x values; bound, oracle and margin are
-    formatted with the report."""
-    rows = np.asarray(report.rows, dtype=float).reshape(-1, 5)
+    """Emit the per-point rows as CSV, from the report's blocks:
+    claim_id,nu,x,bound,oracle,margin, every value as %.17g.  The nu and x
+    columns come from ``text``, the CsvText the reports over one grid
+    share, or by default from one over this report's own orders and x
+    values; bound, oracle and margin are formatted with the report."""
+    blocks = report.blocks
     if text is None:
-        text = CsvText(rows[:, 0], rows[:, 1])
+        text = CsvText(np.concatenate([np.empty(0), *(np.ravel(b.nus) for b in blocks)]),
+                       np.concatenate([np.empty(0), *(np.ravel(b.xs) for b in blocks)]))
     with open(path, "wb") as fh:
         fh.write(b"claim_id,nu,x,bound,oracle,margin\n")
-        _write_lines(fh.write, report.claim_id.encode() + b",", rows, text.CELLS, text.fill)
+        _write_lines(fh.write, report.claim_id.encode() + b",",
+                     sum(int(np.count_nonzero(b.checked)) for b in blocks),
+                     text.CELLS, text.texts(blocks))
 
 
 # ----------------------------------------------------------------------
@@ -281,12 +351,15 @@ class OracleTable:
     one seed per order class, then the order ladder.  Each call serves many
     rows, so a failure of either marks every row.  Derived quantities come
     from ``oracle.quantity_row`` over the cached ratios, for a block of
-    rows at once (``block``) or one row (``quantity``).
+    rows at once (``block``) or one row (``quantity``).  The ratio cubic's
+    levels are solved once per block of orders (``cubic_levels``) and kept
+    as long as the table.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.xs = np.asarray(grid.x_values)
+        self._levels: Dict[Tuple[float, ...], Tuple[np.ndarray, ...]] = {}
         self.rows: Dict[float, _Row] = {nu: _Row(nu=nu) for nu in grid.nu_values}
         try:
             i_rows = oracle.i_ratio_rows([*self.rows, *(nu + 1.0 for nu in self.rows)], self.xs)
@@ -322,6 +395,15 @@ class OracleTable:
                 raise EvaluationError(f"row nu={r.nu} unavailable: {r.error}")
         return oracle.quantity_row(qid, nus, self.xs, lambda name: tuple(
             np.array(part) for part in zip(*(r.ratios[name] for r in rows))))
+
+    def cubic_levels(self, nus) -> Tuple[np.ndarray, ...]:
+        """``nullclines.cubic_levels`` for a column of orders against the
+        table's x: solved on the first call for these orders, then read
+        again by every cubic-based monotone scan over the table."""
+        key = tuple(np.ravel(nus).tolist())
+        if key not in self._levels:
+            self._levels[key] = nc.cubic_levels(np.reshape(nus, (-1, 1)), self.xs)
+        return self._levels[key]
 
 
 # ----------------------------------------------------------------------
@@ -419,12 +501,12 @@ def _blocks(rep: ScanReport, grid: Grid, holds: Callable[[float], bool],
 
 
 def _gate(rep: ScanReport, nus: np.ndarray, xs: np.ndarray, slack, scale, est,
-          tol: float, finite, cols, gated=True) -> np.ndarray:
+          tol: float, finite, cols, gated=True) -> ReportBlock:
     """Gate a block of order rows (``nus`` a column against the x row):
     margin = slack/scale is a violation where it is below -(tol + est/scale)
     and ``gated``.  A point whose oracle values, margin or gate are not
     finite is an oracle failure, never a pass.  Returns the checked points
-    as report rows (nu, x, *cols, margin), row by row."""
+    as a report block; ``cols`` have the block's shape."""
     with np.errstate(all="ignore"):
         margin = slack / scale
         gate = tol + est / scale
@@ -435,14 +517,14 @@ def _gate(rep: ScanReport, nus: np.ndarray, xs: np.ndarray, slack, scale, est,
                                                 finite[~ok].tolist())]
     bad = ok & gated & (margin < -gate)
     rep.violations += zip(nu_at[bad].tolist(), x_at[bad].tolist(), margin[bad].tolist())
-    return np.column_stack([nu_at[ok], x_at[ok],
-                            *(np.broadcast_to(c, ok.shape)[ok] for c in cols), margin[ok]])
+    return ReportBlock(nus, xs, ok, cols, margin)
 
 
-def _finish(rep: ScanReport, blocks: List[np.ndarray]) -> ScanReport:
-    rep.rows = np.concatenate(blocks) if blocks else np.empty((0, 5))
-    rep.points_checked = len(rep.rows)
-    rep.worst_margin = float(rep.rows[:, 4].min()) if len(rep.rows) else math.nan
+def _finish(rep: ScanReport, blocks: List[ReportBlock]) -> ScanReport:
+    rep.blocks = blocks
+    margins = np.concatenate([np.empty(0), *(b.margin[b.checked] for b in blocks)])
+    rep.points_checked = len(margins)
+    rep.worst_margin = float(margins.min()) if len(margins) else math.nan
     return rep
 
 
@@ -484,7 +566,8 @@ class MonotoneClaim:
     expected: str                       # "increasing" or "decreasing"
     proved: nc.OrderRange = nc.ALL_NU
     # function (nu, xs) -> values for closed-form quantities, broadcast over
-    # a column of orders; None: the quantity is an oracle-table row
+    # a column of orders; None: the quantity is one of nc.CUBIC_LEVELS, the
+    # levels of the ratio cubic, or else an oracle-table row
     closed_form: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
 
@@ -500,15 +583,14 @@ _MONOTONE_CLAIMS: Dict[str, MonotoneClaim] = {c.quantity: c for c in [
     MonotoneClaim("Phi1", "decreasing", nc.OrderRange(0.5, True, "nu > 1/2")),
     MonotoneClaim("W_I", "increasing", nc.NU_GE_0),
     MonotoneClaim("W_K", "decreasing", nc.NU_GE_0),
-    MonotoneClaim("w_I", "increasing", closed_form=lambda nu, x: nc.w_values_row(nu, x)[0]),
-    MonotoneClaim("w_K", "decreasing", closed_form=lambda nu, x: nc.w_values_row(nu, x)[1]),
-    MonotoneClaim("w_O", "increasing", closed_form=lambda nu, x: nc.w_values_row(nu, x)[2]),
-    MonotoneClaim("lambda_I", "increasing",
-                  closed_form=lambda nu, x: nc.cubic_roots_row(nu, x)[2]),
-    MonotoneClaim("lambda_K", "decreasing",
-                  closed_form=lambda nu, x: nc.cubic_roots_row(nu, x)[0]),
-    MonotoneClaim("lambda_O", "increasing",
-                  closed_form=lambda nu, x: nc.cubic_roots_row(nu, x)[1]),
+    # levels of the ratio cubic: one solve per order block of a table
+    # serves all six
+    MonotoneClaim("w_I", "increasing"),
+    MonotoneClaim("w_K", "decreasing"),
+    MonotoneClaim("w_O", "increasing"),
+    MonotoneClaim("lambda_I", "increasing"),
+    MonotoneClaim("lambda_K", "decreasing"),
+    MonotoneClaim("lambda_O", "increasing"),
     # nullcline branches with one-signed slope: |a| >= 1 is extremum-free;
     # 0 < |a| < 1 is monotone when the interior extremum abscissa is
     # non-positive
@@ -538,18 +620,26 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None, tol: float = MONOT
     expected direction is positive) divided by the larger neighbour
     magnitude; violations must beat tol plus the two oracle estimates
     (4 eps |value| for closed forms).  CSV rows are
-    (nu, x_left, next_value, value, margin).
+    (nu, x_left, next_value, value, margin).  A level of the ratio cubic
+    is read from the table's ``cubic_levels``, so the six cubic claims
+    share one solve per order block; with no table given it is solved
+    here and no oracle table is built.
     """
     try:
         claim = _MONOTONE_CLAIMS[quantity]
     except KeyError:
         raise DomainError(f"unknown monotone quantity {quantity!r}") from None
-    grid, table = _table_for(grid, table, needed=claim.closed_form is None)
+    level = nc.CUBIC_LEVELS.index(quantity) if quantity in nc.CUBIC_LEVELS else None
+    grid, table = _table_for(grid, table, needed=claim.closed_form is None and level is None)
 
     def fetch(nus):
-        if claim.closed_form is None:
+        xs = np.asarray(grid.x_values)
+        if level is not None:
+            vals = (nc.cubic_levels(nus, xs) if table is None else table.cubic_levels(nus))[level]
+        elif claim.closed_form is not None:
+            vals = claim.closed_form(nus, xs)
+        else:
             return table.block(quantity, nus)
-        vals = claim.closed_form(nus, np.asarray(grid.x_values))
         return vals, 4.0 * _EPS * np.abs(vals)
 
     rep = ScanReport(claim_id=f"monotone-{quantity}-{claim.expected}")
@@ -770,7 +860,8 @@ def conjecture_scan(grid: Optional[Grid] = None,
                                      lambda nus: table.block("P", nus), grid.x_values):
         s, est_s = _s_map(nus, xs, p, p_est)
         blocks.append(_gate(rep, nus, xs, _PROVED_CAP - s, 1.0, est_s, -_GATE_SLACK,
-                            np.isfinite(p) & (p > 0), (_PROVED_CAP, s), gated=nus >= 0.0))
+                            np.isfinite(p) & (p > 0), (np.broadcast_to(_PROVED_CAP, s.shape), s),
+                            gated=nus >= 0.0))
     _finish(rep, blocks)
     sup_all, sup_ver = _sup_s(rep.rows), _sup_s(rep.rows[rep.rows[:, 0] >= 0.0])
     for key, (top, nu, x) in (("sup_s", sup_all), ("sup_s_verified", sup_ver)):

@@ -563,7 +563,9 @@ def test_every_formula_broadcasts_over_an_order_column():
     nus = [-1.0, -0.75, -0.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 19.75]
     formulas = {**{cid: form.formula for cid, form in nc.BOUNDS.items()},
                 **{q: c.closed_form for q, c in verify._MONOTONE_CLAIMS.items()
-                   if c.closed_form is not None}}
+                   if c.closed_form is not None},
+                **{q: lambda nu, x, i=nc.CUBIC_LEVELS.index(q): nc.cubic_levels(nu, x)[i]
+                   for q in verify._MONOTONE_CLAIMS if q in nc.CUBIC_LEVELS}}
     assert len(formulas) == 25 + 14
     for xs in (np.geomspace(1e-3, 1e3, 37), np.array([2.5])):
         col = np.array(nus).reshape(-1, 1)
@@ -828,3 +830,95 @@ def test_report_csv_of_a_scan_with_zero_and_subnormal_bounds(tmp_path, monkeypat
     write_report_csv(rep, path)
     assert path.read_text() == "claim_id,nu,x,bound,oracle,margin\n" + "".join(
         "bent,%s\n" % ",".join("%.17g" % v for v in row) for row in rep.rows.tolist())
+
+
+# ---------------------------------------------------------------------------
+# reports kept as grid blocks
+
+
+def _every_report(table: OracleTable) -> list:
+    return ([scan_bound(cid, table=table) for cid in bound_claims()]
+            + [scan_monotone(q, table=table) for q in monotone_claims()]
+            + [conjecture_scan(table=table)])
+
+
+@pytest.mark.parametrize("altered", [False, True])
+def test_blocks_and_rows_write_the_same_csv(tmp_path, default_table, altered):
+    # one writer path: a scan's blocks and the same rows given whole write
+    # the same bytes, through the grid's shared text and through the
+    # report's own; rows read before any write equal rows read after one
+    table = _altered_table() if altered else default_table
+    text = verify.CsvText(table.grid.nu_values, table.grid.x_values)
+    read_first, written_first = _every_report(table), _every_report(table)
+    assert len(read_first) == 47
+    for rep, other in zip(read_first, written_first):
+        rows = rep.rows
+        for shared in ((text, None) if altered else (text,)):
+            write_report_csv(other, tmp_path / "blocks.csv", shared)
+            write_report_csv(verify.ScanReport(claim_id=rep.claim_id, rows=rows),
+                             tmp_path / "rows.csv", shared)
+            assert ((tmp_path / "blocks.csv").read_bytes()
+                    == (tmp_path / "rows.csv").read_bytes()), rep.claim_id
+        assert other.rows.shape == rows.shape and other.rows.tobytes() == rows.tobytes()
+        assert rep.points_checked == len(rows)
+
+
+def _dense_grid() -> Grid:
+    """The monotone suite's grid: 20 half-integer orders x 1,001 x."""
+    return Grid(tuple(0.5 + k for k in range(20)), tuple(np.geomspace(1e-3, 1e3, 1001)))
+
+
+def test_cubic_is_solved_once_per_order_block(monkeypatch):
+    # the six cubic-based monotone claims share one solve per block of 4
+    # orders (5 blocks); each used to solve it again
+    calls = []
+    real = nc._cubic
+    monkeypatch.setattr(nc, "_cubic", lambda nu, x: calls.append(1) or real(nu, x))
+    grid = _dense_grid()
+    table = OracleTable(grid)
+    reports = {q: scan_monotone(q, table=table) for q in monotone_claims()}
+    assert len(calls) == 5
+    # the values the blocks hold are those of the one-call row functions
+    xs = np.asarray(grid.x_values)
+    levels = ("lambda_K", "lambda_O", "lambda_I")
+    for q in ("lambda_K", "lambda_O", "lambda_I", "w_I", "w_K", "w_O"):
+        assert len(reports[q].blocks) == 5
+        for block in reports[q].blocks:
+            want = (nc.cubic_roots_row(block.nus, xs)[levels.index(q)] if q in levels
+                    else nc.w_values_row(block.nus, xs)[("w_I", "w_K", "w_O").index(q)])
+            right, left = block.cols
+            assert np.ascontiguousarray(left).tobytes() == want[:, :-1].tobytes(), q
+            assert np.ascontiguousarray(right).tobytes() == want[:, 1:].tobytes(), q
+
+
+def test_closed_form_scan_without_a_table_builds_none(monkeypatch):
+    grid = Grid((0.5, 1.5, 2.5), tuple(np.geomspace(1e-2, 10.0, 7)))
+    with_table = scan_monotone("lambda_I", table=OracleTable(grid))
+    built = []
+
+    class CountingTable(OracleTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(verify, "OracleTable", CountingTable)
+    alone = scan_monotone("lambda_I", grid=grid)
+    assert built == []
+    assert _report_fields([alone]) == _report_fields([with_table])
+
+
+def test_monotone_suite_reports_hold_no_rows():
+    # the reports keep their blocks (values, margins and the checked mask),
+    # not an (n, 5) copy of their rows: 15.2 MiB traced for the suite when
+    # every report held its rows
+    grid = _dense_grid()
+    table = OracleTable(grid)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = [scan_monotone(q, table=table) for q in monotone_claims()]
+        del table
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 21 and held <= 7.6 * 2 ** 20, held / 2 ** 20

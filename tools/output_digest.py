@@ -10,7 +10,11 @@ and on 20 half-integer orders x 1,001 x
 ``sharpness --out``, ``tabulate --out`` and ``explore --out`` three ways
 (``--sample 100``, ``--sample 20 --nu 2.5 --a 1`` and ``--y0 0.7``).  For
 each run it prints the exit code and the digests of stdout and stderr,
-then one line per output file.
+then one line per output file.  Then one library run, ``monotone-dense``:
+every monotone claim scanned over one oracle table on the same 20 orders
+x 1,001 x (3 x 9 with ``--tiny``), one line per claim digesting its
+points_checked, skipped, worst_margin, violations and the bytes of its
+rows.
 
     python3 tools/output_digest.py [--src DIR] [--tiny] > digest.txt
 
@@ -29,6 +33,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DENSE = ["--nu-min", "0.5", "--nu-max", "19.5", "--nu-step", "1", "--x-points", "1001"]
@@ -80,15 +86,33 @@ def digest(cli, tiny: bool, workdir: str) -> list:
     return lines
 
 
+def monotone_digest(verify, tiny: bool) -> list:
+    """The digest lines of the library run, one per monotone claim."""
+    orders, points = (3, 9) if tiny else (20, 1001)
+    grid = verify.Grid(tuple(0.5 + k for k in range(orders)),
+                       tuple(np.geomspace(1e-3, 1e3, points)))
+    table = verify.OracleTable(grid)
+    lines = []
+    for quantity in verify.monotone_claims():
+        rep = verify.scan_monotone(quantity, grid=grid, table=table)
+        summary = "%d %d %.17g %d\n" % (rep.points_checked, rep.skipped, rep.worst_margin,
+                                        len(rep.violations))
+        data = (summary.encode() + np.array(rep.violations, dtype=float).tobytes()
+                + np.ascontiguousarray(rep.rows, dtype=float).tobytes())
+        lines.append(f"monotone-dense/{rep.claim_id} {_sha(data)}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(SRC), help="source tree to import")
     ap.add_argument("--tiny", action="store_true", help="run on a small grid")
     args = ap.parse_args(argv)
     sys.path.insert(0, args.src)
-    from besselbounds import cli
+    from besselbounds import cli, verify
     with tempfile.TemporaryDirectory() as workdir:
         print("\n".join(digest(cli, args.tiny, workdir)))
+    print("\n".join(monotone_digest(verify, args.tiny)))
     return 0
 
 
