@@ -11,9 +11,11 @@ the Riccati equation the ratios satisfy,
       Phi0(nu, x) = 2*nu/x + 1/(2*(nu+1)/x + 1/(2*(nu+2)/x + ...)),
 
   evaluated with the modified Lentz algorithm on whole tables at once:
-  every (order, x) pair is one element of flat arrays, and each element
-  freezes at the step where it converges.  The fraction converges to the
-  minimal-solution ratio, which is the I family (Gautschi 1967).
+  every (order, x) pair is one lane of flat arrays.  A lane's value is
+  taken at the step where it converges; the lane is then retired in place,
+  and the arrays drop retired lanes only once half of them have retired.
+  The fraction converges to the minimal-solution ratio, which is the I
+  family (Gautschi 1967).
 
 * ``k_ratio_rows`` (and its one-row form ``k_ratio_row``): Phi1 = -K_{nu-1}/K_nu as seed, then ladder.  Orders are
   grouped by class nu mod 1 and each class is computed once at its lowest
@@ -126,8 +128,13 @@ def i_ratio_rows(nus: Sequence[float], xs: Sequence[float]
 
     Every b_j = 2*(nu + j)/x, j >= 1, is positive, so the Lentz c and d
     stay positive and only b_0 = 0 (at nu = 0) needs the CF_TINY floor.  An
-    element freezes at its first step with |delta - 1| < CF_TOL and leaves
-    the live arrays, so it sees exactly the arithmetic of a scalar loop.
+    element's value and estimate are taken at its first step with
+    |delta - 1| < CF_TOL, so it sees exactly the arithmetic of a scalar
+    loop.  Its lane is then retired where it sits: its 2/x becomes NaN, so
+    its delta is NaN from then on, never passes the test again and raises
+    no floating-point flag.  The live arrays are compacted only once at
+    least half their lanes have retired, so a table takes O(log n)
+    compactions, not one at nearly every step.
     The estimate covers the truncation (four times the last relative delta)
     and roundoff: each Lentz step multiplies the value by one more rounded
     factor, so it grows with the iteration count j as (j + 4) eps.  Against
@@ -145,11 +152,13 @@ def i_ratio_rows(nus: Sequence[float], xs: Sequence[float]
     b0 = 2.0 * nu / x
     f = np.where(b0 != 0.0, b0, CF_TINY)
     c, d, two_over_x, live, j = f, np.zeros(len(x)), 2.0 / x, np.arange(len(x)), 0
+    retired = 0         # lanes of the live arrays that have converged
     while len(live):
         j += 1
         if j > CF_MAX_ITER:
+            first = np.flatnonzero(~np.isnan(two_over_x))[0]
             raise EvaluationError(f"continued fraction did not converge in {CF_MAX_ITER} "
-                                  f"iterations at nu={nu[0]}, x={x[live[0]]}")
+                                  f"iterations at nu={nu[first]}, x={x[live[first]]}")
         bj = two_over_x * (nu + j)
         d = 1.0 / (bj + d)
         c = bj + 1.0 / c
@@ -157,10 +166,17 @@ def i_ratio_rows(nus: Sequence[float], xs: Sequence[float]
         f = f * delta
         gap = np.abs(delta - 1.0)
         done = gap < CF_TOL
-        if np.count_nonzero(done):
-            vals[live[done]] = f[done]
-            ests[live[done]] = np.abs(f[done]) * (4.0 * gap[done] + (j + 4) * _EPS)
-            live, nu, two_over_x, f, c, d = (a[~done] for a in (live, nu, two_over_x, f, c, d))
+        n_done = np.count_nonzero(done)
+        if n_done:
+            at, f_done = live[done], f[done]
+            vals[at] = f_done
+            ests[at] = np.abs(f_done) * (4.0 * gap[done] + (j + 4) * _EPS)
+            two_over_x[done] = np.nan       # retired: its gap is NaN from now on
+            retired += n_done
+            if 2 * retired >= len(live):
+                keep = ~np.isnan(two_over_x)
+                live, nu, two_over_x, f, c, d = (a[keep] for a in (live, nu, two_over_x, f, c, d))
+                retired = 0
     rows = dict(zip(orders, zip(vals.reshape(len(orders), len(xs)),
                                 ests.reshape(len(orders), len(xs)))))
     out = {}

@@ -476,23 +476,23 @@ def _table_for(grid: Optional[Grid], table: Optional[OracleTable],
 
 def _blocks(rep: ScanReport, grid: Grid, holds: Callable[[float], bool],
             fetch: Callable, points: Sequence[float]) -> Iterator[tuple]:
-    """The block loop of every scan: (nus, xs, values, est_errors) for
-    blocks of the order rows where ``holds(nu)``, in grid order, ``nus`` a
-    column and ``values`` one row per order.  ``points`` are the x of the
+    """The block loop of every scan: (nus, values, est_errors) for blocks
+    of the order rows where ``holds(nu)``, in grid order, ``nus`` a column
+    and ``values`` one row per order against the grid's x, which the scan
+    holds as one array for all its blocks.  ``points`` are the x of the
     scan's points in a row.  A row outside that range adds one skipped
     point per x of ``points`` and is never fetched.  A block whose
     ``fetch(nus)`` raises is fetched again one row at a time, so a row that
     cannot be served fails alone, one oracle failure at each x of
     ``points``."""
-    xs = np.asarray(grid.x_values)
     nus = [nu for nu in grid.nu_values if holds(nu)]
     rep.skipped += len(points) * (len(grid.nu_values) - len(nus))
-    per = max(1, SCAN_BLOCK_POINTS // len(xs))
+    per = max(1, SCAN_BLOCK_POINTS // len(grid.x_values))
     pending = [nus[first:first + per] for first in range(0, len(nus), per)]
     while pending:
         col = np.array(pending.pop(0)).reshape(-1, 1)
         try:    # catches what fetch raises; the caller's errors never enter here
-            yield (col, xs, *fetch(col))
+            yield (col, *fetch(col))
         except (DomainError, EvaluationError) as exc:
             if len(col) > 1:
                 pending[:0] = col.tolist()      # one block per row: [[nu], ...]
@@ -545,9 +545,9 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
     grid, table = _table_for(grid, table)
     rep = ScanReport(claim_id=claim.claim_id)
     blocks = []
-    for nus, xs, vals, ests in _blocks(rep, grid, claim.form.proved.holds,
-                                       lambda nus: table.block(claim.target, nus),
-                                       grid.x_values):
+    xs = table.xs
+    for nus, vals, ests in _blocks(rep, grid, claim.form.proved.holds,
+                                   lambda nus: table.block(claim.target, nus), grid.x_values):
         bound = claim.form.formula(nus, xs)
         with np.errstate(all="ignore"):
             slack = bound - vals if claim.form.direction == "upper" else vals - bound
@@ -631,9 +631,9 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None, tol: float = MONOT
         raise DomainError(f"unknown monotone quantity {quantity!r}") from None
     level = nc.CUBIC_LEVELS.index(quantity) if quantity in nc.CUBIC_LEVELS else None
     grid, table = _table_for(grid, table, needed=claim.closed_form is None and level is None)
+    xs = np.asarray(grid.x_values) if table is None else table.xs
 
     def fetch(nus):
-        xs = np.asarray(grid.x_values)
         if level is not None:
             vals = (nc.cubic_levels(nus, xs) if table is None else table.cubic_levels(nus))[level]
         elif claim.closed_form is not None:
@@ -645,8 +645,7 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None, tol: float = MONOT
     rep = ScanReport(claim_id=f"monotone-{quantity}-{claim.expected}")
     sign = 1.0 if claim.expected == "increasing" else -1.0
     blocks = []
-    for nus, xs, vals, ests in _blocks(rep, grid, claim.proved.holds, fetch,
-                                       grid.x_values[:-1]):
+    for nus, vals, ests in _blocks(rep, grid, claim.proved.holds, fetch, grid.x_values[:-1]):
         v0, v1 = vals[:, :-1], vals[:, 1:]
         with np.errstate(all="ignore"):
             slack = sign * (v1 - v0)
@@ -856,8 +855,9 @@ def conjecture_scan(grid: Optional[Grid] = None,
     grid, table = _table_for(grid, table)
     rep = ScanReport(claim_id="conjecture-scan")
     blocks = []
-    for nus, xs, p, p_est in _blocks(rep, grid, nc.ALL_NU.holds,
-                                     lambda nus: table.block("P", nus), grid.x_values):
+    xs = table.xs
+    for nus, p, p_est in _blocks(rep, grid, nc.ALL_NU.holds,
+                                 lambda nus: table.block("P", nus), grid.x_values):
         s, est_s = _s_map(nus, xs, p, p_est)
         blocks.append(_gate(rep, nus, xs, _PROVED_CAP - s, 1.0, est_s, -_GATE_SLACK,
                             np.isfinite(p) & (p > 0), (np.broadcast_to(_PROVED_CAP, s.shape), s),

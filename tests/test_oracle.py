@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from besselbounds import oracle
-from besselbounds.errors import DomainError
+from besselbounds.errors import DomainError, EvaluationError
 from besselbounds.nullclines import EvalPoint
 from besselbounds.oracle import default_x_start
 from besselbounds.verify import Grid, OracleTable, default_grid
@@ -156,6 +156,31 @@ def test_i_ratio_rows_bit_equal_to_scalar_at_random_points():
     for nu, x in zip(nus, xs):
         r = oracle.i_ratio(EvalPoint(nu, x))
         assert (r.value, r.est_error, r.method) == _scalar_i_ratio(nu, x), (nu, x)
+
+
+def test_i_ratio_rows_non_convergence_names_a_live_point(monkeypatch):
+    # x = 1 converges within 40 steps and x = 500, 1000 do not; a lane that
+    # has converged may still sit in the live arrays, and must not be named
+    monkeypatch.setattr(oracle, "CF_MAX_ITER", 40)
+    with pytest.raises(EvaluationError, match=r"in 40 iterations at nu=0\.5, x=500\.0$"):
+        oracle.i_ratio_rows([0.5], [1.0, 500.0, 1000.0])
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_i_ratio_rows_raise_no_floating_point_exception(dense):
+    # converged lanes stay in the live arrays until half have converged;
+    # the default grid's orders come with their nu + 1 and with nu = 0
+    # (b_0 = 0, the CF_TINY floor)
+    grid = default_grid()
+    nus, xs = (((k + 0.5 for k in range(21)), np.geomspace(1e-3, 1e3, 1001)) if dense else
+               ((*grid.nu_values, *(nu + 1.0 for nu in grid.nu_values), 0.0), grid.x_values))
+    nus = tuple(nus)
+    with np.errstate(all="raise"):
+        guarded = oracle.i_ratio_rows(nus, xs)
+    plain = oracle.i_ratio_rows(nus, xs)
+    for nu in nus:
+        for got, want in zip(guarded[nu][:2], plain[nu][:2]):
+            assert got.tobytes() == want.tobytes(), nu
 
 
 # ---------------------------------------------------------------------------
