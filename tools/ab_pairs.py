@@ -2,13 +2,14 @@
 and summarise the end-to-end metrics of each workload.
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload NAME [--workload NAME ...]
-        --seeds N [N ...] [--seconds 30] > summary.json
+        --seeds N [N ...] > summary.json
 
 PARENT and CHANGE are two checkouts of the repository, each with its own
 ``perfbench/`` and ``src/``.  For every workload and seed, one pair runs
 ``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0``
-once in each tree, from that tree's root; the first pair runs the parent
-first and the order alternates from pair to pair.  Before every run each
+(S is ``run_seconds`` of ``BENCHMARK.json``) once in each tree, from that
+tree's root; the first pair runs the parent first and the order alternates
+from pair to pair.  Before every run each
 ``__pycache__`` under both trees is removed: where
 ``PYTHONDONTWRITEBYTECODE=1`` is set, a ``.pyc`` older than its edited
 source is ignored and never rewritten, so a stale cache on one side only
@@ -92,10 +93,10 @@ def main(argv=None):
     ap.add_argument("change")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     trees = {"parent": args.parent, "change": args.change}
     summary = {}
     for workload in args.workload:
@@ -103,7 +104,7 @@ def main(argv=None):
         for i, seed in enumerate(args.seeds):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 clear_caches(*trees.values())
-                results[side].append(run_perfbench(trees[side], workload, seed, args.seconds))
+                results[side].append(run_perfbench(trees[side], workload, seed, seconds))
                 print(f"{workload} seed {seed} {side}: " + ", ".join(
                     f"{m['name']} {results[side][-1]['metrics'][m['name']]['value']:.6g}"
                     for m in metrics), file=sys.stderr)
