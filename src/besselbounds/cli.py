@@ -259,7 +259,7 @@ def cmd_tabulate(cfg: RunConfig) -> int:
                 oracle_cols = np.full((3, len(nu), len(x)), math.nan)
                 for i, row_nu in enumerate(table.grid.nu_values):
                     try:
-                        oracle_cols[:, i] = [table.quantity(q, row_nu)[0] for q in ("Phi0", "Phi1", "P")]
+                        oracle_cols[:, i] = [table.block(q, [row_nu])[0][0] for q in ("Phi0", "Phi1", "P")]
                     except (DomainError, EvaluationError):
                         failures += len(x)
                 lam_k, lam_o, lam_i, _, _, *w_levels = nc.cubic_levels(nu, x)
@@ -331,9 +331,8 @@ def cmd_sharpness(cfg: RunConfig) -> int:
     if cfg.out is not None:
         os.makedirs(cfg.out, exist_ok=True)
     reports = verify.sharpness_battery()
-    # one CsvText over the battery's orders and x serves every case's CSV
-    points = np.concatenate([rep.rows[:, :2] for rep in reports])
-    text = verify.CsvText(points[:, 0], points[:, 1])
+    # one CsvText over the battery's grid serves every case's CSV
+    text = verify.CsvText(verify.SHARPNESS_GRID.nu_values, verify.SHARPNESS_GRID.x_values)
     bad, unfittable = False, 0
     for rep, (_, exp_k, exp_c) in zip(reports, verify.SHARPNESS_EXPECTED):
         if rep.fitted is None:
@@ -374,7 +373,7 @@ def cmd_conjecture(cfg: RunConfig) -> int:
         note = f"undecided within estimate {_FMT % st['sup_s_est']}, {note}"
     print(f"margin to conjectured cap 1/5: {_FMT % margin} ({note})")
     if cfg.out is not None:
-        verify.write_report_csv(rep, cfg.out)
+        verify.write_report_csv(rep, cfg.out, verify.CsvText(grid.nu_values, grid.x_values))
     if rep.violations:
         print(f"violations of the proved cap: {len(rep.violations)}")
     failures = len(rep.oracle_failures)

@@ -39,13 +39,13 @@ bracket psi = x*Phi - nu and the double ratios W = Phi(nu)/Phi(nu+1).
 Every formula is array-first: it broadcasts over numpy arrays of nu and x
 (the scans pass a column of orders against the x row, each element
 computed exactly as in a one-order row), and a one-point value is the
-same call on a one-element x row.  A bound is a ``BoundForm``: its row
+same call on a one-element x row.  A bound is a ``BoundForm``: its
 formula, direction and proved order range.  Values are still computed
-outside that range, but ``valid`` is False there, so scanning code never
-treats an extrapolated value as a proved one.  A form's ``target`` is the
-``oracle.quantity_row`` id of the quantity it bounds: "Phi0", "Phi1",
-"K-ratio-pos" (-Phi1 = K_{nu-1}/K_nu), "P", "psi_I", "psi_K", "W_I" or
-"W_K".
+outside that range, but the scans skip the orders where ``proved.holds``
+is False, so scanning code never treats an extrapolated value as a proved
+one.  A form's ``target`` is the ``oracle.quantity_row`` id of the
+quantity it bounds: "Phi0", "Phi1", "K-ratio-pos" (-Phi1 =
+K_{nu-1}/K_nu), "P", "psi_I", "psi_K", "W_I" or "W_K".
 """
 
 from __future__ import annotations
@@ -118,11 +118,13 @@ ALL_NU = OrderRange(-math.inf, False, "all real nu")
 class BoundForm:
     """A closed-form bound: ``formula(nu, x)`` broadcasts over numpy arrays,
     ``direction`` and ``target`` (the oracle quantity id it bounds) describe
-    the inequality and ``proved`` is the order range where it is a theorem.
+    the inequality and ``proved`` is the order range where it is a theorem
+    (``proved.holds(nu)``).
 
-    The scans call ``formula`` on a column of orders against the x row;
-    ``row`` is its one-order call.  ``at``, its value at one point, serves
-    only ``verify.BoundClaim.bound_fn``, which the benchmark times.
+    The scans call ``formula`` on a column of orders against the x row; one
+    order row is the same call with a scalar order.  ``at``, its value at
+    one point, serves only ``verify.BoundClaim.bound_fn``, which the
+    benchmark times.
     """
 
     formula: Callable
@@ -130,10 +132,6 @@ class BoundForm:
     target: str             # oracle quantity id
     proved: OrderRange
     conjectural: bool = False
-
-    def row(self, nu: float, xs) -> Tuple[np.ndarray, str, bool]:
-        """(values, direction, valid) along an x row at fixed order nu."""
-        return self.formula(nu, np.asarray(xs, dtype=float)), self.direction, self.proved.holds(nu)
 
     def at(self, p: EvalPoint) -> float:
         return float(self.formula(p.nu, np.array([p.x]))[0])

@@ -30,7 +30,7 @@ no randomness.
 
 import dataclasses
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
@@ -62,6 +62,7 @@ __all__ = [
     "conjecture_scan",
     "sharpness_battery",
     "SHARPNESS_EXPECTED",
+    "SHARPNESS_GRID",
     "SHARPNESS_TOL_EXPONENT",
     "SHARPNESS_TOL_COEFFICIENT",
     "write_report_csv",
@@ -132,27 +133,19 @@ def default_grid(x_lo: float = 1e-3) -> Grid:
 # ----------------------------------------------------------------------
 
 class ReportBlock(NamedTuple):
-    """One block of a report's points, in the grid-block form a scan
-    computes them in.  ``nus`` and ``xs`` broadcast against each other to
-    the block's shape: a column of orders against the x row for a scan
-    block, or two columns, one point per row, for rows given whole.
-    ``checked`` marks the points checked, and ``cols`` (the columns reported
-    between x and the margin: bound and oracle) and ``margin`` have the
-    block's shape too.  The block's report rows are its checked points in
-    row-major order."""
+    """One block of a report's points, in the grid-block form every scan
+    computes them in: ``nus``, a column of k orders (k, 1), and ``xs``, a
+    row of m x values (m,), broadcast against each other to the block's
+    shape, (k, m).  ``checked`` marks the points checked, and ``cols`` (the
+    columns reported between x and the margin: bound and oracle) and
+    ``margin`` have the block's shape too.  The block's report rows are its
+    checked points in row-major order."""
 
     nus: np.ndarray
     xs: np.ndarray
     checked: np.ndarray
     cols: tuple
     margin: np.ndarray
-
-    @classmethod
-    def of_rows(cls, rows) -> "ReportBlock":
-        """The one block of (n, 5) report rows."""
-        rows = np.asarray(rows, dtype=float).reshape(-1, 5)
-        return cls(rows[:, :1], rows[:, 1:2], np.ones((len(rows), 1), dtype=bool),
-                   (rows[:, 2:3], rows[:, 3:4]), rows[:, 4:])
 
     def rows(self) -> np.ndarray:
         return np.column_stack([np.broadcast_to(c, self.checked.shape)[self.checked]
@@ -166,9 +159,8 @@ class ScanReport:
     A scan keeps its checked points in ``blocks`` (see ``ReportBlock``), and
     ``points_checked`` and ``worst_margin`` come from them.  ``rows`` is an
     (n, 5) array of (nu, x, bound, oracle, margin) in evaluation order —
-    exactly the CSV columns — built from the blocks on its first read and
-    then kept; rows given whole (``rows=`` or set later) are kept as given
-    and become the report's one block.  ``fitted`` is set only by
+    exactly the CSV columns — built anew from the blocks on each read, so
+    it always shows the blocks the report holds.  ``fitted`` is set only by
     order-estimation scans.  ``skipped`` counts points outside a claim's
     proved order range; every other point is checked or is an oracle
     failure.  ``unverified`` is always empty; it stays for
@@ -185,30 +177,13 @@ class ScanReport:
     skipped: int = 0
     stats: Dict[str, float] = field(default_factory=dict)
     blocks: List[ReportBlock] = field(default_factory=list)
-    rows: InitVar[Optional[np.ndarray]] = None
-
-    def __post_init__(self, rows):
-        self._rows = None
-        if rows is not None:
-            self.rows = rows
 
     def ok(self) -> bool:
         return not self.violations
 
-    def _get_rows(self) -> np.ndarray:
-        if self._rows is None:
-            self._rows = (np.concatenate([block.rows() for block in self.blocks])
-                          if self.blocks else np.empty((0, 5)))
-        return self._rows
-
-    def _set_rows(self, rows) -> None:
-        self._rows = rows
-        self.blocks = [ReportBlock.of_rows(rows)]
-
-
-# set once the dataclass is made, so that ``rows`` is both an argument of
-# its __init__ and a property of its instances
-ScanReport.rows = property(ScanReport._get_rows, ScanReport._set_rows)
+    @property
+    def rows(self) -> np.ndarray:
+        return np.concatenate([np.empty((0, 5)), *(block.rows() for block in self.blocks)])
 
 
 # rows per block of every CSV writer: small enough that a block's texts
@@ -312,16 +287,13 @@ class CsvText:
                 yield nu[start:end, None], x[start:end, None], g17.texts(values[start:end])
 
 
-def write_report_csv(report: ScanReport, path, text: Optional[CsvText] = None) -> None:
+def write_report_csv(report: ScanReport, path, text: CsvText) -> None:
     """Emit the per-point rows as CSV, from the report's blocks:
     claim_id,nu,x,bound,oracle,margin, every value as %.17g.  The nu and x
     columns come from ``text``, the CsvText the reports over one grid
-    share, or by default from one over this report's own orders and x
-    values; bound, oracle and margin are formatted with the report."""
+    share (an order or x off its axes is formatted anew); bound, oracle and
+    margin are formatted with the report."""
     blocks = report.blocks
-    if text is None:
-        text = CsvText(np.concatenate([np.empty(0), *(np.ravel(b.nus) for b in blocks)]),
-                       np.concatenate([np.empty(0), *(np.ravel(b.xs) for b in blocks)]))
     with open(path, "wb") as fh:
         fh.write(b"claim_id,nu,x,bound,oracle,margin\n")
         _write_lines(fh.write, report.claim_id.encode() + b",",
@@ -351,9 +323,9 @@ class OracleTable:
     one seed per order class, then the order ladder.  Each call serves many
     rows, so a failure of either marks every row.  Derived quantities come
     from ``oracle.quantity_row`` over the cached ratios, for a block of
-    rows at once (``block``) or one row (``quantity``).  The ratio cubic's
-    levels are solved once per block of orders (``cubic_levels``) and kept
-    as long as the table.
+    rows at once (``block``; one row is a one-order block).  The ratio
+    cubic's levels are solved once per block of orders (``cubic_levels``)
+    and kept as long as the table.
     """
 
     def __init__(self, grid: Grid):
@@ -373,23 +345,17 @@ class OracleTable:
                           "Phi1": k_rows[nu][:2]}
             row.k_method = k_rows[nu][2]
 
-    def row(self, nu: float) -> _Row:
-        if nu not in self.rows:
-            raise DomainError(f"order {nu} not in table")
-        return self.rows[nu]
-
-    def quantity(self, qid: str, nu: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(values, est_errors) for one quantity along an order row: the
-        one-row call of ``block``."""
-        return tuple(part[0] for part in self.block(qid, [nu]))
-
     def block(self, qid: str, nus) -> Tuple[np.ndarray, np.ndarray]:
         """(values, est_errors) for one quantity, one row per order of
         ``nus``: each row's ``ratios``, stacked as they are read, handed to
-        ``oracle.quantity_row`` with the orders as a column.  Raises if any
-        row is unavailable."""
+        ``oracle.quantity_row`` with the orders as a column.  Raises
+        DomainError for an order not in the table and EvaluationError for
+        a row that is unavailable."""
         nus = np.asarray(nus, dtype=float).reshape(-1, 1)
-        rows = [self.row(nu) for nu in nus[:, 0].tolist()]
+        try:
+            rows = [self.rows[nu] for nu in nus[:, 0].tolist()]
+        except KeyError as exc:
+            raise DomainError(f"order {exc.args[0]} not in table") from None
         for r in rows:
             if r.error is not None:
                 raise EvaluationError(f"row nu={r.nu} unavailable: {r.error}")
@@ -417,11 +383,6 @@ class BoundClaim:
 
     claim_id: str
     form: nc.BoundForm
-
-    @property
-    def target(self) -> str:
-        """The oracle quantity id the claim bounds."""
-        return self.form.target
 
     @property
     def bound_fn(self) -> Callable[[EvalPoint], float]:
@@ -547,7 +508,7 @@ def scan_bound(claim: Union[str, BoundClaim], grid: Optional[Grid] = None,
     blocks = []
     xs = table.xs
     for nus, vals, ests in _blocks(rep, grid, claim.form.proved.holds,
-                                   lambda nus: table.block(claim.target, nus), grid.x_values):
+                                   lambda nus: table.block(claim.form.target, nus), grid.x_values):
         bound = claim.form.formula(nus, xs)
         with np.errstate(all="ignore"):
             slack = bound - vals if claim.form.direction == "upper" else vals - bound
@@ -727,6 +688,9 @@ _SHARPNESS_CASES = (
 # (case id, expected exponent, expected coefficient)
 SHARPNESS_EXPECTED: Tuple[Tuple[str, float, float], ...] = tuple(
     (case_id, k, c) for case_id, _, _, _, k, c in _SHARPNESS_CASES)
+# the grid of the battery's one oracle table: every order and x of its cases
+SHARPNESS_GRID = Grid(*(tuple(sorted(set().union(*axis)))
+                        for axis in zip(*(case[3] for case in _SHARPNESS_CASES))))
 
 
 def _extrapolate_large_nu(samples: Sequence[Tuple[float, float]],
@@ -758,23 +722,23 @@ def _extrapolate_large_nu(samples: Sequence[Tuple[float, float]],
 def sharpness_battery() -> List[ScanReport]:
     """Measure and fit the trig-bound relative errors in all three regimes.
 
-    One oracle table over the union of the battery's points serves every
-    case, and each case is one ``OracleTable.block`` fetch and one formula
-    call on its column of orders against its x row.  One report per case;
-    ``rows`` holds (nu, x, bound, oracle, eps), order by order, with
-    eps = bound/oracle - 1 for an upper bound and 1 - bound/oracle for a
-    lower one; ``fitted`` is (exponent, coefficient) and ``stats`` the
-    expected pair plus pass flags at SHARPNESS_TOL_EXPONENT and
-    SHARPNESS_TOL_COEFFICIENT.  large-x and small-x cases use the plain
-    log-log fit; large-nu cases use the 1/nu-corrected extrapolation (see
-    _extrapolate_large_nu) on samples that pass the same checks.  A case
-    fails closed: an oracle failure, an oracle value that is not positive
-    and finite, an eps that is not positive (a bound on the wrong side) or
-    samples at the noise floor leave it unfitted, with one oracle failure
-    naming the cause.
+    One oracle table over SHARPNESS_GRID, the union of the battery's
+    points, serves every case, and each case is one ``OracleTable.block``
+    fetch and one formula call on its column of orders against its x row.
+    One report per case, whose one block is that grid block (every point
+    checked, eps as its margin); ``rows`` holds (nu, x, bound, oracle,
+    eps), order by order, with eps = bound/oracle - 1 for an upper bound
+    and 1 - bound/oracle for a lower one; ``fitted`` is (exponent,
+    coefficient) and ``stats`` the expected pair plus pass flags at
+    SHARPNESS_TOL_EXPONENT and SHARPNESS_TOL_COEFFICIENT.  large-x and
+    small-x cases use the plain log-log fit; large-nu cases use the
+    1/nu-corrected extrapolation (see _extrapolate_large_nu) on samples
+    that pass the same checks.  A case fails closed: an oracle failure, an
+    oracle value that is not positive and finite, an eps that is not
+    positive (a bound on the wrong side) or samples at the noise floor
+    leave it unfitted, with one oracle failure naming the cause.
     """
-    points = [case[3] for case in _SHARPNESS_CASES]
-    table = OracleTable(Grid(*(tuple(sorted(set().union(*axis))) for axis in zip(*points))))
+    table = OracleTable(SHARPNESS_GRID)
     reports: List[ScanReport] = []
     for case_id, claim, regime, (orders, xs), exp_k, exp_c in _SHARPNESS_CASES:
         rep = ScanReport(claim_id=case_id)
@@ -782,13 +746,12 @@ def sharpness_battery() -> List[ScanReport]:
         nus, xs = np.array(orders).reshape(-1, 1), np.array(xs)
         try:
             vals, ests = (part[:, np.searchsorted(table.xs, xs)]
-                          for part in table.block(claim.target, nus))
+                          for part in table.block(claim.form.target, nus))
             if not np.all((vals > 0.0) & np.isfinite(vals)):
                 raise UnfittableError("oracle value not positive and finite")
             bounds = claim.form.formula(nus, xs)
             eps = relative_error(bounds, vals, claim.form.direction)
-            rep.rows = np.column_stack([np.broadcast_to(col, vals.shape).ravel()
-                                        for col in (nus, xs, bounds, vals, eps)])
+            rep.blocks = [ReportBlock(nus, xs, np.ones(vals.shape, bool), (bounds, vals), eps)]
             # (scale, eps): the scale is nu at large nu, else x
             samples = rep.rows[:, [0 if regime == "large-nu" else 1, 4]].tolist()
             k, c = fit_error_order(samples, noise_floor=(100.0 * ests / np.abs(vals)).ravel())
@@ -862,12 +825,12 @@ def conjecture_scan(grid: Optional[Grid] = None,
         blocks.append(_gate(rep, nus, xs, _PROVED_CAP - s, 1.0, est_s, -_GATE_SLACK,
                             np.isfinite(p) & (p > 0), (np.broadcast_to(_PROVED_CAP, s.shape), s),
                             gated=nus >= 0.0))
-    _finish(rep, blocks)
-    sup_all, sup_ver = _sup_s(rep.rows), _sup_s(rep.rows[rep.rows[:, 0] >= 0.0])
+    rows = _finish(rep, blocks).rows
+    sup_all, sup_ver = _sup_s(rows), _sup_s(rows[rows[:, 0] >= 0.0])
     for key, (top, nu, x) in (("sup_s", sup_all), ("sup_s_verified", sup_ver)):
         rep.stats.update({key: top, key + "_nu": nu, key + "_x": x})
     rep.stats["sup_s_est"] = math.nan
-    if len(rep.rows):
+    if len(rows):
         nus = np.array([[sup_all[1]]])
         est_s = _s_map(nus, table.xs, *table.block("P", nus))[1]
         rep.stats["sup_s_est"] = float(est_s[0, np.searchsorted(table.xs, sup_all[2])])

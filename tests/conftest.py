@@ -40,8 +40,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def quantity_at(qid: str, nu: float, x: float):
     """(value, est_error) of one oracle quantity (``oracle.quantity_row``
     id) at (nu, x), read from a 1 x 1 oracle table."""
-    vals, ests = OracleTable(Grid((nu,), (x,))).quantity(qid, nu)
-    return vals[0], ests[0]
+    vals, ests = OracleTable(Grid((nu,), (x,))).block(qid, [nu])
+    return vals[0, 0], ests[0, 0]
 
 
 @pytest.fixture(scope="session")

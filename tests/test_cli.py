@@ -131,20 +131,20 @@ def test_tabulate_tables_stay_within_one_block(tmp_path, monkeypatch):
 
 def _tabulate_rows(table, bad=None):
     """The default-grid ``tabulate`` CSV assembled row by row: the oracle
-    columns from ``table.quantity``, each closed form from its one-row
-    call; the row at order ``bad`` gets NaN oracle columns."""
+    columns from one-order ``table.block`` calls, each closed form from its
+    one-order call; the row at order ``bad`` gets NaN oracle columns."""
     xs = table.xs
     text = [HEADER + "\n"]
     for nu in table.grid.nu_values:
         if nu == bad:
             oracle_cols = [np.full(len(xs), np.nan)] * 3
         else:
-            oracle_cols = [table.quantity(q, nu)[0] for q in ("Phi0", "Phi1", "P")]
+            oracle_cols = [table.block(q, [nu])[0][0] for q in ("Phi0", "Phi1", "P")]
         lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, xs)
         cols = [np.full(len(xs), nu), xs, *oracle_cols,
-                nc.TRIG_I.row(nu, xs)[0], nc.TRIG_K.row(nu, xs)[0], lam_i, lam_k, lam_o,
-                *nc.w_values_row(nu, xs), nc.PRODUCT_FORMS["upper"].row(nu, xs)[0],
-                nc.PRODUCT_FORMS["lower_trig"].row(nu, xs)[0]]
+                nc.TRIG_I.formula(nu, xs), nc.TRIG_K.formula(nu, xs), lam_i, lam_k, lam_o,
+                *nc.w_values_row(nu, xs), nc.PRODUCT_FORMS["upper"].formula(nu, xs),
+                nc.PRODUCT_FORMS["lower_trig"].formula(nu, xs)]
         text += [",".join("%.17g" % v for v in row) + "\n" for row in zip(*cols)]
     return "".join(text).encode()
 

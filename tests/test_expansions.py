@@ -298,7 +298,8 @@ def test_relative_error_matches_trig_bound_order():
     from besselbounds.nullclines import TRIG_I
 
     p = EvalPoint(1.0, 100.0)
-    eps = relative_error(TRIG_I.row(p.nu, [p.x])[0][0], oracle.i_ratio(p).value, "upper")
+    eps = relative_error(TRIG_I.formula(p.nu, np.array([p.x]))[0], oracle.i_ratio(p).value,
+                         "upper")
     assert_allclose(eps, 2.5e-5, rtol=0.10)
 
 

@@ -18,9 +18,8 @@ EPS = 2.220446049250313e-16
 
 
 def _point(form, nu, x):
-    """A bound's one-point row call: (value, direction, valid) at (nu, x)."""
-    values, direction, valid = form.row(nu, [x])
-    return values[0], direction, valid
+    """A bound's one-point call: (value, direction, valid) at (nu, x)."""
+    return form.formula(nu, np.array([float(x)]))[0], form.direction, form.proved.holds(nu)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +171,7 @@ def test_cubic_forms_return_empty_rows_on_empty_x():
             assert part.shape == shape
         for cid, form in nc.BOUNDS.items():
             assert form.formula(nu, np.array([])).shape == shape, cid
-    values, _, _ = nc.TRIG_I.row(1.0, [])
+    values = nc.TRIG_I.formula(1.0, np.array([]))
     assert values.shape == (0,)
 
 
@@ -228,8 +227,8 @@ def test_trig_bounds_match_cubic_roots():
     xs = np.geomspace(1e-3, 1e3, 31)
     for nu in np.arange(0.0, 20.01, 0.25).tolist():
         lam_k, _, lam_i, g, _ = nc.cubic_roots_row(nu, xs)
-        ui = nc.TRIG_I.row(nu, xs)[0]
-        uk = nc.TRIG_K.row(nu, xs)[0]
+        ui = nc.TRIG_I.formula(nu, xs)
+        uk = nc.TRIG_K.formula(nu, xs)
         assert np.all(np.abs(ui * xs - nu - lam_i) <= 8.0 * EPS * g)
         assert np.all(np.abs(uk * xs + nu + lam_k) <= 512.0 * EPS * g)
 
@@ -353,7 +352,7 @@ def test_rows_equal_one_point_calls(nu, xs, a):
               np.column_stack([np.reshape(fn(np.array([x])), -1) for x in xs])) for fn in fns]
     forms = [nc.TRIG_I, nc.TRIG_K, *nc.amos_forms(a), *nc.PRODUCT_FORMS.values()]
     for form in forms:
-        values, direction, valid = form.row(nu, row)
+        values, direction, valid = form.formula(nu, row), form.direction, form.proved.holds(nu)
         points = [_point(form, nu, x) for x in xs]
         assert {(d, v) for _, d, v in points} == {(direction, valid)}
         pairs.append((values, [value for value, _, _ in points]))

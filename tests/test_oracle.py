@@ -453,8 +453,8 @@ def test_half_order_derived_est_error_is_honest(x):
     table = OracleTable(Grid((0.5,), (x,)))
     point = _one_point(0.5, x)
     for qid, exact in _half_order_derived(x).items():
-        vals, ests = table.quantity(qid, 0.5)
-        results = [(vals[0], ests[0])]
+        vals, ests = table.block(qid, [0.5])
+        results = [(vals[0, 0], ests[0, 0])]
         if qid in point:
             results.append(point[qid])
         for value, est in results:
@@ -466,8 +466,8 @@ def test_half_order_derived_est_error_is_honest(x):
 def test_one_point_api_equals_one_row_table(nu, x):
     table = OracleTable(Grid((nu,), (x,)))
     for qid, (value, est) in _one_point(nu, x).items():
-        vals, ests = (table.row(nu).ratios[qid] if qid == "Phi0_up"
-                      else table.quantity(qid, nu))
+        vals, ests = (table.rows[nu].ratios[qid] if qid == "Phi0_up"
+                      else [part[0] for part in table.block(qid, [nu])])
         assert (value, est) == (vals[0], ests[0]), qid
 
 

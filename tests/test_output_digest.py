@@ -1,5 +1,5 @@
-"""`tools/output_digest.py` digests every report command's output and the
-monotone suite's reports, so a byte-identity claim between two source
+"""`tools/output_digest.py` digests every report command's output, the
+monotone suite's reports and the sharpness battery's, so a byte-identity claim between two source
 trees is one diff.  The tool is loaded from its file, not imported as a
 package."""
 
@@ -34,7 +34,8 @@ def test_output_digest_on_a_tiny_grid(capsys, tmp_path):
                     "verify-dense-corrupt": "1",
                     "conjecture": "0", "sharpness": "0", "tabulate": "0", "explore": "0",
                     "explore-nu": "0", "explore-y0": "0"}
-    assert {line.split()[0].split("/")[0] for line in lines} == {*runs, "monotone-dense"}
+    assert ({line.split()[0].split("/")[0] for line in lines}
+            == {*runs, "monotone-dense", "sharpness-battery"})
     files = dict(line.split() for line in lines if " exit=" not in line)
     for run in ("verify-default", "verify-x-min", "verify-default-corrupt", "verify-dense"):
         assert sum(name.startswith(run + "/") for name in files) == 25
@@ -42,6 +43,7 @@ def test_output_digest_on_a_tiny_grid(capsys, tmp_path):
                    for name in files)
     assert sum(name.startswith("sharpness/") for name in files) == 7
     assert sum(name.startswith("monotone-dense/") for name in files) == 21
+    assert sum(name.startswith("sharpness-battery/") for name in files) == 7
     # a digest is the sha256 of what the command writes
     out = tmp_path / "table.csv"
     assert cli.main(["tabulate", *tool.TINY_GRID, "--out", str(out)]) == 0

@@ -93,10 +93,10 @@ _CATALOG = (
 
 def test_catalog_order_and_targets(small_table):
     assert bound_claims() == tuple(cid for cid, _ in _CATALOG)
-    assert [(cid, get_claim(cid).target) for cid in bound_claims()] == list(_CATALOG)
+    assert [(cid, get_claim(cid).form.target) for cid in bound_claims()] == list(_CATALOG)
     # a mistyped target would only show as per-row oracle failures in a scan
     for cid, form in nc.BOUNDS.items():
-        vals, _ = small_table.quantity(form.target, 1.5)
+        vals = small_table.block(form.target, [1.5])[0][0]
         assert vals.shape == (5,), cid
 
 
@@ -111,7 +111,7 @@ def test_claims_of_one_target_are_contiguous():
 
 def test_get_claim_and_corrupt():
     claim = get_claim("trig-upper-I")
-    assert claim.target == "Phi0"
+    assert claim.form.target == "Phi0"
     bad = corrupt_claim(claim, factor=1.001)
     assert bad.claim_id == "trig-upper-I[corrupted]"
     with pytest.raises(DomainError):
@@ -301,7 +301,7 @@ def test_fit_error_order_measured_ratio_gap():
     samples = []
     for x in (25.0, 50.0, 100.0, 200.0):
         p = EvalPoint(1.0, x)
-        samples.append((x, TRIG_I.row(1.0, [x])[0][0] / oracle.i_ratio(p).value - 1.0))
+        samples.append((x, TRIG_I.formula(1.0, np.array([x]))[0] / oracle.i_ratio(p).value - 1.0))
     k, c = fit_error_order(samples)
     assert abs(k - (-2.0)) <= 0.1
     assert abs(c - 0.25) <= 0.025
@@ -335,8 +335,8 @@ def test_sharpness_rows_equal_one_point_values():
     for rep in sharpness_battery():
         form, value = one_point[rep.claim_id.split("-")[1]]
         for nu, x, bound, orc, eps in rep.rows.tolist():
-            assert (bound, orc) == (form.row(nu, [x])[0][0], value(nc.EvalPoint(nu, x))), \
-                (rep.claim_id, nu, x)
+            one_bound = form.formula(nu, np.array([x]))[0]
+            assert (bound, orc) == (one_bound, value(nc.EvalPoint(nu, x))), (rep.claim_id, nu, x)
             # upper: bound/oracle - 1; lower: 1 - bound/oracle; either is
             # positive exactly when the bound is on the correct side
             assert eps == (bound / orc - 1.0 if form.direction == "upper" else 1.0 - bound / orc)
@@ -685,7 +685,7 @@ def test_write_report_csv(tmp_path):
     g = Grid(nu_values=(0.5,), x_values=(1.0, 2.0))
     rep = scan_bound("trig-upper-K", grid=g)
     out = tmp_path / "report.csv"
-    write_report_csv(rep, out)
+    write_report_csv(rep, out, verify.CsvText(g.nu_values, g.x_values))
     text = out.read_text()
     lines = text.split("\n")
     assert lines[0] == "claim_id,nu,x,bound,oracle,margin"
@@ -714,11 +714,26 @@ def test_csv_text_holds_each_value_once():
     assert held < 2 ** 20, held
 
 
+def _report_of_rows(claim_id: str, rows) -> verify.ScanReport:
+    """A report of arbitrary (n, 5) rows: one block of two columns, one
+    point per row, which the writer reads as it reads a scan's blocks."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, 5)
+    return verify.ScanReport(claim_id=claim_id, blocks=[verify.ReportBlock(
+        rows[:, :1], rows[:, 1:2], np.ones((len(rows), 1), dtype=bool),
+        (rows[:, 2:3], rows[:, 3:4]), rows[:, 4:])])
+
+
+def _own_text(rows) -> verify.CsvText:
+    """The CsvText over rows' own orders and x values."""
+    rows = np.asarray(rows, dtype=float).reshape(-1, 5)
+    return verify.CsvText(rows[:, 0], rows[:, 1])
+
+
 def test_shared_csv_text_matches_per_value_formatting(tmp_path, monkeypatch):
     # orders and x off the axes, signed zeros, non-finite values and a
     # second report with other oracle floats at the same cells all keep
-    # per-value bytes.  Without shared text the writer builds its own over
-    # the report's orders and x values, which repeat here
+    # per-value bytes, through the grid's text and through text over the
+    # report's own orders and x values, which repeat here
     monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 7)
     nus, xs = (-1.0, -0.0, 0.5, 2.5), (1e-3, 0.1, 1.0, 30.0)
     text = verify.CsvText(nus, xs)
@@ -730,10 +745,11 @@ def test_shared_csv_text_matches_per_value_formatting(tmp_path, monkeypatch):
         rows[6:9, :2] = np.nan      # repeated NaN orders and x
         if k == 2:
             rows[:, 3] = np.nextafter(rows[:, 3], np.inf)
-        rep = verify.ScanReport(claim_id="c%d", rows=rows)
+        rep = _report_of_rows("c%d", rows)
         plain = "".join("c%%d,%s\n" % ",".join("%.17g" % v for v in row)
                         for row in rows.tolist())
-        for path, shared in ((tmp_path / "shared.csv", text), (tmp_path / "own.csv", None)):
+        for path, shared in ((tmp_path / "shared.csv", text),
+                             (tmp_path / "own.csv", _own_text(rows))):
             write_report_csv(rep, path, shared)
             assert path.read_text() == "claim_id,nu,x,bound,oracle,margin\n" + plain
 
@@ -748,11 +764,11 @@ def test_narrow_order_and_x_cells_hold_the_longest_text(tmp_path, monkeypatch):
     off = (-1.7976931348623157e308, -2.2250738585072009e-308, -4.9406564584124654e-324)
     rows = np.array([(nu, x, -1.0000000000000002e-300, 0.1, 1.0 / 3.0)
                      for nu in (longest, 0.5) + off for x in (longest, 1.0) + off])
-    rep = verify.ScanReport(claim_id="c", rows=rows)
+    rep = _report_of_rows("c", rows)
     plain = "".join("c,%s\n" % ",".join("%.17g" % v for v in row) for row in rows.tolist())
     for cutoff in (0, 10 ** 9):
         monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
-        for shared in (text, None):
+        for shared in (text, _own_text(rows)):
             write_report_csv(rep, tmp_path / "r.csv", shared)
             assert (tmp_path / "r.csv").read_text() == "claim_id,nu,x,bound,oracle,margin\n" + plain
 
@@ -786,10 +802,10 @@ def test_report_csv_bytes_at_block_and_cutoff_edges(tmp_path, monkeypatch, cutof
     for n in (0, 1, third - 1, third, third + 1, 199, 200, 201, 401):
         rows = np.column_stack([rng.choice(nus + (7.25,), n), rng.choice(xs + (2.0,), n),
                                 rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-20, 20, (n, 3))])
-        rep = verify.ScanReport(claim_id="c%d", rows=_with_specials(rows, (2, 3, 4)))
+        rep = _report_of_rows("c%d", _with_specials(rows, (2, 3, 4)))
         plain = "".join("c%%d,%s\n" % ",".join("%.17g" % v for v in row) for row in rows.tolist())
         path = tmp_path / ("r%d.csv" % n)
-        for shared in (verify.CsvText(nus, xs), None):
+        for shared in (verify.CsvText(nus, xs), _own_text(rows)):
             write_report_csv(rep, path, shared)
             assert path.read_text() == "claim_id,nu,x,bound,oracle,margin\n" + plain
 
@@ -827,7 +843,7 @@ def test_report_csv_of_a_scan_with_zero_and_subnormal_bounds(tmp_path, monkeypat
     assert len(bound) == 300 and (np.signbit(bound) & (bound == 0)).any()
     assert (bound == 5e-324).any() and (bound == 1e300).any()
     path = tmp_path / "bent.csv"
-    write_report_csv(rep, path)
+    write_report_csv(rep, path, _own_text(rep.rows))
     assert path.read_text() == "claim_id,nu,x,bound,oracle,margin\n" + "".join(
         "bent,%s\n" % ",".join("%.17g" % v for v in row) for row in rep.rows.tolist())
 
@@ -845,22 +861,52 @@ def _every_report(table: OracleTable) -> list:
 @pytest.mark.parametrize("altered", [False, True])
 def test_blocks_and_rows_write_the_same_csv(tmp_path, default_table, altered):
     # one writer path: a scan's blocks and the same rows given whole write
-    # the same bytes, through the grid's shared text and through the
-    # report's own; rows read before any write equal rows read after one
+    # the same bytes, through the grid's shared text and through text over
+    # the report's own orders and x; rows read before any write equal rows
+    # read after one
     table = _altered_table() if altered else default_table
     text = verify.CsvText(table.grid.nu_values, table.grid.x_values)
     read_first, written_first = _every_report(table), _every_report(table)
     assert len(read_first) == 47
     for rep, other in zip(read_first, written_first):
         rows = rep.rows
-        for shared in ((text, None) if altered else (text,)):
+        for shared in ((text, _own_text(rows)) if altered else (text,)):
             write_report_csv(other, tmp_path / "blocks.csv", shared)
-            write_report_csv(verify.ScanReport(claim_id=rep.claim_id, rows=rows),
-                             tmp_path / "rows.csv", shared)
+            write_report_csv(_report_of_rows(rep.claim_id, rows), tmp_path / "rows.csv", shared)
             assert ((tmp_path / "blocks.csv").read_bytes()
                     == (tmp_path / "rows.csv").read_bytes()), rep.claim_id
         assert other.rows.shape == rows.shape and other.rows.tobytes() == rows.tobytes()
         assert rep.points_checked == len(rows)
+
+
+def test_every_report_is_grid_blocks(default_table):
+    # one access shape: every block of every report the package makes is an
+    # order column (k, 1) against an x row (m,), its checked mask, columns
+    # and margins (k, m), the sharpness battery's included
+    battery = sharpness_battery()
+    assert len(battery) == 7
+    for rep in _every_report(default_table) + battery:
+        assert rep.blocks, rep.claim_id
+        for block in rep.blocks:
+            k, m = len(block.nus), len(block.xs)
+            assert block.nus.shape == (k, 1) and block.xs.shape == (m,), rep.claim_id
+            for part in (block.checked, *block.cols, block.margin):
+                assert np.shape(part) == (k, m), rep.claim_id
+    for rep in battery:
+        (block,) = rep.blocks
+        assert block.checked.all() and rep.points_checked == block.checked.size
+
+
+def test_rows_follow_the_blocks_assigned():
+    # rows are read from the blocks the report holds now, not kept from an
+    # earlier read
+    rep = verify.ScanReport(claim_id="c")
+    assert rep.rows.shape == (0, 5)
+    block = scan_bound("trig-upper-I", grid=Grid((0.5, 1.5), (0.1, 1.0, 10.0))).blocks[0]
+    rep.blocks = [block]
+    want = np.column_stack([np.broadcast_to(c, block.checked.shape)[block.checked]
+                            for c in (block.nus, block.xs, *block.cols, block.margin)])
+    assert rep.rows.shape == (6, 5) and rep.rows.tobytes() == want.tobytes()
 
 
 def _dense_grid() -> Grid:

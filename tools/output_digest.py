@@ -14,7 +14,10 @@ then one line per output file.  Then one library run, ``monotone-dense``:
 every monotone claim scanned over one oracle table on the same 20 orders
 x 1,001 x (3 x 9 with ``--tiny``), one line per claim digesting its
 points_checked, skipped, worst_margin, violations and the bytes of its
-rows.
+rows.  Last, ``sharpness-battery``: one line per case of
+``verify.sharpness_battery``, digesting its fitted pair and sorted stats
+as %.17g, its points_checked and the bytes of its rows, below the
+precision ``sharpness`` prints.
 
     python3 tools/output_digest.py [--src DIR] [--tiny] > digest.txt
 
@@ -103,6 +106,18 @@ def monotone_digest(verify, tiny: bool) -> list:
     return lines
 
 
+def battery_digest(verify) -> list:
+    """The digest lines of the sharpness battery, one per case."""
+    lines = []
+    for rep in verify.sharpness_battery():
+        fitted = "none" if rep.fitted is None else "%.17g %.17g" % rep.fitted
+        stats = " ".join("%s=%.17g" % item for item in sorted(rep.stats.items()))
+        summary = "%s %s %d\n" % (fitted, stats, rep.points_checked)
+        data = summary.encode() + np.ascontiguousarray(rep.rows, dtype=float).tobytes()
+        lines.append(f"sharpness-battery/{rep.claim_id} {_sha(data)}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(SRC), help="source tree to import")
@@ -113,6 +128,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         print("\n".join(digest(cli, args.tiny, workdir)))
     print("\n".join(monotone_digest(verify, args.tiny)))
+    print("\n".join(battery_digest(verify)))
     return 0
 
 
