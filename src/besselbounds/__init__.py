@@ -1,6 +1,7 @@
 """Bounds, oracles and verification tools for modified Bessel ratios and products.
 
-The submodules are the API; the package root re-exports nothing:
+The submodules are the API, each one's public names being those without a
+leading underscore; the package root re-exports nothing:
 
 * ``nullclines``: the closed forms and the ``BOUNDS`` catalog, as row
   functions that broadcast over orders and arguments;

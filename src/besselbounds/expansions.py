@@ -36,9 +36,6 @@ from .errors import DomainError
 from .nullclines import BOUNDS
 from .oracle import large_x_coefficients
 
-__all__ = ["REGIMES", "mul", "div", "value", "small_x_coefficients",
-           "large_nu_coefficients", "cubic_root", "bound_series", "relative_error_series"]
-
 REGIMES = ("large-x", "small-x", "large-nu")
 
 

@@ -29,8 +29,8 @@ The second-order structure (ratios of consecutive ratios) leads to the cubic
 
 whose three real roots lambda_K < lambda_O < lambda_I drive both the
 trigonometric ratio bounds (``TRIG_I``/``TRIG_K``) and the nullcline levels
-w = (lambda**2 - nu**2) / x**2 of the double-ratio flow (``w_values_row``);
-``cubic_levels`` gives both from one solve.
+w = (lambda**2 - nu**2) / x**2 of the double-ratio flow; ``cubic_levels``
+gives both from one solve, its values named in ``CUBIC_LEVELS``.
 Bounds for the product I_nu * K_nu follow from 1/(x*(Phi0 - Phi1)) and are
 collected in ``PRODUCT_FORMS``.  The cubic's roots and the w levels also
 bracket psi = x*Phi - nu and the double ratios W = Phi(nu)/Phi(nu+1).
@@ -278,8 +278,13 @@ CUBIC_LEVELS = ("lambda_K", "lambda_O", "lambda_I", "g", "acos_arg", "w_I", "w_K
 
 def cubic_levels(nu, x) -> Tuple[np.ndarray, ...]:
     """(lambda_K, lambda_O, lambda_I, g, acos_arg, w_I, w_K, w_O) from one
-    solve of the ratio cubic, broadcast over nu and x: the values of
-    ``cubic_roots_row`` and then those of ``w_values_row``.
+    solve of the ratio cubic, broadcast over nu and x (names in
+    ``CUBIC_LEVELS``): the three real roots of
+    t**3 + t**2 - (nu**2+x**2)*t - nu**2, ordered lambda_K < lambda_O <
+    lambda_I with lambda_I > 0 always, lambda_K < -1 and lambda_O in
+    (-|nu|, 0] (zero exactly when nu == 0); then
+    g = sqrt(3*(nu**2 + x**2) + 1) and the clamped argument passed to acos;
+    then the nullcline levels w_I, w_K, w_O of the W flow.
 
     The w levels w_A = (lambda_A**2 - nu**2)/x**2 are evaluated through the
     algebraically equivalent form lambda/(lambda + 1) (the cubic gives
@@ -294,24 +299,6 @@ def cubic_levels(nu, x) -> Tuple[np.ndarray, ...]:
     u_i = lam_i + 1.0
     return (lam_k, lam_o, lam_i, g, arg,
             lam_i / u_i, lam_k / u_k, lam_o / (-(x * x) / (u_i * u_k)))
-
-
-def cubic_roots_row(nu, x) -> Tuple[np.ndarray, ...]:
-    """(lambda_K, lambda_O, lambda_I, g, acos_arg), broadcast over nu and x:
-    the three real roots of t**3 + t**2 - (nu**2+x**2)*t - nu**2, ordered
-    lambda_K < lambda_O < lambda_I with lambda_I > 0 always, lambda_K < -1
-    and lambda_O in (-|nu|, 0] (zero exactly when nu == 0); then
-    g = sqrt(3*(nu**2 + x**2) + 1) and the clamped argument passed to acos.
-    The first five values of ``cubic_levels``.
-    """
-    return cubic_levels(nu, x)[:5]
-
-
-def w_values_row(nu, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w_I, w_K, w_O), the nullcline levels w_A = (lambda_A**2 - nu**2)/x**2
-    of the W flow, broadcast over nu and x: the last three values of
-    ``cubic_levels``."""
-    return cubic_levels(nu, x)[5:]
 
 
 # Trigonometric ratio bounds, sharp as x -> 0, x -> oo and nu -> oo:
@@ -402,10 +389,10 @@ def _level(value, nu, x) -> np.ndarray:
 # W_K in [0, w_K], all proved for nu >= 0: (claim id stem, target, lower,
 # upper)
 _BRACKETS = (
-    ("psi-I", "psi_I", lambda nu, x: _level(nu, nu, x), lambda nu, x: cubic_roots_row(nu, x)[2]),
-    ("psi-K", "psi_K", lambda nu, x: cubic_roots_row(nu, x)[0], lambda nu, x: _level(-nu, nu, x)),
-    ("double-I", "W_I", lambda nu, x: _level(0.0, nu, x), lambda nu, x: w_values_row(nu, x)[0]),
-    ("double-K", "W_K", lambda nu, x: _level(0.0, nu, x), lambda nu, x: w_values_row(nu, x)[1]),
+    ("psi-I", "psi_I", lambda nu, x: _level(nu, nu, x), lambda nu, x: cubic_levels(nu, x)[2]),
+    ("psi-K", "psi_K", lambda nu, x: cubic_levels(nu, x)[0], lambda nu, x: _level(-nu, nu, x)),
+    ("double-I", "W_I", lambda nu, x: _level(0.0, nu, x), lambda nu, x: cubic_levels(nu, x)[5]),
+    ("double-K", "W_K", lambda nu, x: _level(0.0, nu, x), lambda nu, x: cubic_levels(nu, x)[6]),
 )
 
 _AMOS_EXPONENTS = (0.0, -1.0, 1.0, -2.0, 2.0)

@@ -53,6 +53,13 @@ algebraic relations, arranged to avoid cancellation, by one row function,
 The one-point calls ``i_ratio``, ``k_ratio`` and ``product`` (an
 ``OracleResult`` at an ``EvalPoint``) serve only the benchmark's reference
 check; every package caller takes rows, a lone point as a one-element row.
+
+``solve_ivp`` is a stand-in for scipy's, and nothing in the package calls
+it: the oracle and ``riccati_lab`` integrate the Riccati equation by
+Taylor steps (``taylor_step``).  It stays because perfbench's tracer wraps
+``oracle.solve_ivp`` and ``riccati_lab.solve_ivp`` by name (``riccati_lab``
+imports this one).  It would import scipy only when called, and scipy is
+not a dependency of the package.
 """
 
 from __future__ import annotations
@@ -65,12 +72,9 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-# not called here: a module attribute that perfbench's tracer wraps by name
-from ._lazy import solve_ivp  # noqa: F401
 from .errors import DomainError, EvaluationError
-from .nullclines import EvalPoint
+from .nullclines import EPS, EvalPoint
 
-_EPS = 2.220446049250313e-16
 CF_TOL = 1.0e-14          # relative stop for the Lentz continued fraction
 CF_MAX_ITER = 1_000_000
 CF_TINY = 1.0e-300        # Lentz floor for b_0 = 0 (order 0)
@@ -81,6 +85,13 @@ CF_TINY = 1.0e-300        # Lentz floor for b_0 = 0 (order 0)
 # has no zeros in Re x > 0).
 _TAYLOR_ORDER = 30
 _MAX_STEP = 0.5
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first use; see the module
+    docstring for why it stays."""
+    from scipy.integrate import solve_ivp as impl
+    return impl(*args, **kwargs)
 
 
 class RatioKind(enum.Enum):
@@ -170,7 +181,7 @@ def i_ratio_rows(nus: Sequence[float], xs: Sequence[float]
         if n_done:
             at, f_done = live[done], f[done]
             vals[at] = f_done
-            ests[at] = np.abs(f_done) * (4.0 * gap[done] + (j + 4) * _EPS)
+            ests[at] = np.abs(f_done) * (4.0 * gap[done] + (j + 4) * EPS)
             two_over_x[done] = np.nan       # retired: its gap is NaN from now on
             retired += n_done
             if 2 * retired >= len(live):
@@ -186,7 +197,7 @@ def i_ratio_rows(nus: Sequence[float], xs: Sequence[float]
             out[nu] = (up, up_err, "continued-fraction")
         else:
             head, inv = 2.0 * nu / xs, 1.0 / up
-            out[nu] = (head + inv, up_err / (up * up) + _EPS * (np.abs(head) + np.abs(inv)),
+            out[nu] = (head + inv, up_err / (up * up) + EPS * (np.abs(head) + np.abs(inv)),
                        "continued-fraction+step-down")
     return out
 
@@ -238,7 +249,7 @@ def large_x_series(c: List[float], xs: Sequence[float]) -> Tuple[np.ndarray, np.
     omitted = np.maximum(np.abs(terms[1:-1]), np.abs(terms[2:]))  # row m: stop after m
     last = np.argmin(omitted, axis=0)
     vals = np.where(k <= last, terms, 0.0)[::-1].cumsum(axis=0)[-1]  # smallest first
-    return vals, omitted[last, np.arange(len(xs))] + 2.0 * _EPS * np.abs(vals)
+    return vals, omitted[last, np.arange(len(xs))] + 2.0 * EPS * np.abs(vals)
 
 
 def _series_start(c: List[float]) -> Tuple[float, float, float]:
@@ -246,7 +257,7 @@ def _series_start(c: List[float]) -> Tuple[float, float, float]:
     large-x series with coefficients c is good to roundoff, and its value
     and estimate there."""
     x, (v, e) = SERIES_X, large_x_series(c, [SERIES_X])
-    while e[0] > 4.0 * _EPS * abs(v[0]):
+    while e[0] > 4.0 * EPS * abs(v[0]):
         x *= 2.0
         v, e = large_x_series(c, [x])
     return x, v[0], e[0]
@@ -281,7 +292,7 @@ def horner(b, s):
     for bk in b[-2::-1]:
         y = y * s + bk
         mu = abs(s) * mu + abs(y)
-    return y, _EPS * (2.0 * mu - abs(y))
+    return y, EPS * (2.0 * mu - abs(y))
 
 
 def taylor_step(nu: float, xc, phi):
@@ -294,8 +305,8 @@ def taylor_step(nu: float, xc, phi):
     its zero."""
     n = _TAYLOR_ORDER
     b = taylor_coefficients(nu, xc, phi, n + 1)
-    tol = _EPS * np.abs(phi)
-    tol = np.where(tol > 0.0, tol, _EPS * np.abs(b[1]))
+    tol = EPS * np.abs(phi)
+    tol = np.where(tol > 0.0, tol, EPS * np.abs(b[1]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         h = np.fmin((tol / np.abs(b[n - 1])) ** (1.0 / (n - 1)), (tol / np.abs(b[n])) ** (1.0 / n))
         return b, np.where(np.isfinite(b[n - 1] + b[n]), np.minimum(h, _MAX_STEP), 0.0)
@@ -310,8 +321,8 @@ def _step_error(nu: float, xc, b, s, y, rounding):
     n, a, c = len(b) - 1, abs(s), 2.0 * nu - 1.0
     x = xc * (1.0 + s)
     return (abs(b[n]) * a ** n + abs(b[n - 1]) * a ** (n - 1) + rounding
-            + _EPS * abs(x + c * y - x * y * y)
-            + 2.0 * _EPS * a * (xc * abs((1.0 - b[0]) * (1.0 + b[0])) + abs(c * b[0])))
+            + EPS * abs(x + c * y - x * y * y)
+            + 2.0 * EPS * a * (xc * abs((1.0 - b[0]) * (1.0 + b[0])) + abs(c * b[0])))
 
 
 def _taylor_row(nu: float, x0: float, phi0: float, err0: float, xs: np.ndarray
@@ -396,7 +407,7 @@ def k_ratio_rows(nus: Sequence[float], xs: Sequence[float]
         for target in sorted(orders):
             for _ in range(round(target - nu)):
                 d = 2.0 * nu / xs + r
-                rel = rel * (r / d) + 2.0 * _EPS
+                rel = rel * (r / d) + 2.0 * EPS
                 r = 1.0 / d
                 nu += 1.0
             climbed = target > seed and seed != 0.5
@@ -407,7 +418,7 @@ def k_ratio_rows(nus: Sequence[float], xs: Sequence[float]
         vals, ests, used = rows[base]
         if base != nu:  # K_{-mu} = K_mu gives Phi1(nu, x) * Phi1(1-nu, x) = 1
             inv = 1.0 / vals
-            vals, ests, used = inv, ests * inv * inv + _EPS * np.abs(inv), "reflection+" + used
+            vals, ests, used = inv, ests * inv * inv + EPS * np.abs(inv), "reflection+" + used
         out[nu] = (vals, ests, used)
     return out
 
@@ -450,15 +461,15 @@ def quantity_row(qid: str, nu: float, xs: np.ndarray,
         # x times Phi0 or P: one rounding more
         v, est = quantity_row(qid[1:], nu, xs, ratio)
         v = xs * v
-        return v, xs * est + _EPS * np.abs(v)
+        return v, xs * est + EPS * np.abs(v)
     if qid in ("psi_I", "psi_K"):
         phi, est = ratio("Phi0" if qid == "psi_I" else "Phi1")
-        return xs * phi - nu, xs * est + _EPS * (np.abs(xs * phi) + abs(nu))
+        return xs * phi - nu, xs * est + EPS * (np.abs(xs * phi) + abs(nu))
     if qid == "W_I":
         # quotient of two first-kind ratios: no subtraction anywhere
         (phi0, est), (up, up_est) = ratio("Phi0"), ratio("Phi0_up")
         v = phi0 / up
-        return v, est / np.abs(up) + np.abs(v) * up_est / np.abs(up) + _EPS * np.abs(v)
+        return v, est / np.abs(up) + np.abs(v) * up_est / np.abs(up) + EPS * np.abs(v)
     if qid == "W_K":
         # factored form phi1*(phi1 - 2 nu/x): both factors negative for
         # nu >= 0, so no cancellation
@@ -466,7 +477,7 @@ def quantity_row(qid: str, nu: float, xs: np.ndarray,
         shift = phi1 - 2.0 * nu / xs
         v = phi1 * shift
         return v, ((np.abs(phi1) + np.abs(shift)) * est
-                   + _EPS * (np.abs(phi1) + np.abs(shift)) * np.abs(phi1))
+                   + EPS * (np.abs(phi1) + np.abs(shift)) * np.abs(phi1))
     if qid == "P":
         # the Wronskian relation P = 1/(x*(Phi0 - Phi1))
         (phi0, est0), (phi1, est1) = ratio("Phi0"), ratio("Phi1")
@@ -475,7 +486,7 @@ def quantity_row(qid: str, nu: float, xs: np.ndarray,
             first = np.argmax(np.any(gap <= 0, axis=-1))    # order row
             raise EvaluationError(f"ratio gap not positive at nu={np.ravel(nu)[first]}")
         p = 1.0 / (xs * gap)
-        return p, (est0 + est1) / (xs * gap * gap) + _EPS * p
+        return p, (est0 + est1) / (xs * gap * gap) + EPS * p
     raise DomainError(f"unknown oracle quantity {qid!r}")
 
 

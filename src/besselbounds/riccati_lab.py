@@ -57,14 +57,11 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-# not called here: a module attribute that perfbench's tracer wraps by name
-from ._lazy import solve_ivp  # noqa: F401
 from .errors import DomainError, EvaluationError
-from .nullclines import w_values_row
+from .nullclines import cubic_levels
 from .oracle import RatioKind, i_ratio_row, k_ratio_row, taylor_step
-
-__all__ = ["BLOWUP_THRESHOLD", "Trajectory", "SolutionClass", "check_start",
-           "solve_riccati", "classify", "w_along", "nullcline_contact"]
+# not called here: a module attribute that perfbench's tracer wraps by name
+from .oracle import solve_ivp  # noqa: F401
 
 BLOWUP_THRESHOLD = 1.0e8
 _RHS_NOISE_REL = 1.0e-8   # floor (relative to term magnitudes) for sign changes
@@ -378,5 +375,5 @@ def nullcline_contact(traj: Trajectory) -> List[Tuple[float, float, float]]:
         i = int(np.searchsorted(xs, xm))
         if i >= len(xs) or xs[i] != xm:
             raise EvaluationError(f"extremum at x={xm} missing from samples")
-        out.append((xm, float(ys[i]), float(w_values_row(traj.nu, np.array([xm]))[2][0])))
+        out.append((xm, float(ys[i]), float(cubic_levels(traj.nu, np.array([xm]))[7][0])))
     return out

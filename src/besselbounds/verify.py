@@ -42,36 +42,6 @@ from .errors import DomainError, EvaluationError, UnfittableError
 from .nullclines import EvalPoint
 from . import oracle
 
-__all__ = [
-    "DEFAULT_TOL",
-    "MONOTONE_TOL",
-    "Grid",
-    "ScanReport",
-    "ReportBlock",
-    "OracleTable",
-    "BoundClaim",
-    "MonotoneClaim",
-    "bound_claims",
-    "monotone_claims",
-    "get_claim",
-    "corrupt_claim",
-    "scan_bound",
-    "scan_monotone",
-    "fit_error_order",
-    "relative_error",
-    "conjecture_scan",
-    "sharpness_battery",
-    "SHARPNESS_EXPECTED",
-    "SHARPNESS_GRID",
-    "SHARPNESS_TOL_EXPONENT",
-    "SHARPNESS_TOL_COEFFICIENT",
-    "write_report_csv",
-    "write_csv_rows",
-    "CsvText",
-    "default_grid",
-    "ranged_orders",
-]
-
 DEFAULT_TOL = 1.0e-12
 MONOTONE_TOL = 1.0e-9
 # most (order, x) points a scan evaluates in one numpy pass, and that one
@@ -81,7 +51,6 @@ MONOTONE_TOL = 1.0e-9
 # the peak of a 20 x 1,001 verify run
 SCAN_BLOCK_POINTS = 4096
 _TINY = 1.0e-300
-_EPS = float(np.finfo(float).eps)
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +81,10 @@ class Grid:
 def ranged_orders(nu_min: float, nu_max: float, nu_step: float) -> List[float]:
     """Orders nu_min + k * nu_step up to nu_max, with the non-negative
     integers dropped (the second-kind small-x series pick up logarithmic
-    terms there); empty for a non-positive step or an empty range."""
+    terms there); empty for a non-positive step or an empty range.  Every
+    argument must be finite."""
+    if not all(math.isfinite(v) for v in (nu_min, nu_max, nu_step)):
+        raise DomainError("nu_min, nu_max and nu_step must be finite")
     if nu_step <= 0 or nu_max < nu_min:
         return []
     n = int(math.floor((nu_max - nu_min) / nu_step + 1e-9))
@@ -601,7 +573,7 @@ def scan_monotone(quantity: str, grid: Optional[Grid] = None, tol: float = MONOT
             vals = claim.closed_form(nus, xs)
         else:
             return table.block(quantity, nus)
-        return vals, 4.0 * _EPS * np.abs(vals)
+        return vals, 4.0 * nc.EPS * np.abs(vals)
 
     rep = ScanReport(claim_id=f"monotone-{quantity}-{claim.expected}")
     sign = 1.0 if claim.expected == "increasing" else -1.0
@@ -639,7 +611,8 @@ def fit_error_order(samples: Sequence[Tuple[float, float]],
     """Least-squares (exponent, coefficient) of eps ~ C * scale**k.
 
     Needs at least 3 positive samples spanning at least half a decade in
-    the scaling variable.  A sample whose eps is not positive (a NaN
+    the scaling variable; a scale that is not finite and positive is a
+    DomainError.  A sample whose eps is not positive and finite (a NaN
     included) makes the fit unfittable, and so does one not above its
     ``noise_floor`` (scalar or per-sample: the level below which eps is
     oracle noise; a NaN floor included).
@@ -648,10 +621,12 @@ def fit_error_order(samples: Sequence[Tuple[float, float]],
         raise UnfittableError(f"need >= 3 samples, got {len(samples)}")
     scales = np.array([s for s, _ in samples], dtype=float)
     eps = np.array([e for _, e in samples], dtype=float)
-    if np.any(scales <= 0):
-        raise DomainError("scaling variable must be positive")
+    if not np.all((scales > 0) & (scales < np.inf)):
+        raise DomainError("scaling variable must be finite and positive")
     if not np.all(eps > 0):
         raise UnfittableError("relative error not positive in samples")
+    if not np.all(eps < np.inf):
+        raise UnfittableError("relative error not finite in samples")
     floors = np.broadcast_to(np.asarray(noise_floor, dtype=float), eps.shape)
     if not np.all(eps > floors):    # a NaN floor is never below eps
         raise UnfittableError("samples at or below the oracle noise floor")
@@ -801,7 +776,7 @@ def _s_map(nus, xs, p, p_est):
     error estimate (d s / d P = -1/(2 P**3))."""
     with np.errstate(all="ignore"):
         s = 1.0 / (4.0 * p * p) - xs * xs - nus * nus
-        return s, p_est / (2.0 * p ** 3) + 4.0 * _EPS * (xs * xs + nus * nus + np.abs(s))
+        return s, p_est / (2.0 * p ** 3) + 4.0 * nc.EPS * (xs * xs + nus * nus + np.abs(s))
 
 
 def conjecture_scan(grid: Optional[Grid] = None,

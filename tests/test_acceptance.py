@@ -106,7 +106,7 @@ def test_criterion_3_nullcline_structure():
     ok = True
     xs = np.asarray(grid.x_values)
     for nu in grid.nu_values:
-        lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, xs)
+        lam_k, lam_o, lam_i, _, _ = nc.cubic_levels(nu, xs)[:5]
         scale = np.maximum(1.0, (nu * nu + xs * xs) ** 1.5)
         for lam in (lam_k, lam_o, lam_i):
             res = np.abs(((lam + 1.0) * lam - (nu * nu + xs * xs)) * lam - nu * nu)
@@ -116,7 +116,7 @@ def test_criterion_3_nullcline_structure():
         ok &= bool(np.all((-1.0 < lam_o) & (lam_o <= 0.0)))
         ok &= bool(np.all((lam_k < -abs(nu)) | ((nu == 0.0) & (lam_k < 0.0))))
         if nu > 0.0:
-            w_i, w_k, w_o = nc.w_values_row(nu, xs)
+            w_i, w_k, w_o = nc.cubic_levels(nu, xs)[5:]
             ok &= bool(np.all((w_k > w_i) & (w_i > 0.0) & (0.0 > w_o)))
     ok = ok and worst_res <= res_tol
     _gate(3, "cubic residuals/ordering/intervals and w ordering", ok,

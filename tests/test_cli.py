@@ -140,10 +140,10 @@ def _tabulate_rows(table, bad=None):
             oracle_cols = [np.full(len(xs), np.nan)] * 3
         else:
             oracle_cols = [table.block(q, [nu])[0][0] for q in ("Phi0", "Phi1", "P")]
-        lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, xs)
+        lam_k, lam_o, lam_i, _, _ = nc.cubic_levels(nu, xs)[:5]
         cols = [np.full(len(xs), nu), xs, *oracle_cols,
                 nc.TRIG_I.formula(nu, xs), nc.TRIG_K.formula(nu, xs), lam_i, lam_k, lam_o,
-                *nc.w_values_row(nu, xs), nc.PRODUCT_FORMS["upper"].formula(nu, xs),
+                *nc.cubic_levels(nu, xs)[5:], nc.PRODUCT_FORMS["upper"].formula(nu, xs),
                 nc.PRODUCT_FORMS["lower_trig"].formula(nu, xs)]
         text += [",".join("%.17g" % v for v in row) + "\n" for row in zip(*cols)]
     return "".join(text).encode()

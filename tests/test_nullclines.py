@@ -99,7 +99,7 @@ def test_nullcline_extremum_rejects_bad_exponent():
 
 
 def test_cubic_roots_nu_zero_closed_form():
-    lam_k, lam_o, lam_i, _, _ = (v[0] for v in nc.cubic_roots_row(0.0, [1.0]))
+    lam_k, lam_o, lam_i, _, _ = (v[0] for v in nc.cubic_levels(0.0, [1.0])[:5])
     assert_allclose(lam_i, 0.6180339887498949, rtol=1e-15)
     assert lam_o == 0.0
     assert_allclose(lam_k, -1.618033988749895, rtol=1e-15)
@@ -107,7 +107,7 @@ def test_cubic_roots_nu_zero_closed_form():
 
 def test_cubic_roots_small_x_limit():
     # as x -> 0 at nu=2 the roots tend to {2, -1, -2}
-    lam_k, lam_o, lam_i, _, _ = (v[0] for v in nc.cubic_roots_row(2.0, [1e-4]))
+    lam_k, lam_o, lam_i, _, _ = (v[0] for v in nc.cubic_levels(2.0, [1e-4])[:5])
     assert_allclose(lam_i, 2.0, atol=1e-8)
     assert_allclose(lam_o, -1.0, atol=1e-8)
     assert_allclose(lam_k, -2.0, atol=1e-8)
@@ -115,7 +115,7 @@ def test_cubic_roots_small_x_limit():
 
 def test_cubic_roots_large_x_asymptotic():
     # lambda_I ~ x - 1/2 + (nu^2 + 1/4)/(2x) + nu^2/(2x^2), remainder O(x^-3)
-    assert_allclose(nc.cubic_roots_row(1.0, [10.0])[2][0], 9.5675, atol=5e-6)
+    assert_allclose(nc.cubic_levels(1.0, [10.0])[2][0], 9.5675, atol=5e-6)
 
 
 def _residual(lam, nu, x):
@@ -126,7 +126,7 @@ def test_cubic_roots_residuals_ordering_brackets():
     nus = np.arange(0.0, 20.01, 0.5)
     xs = np.geomspace(1e-3, 1e3, 41)
     for nu in nus.tolist():
-        lam_k, lam_o, lam_i, _, acos_arg = nc.cubic_roots_row(nu, xs)
+        lam_k, lam_o, lam_i, _, acos_arg = nc.cubic_levels(nu, xs)[:5]
         h = np.hypot(nu, xs)
         scale = np.maximum(1.0, (nu * nu + xs * xs) ** 1.5)
         for lam in (lam_k, lam_o, lam_i):
@@ -143,23 +143,23 @@ def test_cubic_roots_residuals_ordering_brackets():
 
 
 def test_w_values_cases():
-    assert nc.w_values_row(0.0, np.array([3.0]))[2][0] == 0.0
-    w_i, w_k, _ = nc.w_values_row(1.0, np.array([100.0]))
+    assert nc.cubic_levels(0.0, np.array([3.0]))[7][0] == 0.0
+    w_i, w_k, _ = nc.cubic_levels(1.0, np.array([100.0]))[5:]
     assert_allclose(w_i[0], 0.99005, atol=1e-4)
     assert_allclose(w_k[0], 1.01005, atol=1e-4)
 
 
 def test_w_values_ordering():
     for nu in (0.25, 0.5, 1.5, 7.0, 19.75):
-        w_i, w_k, w_o = nc.w_values_row(nu, np.array([1e-2, 1.0, 50.0]))
+        w_i, w_k, w_o = nc.cubic_levels(nu, np.array([1e-2, 1.0, 50.0]))[5:]
         assert np.all((w_k > w_i) & (w_i > 0.0) & (0.0 > w_o))
 
 
 def test_w_values_take_a_list_row():
-    # x is converted as cubic_roots_row converts it; a list row used to
+    # x is converted as cubic_levels converts it; a list row used to
     # raise TypeError in x * x
-    for got, want in zip(nc.w_values_row(1.0, [1.0, 2.0]),
-                         nc.w_values_row(1.0, np.array([1.0, 2.0]))):
+    for got, want in zip(nc.cubic_levels(1.0, [1.0, 2.0])[5:],
+                         nc.cubic_levels(1.0, np.array([1.0, 2.0]))[5:]):
         np.testing.assert_array_equal(got, want)
 
 
@@ -167,7 +167,7 @@ def test_cubic_forms_return_empty_rows_on_empty_x():
     # the acos clamp check used to reduce an empty array and raise ValueError
     for nu in (1.0, np.array([[0.5], [2.5]])):
         shape = np.broadcast_shapes(np.shape(nu), (0,))
-        for part in (*nc.cubic_roots_row(nu, np.array([])), *nc.w_values_row(nu, [])):
+        for part in (*nc.cubic_levels(nu, np.array([]))[:5], *nc.cubic_levels(nu, [])[5:]):
             assert part.shape == shape
         for cid, form in nc.BOUNDS.items():
             assert form.formula(nu, np.array([])).shape == shape, cid
@@ -226,7 +226,7 @@ def test_trig_bounds_match_cubic_roots():
     # lambda_O (nu ~ 1, x -> 0), so it gets a wider ulp budget.
     xs = np.geomspace(1e-3, 1e3, 31)
     for nu in np.arange(0.0, 20.01, 0.25).tolist():
-        lam_k, _, lam_i, g, _ = nc.cubic_roots_row(nu, xs)
+        lam_k, _, lam_i, g, _ = nc.cubic_levels(nu, xs)[:5]
         ui = nc.TRIG_I.formula(nu, xs)
         uk = nc.TRIG_K.formula(nu, xs)
         assert np.all(np.abs(ui * xs - nu - lam_i) <= 8.0 * EPS * g)
@@ -346,8 +346,8 @@ def _bits(values) -> np.ndarray:
 def test_rows_equal_one_point_calls(nu, xs, a):
     # each element of a row equals the same function's call on its own x
     row = np.array(xs)
-    fns = [lambda x: nc.lambda_plus_row(a, nu, x), lambda x: nc.cubic_roots_row(nu, x),
-           lambda x: nc.w_values_row(nu, x), lambda x: nc.gamma_hat_row(a, nu, x)]
+    fns = [lambda x: nc.lambda_plus_row(a, nu, x), lambda x: nc.cubic_levels(nu, x)[:5],
+           lambda x: nc.cubic_levels(nu, x)[5:], lambda x: nc.gamma_hat_row(a, nu, x)]
     pairs = [(np.reshape(fn(row), (-1, len(xs))),
               np.column_stack([np.reshape(fn(np.array([x])), -1) for x in xs])) for fn in fns]
     forms = [nc.TRIG_I, nc.TRIG_K, *nc.amos_forms(a), *nc.PRODUCT_FORMS.values()]
@@ -384,7 +384,7 @@ def _rel(value: float, ref: Decimal) -> float:
 @given(nu=st.floats(0.25, 20.0), x=log_x(10 ** -3.5, 1e3),
        a=st.sampled_from([0.0, -1.0, 1.0, -2.0, 2.0, 0.5, -0.5]))
 def test_closed_forms_match_50_digit_roots(nu, x, a):
-    lam_k, lam_o, lam_i, _, _ = (v[0] for v in nc.cubic_roots_row(nu, [x]))
+    lam_k, lam_o, lam_i, _, _ = (v[0] for v in nc.cubic_levels(nu, [x])[:5])
     with localcontext() as ctx:
         ctx.prec = 50
         n, y = Decimal(nu), Decimal(x)
@@ -398,7 +398,7 @@ def test_closed_forms_match_50_digit_roots(nu, x, a):
         assert _rel(float(_point(nc.TRIG_K, nu, x)[0]), -u / y) <= 1e-14
         # lambda_K + 1 from its shifted cubic, through w_K = lambda_K/(lambda_K + 1)
         u = _decimal_root([1, -2, 1 - n * n - y * y, y * y], float(lam_k + 1.0))
-        assert _rel(float(nc.w_values_row(nu, np.array([x]))[1][0]), (u - 1) / u) <= 1e-14
+        assert _rel(float(nc.cubic_levels(nu, np.array([x]))[6][0]), (u - 1) / u) <= 1e-14
         # lambda_plus is the positive root of x*t**2 - 2*c*t - x
         c = n - (Decimal(a) + 1) / 2
         lam = float(nc.lambda_plus_row(a, nu, [x])[0])
@@ -412,11 +412,11 @@ def test_row_with_nu_zero_takes_factored_branch(xs):
     # lambda_I = 2 x**2/(1 + sqrt(1 + 4 x**2)), free of cancellation
     x = np.array(xs)
     nu = np.where(np.arange(len(xs)) % 2 == 0, 0.0, 1.5)
-    lam_k, lam_o, lam_i, _, _ = nc.cubic_roots_row(nu, x)
+    lam_k, lam_o, lam_i, _, _ = nc.cubic_levels(nu, x)[:5]
     zero = nu == 0.0
     h = 2.0 * x * x / (1.0 + np.sqrt(1.0 + 4.0 * x * x))
     np.testing.assert_array_equal(lam_i[zero], h[zero])
     np.testing.assert_array_equal(lam_o[zero], 0.0)
-    np.testing.assert_array_equal(nc.w_values_row(nu, x)[2][zero], 0.0)
+    np.testing.assert_array_equal(nc.cubic_levels(nu, x)[7][zero], 0.0)
     assert_allclose(lam_k[zero], -1.0 - h[zero], rtol=2 * EPS)
     assert np.all(lam_o[~zero] < 0.0)

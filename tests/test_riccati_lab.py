@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from besselbounds import oracle, riccati_lab
 from besselbounds.errors import DomainError
-from besselbounds.nullclines import EvalPoint, cubic_roots_row, gamma_hat_row, w_values_row
+from besselbounds.nullclines import EvalPoint, cubic_levels, gamma_hat_row
 from besselbounds.oracle import RatioKind
 from besselbounds.riccati_lab import (
     BLOWUP_THRESHOLD,
@@ -94,7 +94,7 @@ def test_w_along_oracle_kinds():
         traj = w_along(kind, 1.0, 0.1, 50.0)
         assert classify(traj) is expected_cls
         x, w = traj.samples[:: max(1, len(traj.samples) // 10)].T
-        w_i, w_k, _ = w_values_row(1.0, x)
+        w_i, w_k, _ = cubic_levels(1.0, x)[5:]
         cap = w_i if kind is F else w_k
         assert np.all((0.0 < w) & (w < cap + 1e-9))
 
@@ -139,7 +139,7 @@ def test_w_along_extremum_next_to_seed():
     # psi seeded 1e-2 off the middle root: the cubic changes sign within
     # 0.3% of x0, on the backward side (+) or the forward side (-)
     nu = 2.0
-    lam_o = float(cubic_roots_row(nu, [1.0])[1][0])
+    lam_o = float(cubic_levels(nu, [1.0])[1][0])
     for offset, lo, hi in ((1e-2, 0.997, 1.0), (-1e-2, 1.0, 1.003)):
         traj = w_along((1.0, lam_o + offset + nu), nu, 0.2, 30.0)
         assert [xm for xm, _ in traj.extrema if lo < xm < hi], offset

@@ -66,6 +66,17 @@ def test_default_grid_shape():
     assert np.all(np.diff(np.log(xs)) > 0.0)
 
 
+
+@pytest.mark.parametrize("args", [(0.0, math.nan, 0.25), (0.0, 1.0, math.inf),
+                                  (0.0, math.inf, 0.25), (-math.inf, 1.0, 0.25),
+                                  (math.nan, 1.0, 0.25), (0.0, 1.0, math.nan)])
+def test_ranged_orders_rejects_non_finite_arguments(args):
+    # these used to escape as ValueError (a NaN order reached round(); an
+    # infinite step makes 0 * inf) or OverflowError (an infinite count)
+    with pytest.raises(DomainError):
+        verify.ranged_orders(*args)
+
+
 # ---------------------------------------------------------------------------
 # claim catalog
 
@@ -238,6 +249,21 @@ def test_fit_error_order_nan_floor_is_unfittable():
         fit_error_order(samples, noise_floor=[1e-9, math.nan, 1e-9])
     with pytest.raises(UnfittableError):
         fit_error_order(samples[:2] + [(100.0, math.nan)])
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+def test_fit_error_order_rejects_non_finite_scales(scale, capfd):
+    # a NaN or infinite scale used to reach the least-squares solve, which
+    # raised numpy's LinAlgError and printed a LAPACK complaint to stderr
+    with pytest.raises(DomainError):
+        fit_error_order([(1.0, 1e-3), (scale, 2e-3), (4.0, 4e-3)])
+    assert capfd.readouterr().err == ""
+
+
+def test_fit_error_order_infinite_eps_is_unfittable():
+    # an infinite eps used to fit to (nan, nan)
+    with pytest.raises(UnfittableError):
+        fit_error_order([(1.0, 1e-3), (2.0, math.inf), (4.0, 4e-3)])
 
 
 def test_sharpness_battery_fails_closed_on_nan_estimates(monkeypatch):
@@ -926,12 +952,11 @@ def test_cubic_is_solved_once_per_order_block(monkeypatch):
     assert len(calls) == 5
     # the values the blocks hold are those of the one-call row functions
     xs = np.asarray(grid.x_values)
-    levels = ("lambda_K", "lambda_O", "lambda_I")
+    levels = ("lambda_K", "lambda_O", "lambda_I", "g", "acos_arg", "w_I", "w_K", "w_O")
     for q in ("lambda_K", "lambda_O", "lambda_I", "w_I", "w_K", "w_O"):
         assert len(reports[q].blocks) == 5
         for block in reports[q].blocks:
-            want = (nc.cubic_roots_row(block.nus, xs)[levels.index(q)] if q in levels
-                    else nc.w_values_row(block.nus, xs)[("w_I", "w_K", "w_O").index(q)])
+            want = nc.cubic_levels(block.nus, xs)[levels.index(q)]
             right, left = block.cols
             assert np.ascontiguousarray(left).tobytes() == want[:, :-1].tobytes(), q
             assert np.ascontiguousarray(right).tobytes() == want[:, 1:].tobytes(), q

@@ -3,9 +3,14 @@
 A code line holds at least one token that is not a comment; the lines of a
 statement that is only a string (a docstring) and blank lines do not count.
 
-    python3 tools/code_lines.py
+    python3 tools/code_lines.py [--src DIR]
+
+``--src`` names the source tree whose ``besselbounds`` package is counted
+(default: this repository's ``src``), so one command counts another
+checkout.
 """
 
+import argparse
 import ast
 import io
 import sys
@@ -29,9 +34,16 @@ def code_lines(source: str) -> int:
     return len(lines - strings)
 
 
-def main() -> int:
-    root = Path(__file__).resolve().parents[1] / "src" / "besselbounds"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def main(argv=()) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(SRC), help="source tree to count")
+    root = Path(ap.parse_args(argv).src) / "besselbounds"
     counts = {path.name: code_lines(path.read_text()) for path in sorted(root.glob("*.py"))}
+    if not counts:
+        ap.error(f"no modules in {root}")
     width = max(map(len, counts), default=5)
     for name, n in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
         print(f"{name:<{width}} {n:>6,}")
@@ -40,4 +52,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
