@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple, get_args
 
 import numpy as np
 
+from . import g17
 from . import nullclines as nc
 from . import oracle
 from . import riccati_lab
@@ -38,10 +39,9 @@ ORACLE_FAILURE_LIMIT = 0.01      # above this failure fraction -> exit 3
 # Largest |order| accepted: the K ladder takes one vectorised step per unit
 # of order, so a huge order must fail fast instead of running for minutes.
 NU_LIMIT = 1.0e4
-# Largest orders x arguments a ranged grid may hold, and largest --sample,
-# both checked before any list is built: a run past them would hang or run
-# out of memory instead of failing fast with exit 2.
-GRID_LIMIT = 1_000_000
+# Largest --sample, checked before any list is built: a run past it would
+# hang or run out of memory instead of failing fast with exit 2 (the grid's
+# limit is verify.GRID_LIMIT).
 SAMPLE_LIMIT = 10_000
 # Largest explore window edge: trajectory steps stay near 5.5 in x far from
 # the origin, so cost grows in proportion to x_max and a far edge must fail
@@ -183,9 +183,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     n_nu = 1.0
     if cfg.nu is None and cfg.nu_step > 0 and cfg.nu_max >= cfg.nu_min:
         n_nu = (cfg.nu_max - cfg.nu_min) / cfg.nu_step + 1.0
-    n_x = 1 if cfg.x is not None else min(max(cfg.x_points, 1), GRID_LIMIT + 1)
-    if n_nu * n_x > GRID_LIMIT:
-        raise DomainError(f"grid must hold at most {GRID_LIMIT} orders x arguments")
+    limit = verify.GRID_LIMIT
+    n_x = 1 if cfg.x is not None else min(max(cfg.x_points, 1), limit + 1)
+    if n_nu * n_x > limit:
+        raise DomainError(f"grid must hold at most {limit} orders x arguments")
     return cfg
 
 
@@ -380,6 +381,26 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     return _verdict(bool(rep.violations), failures, rep.points_checked + failures)
 
 
+def _write_samples(stream, trajs: dict) -> None:
+    """Every trajectory's samples ({tag: Trajectory}, in order) as
+    ``tag,x,y`` lines of one report (``verify._write_lines``), a block per
+    trajectory (or per REPORT_BLOCK_ROWS of one).  The starts share their
+    sample points, so the x text comes from one axis over the longest
+    trajectory's x, an x it lacks formatted anew.  No array spans the
+    trajectories: a run's transient arrays stay small, and with them its
+    peak memory."""
+    size = verify.REPORT_BLOCK_ROWS
+    axis = verify._Axis(max(trajs.values(), key=lambda traj: len(traj.samples)).xs())
+    verify._write_lines(lambda data: stream.write(data.decode("ascii")), b"",
+                        sum(len(traj.samples) for traj in trajs.values()),
+                        [(1, len(b"%d" % max(trajs))), (1, g17.TEXT_WIDTH), (1, g17.WIDTH)],
+                        ((np.full((len(part), 1), b"%d" % tag), axis.text_of(part[:, :1]),
+                          g17.texts(part[:, 1:]))
+                         for tag, traj in trajs.items()
+                         for part in (traj.samples[i:i + size]
+                                      for i in range(0, len(traj.samples), size))))
+
+
 def cmd_explore(cfg: RunConfig) -> int:
     x_lo, x_hi = cfg.x_min, cfg.x_max
     if not (0 < x_lo < cfg.x0 < x_hi):
@@ -412,18 +433,20 @@ def cmd_explore(cfg: RunConfig) -> int:
         except DomainError as exc:
             errors[tag] = exc
     # every valid start is a lane of one batched integration
-    trajs = iter(riccati_lab.solve_riccati(
+    valid = [tag for tag, _ in starts if tag not in errors]
+    trajs = dict(zip(valid, riccati_lab.solve_riccati(
         cfg.a, nu, cfg.x0, np.array([y0 for tag, y0 in starts if tag not in errors]),
-        x_lo, x_hi))
+        x_lo, x_hi)))
     with _open_out(cfg) as stream:
         summary = sys.stderr if stream is sys.stdout else sys.stdout
         stream.write("sample,x,y\n")
+        if trajs:
+            _write_samples(stream, trajs)
         for tag, y0 in starts:
             if tag in errors:
                 print(f"sample {tag}: y0={_FMT % y0} error: {errors[tag]}", file=summary)
                 continue
-            traj = next(trajs)
-            verify.write_csv_rows(stream, "%d," % tag, traj.samples)
+            traj = trajs[tag]
             note = ""
             if traj.termination == "step-failure":
                 note = " termination=step-failure"

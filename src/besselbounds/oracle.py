@@ -271,15 +271,37 @@ def default_x_start(nu: float) -> float:
     return _series_start(large_x_coefficients(nu, -1.0))[0]
 
 
-def taylor_coefficients(nu: float, x0: float, phi0: float, n: int) -> List[float]:
+def taylor_coefficients(nu: float, x0: float, phi0: float, n: int):
     """The first n coefficients b_k of Phi(x0*(1 + s)) = sum b_k s**k for the
-    solution of the Riccati equation through (x0, phi0) (module docstring)."""
-    b, c, prev = [phi0], 2.0 * nu - 1.0, 0.0
+    solution of the Riccati equation through (x0, phi0) (module docstring).
+
+    A scalar phi0 (the K seed: one lane per step) gives a list of floats.
+    A 1-D array of lanes (nu and x0 floats or arrays like it) gives an
+    (n, lanes) array, row k holding b_k: each S_k is then one multiply of
+    the rows b_0..b_k by the rows b_k..b_0 and one sum down the rows, in
+    order and from 0 like ``sum``, so every lane has the bits of its scalar
+    run.  numpy sums pairwise, and so rounds differently, only along the
+    fast axis of memory, which the rows of a one-column block would be: the
+    products are summed in a block at least two columns wide."""
+    c, prev = 2.0 * nu - 1.0, 0.0
     q = (1.0 - phi0) * (1.0 + phi0)       # 1 - S_0 without cancellation at phi0 ~ -1
+    if np.ndim(phi0) == 0:
+        b = [phi0]
+        for k in range(n - 1):
+            sk = sum(map(operator.mul, b, reversed(b)))     # b holds b_0..b_k
+            t = q if k == 0 else (q - sk if k == 1 else -(sk + prev))
+            b.append((x0 * t + (c - k) * b[k]) / (k + 1))
+            prev = sk
+        return b
+    m = len(phi0)
+    b = np.empty((n, m))
+    b[0] = phi0
+    terms = np.zeros((n + 1, max(m, 2)))   # row 0 stays 0, the start of each sum
     for k in range(n - 1):
-        sk = sum(map(operator.mul, b, reversed(b)))     # b holds b_0..b_k
+        np.multiply(b[:k + 1], b[k::-1], out=terms[1:k + 2, :m])
+        sk = np.add.reduce(terms[:k + 2])[:m]
         t = q if k == 0 else (q - sk if k == 1 else -(sk + prev))
-        b.append((x0 * t + (c - k) * b[k]) / (k + 1))
+        b[k + 1] = (x0 * t + (c - k) * b[k]) / (k + 1)
         prev = sk
     return b
 
@@ -300,7 +322,8 @@ def taylor_step(nu: float, xc, phi):
     through (xc, phi), and the longest relative step h whose last two terms
     stay below eps*|b_0| (coefficient decay, Jorba & Zou), at most
     _MAX_STEP; h is 0 where b_{n-1} + b_n is not finite.  nu, xc and phi
-    are floats or arrays of lanes.  Where eps*|b_0| is 0 (at a zero of Phi,
+    are floats (b a list) or arrays of lanes (b an (n + 1, lanes) array;
+    ``taylor_coefficients``).  Where eps*|b_0| is 0 (at a zero of Phi,
     or when it underflows) the bound is eps*|b_1|, the scale of Phi next to
     its zero."""
     n = _TAYLOR_ORDER

@@ -34,9 +34,14 @@ evaluated on the polynomial of its own step, which is exact dense output.
 Where |Phi| > 1 a lane steps 1/Phi instead, the solution of the same
 equation at order 1 - nu, so a pole of Phi is a simple zero of what is
 stepped and the coefficients stay finite through the blow-up.  Starts that
-share (a, nu, x0) and the window run as the lanes of one vectorised run
-per direction.  No lane's arithmetic depends on another's, so a batched
-lane is its one-lane run bit for bit.
+share (a, nu, x0) and the window run in one vectorised run that holds
+both directions, in blocks of at most _MAX_LANES = 128 starts: each start
+is a lane stepping back to the window's left edge and a lane stepping
+forward to its right edge.  No lane's arithmetic depends on another's,
+and its direction enters only through exact sign flips, so a batched lane
+is its one-lane run bit for bit.  The lanes' Taylor coefficients are the
+rows of one array (``oracle.taylor_coefficients``), bit for bit the
+scalar recursion that the oracle's K seed keeps.
 
 Turning points are sign changes of a turning function between consecutive
 checkpoints (the samples and the step ends, the seed included on both
@@ -53,6 +58,7 @@ infinite, or where its step stops moving it.
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -67,7 +73,7 @@ BLOWUP_THRESHOLD = 1.0e8
 _RHS_NOISE_REL = 1.0e-8   # floor (relative to term magnitudes) for sign changes
 _SLOPE_FLOOR = 1.0e-12    # below this relative slope a trajectory is "constant"
 _SAMPLES_PER_SIDE = 400
-_MAX_LANES = 128          # starts per batched run: bounds the per-step working arrays
+_MAX_LANES = 128          # starts per batched run (two lanes each): bounds the per-step arrays
 _DS = 1.0e-100            # complex step of Newton's derivative
 
 
@@ -115,10 +121,10 @@ _Flow = namedtuple("_Flow", "nu weight shift turn scale kinds")
 
 def _polyval(b: list, s, lane=None):
     """sum b_k s**k by Horner's rule, the value alone (``oracle.horner``
-    also carries a roundoff bound, which trajectories do not use).  b holds
-    floats or arrays shaped like s; with ``lane``, term k is b[k][lane],
-    gathered as the loop reaches it."""
-    terms = reversed(b) if lane is None else (bk[lane] for bk in reversed(b))
+    also carries a roundoff bound, which trajectories do not use).  b is a
+    list of floats or an array whose rows are shaped like s; with ``lane``,
+    term k is b[k][lane], gathered as the loop reaches it."""
+    terms = iter(b[::-1]) if lane is None else (bk[lane] for bk in b[::-1])
     y = next(terms)
     for bk in terms:
         y = y * s + bk
@@ -145,48 +151,65 @@ def _solve_on_step(f, b: list, xc: float, lo: float, hi: float):
     return xc * (1.0 + t), _polyval(b, t)
 
 
-def _integrate_side(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
-                    x_end: float) -> List[tuple]:
-    """Step every lane (Phi = phi0, flow value y0s at x0) out to x_end.
+def _integrate(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
+               x_lo: float, x_hi: float) -> tuple:
+    """Step every start (Phi = phi0, flow value y0s at x0) out to both window
+    edges in one run, each start as two lanes: lane i runs start i back to
+    x_lo, lane m + i runs it forward to x_hi (m starts).
 
-    Returns, per lane, (samples, extrema, status, x_at): ``samples`` holds
-    (x, value) rows at the seed and the _SAMPLES_PER_SIDE log-spaced points
-    past it that the lane reached, in integration order; ``extrema`` lists
-    (x, kind, value); ``status`` is 0 (reached the edge), 1 (blow-up at
-    ``x_at``) or -1 (step failure).
+    Returns (xs, ys, count, extrema, status, x_at).  ``xs`` holds each
+    side's _SAMPLES_PER_SIDE log-spaced points and x0 between them, in
+    increasing x, so x0 is column _SAMPLES_PER_SIDE; row i of ``ys`` holds
+    start i's values at the points its two lanes reached (NaN elsewhere).
+    Per lane, ``count`` is the number of its side's points reached, x0
+    included, ``extrema`` lists (x, kind, value), ``status`` is 0 (reached
+    the edge), 1 (blow-up at ``x_at``) or -1 (step failure).
 
     Each pass takes one Taylor step on every live lane and works on the
     checkpoints it reaches, lane by lane in one flat array: the samples
-    inside the step, then the step's end.  A lane stops at its first
+    inside the step, then the step's end.  A lane's direction d = +-1 and
+    its side's points enter its arithmetic only through exact sign flips,
+    so each lane computes what it would alone.  A lane stops at its first
     checkpoint whose value is not finite, whose x**(-a) is not in (0, inf)
     or whose step does not move (step failure), or whose |value| reaches
     BLOWUP_THRESHOLD (blow-up).
     """
-    xs = np.geomspace(x0, x_end, _SAMPLES_PER_SIDE + 1)
+    mid = _SAMPLES_PER_SIDE     # the column of x0
+    back, fwd = np.geomspace(x0, x_lo, mid + 1), np.geomspace(x0, x_hi, mid + 1)
+    xs = np.concatenate([back[:0:-1], fwd])
     m = len(y0s)
-    ys = np.column_stack([y0s, np.full((m, len(xs) - 1), np.nan)])
-    count, status, x_at = np.ones(m, dtype=int), np.zeros(m, dtype=int), np.full(m, np.nan)
-    extrema = [[] for _ in range(m)]
-    d = np.sign(x_end - x0)
-    live, xc, phi = np.arange(m), np.full(m, float(x0)), phi0
+    ys = np.full((m, 2 * mid + 1), np.nan)
+    ys[:, mid] = y0s
+    d = np.repeat([np.sign(x_lo - x0), np.sign(x_hi - x0)], m)
+    # a side's k-th point is column mid + step*k; d*x increases along a side
+    step, x_end, keys = d.astype(int), np.repeat([x_lo, x_hi], m), (-back, fwd)
+    lanes = 2 * m
+    count, status = np.ones(lanes, dtype=int), np.zeros(lanes, dtype=int)
+    x_at, extrema = np.full(lanes, np.nan), [[] for _ in range(lanes)]
+    live = np.flatnonzero(d)        # an empty side (x0 at its edge) never steps
+    xc, phi = np.full(live.size, float(x0)), np.concatenate([phi0, phi0])[live]
     with np.errstate(all="ignore"):
-        while d and live.size:
+        while live.size:
             # where |Phi| > 1 the lane steps y = 1/Phi, the solution of order
             # 1 - nu, whose zeros are the poles of Phi.  A step that does not
             # move (h = 0: coefficients not finite) has the centre as its one
             # checkpoint, where the lane fails.
+            dl = d[live]
             inv = np.abs(phi) > 1.0
             g = flow.turn(xc, phi)
             small = np.abs(g) <= _RHS_NOISE_REL * flow.scale(xc, phi)
             b, h = taylor_step(np.where(inv, 1.0 - flow.nu, flow.nu), xc,
                                np.where(inv, 1.0 / phi, phi))
-            x_next = d * np.minimum(d * xc * (1.0 + d * h), d * x_end)
-            j = np.searchsorted(d * xs, d * x_next, "right")   # samples reached
+            x_next = dl * np.minimum(dl * xc * (1.0 + dl * h), dl * x_end[live])
+            ahead, nb = dl * x_next, np.searchsorted(live, m)   # backward lanes first
+            j = np.concatenate([np.searchsorted(keys[0], ahead[:nb], "right"),
+                                np.searchsorted(keys[1], ahead[nb:], "right")])  # points reached
             last = np.cumsum(j - count[live] + 1) - 1         # each lane's step end
             first = np.r_[0, last[:-1] + 1]
             lane = np.repeat(np.arange(live.size), last - first + 1)
-            k = np.arange(len(lane)) - first[lane] + count[live][lane]   # sample index, j at the end
-            x = np.where(k < j[lane], xs[np.minimum(k, len(xs) - 1)], x_next[lane])
+            k = np.arange(len(lane)) - first[lane] + count[live][lane]   # point index, j at the end
+            col = mid + step[live][lane] * np.minimum(k, mid)
+            x = np.where(k < j[lane], xs[col], x_next[lane])
             s = x / xc[lane] - 1.0
             y = _polyval(b, s, lane)
             p = np.where(inv[lane], 1.0 / y, y)
@@ -209,17 +232,16 @@ def _integrate_side(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
                 # and its predecessor, on their step's polynomial
                 c = lane[i]
                 x, y = _solve_on_step(lambda x, y: f(x, 1.0, y) if inv[c] else f(x, y, 1.0),
-                                      [float(bk[c]) for bk in b], float(xc[c]),
-                                      float(tl[i]), float(s[i]))
+                                      b[:, c].tolist(), float(xc[c]), float(tl[i]), float(s[i]))
                 return x, 1.0 / y if inv[c] else y
 
             for i in np.flatnonzero(keep & (gl != 0.0) & ~(gl * gk > 0.0) & ~(sl & sk)):
                 xm, pm = solve(i, lambda x, n, q: flow.turn(x, n / q))
                 # orient by x so backward runs label the same way as forward ones
-                kind = flow.kinds[0 if (gl[i] if d > 0 else gk[i]) > 0.0 else 1]
+                kind = flow.kinds[0 if (gl[i] if dl[lane[i]] > 0 else gk[i]) > 0.0 else 1]
                 extrema[live[lane[i]]].append((xm, kind, flow.weight(xm) * pm + flow.shift))
             got = keep & (k < j[lane])
-            ys[live[lane[got]], k[got]] = v[got]
+            ys[live[lane[got]] % m, col[got]] = v[got]
             stopped = cut <= last
             count[live] = np.where(stopped, k[np.minimum(cut, last)], j)
             for i in cut[stopped]:
@@ -230,33 +252,51 @@ def _integrate_side(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
                     level = np.sign(yl[i] if pole[i] else y[i]) * BLOWUP_THRESHOLD
                     x_at[live[lane[i]]] = solve(i, lambda x, n, q: flow.weight(x) * n
                                                 + (flow.shift - level) * q)[0]
-            on = ~stopped & (j < len(xs))
+            on = ~stopped & (j <= mid)
             live, xc, phi = live[on], x_next[on], p[last][on]
-    return [(np.column_stack([xs[:n], ys[k, :n]]), extrema[k], status[k], x_at[k])
-            for k, n in enumerate(count)]
+    return xs, ys, count, extrema, status, x_at
+
+
+def _merged(x: np.ndarray, y: np.ndarray, found: list) -> np.ndarray:
+    """The (x, value) rows of one start's samples and extrema (x, kind,
+    value), as a stable sort by x keeps them: samples before extrema, and
+    the first row of each x.  Along increasing samples each extremum is
+    spliced in where it belongs instead of sorting."""
+    rows = np.column_stack([x, y])
+    if not (x[1:] > x[:-1]).all():      # a window a few ulps wide repeats points
+        rows = np.concatenate([rows, np.array([(xm, v) for xm, _, v in found]).reshape(-1, 2)])
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]
+        return rows[np.r_[True, np.diff(rows[:, 0]) > 0.0]]
+    pieces, last, prev = [], 0, None
+    found = sorted(((xm, v) for xm, _, v in found), key=itemgetter(0))
+    for (xm, v), at in zip(found, np.searchsorted(x, [xm for xm, _ in found]).tolist()):
+        if xm != prev and (at == len(x) or x[at] != xm):
+            pieces += [rows[last:at], [(xm, v)]]
+            last, prev = at, xm
+    return np.concatenate(pieces + [rows[last:]]) if pieces else rows
 
 
 def _run_both_ways(flow: _Flow, a: float, x0: float, phi0: np.ndarray, y0s: np.ndarray,
                    x_lo: float, x_hi: float) -> List[Trajectory]:
     """Integrate every start (Phi = phi0, flow value y0s at x0) out to both
-    window edges, as the lanes of one run per side, at most _MAX_LANES at a
-    time.  Each start's extrema, from both sides, are inserted into its
-    samples."""
-    out = []
+    window edges, at most _MAX_LANES starts to a run (``_integrate``).  Each
+    start's extrema, from both sides, are inserted into its samples."""
+    out, mid = [], _SAMPLES_PER_SIDE
     for first in range(0, len(y0s), _MAX_LANES):
         block = slice(first, first + _MAX_LANES)
-        sides = [_integrate_side(flow, x0, phi0[block], y0s[block], x_end)
-                 for x_end in (x_lo, x_hi)]
-        for (back, e_b, st_b, at_b), (fwd, e_f, st_f, at_f) in zip(*sides):
-            found = e_b + e_f
-            rows = np.concatenate([back[:0:-1], fwd,
-                                   np.array([(xm, v) for xm, _, v in found]).reshape(-1, 2)])
-            rows = rows[np.argsort(rows[:, 0], kind="stable")]
-            traj = Trajectory(a=a, nu=flow.nu, samples=rows[np.r_[True, np.diff(rows[:, 0]) > 0.0]],
+        xs, ys, count, extrema, status, x_at = _integrate(flow, x0, phi0[block], y0s[block],
+                                                          x_lo, x_hi)
+        m = len(ys)
+        for i in range(m):
+            back, fwd = i, m + i
+            found = extrema[back] + extrema[fwd]
+            span = slice(mid + 1 - count[back], mid + count[fwd])
+            traj = Trajectory(a=a, nu=flow.nu, samples=_merged(xs[span], ys[i, span], found),
                               extrema=sorted((xm, kind) for xm, kind, _ in found))
-            if 1 in (st_b, st_f):
-                traj.termination, traj.blow_up_x = "blow-up", float(at_f if st_f == 1 else at_b)
-            elif -1 in (st_b, st_f):
+            if 1 in (status[back], status[fwd]):
+                traj.termination = "blow-up"
+                traj.blow_up_x = float(x_at[fwd] if status[fwd] == 1 else x_at[back])
+            elif -1 in (status[back], status[fwd]):
                 traj.termination = "step-failure"
             out.append(traj)
     return out
@@ -277,11 +317,11 @@ def solve_riccati(a: float, nu: float, x0: float, y0,
     """Integrate the gamma equation from (x0, y0) out to both window edges.
 
     ``y0`` is one initial value (returns a Trajectory) or a 1-D array of
-    them (returns one Trajectory per start, in order; the starts run as the
-    lanes of one Taylor-stepped run per side).  Stops a start early when
-    |gamma| crosses BLOWUP_THRESHOLD (recorded as blow-up with its
-    abscissa) or before a point where its step or value is not finite
-    (step-failure).  Interior extrema are the sign changes of gamma',
+    them (returns one Trajectory per start, in order; each start runs as
+    two lanes, one per direction, of one Taylor-stepped run).  Stops a
+    start early when |gamma| crosses BLOWUP_THRESHOLD (recorded as blow-up
+    with its abscissa) or before a point where its step or value is not
+    finite (step-failure).  Interior extrema are the sign changes of gamma',
     refined by Newton on the step's polynomial.
     """
     a, nu, x0 = float(a), float(nu), float(x0)

@@ -50,6 +50,10 @@ MONOTONE_TOL = 1.0e-9
 # no measurable time but held about 1 MiB more of formula temporaries at
 # the peak of a 20 x 1,001 verify run
 SCAN_BLOCK_POINTS = 4096
+# Largest orders x arguments a ranged grid may hold, so also the most
+# orders `ranged_orders` builds: checked before any list is built, so a
+# huge range fails fast instead of hanging or running out of memory.
+GRID_LIMIT = 1_000_000
 _TINY = 1.0e-300
 
 
@@ -82,12 +86,17 @@ def ranged_orders(nu_min: float, nu_max: float, nu_step: float) -> List[float]:
     """Orders nu_min + k * nu_step up to nu_max, with the non-negative
     integers dropped (the second-kind small-x series pick up logarithmic
     terms there); empty for a non-positive step or an empty range.  Every
-    argument must be finite."""
+    argument must be finite, and the range may hold at most GRID_LIMIT
+    orders."""
     if not all(math.isfinite(v) for v in (nu_min, nu_max, nu_step)):
         raise DomainError("nu_min, nu_max and nu_step must be finite")
     if nu_step <= 0 or nu_max < nu_min:
         return []
-    n = int(math.floor((nu_max - nu_min) / nu_step + 1e-9))
+    steps = (nu_max - nu_min) / nu_step + 1e-9      # inf where the span overflows
+    if not steps < GRID_LIMIT:
+        raise DomainError(f"an order range must hold at most {GRID_LIMIT} orders, got "
+                          f"({nu_min!r}, {nu_max!r}, {nu_step!r})")
+    n = int(math.floor(steps))
     nus = [nu_min + k * nu_step for k in range(n + 1)]
     return [v for v in nus if v < 0.0 or v != round(v)]
 

@@ -363,7 +363,7 @@ def test_oversized_runs_fail_fast(tmp_path, monkeypatch):
     for argv in (["verify", "--nu-min", "0.5", "--nu-max", "19.5", "--nu-step", "1",
                   "--x-points", "1001"],
                  ["explore", "--nu", "2", "--sample", "100"],
-                 ["tabulate", "--nu", "1", "--x-points", str(cli.GRID_LIMIT)],
+                 ["tabulate", "--nu", "1", "--x-points", str(verify.GRID_LIMIT)],
                  ["sharpness", "--config", str(cfg)], ["explore", "--config", str(cfg)]):
         cli._merge_config(parser.parse_args(argv))
 

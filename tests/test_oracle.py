@@ -240,6 +240,27 @@ def test_k_ratio_row_matches_pointwise():
         assert_allclose(oracle.k_ratio(EvalPoint(0.8, float(x))).value, v, rtol=1e-9)
 
 
+@pytest.mark.parametrize("lanes", [1, 2, 100])
+def test_lane_recursion_is_the_scalar_one_bit_for_bit(lanes):
+    # riccati_lab's lanes take the stacked recursion, the K seed the scalar
+    # one: each S_k must be summed in order, as sum() does, since a pairwise
+    # sum (numpy's along a one-lane column) rounds differently.  In half the
+    # draws every other lane starts at x0 = phi0 = -0.0, where every b_k is a
+    # signed zero, some of them -0.0, and the signs must match too
+    rng = np.random.default_rng(lanes)
+    for draw in range(12):
+        nu, x0, phi0 = (rng.uniform(lo, hi, lanes)
+                        for lo, hi in ((-1.0, 5.0), (0.05, 30.0), (-3.0, 3.0)))
+        if draw % 2:
+            x0[::2], phi0[::2] = -0.0, -0.0
+        got = oracle.taylor_coefficients(nu, x0, phi0, 31)
+        assert got.shape == (31, lanes)
+        for i in range(lanes):
+            want = oracle.taylor_coefficients(float(nu[i]), float(x0[i]), float(phi0[i]), 31)
+            assert isinstance(want, list)
+            assert got[:, i].tobytes() == np.array(want).tobytes(), (draw, i)
+
+
 # ---------------------------------------------------------------------------
 # est_error is honest: properties at random (order, x), compared at 1x
 

@@ -203,6 +203,26 @@ def test_starts_run_in_blocks(monkeypatch):
         assert np.array_equal(got.samples, want.samples) and got.extrema == want.extrema
 
 
+@pytest.mark.parametrize("x, found", [
+    # an extremum at a sample, two at one x, one before and one past the samples
+    ([1.0, 2.0, 3.0], [(2.0, "max", 7.0), (2.5, "min", 8.0), (2.5, "max", 9.0)]),
+    ([1.0, 2.0, 3.0], [(3.5, "max", 7.0), (0.5, "min", 8.0), (1.5, "max", 9.0),
+                       (1.0, "min", 6.0)]),
+    ([1.0, 2.0, 3.0], []),
+    # repeated samples (a window a few ulps wide) take the sorting path
+    ([1.0, 1.0, 2.0], [(1.0, "max", 7.0), (1.5, "min", 8.0)]),
+])
+def test_extrema_merge_as_a_stable_sort_keeps_them(x, found):
+    x = np.array(x)
+    y = 10.0 * x + 1.0
+    got = riccati_lab._merged(x, y, found)
+    rows = np.concatenate([np.column_stack([x, y]),
+                           np.array([(xm, v) for xm, _, v in found]).reshape(-1, 2)])
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    want = rows[np.r_[True, np.diff(rows[:, 0]) > 0.0]]
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
 def test_non_finite_parameters_are_rejected():
     # a NaN order or exponent used to hang the step controller
     for a, nu in ((np.nan, 2.0), (np.inf, 2.0), (0.0, np.nan), (0.0, -np.inf)):

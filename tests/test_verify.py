@@ -77,6 +77,23 @@ def test_ranged_orders_rejects_non_finite_arguments(args):
         verify.ranged_orders(*args)
 
 
+@pytest.mark.parametrize("args", [(-1e308, 1e308, 1.0), (0.0, 1e9, 1e-9)])
+def test_ranged_orders_refuses_too_many_orders(args):
+    # the first used to escape as OverflowError (the span overflows to inf);
+    # the second would build a list of about 1e18 orders
+    with pytest.raises(DomainError, match="at most"):
+        verify.ranged_orders(*args)
+
+
+def test_ranged_orders_limit_counts_the_orders(monkeypatch):
+    # GRID_LIMIT orders pass (the integers 2 and 3 among them are then dropped);
+    # one more is refused before anything is built
+    monkeypatch.setattr(verify, "GRID_LIMIT", 4)
+    assert verify.ranged_orders(1.5, 3.0, 0.5) == [1.5, 2.5]
+    with pytest.raises(DomainError):
+        verify.ranged_orders(1.5, 3.5, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # claim catalog
 

@@ -44,7 +44,7 @@ def main(argv=()) -> int:
     counts = {path.name: code_lines(path.read_text()) for path in sorted(root.glob("*.py"))}
     if not counts:
         ap.error(f"no modules in {root}")
-    width = max(map(len, counts), default=5)
+    width = max(len("total"), *map(len, counts))
     for name, n in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
         print(f"{name:<{width}} {n:>6,}")
     print(f"{'total':<{width}} {sum(counts.values()):>6,}")

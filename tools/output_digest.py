@@ -7,8 +7,10 @@ default grid (plain, with ``--x-min 0.000567``, with
 double-I-lower`` and ``--corrupt-claim amos-I-a2``, which are refused)
 and on 20 half-integer orders x 1,001 x
 (plain and with ``--corrupt-claim amos-K-a1``), ``conjecture --out``,
-``sharpness --out``, ``tabulate --out`` and ``explore --out`` three ways
-(``--sample 100``, ``--sample 20 --nu 2.5 --a 1`` and ``--y0 0.7``).  For
+``sharpness --out``, ``tabulate --out`` and ``explore --out`` four ways
+(``--sample 100``, ``--sample 20 --nu 2.5 --a 1``, ``--y0 0.7`` and
+``--y0 -3 --sample 3``, whose start 0 blows up forward, so its lanes stop
+on different passes and on one side only).  For
 each run it prints the exit code and the digests of stdout and stderr,
 then one line per output file.  Then one library run, ``monotone-dense``:
 every monotone claim scanned over one oracle table on the same 20 orders
@@ -49,8 +51,8 @@ def runs(tiny: bool):
     """(name, argv, output is a directory) of each run, without --out."""
     default, dense = (TINY_GRID, TINY_DENSE) if tiny else ([], DENSE)
     corrupt = ["--corrupt-claim", "amos-K-a1"]
-    sample, small = (["--sample", "3"], ["--sample", "2"]) if tiny else (
-        ["--sample", "100"], ["--sample", "20"])
+    sample, small, blow = ((["--sample", "3"], ["--sample", "2"], ["--sample", "2"]) if tiny
+                           else (["--sample", "100"], ["--sample", "20"], ["--sample", "3"]))
     return [("verify-default", ["verify", *default], True),
             ("verify-x-min", ["verify", *default, "--x-min", "0.000567"], True),
             ("verify-default-corrupt", ["verify", *default, "--corrupt-claim", "trig-upper-I"],
@@ -65,7 +67,8 @@ def runs(tiny: bool):
             ("tabulate", ["tabulate", *default], False),
             ("explore", ["explore", *sample], False),
             ("explore-nu", ["explore", *small, "--nu", "2.5", "--a", "1"], False),
-            ("explore-y0", ["explore", "--y0", "0.7"], False)]
+            ("explore-y0", ["explore", "--y0", "0.7"], False),
+            ("explore-blow-up", ["explore", "--y0", "-3", *blow], False)]
 
 
 def _sha(data: bytes) -> str:
