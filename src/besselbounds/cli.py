@@ -175,6 +175,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise DomainError(f"|{name}| must not exceed {NU_LIMIT:g}, got {v!r}")
     if cfg.seed < 0:
         raise DomainError(f"seed must be non-negative, got {cfg.seed!r}")
+    if cfg.sample < 0:
+        raise DomainError(f"sample must be non-negative, got {cfg.sample!r}")
     if cfg.sample > SAMPLE_LIMIT:
         raise DomainError(f"sample must not exceed {SAMPLE_LIMIT}, got {cfg.sample!r}")
     if cfg.command not in _GRID:
@@ -418,12 +420,12 @@ def cmd_explore(cfg: RunConfig) -> int:
         # seeded uniform draws strictly inside the two principal branches
         lo, hi = (float(ratio_row(nu, [cfg.x0])[0][0])
                   for ratio_row in (oracle.k_ratio_row, oracle.i_ratio_row))
-        rng = np.random.default_rng(cfg.seed)
+        from . import pcg64     # loaded only when there are draws to make
         try:
             scale = cfg.x0 ** (-cfg.a)
         except OverflowError:       # each start then fails check_start below
             scale = math.inf
-        for k, t in enumerate(rng.uniform(0.02, 0.98, size=cfg.sample)):
+        for k, t in enumerate(pcg64.uniform(cfg.seed, 0.02, 0.98, cfg.sample)):
             starts.append((k + 1, scale * (lo + t * (hi - lo))))
 
     errors = {}

@@ -201,6 +201,29 @@ def test_no_command_loads_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_explore_draws_without_numpy_random():
+    # the seeded starts come from besselbounds.pcg64, loaded by the first
+    # run with draws to make; numpy.random (several MiB) never loads
+    script = textwrap.dedent("""
+        import sys
+        import besselbounds.cli as cli
+        for name in ("numpy.random", "besselbounds.pcg64"):
+            assert name not in sys.modules, "import besselbounds.cli: " + name
+        argv = ["explore", "--nu", "2", "--x-min", "0.05", "--x-max", "30"]
+        assert cli.main(argv + ["--y0", "1"]) == 0
+        assert "besselbounds.pcg64" not in sys.modules, "explore --y0"
+        assert cli.main(argv + ["--sample", "3"]) == 0
+        assert "besselbounds.pcg64" in sys.modules, "explore --sample"
+        assert "numpy.random" not in sys.modules, "explore --sample"
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -632,6 +655,12 @@ def test_explore_rejects_non_finite_inputs(tmp_path):
     assert code == EXIT_USAGE and "seed" in err and out == ""
     cfg.write_text("seed=-1\n")
     assert run(base + ["--sample", "2", "--config", str(cfg)])[0] == EXIT_USAGE
+    # a negative sample used to be dropped silently, exiting 0
+    code, out, err = run(base + ["--y0", "1", "--sample", "-3"])
+    assert code == EXIT_USAGE and "sample must be non-negative" in err and out == ""
+    cfg.write_text("sample=-3\n")
+    code, out, err = run(base + ["--y0", "1", "--config", str(cfg)])
+    assert code == EXIT_USAGE and "sample must be non-negative" in err and out == ""
 
 
 def test_explore_reports_start_past_blow_up_threshold(tmp_path):

@@ -33,7 +33,8 @@ def test_output_digest_on_a_tiny_grid(capsys, tmp_path):
                     "verify-corrupt-zero": "2", "verify-corrupt-slack": "2", "verify-dense": "0",
                     "verify-dense-corrupt": "1",
                     "conjecture": "0", "sharpness": "0", "tabulate": "0", "explore": "0",
-                    "explore-nu": "0", "explore-y0": "0", "explore-blow-up": "0"}
+                    "explore-nu": "0", "explore-y0": "0", "explore-blow-up": "0",
+                    "explore-wide-seed": "0"}
     assert ({line.split()[0].split("/")[0] for line in lines}
             == {*runs, "monotone-dense", "sharpness-battery"})
     files = dict(line.split() for line in lines if " exit=" not in line)

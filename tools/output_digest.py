@@ -7,11 +7,12 @@ default grid (plain, with ``--x-min 0.000567``, with
 double-I-lower`` and ``--corrupt-claim amos-I-a2``, which are refused)
 and on 20 half-integer orders x 1,001 x
 (plain and with ``--corrupt-claim amos-K-a1``), ``conjecture --out``,
-``sharpness --out``, ``tabulate --out`` and ``explore --out`` four ways
-(``--sample 100``, ``--sample 20 --nu 2.5 --a 1``, ``--y0 0.7`` and
+``sharpness --out``, ``tabulate --out`` and ``explore --out`` five ways
+(``--sample 100``, ``--sample 20 --nu 2.5 --a 1``, ``--y0 0.7``,
 ``--y0 -3 --sample 3``, whose start 0 blows up forward, so its lanes stop
-on different passes and on one side only).  For
-each run it prints the exit code and the digests of stdout and stderr,
+on different passes and on one side only, and ``--sample 3`` with a seed
+of 2**130 + 277, whose five 32-bit words overfill SeedSequence's pool).
+For each run it prints the exit code and the digests of stdout and stderr,
 then one line per output file.  Then one library run, ``monotone-dense``:
 every monotone claim scanned over one oracle table on the same 20 orders
 x 1,001 x (3 x 9 with ``--tiny``), one line per claim digesting its
@@ -45,6 +46,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DENSE = ["--nu-min", "0.5", "--nu-max", "19.5", "--nu-step", "1", "--x-points", "1001"]
 TINY_GRID = ["--nu-min", "-1", "--nu-max", "0.5", "--nu-step", "0.25", "--x-points", "5"]
 TINY_DENSE = ["--nu-min", "0.5", "--nu-max", "2.5", "--nu-step", "1", "--x-points", "9"]
+# 2**130 + 277: five 32-bit words, one more than SeedSequence's pool holds
+WIDE_SEED = "1361129467683753853853498429727072846101"
 
 
 def runs(tiny: bool):
@@ -68,7 +71,8 @@ def runs(tiny: bool):
             ("explore", ["explore", *sample], False),
             ("explore-nu", ["explore", *small, "--nu", "2.5", "--a", "1"], False),
             ("explore-y0", ["explore", "--y0", "0.7"], False),
-            ("explore-blow-up", ["explore", "--y0", "-3", *blow], False)]
+            ("explore-blow-up", ["explore", "--y0", "-3", *blow], False),
+            ("explore-wide-seed", ["explore", *blow, "--seed", WIDE_SEED], False)]
 
 
 def _sha(data: bytes) -> str:
