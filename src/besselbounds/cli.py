@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence, Tuple, get_args
 
 import numpy as np
 
-from . import g17
 from . import nullclines as nc
 from . import oracle
 from . import riccati_lab
@@ -81,12 +80,12 @@ class RunConfig:
     Every field but ``command`` is an option; a new option is one field."""
 
     command: str = ""
-    nu_min: float = _option(-1.0, "lowest order", _GRID)
-    nu_max: float = _option(20.0, "highest order", _GRID)
-    nu_step: float = _option(0.25, "order step", _GRID)
-    x_min: float = _option(1e-3, "lowest argument", _WINDOW)
-    x_max: float = _option(1e3, "highest argument", _WINDOW)
-    x_points: int = _option(121, "log-spaced count", _GRID)
+    nu_min: float = _option(verify.NU_MIN, "lowest order", _GRID)
+    nu_max: float = _option(verify.NU_MAX, "highest order", _GRID)
+    nu_step: float = _option(verify.NU_STEP, "order step", _GRID)
+    x_min: float = _option(verify.X_MIN, "lowest argument", _WINDOW)
+    x_max: float = _option(verify.X_MAX, "highest argument", _WINDOW)
+    x_points: int = _option(verify.X_POINTS, "log-spaced count", _GRID)
     nu: Optional[float] = _option(None, "single order (overrides the range)", _WINDOW)
     x: Optional[float] = _option(None, "single argument (overrides the range)", _GRID)
     tol: float = _option(verify.DEFAULT_TOL, "violation tolerance", ("verify",))
@@ -270,7 +269,7 @@ def cmd_tabulate(cfg: RunConfig) -> int:
                            lam_i, lam_k, lam_o, *w_levels,
                            nc.PRODUCT_FORMS["upper"].formula(nu, x),
                            nc.PRODUCT_FORMS["lower_trig"].formula(nu, x)]
-                verify.write_csv_rows(stream, "", np.column_stack(
+                verify.write_csv_rows(stream, np.column_stack(
                     [np.broadcast_to(c, (len(nu), len(x))).ravel() for c in columns]))
         return _verdict(False, failures, len(nus) * len(xs))
 
@@ -383,26 +382,6 @@ def cmd_conjecture(cfg: RunConfig) -> int:
     return _verdict(bool(rep.violations), failures, rep.points_checked + failures)
 
 
-def _write_samples(stream, trajs: dict) -> None:
-    """Every trajectory's samples ({tag: Trajectory}, in order) as
-    ``tag,x,y`` lines of one report (``verify._write_lines``), a block per
-    trajectory (or per REPORT_BLOCK_ROWS of one).  The starts share their
-    sample points, so the x text comes from one axis over the longest
-    trajectory's x, an x it lacks formatted anew.  No array spans the
-    trajectories: a run's transient arrays stay small, and with them its
-    peak memory."""
-    size = verify.REPORT_BLOCK_ROWS
-    axis = verify._Axis(max(trajs.values(), key=lambda traj: len(traj.samples)).xs())
-    verify._write_lines(lambda data: stream.write(data.decode("ascii")), b"",
-                        sum(len(traj.samples) for traj in trajs.values()),
-                        [(1, len(b"%d" % max(trajs))), (1, g17.TEXT_WIDTH), (1, g17.WIDTH)],
-                        ((np.full((len(part), 1), b"%d" % tag), axis.text_of(part[:, :1]),
-                          g17.texts(part[:, 1:]))
-                         for tag, traj in trajs.items()
-                         for part in (traj.samples[i:i + size]
-                                      for i in range(0, len(traj.samples), size))))
-
-
 def cmd_explore(cfg: RunConfig) -> int:
     x_lo, x_hi = cfg.x_min, cfg.x_max
     if not (0 < x_lo < cfg.x0 < x_hi):
@@ -442,8 +421,7 @@ def cmd_explore(cfg: RunConfig) -> int:
     with _open_out(cfg) as stream:
         summary = sys.stderr if stream is sys.stdout else sys.stdout
         stream.write("sample,x,y\n")
-        if trajs:
-            _write_samples(stream, trajs)
+        verify.write_samples(stream, {tag: traj.samples for tag, traj in trajs.items()})
         for tag, y0 in starts:
             if tag in errors:
                 print(f"sample {tag}: y0={_FMT % y0} error: {errors[tag]}", file=summary)

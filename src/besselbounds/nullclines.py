@@ -122,9 +122,9 @@ class BoundForm:
     (``proved.holds(nu)``).
 
     The scans call ``formula`` on a column of orders against the x row; one
-    order row is the same call with a scalar order.  ``at``, its value at
-    one point, serves only ``verify.BoundClaim.bound_fn``, which the
-    benchmark times.
+    order row is the same call with a scalar order, and one point
+    (``verify.BoundClaim.bound_fn``) a scalar order against a one-element
+    x row.
     """
 
     formula: Callable
@@ -132,9 +132,6 @@ class BoundForm:
     target: str             # oracle quantity id
     proved: OrderRange
     conjectural: bool = False
-
-    def at(self, p: EvalPoint) -> float:
-        return float(self.formula(p.nu, np.array([p.x]))[0])
 
 
 def _check_a(a: float) -> float:

