@@ -153,6 +153,18 @@ def _solve_on_step(f, b: list, xc: float, lo: float, hi: float):
     return xc * (1.0 + t), _polyval(b, t)
 
 
+def _side_points(x0: float, edge: float) -> np.ndarray:
+    """A side's _SAMPLES_PER_SIDE + 1 log-spaced points, x0 to the window
+    edge, in order.  Over a window a few ulps wide ``np.geomspace`` can turn
+    and step past either end, so the points are made monotone and clipped
+    at the edge: they then only repeat there (``_merged`` folds repeats),
+    and a wider window's points are left as they are."""
+    points = np.geomspace(x0, edge, _SAMPLES_PER_SIDE + 1)
+    if edge < x0:
+        return np.maximum(np.minimum.accumulate(points), edge)
+    return np.minimum(np.maximum.accumulate(points), edge)
+
+
 def _integrate(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
                x_lo: float, x_hi: float) -> tuple:
     """Step every start (Phi = phi0, flow value y0s at x0) out to both window
@@ -177,7 +189,7 @@ def _integrate(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
     BLOWUP_THRESHOLD (blow-up).
     """
     mid = _SAMPLES_PER_SIDE     # the column of x0
-    back, fwd = np.geomspace(x0, x_lo, mid + 1), np.geomspace(x0, x_hi, mid + 1)
+    back, fwd = _side_points(x0, x_lo), _side_points(x0, x_hi)
     xs = np.concatenate([back[:0:-1], fwd])
     m = len(y0s)
     ys = np.full((m, 2 * mid + 1), np.nan)
@@ -265,15 +277,14 @@ def _integrate(flow: _Flow, x0: float, phi0: np.ndarray, y0s: np.ndarray,
 def _merged(x: np.ndarray, y: np.ndarray, found: list) -> np.ndarray:
     """The (x, value) rows of one start's samples and extrema (x, kind,
     value), as a stable sort by x keeps them: samples before extrema, and
-    the first row of each x.  Each extremum is spliced in where it belongs
-    along the samples instead of sorting them all."""
+    the first row of each x.  The samples come in order (``x`` does not
+    decrease), and each extremum is spliced in where it belongs along them
+    instead of sorting them all."""
     rows = np.column_stack([x, y])
     if not (x[1:] > x[:-1]).all():
-        # a window a few ulps wide repeats sample points, and its log-spaced
-        # points can even turn: the samples are put in order, the first row
-        # of each x kept, before the splice
-        rows = rows[np.argsort(x, kind="stable")]
-        rows = rows[np.r_[True, np.diff(rows[:, 0]) > 0.0]]
+        # a window a few ulps wide repeats sample points (`_side_points`):
+        # the first row of each x is kept
+        rows = rows[np.r_[True, x[1:] > x[:-1]]]
         x = rows[:, 0]
     pieces, last, prev = [], 0, None
     found = sorted(((xm, v) for xm, _, v in found), key=itemgetter(0))

@@ -30,8 +30,9 @@ no randomness.
 The package's CSV writers live here too: `write_report_csv` (a scan
 report), `write_csv_rows` (a float table) and `write_samples` (explore's
 trajectories).  Each hands its blocks of text columns and float values
-to `_write_lines`, the one place a CSV line is laid out and a block is
-cut into chunks of REPORT_BLOCK_ROWS lines.
+to `_write_lines`, the one place a CSV line is laid out and the lines are
+cut into chunks of CSV_CHUNK_VALUES float values each; a chunk spans as
+many blocks as it takes.
 """
 
 import dataclasses
@@ -178,9 +179,11 @@ class ScanReport:
         return np.concatenate([np.empty((0, 5)), *(block.rows() for block in self.blocks)])
 
 
-# lines per chunk of every CSV writer: small enough that a chunk's texts
-# and line bytes add nothing to a run's peak memory
-REPORT_BLOCK_ROWS = 1024
+# float values per chunk of every CSV writer, so a chunk holds this many
+# over its float cells per line: 1,024 report lines, 3,072 explore lines.
+# `g17.texts` costs least per value near this size, and a chunk's texts and
+# line bytes add nothing to a run's peak memory
+CSV_CHUNK_VALUES = 3072
 
 
 def _write_lines(write, prefix: bytes, count: int, cells, blocks) -> None:
@@ -188,32 +191,43 @@ def _write_lines(write, prefix: bytes, count: int, cells, blocks) -> None:
     the one place a CSV line is laid out.  ``cells`` lists runs of columns
     as (count, width) pairs, the last run the float columns.  ``blocks``
     yields (texts, values): one text array per leading run, (lines,
-    cells), and the block's float values, (lines, cells).  Each block is
-    cut into chunks of at most REPORT_BLOCK_ROWS lines, and a chunk's lines
-    are one byte matrix: each run is one view of it, of dtype S{width} and
-    one column per cell, set to the chunk's texts and, in the last run, to
-    one ``g17.texts`` call on its values; the matrix is written after one
-    ``translate`` compacts it.  The matrix is made once, so a writer's
-    memory stays one chunk's."""
+    cells), and the block's float values, (lines, cells).  The lines are
+    cut into chunks of CSV_CHUNK_VALUES // (float cells per line) lines
+    each (the last may be short), and a chunk is filled from as many
+    blocks as it takes: its lines are one byte matrix, each run one view
+    of it, of dtype S{width} and one column per cell, set to the blocks'
+    texts and, in the last run, to one ``g17.texts`` call on the chunk's
+    values; the matrix is written after one ``translate`` compacts it.
+    The matrix is made once, so a writer's memory stays one chunk's."""
     line, starts = bytearray(prefix), []
     for cols, width in cells:
         starts.append(len(line))
         line += (bytes(width) + b",") * cols
     line[-1:] = b"\n"
-    n = max(1, min(count, REPORT_BLOCK_ROWS))
-    raw = line * n
+    n = max(1, min(count, CSV_CHUNK_VALUES // cells[-1][0]))
+    raw, values = line * n, np.empty((n, cells[-1][0]))
     # (shape, dtype, buffer, offset, strides): a run's cells of n lines, a view
     views = [np.ndarray((n, cols), "S%d" % width, raw, start, (len(line), width + 1))
              for (cols, width), start in zip(cells, starts)]
-    for texts, values in blocks:
-        for start in range(0, len(values), REPORT_BLOCK_ROWS):
-            end = start + REPORT_BLOCK_ROWS
-            chunk = [text[start:end] for text in texts] + [g17.texts(values[start:end])]
-            lines = len(chunk[-1])
-            for view, text in zip(views, chunk):
-                view[:lines] = text
-            # a whole chunk is compacted with no copy of its bytes first
-            write((raw if lines == n else raw[:lines * len(line)]).translate(None, b"\0"))
+
+    def flush(lines):
+        views[-1][:lines] = g17.texts(values[:lines])
+        # a whole chunk is compacted with no copy of its bytes first
+        write((raw if lines == n else raw[:lines * len(line)]).translate(None, b"\0"))
+
+    filled = 0
+    for texts, block in blocks:
+        done = 0
+        while done < len(block):
+            take = min(len(block) - done, n - filled)
+            for out, part in zip([*views[:-1], values], [*texts, block]):
+                out[filled:filled + take] = part[done:done + take]
+            filled, done = filled + take, done + take
+            if filled == n:
+                flush(n)
+                filled = 0
+    if filled:
+        flush(filled)
 
 
 def write_csv_rows(stream, rows: np.ndarray) -> None:
@@ -225,17 +239,36 @@ def write_csv_rows(stream, rows: np.ndarray) -> None:
 
 def write_samples(stream, samples: Dict[int, np.ndarray]) -> None:
     """Write each start's samples ({tag: (n, 2) array of (x, y) rows}, in
-    order) to a text stream as ``tag,x,y`` lines, a block per start; the
-    tag cell is as wide as the largest tag's text.  The starts share their
-    sample points, so the x text comes from one axis over the longest
-    start's x, an x it lacks formatted anew.  No array spans the starts: a
-    run's transient arrays stay small, and with them its peak memory."""
+    order) to a text stream as ``tag,x,y`` lines; the tag cell is as wide
+    as the largest tag's text.  The starts share their sample points, so
+    the x text comes from one axis over the longest start's x, an x it
+    lacks formatted anew.  Consecutive whole starts go to the writer as
+    one block, closed once it holds a chunk's CSV_CHUNK_VALUES lines, so
+    the tag text and the x lookup run once per block, and no array spans
+    more than a chunk and one start."""
     axis = _Axis(max(samples.values(), key=len, default=np.empty((0, 2)))[:, 0])
+
+    def block(group):
+        tags, starts = zip(*group)
+        rows = np.concatenate(starts)
+        tags = np.repeat([b"%d" % tag for tag in tags], [len(start) for start in starts])
+        return (tags[:, None], axis.text_of(rows[:, :1])), rows[:, 1:]
+
+    def blocks():
+        group, lines = [], 0
+        for tag, rows in samples.items():
+            group.append((tag, rows))
+            lines += len(rows)
+            if lines >= CSV_CHUNK_VALUES:
+                yield block(group)
+                group, lines = [], 0
+        if group:
+            yield block(group)
+
     _write_lines(lambda data: stream.write(data.decode("ascii")), b"",
                  sum(len(rows) for rows in samples.values()),
                  [(1, len(b"%d" % max(samples, default=0))), (1, g17.TEXT_WIDTH), (1, g17.WIDTH)],
-                 (((np.full((len(rows), 1), b"%d" % tag), axis.text_of(rows[:, :1])), rows[:, 1:])
-                  for tag, rows in samples.items()))
+                 blocks())
 
 
 class _Axis:

@@ -225,14 +225,21 @@ def test_extrema_merge_as_a_stable_sort_keeps_them(x, found):
 
 def test_samples_increase_in_a_window_a_few_ulps_wide():
     # the log-spaced points of a window 3 ulps wide on each side of x0 = 0.3
-    # repeat and turn; each trajectory's samples still strictly increase
+    # repeat and turn; each side's points, the keys its steps are found
+    # in, are made monotone from x0 to the edge, and each trajectory's
+    # samples still strictly increase out to both edges
     x0 = lo = hi = 0.3
     for _ in range(3):
         lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)
     points = np.concatenate([np.geomspace(x0, lo, 401)[:0:-1], np.geomspace(x0, hi, 401)])
     assert (np.diff(points) < 0).any()
+    back, fwd = riccati_lab._side_points(x0, lo), riccati_lab._side_points(x0, hi)
+    assert (np.diff(back) <= 0).all() and (np.diff(fwd) >= 0).all()
+    assert back[[0, -1]].tolist() == [x0, lo] and fwd[[0, -1]].tolist() == [x0, hi]
     for traj in solve_riccati(0.0, 2.0, x0, [0.1, -0.5], lo, hi):
         assert (np.diff(traj.xs()) > 0).all()
+        assert traj.termination == "reached-end"
+        assert traj.xs()[[0, -1]].tolist() == [lo, hi]
 
 
 def test_non_finite_parameters_are_rejected():

@@ -777,7 +777,7 @@ def test_shared_csv_text_matches_per_value_formatting(tmp_path, monkeypatch):
     # second report with other oracle floats at the same cells all keep
     # per-value bytes, through the grid's text and through text over the
     # report's own orders and x values, which repeat here
-    monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 7)
+    monkeypatch.setattr(verify, "CSV_CHUNK_VALUES", 21)
     nus, xs = (-1.0, -0.0, 0.5, 2.5), (1e-3, 0.1, 1.0, 30.0)
     text = verify.CsvText(nus, xs)
     rng = np.random.default_rng(5)
@@ -833,11 +833,12 @@ def _with_specials(rows: np.ndarray, cols) -> np.ndarray:
 
 @pytest.mark.parametrize("cutoff", [0, _CUTOFF, 10 ** 9])
 def test_report_csv_bytes_at_block_and_cutoff_edges(tmp_path, monkeypatch, cutoff):
-    # at each size where a block or the kernel's cutoff (three values a row,
-    # bound, oracle and margin) begins or ends, the bytes are those of
-    # per-value %.17g: with the kernel on every block (cutoff 0), at the real
-    # cutoff, and with every block on the % fallback (a huge cutoff)
-    monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 200)
+    # at each size where a chunk (200 lines here) or the kernel's cutoff
+    # (three values a line, bound, oracle and margin) begins or ends, the
+    # bytes are those of per-value %.17g: with the kernel on every chunk
+    # (cutoff 0), at the real cutoff, and with every chunk on the % fallback
+    # (a huge cutoff)
+    monkeypatch.setattr(verify, "CSV_CHUNK_VALUES", 600)
     monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
     rng = np.random.default_rng(11)
     nus, xs = (-1.0, -0.0, 0.5, 2.5), (1e-3, 1.0, 30.0)
@@ -855,10 +856,10 @@ def test_report_csv_bytes_at_block_and_cutoff_edges(tmp_path, monkeypatch, cutof
 
 @pytest.mark.parametrize("cutoff", [0, _CUTOFF, 10 ** 9])
 def test_csv_rows_bytes_at_block_and_cutoff_edges(monkeypatch, cutoff):
-    # the same for the tabulate writer, which takes blocks of as many rows:
-    # three values a row, so 85 and 86 rows sit on either side of the
-    # cutoff; a text stream gets the decoded text
-    monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 150)
+    # the same for the tabulate writer, in chunks of 150 rows here: three
+    # values a row, so 64 and 65 rows sit on either side of the cutoff; a
+    # text stream gets the decoded text
+    monkeypatch.setattr(verify, "CSV_CHUNK_VALUES", 450)
     monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
     rng = np.random.default_rng(12)
     for n in (0, 1, _CUTOFF // 3, _CUTOFF // 3 + 1, 149, 150, 151, 301):
@@ -872,10 +873,10 @@ def test_csv_rows_bytes_at_block_and_cutoff_edges(monkeypatch, cutoff):
 
 @pytest.mark.parametrize("cutoff", [0, _CUTOFF, 10 ** 9])
 def test_samples_bytes_at_block_and_cutoff_edges(monkeypatch, cutoff):
-    # explore's writer: starts on either side of a block's and the kernel's
-    # edges (one value a row), x off the longest start's axis, special
-    # values, and tags of every width in one narrow tag cell
-    monkeypatch.setattr(verify, "REPORT_BLOCK_ROWS", 150)
+    # explore's writer: starts on either side of a chunk's (150 lines here)
+    # and the kernel's edges (one value a line), x off the longest start's
+    # axis, special values, and tags of every width in one narrow tag cell
+    monkeypatch.setattr(verify, "CSV_CHUNK_VALUES", 150)
     monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
     rng = np.random.default_rng(13)
     xs = np.sort(rng.uniform(0.0, 10.0, 301))
@@ -891,6 +892,78 @@ def test_samples_bytes_at_block_and_cutoff_edges(monkeypatch, cutoff):
     stream = io.StringIO()
     verify.write_samples(stream, {})
     assert stream.getvalue() == ""
+
+
+@pytest.mark.parametrize("cutoff", [0, _CUTOFF, 10 ** 9])
+def test_samples_bytes_where_chunks_cross_starts(monkeypatch, cutoff):
+    # chunks of 250 lines: the first holds four whole starts (one empty, one
+    # with an extremum spliced in off the shared x axis) and the head of a
+    # fifth, a chunk boundary falls inside that start, and the last chunk
+    # holds its tail and one more start
+    monkeypatch.setattr(verify, "CSV_CHUNK_VALUES", 250)
+    monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
+    rng = np.random.default_rng(14)
+    xs = np.sort(rng.uniform(0.1, 10.0, 300))
+    samples = {}
+    for tag, n in zip((1, 2, 3, 4, 5, 12), (100, 0, 60, 50, 300, 40)):
+        rows = _with_specials(np.column_stack([xs[:n], rng.normal(size=n)]), (1,))
+        if tag == 3:        # an extremum between two sample points
+            rows = np.insert(rows, 30, [(0.5 * (xs[29] + xs[30]), 0.25)], axis=0)
+        samples[tag] = rows
+    assert not np.isin(samples[3][:, 0], xs).all()
+    stream = io.StringIO()
+    verify.write_samples(stream, samples)
+    assert stream.getvalue() == "".join("%d,%s\n" % (tag, ",".join("%.17g" % v for v in row))
+                                        for tag, rows in samples.items() for row in rows.tolist())
+
+
+@pytest.mark.parametrize("cutoff", [0, _CUTOFF, 10 ** 9])
+def test_report_csv_bytes_where_a_chunk_spans_scan_blocks(tmp_path, monkeypatch, cutoff):
+    # two grid blocks of 3 orders x 60 x, some points unchecked, in chunks
+    # of 200 lines: the first chunk holds all of the first block's checked
+    # points and the head of the second's
+    monkeypatch.setattr(verify, "CSV_CHUNK_VALUES", 600)
+    monkeypatch.setattr(g17, "MIN_KERNEL_VALUES", cutoff)
+    rng = np.random.default_rng(15)
+    xs = np.geomspace(1e-3, 1e3, 60)
+    blocks = []
+    for nus in ((-1.0, -0.0, 0.5), (2.5, 7.25, 19.75)):
+        checked = rng.uniform(size=(3, 60)) < 0.8
+        cols = _with_specials(rng.normal(size=(180, 3)) * 10.0 ** rng.integers(-20, 20, (180, 3)),
+                              (0, 1, 2)).T.reshape(3, 3, 60)
+        blocks.append(verify.ReportBlock(np.array(nus)[:, None], xs, checked,
+                                         (cols[0], cols[1]), cols[2]))
+    rep = verify.ScanReport(claim_id="c", blocks=blocks)
+    first = np.count_nonzero(blocks[0].checked)
+    assert first < 200 < first + np.count_nonzero(blocks[1].checked)
+    path = tmp_path / "r.csv"
+    write_report_csv(rep, path, verify.CsvText((-1.0, -0.0, 0.5, 2.5, 7.25, 19.75), xs))
+    assert path.read_text() == "claim_id,nu,x,bound,oracle,margin\n" + "".join(
+        "c,%s\n" % ",".join("%.17g" % v for v in row) for row in rep.rows.tolist())
+
+
+def test_explore_samples_take_one_kernel_call_per_chunk(monkeypatch):
+    # 100 starts of 801 samples, as a 100-start explore run writes: one
+    # g17.texts call per chunk of CSV_CHUNK_VALUES lines, not one per start,
+    # and one x lookup per group of whole starts that fills a chunk
+    xs = np.geomspace(0.05, 30.0, 801)
+    samples = {tag: np.column_stack([xs, np.sin(tag * xs)]) for tag in range(1, 101)}
+    calls = {"texts": 0, "text_of": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(g17, "texts", counted("texts", g17.texts))
+    monkeypatch.setattr(verify._Axis, "text_of", counted("text_of", verify._Axis.text_of))
+    stream = io.StringIO()
+    verify.write_samples(stream, samples)
+    assert stream.getvalue().count("\n") == 80100
+    assert calls["texts"] == math.ceil(80100 / verify.CSV_CHUNK_VALUES) == 27
+    per_group = math.ceil(verify.CSV_CHUNK_VALUES / 801)
+    assert calls["text_of"] == math.ceil(100 / per_group) == 25
 
 
 def test_report_csv_of_a_scan_with_zero_and_subnormal_bounds(tmp_path, monkeypatch):
