@@ -583,11 +583,11 @@ def test_conjecture_margin_within_roundoff_is_undecided():
     margin, note = line.split(": ", 1)[1].split(" ", 1)
     est = float(note.split("estimate ")[1].split(",")[0])
     assert float(margin) < 0.0 and abs(float(margin)) <= est
-    assert note == f"(undecided within estimate {est!r}, reported, not gated)"
+    assert note == f"(undecided within estimate {'%.17g' % est}, reported, not gated)"
     # a margin outside the estimate keeps its line
     code, out, _ = run(["conjecture"])
     assert code == EXIT_OK
-    assert "margin to conjectured cap 1/5: 0.00023468638398754793 (reported, not gated)\n" in out
+    assert "margin to conjectured cap 1/5: 0.0002346863833054269 (reported, not gated)\n" in out
 
 
 # ---------------------------------------------------------------------------

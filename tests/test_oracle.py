@@ -53,7 +53,7 @@ def test_i_ratio_half_integer_closed_form():
     for x in (0.1, 1.0, 7.0, 42.0):
         r = oracle.i_ratio(EvalPoint(0.5, x))
         assert_allclose(r.value, 1.0 / math.tanh(x), rtol=1e-12)
-        assert r.method == "continued-fraction"
+        assert r.method == "continued-fraction+ladder"
         assert 0.0 <= r.est_error <= 1e-10 * abs(r.value)
         # est_error is an honest bound up to a small safety factor
         assert abs(r.value - 1.0 / math.tanh(x)) <= 10.0 * r.est_error + 5e-16 * r.value
@@ -116,15 +116,21 @@ def _lentz_i_ratio(nu: float, x: float):
 
 
 def _scalar_i_ratio(nu: float, x: float):
-    """Reference (value, est_error, method), with the step-down for nu in [-1, 0)."""
+    """Reference (value, est_error, method): the scalar Lentz loop at nu's
+    anchor, then scalar ladder steps down to nu, the step to nu in [-1, 0)
+    included."""
     _EPS = 2.220446049250313e-16
-    if nu >= 0.0:
-        return (*_lentz_i_ratio(nu, x), "continued-fraction")
-    up, up_err = _lentz_i_ratio(nu + 1.0, x)
-    head = 2.0 * nu / x
-    val = head + 1.0 / up
-    est = up_err / (up * up) + _EPS * (abs(head) + abs(1.0 / up))
-    return val, est, "continued-fraction+step-down"
+    span = oracle.I_ANCHOR_SPAN
+    base = nu + 1.0 if nu < 0.0 else nu
+    m = span - 1 - math.floor(base) % span
+    d, e = _lentz_i_ratio(base + m, x)
+    r, rel = 1.0 / d, e / abs(d)
+    orders = [base + j for j in range(m - 1, -1, -1)] + [nu] * (nu < 0.0)
+    for o in orders:
+        d = 2.0 * o / x + r
+        rel = rel * abs(r / d) + 2.0 * _EPS
+        r = 1.0 / d
+    return d, rel * abs(d), "continued-fraction+ladder" if orders else "continued-fraction"
 
 
 def _assert_rows_equal_scalar(nus, xs):
@@ -159,10 +165,11 @@ def test_i_ratio_rows_bit_equal_to_scalar_at_random_points():
 
 
 def test_i_ratio_rows_non_convergence_names_a_live_point(monkeypatch):
-    # x = 1 converges within 40 steps and x = 500, 1000 do not; a lane that
-    # has converged may still sit in the live arrays, and must not be named
+    # the fraction runs at 0.5's anchor, 15.5; x = 1 converges there within
+    # 40 steps and x = 500, 1000 do not; a lane that has converged may still
+    # sit in the live arrays, and must not be named
     monkeypatch.setattr(oracle, "CF_MAX_ITER", 40)
-    with pytest.raises(EvaluationError, match=r"in 40 iterations at nu=0\.5, x=500\.0$"):
+    with pytest.raises(EvaluationError, match=r"in 40 iterations at nu=15\.5, x=500\.0$"):
         oracle.i_ratio_rows([0.5], [1.0, 500.0, 1000.0])
 
 
@@ -181,6 +188,62 @@ def test_i_ratio_rows_raise_no_floating_point_exception(dense):
     for nu in nus:
         for got, want in zip(guarded[nu][:2], plain[nu][:2]):
             assert got.tobytes() == want.tobytes(), nu
+
+
+def _phi0_40_digits(nu: float, x: float):
+    # the order minus one in mpf: nu - 1 in float is rounded for nu < 1/2
+    with mpmath.workdps(40):
+        return mpmath.besseli(mpmath.mpf(nu) - 1, x) / mpmath.besseli(nu, x)
+
+
+def _i_within_estimate(nu: float, x: float) -> bool:
+    vals, ests, _ = oracle.i_ratio_row(nu, [x])
+    with mpmath.workdps(40):
+        return abs(mpmath.mpf(float(vals[0])) - _phi0_40_digits(nu, x)) <= ests[0]
+
+
+def test_i_ratio_estimate_is_honest_at_random_points():
+    # anchor rows, ladder rows and the step to negative orders
+    rng = np.random.default_rng(31)
+    nus = rng.uniform(-1.0, 40.0, 500).tolist()
+    xs = (10.0 ** rng.uniform(-3.5, 3.0, 500)).tolist()
+    for nu, x in zip(nus, xs):
+        assert _i_within_estimate(nu, x), (nu, x)
+
+
+@pytest.mark.parametrize("nu", [-0.9, -0.5, -0.1])
+@pytest.mark.parametrize("offset", [1e-3, -1e-6, 1e-10, -1e-12])
+def test_i_ratio_estimate_is_honest_near_a_zero_of_phi0(nu, offset):
+    # for nu in (-1, 0), I_{nu-1} changes sign at some x: the step down to
+    # nu cancels there, and its estimate must grow with the cancellation
+    with mpmath.workdps(40):
+        zero = float(mpmath.findroot(lambda x: mpmath.besseli(mpmath.mpf(nu) - 1, x),
+                                     2.0 * math.sqrt(-nu * (nu + 1.0))))
+    assert _i_within_estimate(nu, zero * (1.0 + offset))
+
+
+_ANY_ORDERS = (-1.0, -0.75, -0.3, 0.0, 0.1, 0.5, 2.25, 2.718281828459045, 14.75,
+               15.000000000000002, 15.5, 16.0, 29.9, 31.25)
+
+
+@pytest.mark.parametrize("nu", _ANY_ORDERS)
+def test_first_kind_rows_do_not_depend_on_the_other_orders(nu):
+    # an element's bits are the same in a table, in rows requested with any
+    # other orders and in a one-point call, for nu and for nu + 1.0
+    xs = (1e-3, 0.37, 5.0, 640.0)
+    others = ((), (nu + 2.0, 0.25, 17.5), _ANY_ORDERS, tuple(np.linspace(-1.0, 40.0, 23)))
+    for order in (nu, nu + 1.0):
+        want = oracle.i_ratio_rows([order], xs)[order]
+        for extra in others:
+            got = oracle.i_ratio_rows([*extra, order], xs)[order]
+            assert (got[0].tobytes(), got[1].tobytes(), got[2]) == (
+                want[0].tobytes(), want[1].tobytes(), want[2]), extra
+        for table_orders in ((order,), tuple(dict.fromkeys((*_ANY_ORDERS, order)))):
+            vals, ests = OracleTable(Grid(table_orders, xs)).rows[order].ratios["Phi0"]
+            assert (vals.tobytes(), ests.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+        for x, v, e in zip(xs, want[0].tolist(), want[1].tolist()):
+            r = oracle.i_ratio(EvalPoint(order, x))
+            assert (r.value, r.est_error) == (v, e), x
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +370,9 @@ def test_ladder_matches_direct_integration(mu, k, x):
 
 
 def _phi1_40_digits(nu: float, x: float):
+    # the order minus one in mpf: nu - 1 in float is rounded for nu < 1/2
     with mpmath.workdps(40):
-        return -mpmath.besselk(nu - 1, x) / mpmath.besselk(nu, x)
+        return -mpmath.besselk(mpmath.mpf(nu) - 1, x) / mpmath.besselk(nu, x)
 
 
 def _within_estimate(r: oracle.OracleResult, nu: float, x: float) -> bool:
@@ -511,6 +575,6 @@ def test_first_kind_derived_quantities_run_no_k_integration(monkeypatch):
     for qid in ("psi_I", "W_I"):
         methods.clear()
         oracle.quantity_row(qid, nu, xs, ratio)
-        assert set(methods) == {"continued-fraction"}, qid
+        assert set(methods) == {"continued-fraction+ladder"}, qid
     with pytest.raises(AssertionError):
         oracle.quantity_row("psi_K", nu, xs, ratio)
