@@ -46,9 +46,10 @@ SAMPLE_LIMIT = 10_000
 # the origin, so cost grows in proportion to x_max and a far edge must fail
 # fast with exit 2 instead of running until it is killed.
 EXPLORE_X_LIMIT = 1.0e4
-# Largest argument the grid commands accept: the first-kind continued
-# fraction takes about 6*sqrt(x) steps at large x, so a lone point at 1e6
-# costs under 0.1 s, and from about 3e10 it runs out of iterations.
+# Largest argument the grid commands accept: the first-kind ladder starts
+# about 6*sqrt(x) steps above its anchor, twice that where the first
+# bracket stays too wide, so a lone point at 1e6 costs about 0.1 s, and
+# from about 3e10 it passes oracle.I_MAX_DEPTH.
 X_LIMIT = 1.0e6
 _FMT = "%.17g"
 

@@ -7,23 +7,19 @@ the Riccati equation the ratios satisfy,
       Phi'(x) = 1 + ((2*nu-1)/x)*Phi - Phi**2.
 
 * ``i_ratio_rows`` (and its one-row form ``i_ratio_row``): Phi0 =
-  I_{nu-1}/I_nu by backward recurrence from one continued fraction per
-  anchor order (Gautschi 1967; Amos 1974).  At an anchor a the fraction
-
-      Phi0(a, x) = 2*a/x + 1/(2*(a+1)/x + 1/(2*(a+2)/x + ...))
-
-  converges to the minimal-solution ratio, which is the I family; it is
-  evaluated with the modified Lentz algorithm, every (anchor, x) pair one
-  lane of flat arrays.  A lane's value is taken at the step where it
-  converges; the lane is then retired in place, and the arrays drop
-  retired lanes only once half of them have retired.  From the anchor the
-  row steps down the recurrence Phi0(nu) = 2*nu/x + 1/Phi0(nu+1): in
+  I_{nu-1}/I_nu by backward recurrence (Gautschi 1967; Amos 1974), the
+  recurrence Phi0(nu) = 2*nu/x + 1/Phi0(nu+1) stepped down the orders.  In
   s = 1/Phi0 that is s(nu) = 1/(2*nu/x + s(nu+1)), the same step the K
-  ladder takes upward (``_ladder_step``), and I being the minimal solution,
-  each step shrinks the relative error carried down by s(nu+1)/Phi0(nu).
-  The anchor depends on the order alone: base order b = nu (nu + 1 for nu
-  in [-1, 0), which then takes one more step down), anchor b + m at the
-  top of b's block of I_ANCHOR_SPAN unit steps.
+  ladder takes upward (``_ladder_step``), and I being the minimal
+  solution, each step shrinks the relative error carried down by
+  s(nu+1)/Phi0(nu).  The value at an anchor order a comes from the ladder
+  itself, started cold far above a at both ends of the range s is known
+  to lie in, so the two runs bracket Phi0(a) (``_anchor_ends``); every
+  (anchor, x) pair is one lane of flat arrays.  From the anchor the row
+  steps on down to the requested order.  The anchor depends on the order
+  alone: base order b = nu (nu + 1 for nu in [-1, 0), which then takes
+  one more step down), anchor b + m at the top of b's block of
+  I_ANCHOR_SPAN unit steps.
 
 * ``k_ratio_rows`` (and its one-row form ``k_ratio_row``): Phi1 = -K_{nu-1}/K_nu as seed, then ladder.  Orders are
   grouped by class nu mod 1 and each class is computed once at its lowest
@@ -83,12 +79,12 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .nullclines import EPS, EvalPoint
 
-CF_TOL = 1.0e-14          # relative stop for the Lentz continued fraction
-CF_MAX_ITER = 1_000_000
-CF_TINY = 1.0e-300        # Lentz floor for b_0 = 0 (order 0; no anchor is 0)
-# first-kind anchors: an order's continued fraction runs at the top of its
-# block of I_ANCHOR_SPAN unit steps (``_i_chains``)
+# first-kind anchors: an order's row comes down the ladder from the top of
+# its block of I_ANCHOR_SPAN unit steps (``_i_chains``), where
+# ``_anchor_ends`` starts at most I_MAX_DEPTH steps higher (6*sqrt(x) + 10
+# steps reach it near x = 2.8e10)
 I_ANCHOR_SPAN = 16
+I_MAX_DEPTH = 1_000_000
 # Taylor steps (taylor_step: the backward K seed, and riccati_lab's
 # trajectories) keep b_0 .. b_n, n = _TAYLOR_ORDER, and move at most
 # _MAX_STEP times their centre: half the distance to x = 0, the singular
@@ -135,7 +131,7 @@ def _check_rows(nus: Sequence[float], xs: Sequence[float]) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# I-ratio: continued fraction at anchor orders, then the order ladder down
+# I-ratio: the order ladder, cold to the anchor orders, then down
 # ----------------------------------------------------------------------
 
 def _ladder_step(two_nu, xs, r, rel):
@@ -170,74 +166,81 @@ def _i_chains(nus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     return orders, lengths
 
 
-def _lentz_rows(orders: Sequence[float], xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(values, est_errors), one row per order, of the continued fraction
-    for Phi0 (module docstring) run over every (order, x) pair as flat
-    arrays.
+def _anchor_ends(anchors: np.ndarray, xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(ends, rels): at every anchor order a and x, the two ends of a
+    bracket on Phi0(a, x) and their running rounding bounds (relative),
+    each a (2, len(anchors), len(xs)) array.
 
-    Every b_j = 2*(nu + j)/x, j >= 1, is positive, so the Lentz c and d
-    stay positive and only b_0 = 0 (at nu = 0) needs the CF_TINY floor.  A
-    lane's value and estimate are taken at its first step with
-    |delta - 1| < CF_TOL, so it sees exactly the arithmetic of a scalar
-    loop.  Its lane is then retired where it sits: its 2/x becomes NaN, so
-    its delta is NaN from then on, never passes the test again and raises
-    no floating-point flag.  The live arrays are compacted only once at
-    least half their lanes have retired, so a table takes O(log n)
-    compactions, not one at nearly every step.  The estimate covers the
-    truncation (four times the last relative delta) and roundoff, which
-    grows with the iteration count j as (j + 4) eps."""
-    nu, x = np.repeat(orders, len(xs)), np.tile(xs, len(orders))
-    vals, ests = np.empty(len(x)), np.empty(len(x))
-    b0 = 2.0 * nu / x
-    f = np.where(b0 != 0.0, b0, CF_TINY)
-    c, d, two_over_x, live, j = f, np.zeros(len(x)), 2.0 / x, np.arange(len(x)), 0
-    retired = 0         # lanes of the live arrays that have converged
-    while len(live):
-        j += 1
-        if j > CF_MAX_ITER:
-            first = np.flatnonzero(~np.isnan(two_over_x))[0]
-            raise EvaluationError(f"continued fraction did not converge in {CF_MAX_ITER} "
-                                  f"iterations at nu={nu[first]}, x={x[live[first]]}")
-        bj = two_over_x * (nu + j)
-        d = 1.0 / (bj + d)
-        c = bj + 1.0 / c
-        delta = c * d
-        f = f * delta
-        gap = np.abs(delta - 1.0)
-        done = gap < CF_TOL
-        n_done = np.count_nonzero(done)
-        if n_done:
-            at, f_done = live[done], f[done]
-            vals[at] = f_done
-            ests[at] = np.abs(f_done) * (4.0 * gap[done] + (j + 4) * EPS)
-            two_over_x[done] = np.nan       # retired: its gap is NaN from now on
-            retired += n_done
-            if 2 * retired >= len(live):
-                keep = ~np.isnan(two_over_x)
-                live, nu, two_over_x, f, c, d = (a[keep] for a in (live, nu, two_over_x, f, c, d))
-                retired = 0
-    return vals.reshape(len(orders), len(xs)), ests.reshape(len(orders), len(xs))
+    Phi0(nu) = 2*nu/x + s(nu + 1) > 2*nu/x, so s = 1/Phi0 lies in
+    (0, x/(2*nu)) at every order.  Each (anchor, x) lane starts the order
+    ladder at both ends of that range at order a + D, with rel = 0, and
+    steps both down to a.  The step s -> 1/(2*nu/x + s) is decreasing, so
+    the two runs bracket Phi0 at every order on the way (Seidel-Stern),
+    and since Phi0 is the minimal solution the bracket closes as D grows
+    (Gautschi 1967).  D starts at ceil(6*sqrt(x) + 10): the contraction
+    over the run is about exp(-D**2/x) at large x.  A lane whose bracket
+    is still wider than 2 eps relative runs again from twice its depth;
+    past I_MAX_DEPTH it raises EvaluationError naming the lane.  D depends
+    on x alone and lanes never mix, so a lane's bits depend on its anchor
+    and x alone.  The lanes of a run all take their first step together,
+    each from its own start, and sit deepest first, so the lanes still
+    stepping are a prefix that shrinks as lanes reach their anchors.
+    The upper start x/(2*(a + D)) is rounded, so it may fall short of
+    s(a + D) by eps/2 of the range, which the run contracts as it
+    contracts the range itself."""
+    a, x = np.repeat(anchors, len(xs)), np.tile(xs, len(anchors))
+    depth = np.ceil(6.0 * np.sqrt(x) + 10.0)
+    ends, rels = np.empty((2, len(x))), np.empty((2, len(x)))
+    todo = np.arange(len(x))
+    while len(todo):
+        lanes = todo[np.argsort(-depth[todo], kind="stable")]
+        la, lx, ld = a[lanes], x[lanes], depth[lanes]
+        if ld[0] > I_MAX_DEPTH:
+            raise EvaluationError(f"first-kind ladder needs more than {I_MAX_DEPTH} "
+                                  f"steps at nu={la[0]}, x={lx[0]}")
+        # lane i takes its last step, to its anchor, at step steps[i] - 1;
+        # the lanes that end at step k are lanes[stop[k]:n], n those still live
+        steps = ld.astype(int).tolist()
+        stop = {steps[i] - 1: i for i in reversed(range(len(steps)))}
+        r = np.stack([np.zeros(len(lanes)), lx / (2.0 * (la + ld))])
+        rel, n = np.zeros_like(r), len(lanes)
+        run_ends, run_rels = np.empty_like(r), np.empty_like(r)
+        two_a, two_t = 2.0 * la, 2.0 * (ld - 1.0)      # 2a, and 2t for t = a lane's top step
+        for k in range(steps[0]):
+            # 2a + 2t is 2(a + t) exactly: scaling by 2 commutes with rounding
+            d, r, rel = _ladder_step(two_a + (two_t - 2 * k), lx, r, rel)
+            if k in stop:
+                m = stop[k]
+                run_ends[:, m:n], run_rels[:, m:n] = d[:, m:n], rel[:, m:n]
+                r, rel, two_a, two_t, lx, n = r[:, :m], rel[:, :m], two_a[:m], two_t[:m], lx[:m], m
+        ends[:, lanes], rels[:, lanes] = run_ends, run_rels
+        todo = lanes[np.abs(run_ends[0] - run_ends[1]) > 2.0 * EPS * run_ends.min(axis=0)]
+        depth[todo] *= 2.0
+    shape = (2, len(anchors), len(xs))
+    return ends.reshape(shape), rels.reshape(shape)
 
 
 def i_ratio_rows(nus: Sequence[float], xs: Sequence[float]
                  ) -> Dict[float, Tuple[np.ndarray, np.ndarray, str]]:
     """Reference rows of Phi0 = I_{nu-1}/I_nu for orders nu >= -1: the
-    continued fraction at each anchor order (``_lentz_rows``), then the
-    order ladder down to every requested order (module docstring),
-    vectorised over xs.  Nothing is cached across calls.
+    order ladder run cold to each anchor order (``_anchor_ends``), then on
+    down to every requested order (module docstring), vectorised over xs.
+    Nothing is cached across calls.
 
     Each order's chain of orders (``_i_chains``) depends on the order
     alone, so a row's bits do not depend on which other orders were
     requested.  Orders whose chains coincide share one: on a lattice of
-    quarter orders, all orders of one block of I_ANCHOR_SPAN.  The
-    fraction runs once per chain, at its anchor.  Below the anchors every
-    chain steps down together in s = 1/Phi0 with ``_ladder_step``, one
-    stacked step per order, and an order's value is the denominator
-    2*nu/x + s(nu + 1) of its step; the step from a base in [0, 1) to nu
-    in [-1, 0) is one more step of the same kind.  Against 40-digit
-    mpmath at 500 random points (nu in [-1, 40], x log-uniform in
-    [10**-3.5, 10**3]) the median error is 5.6e-17 relative and the error
-    is at most 0.45 of this estimate (median 0.06).
+    quarter orders, all orders of one block of I_ANCHOR_SPAN.  The cold
+    ladder runs once per chain, to its anchor, where the value is the
+    lower end of its bracket and the estimate the bracket's width plus
+    both ends' rounding bounds.  Below the anchors every chain steps down
+    together in s = 1/Phi0 with ``_ladder_step``, one stacked step per
+    order, and an order's value is the denominator 2*nu/x + s(nu + 1) of
+    its step; the step from a base in [0, 1) to nu in [-1, 0) is one more
+    step of the same kind.  Against 40-digit mpmath at 500 random points
+    (nu in [-1, 40], x log-uniform in [10**-3.5, 10**3]) the median error
+    is 4.9e-17 relative, the largest 4.7e-16, and the error is at most
+    0.45 of this estimate (median 0.06).
 
     xs must be finite, positive and strictly increasing.  Returns
     {nu: (values, est_errors, method_used)}.
@@ -257,7 +260,10 @@ def i_ratio_rows(nus: Sequence[float], xs: Sequence[float]
     finish = [[] for _ in range(depth[0])]     # step k ends the rows of length k + 1
     for i, n in enumerate(lengths):
         finish[n - 1].append(i)
-    f, e = _lentz_rows(orders[:, 0], xs)
+    ends, rels = _anchor_ends(orders[:, 0], xs)
+    # the lower end: off by at most the width plus both ends' rounding
+    f = ends.min(axis=0)
+    e = np.abs(ends[0] - ends[1]) + rels[0] * ends[0] + rels[1] * ends[1]
     vals, ests = np.empty((len(rows), len(xs))), np.empty((len(rows), len(xs)))
     d, r, rel = f, 1.0 / f, e / np.abs(f)
     for k, at in enumerate(finish):
@@ -267,8 +273,7 @@ def i_ratio_rows(nus: Sequence[float], xs: Sequence[float]
         if at:
             c = [chain[i] for i in at]
             vals[at], ests[at] = d[c], rel[c] * np.abs(d[c])
-    return {nu: (vals[i], ests[i], "continued-fraction+ladder" if lengths[i] > 1
-                 else "continued-fraction") for i, nu in enumerate(rows)}
+    return {nu: (vals[i], ests[i], "backward-recurrence") for i, nu in enumerate(rows)}
 
 
 def i_ratio_row(nu: float, xs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, str]:

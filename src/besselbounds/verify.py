@@ -358,9 +358,10 @@ class OracleTable:
     """Row cache of oracle ratio values over a grid.
 
     One ``oracle.i_ratio_rows`` call serves the first-kind rows at every
-    order in {nu} and {nu + 1}: one continued fraction over the whole
-    table.  One ``oracle.k_ratio_rows`` call serves all second-kind rows:
-    one seed per order class, then the order ladder.  Each call serves many
+    order in {nu} and {nu + 1}: one cold ladder run to the anchor orders
+    of the whole table, then the ladder down.  One ``oracle.k_ratio_rows``
+    call serves all second-kind rows: one seed per order class, then the
+    order ladder.  Each call serves many
     rows, so a failure of either marks every row.  Derived quantities come
     from ``oracle.quantity_row`` over the cached ratios, for a block of
     rows at once (``block``; one row is a one-order block).  The ratio

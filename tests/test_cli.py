@@ -350,7 +350,7 @@ def test_grid_commands_refuse_repeated_orders():
 
 
 def test_grid_commands_refuse_arguments_past_x_limit():
-    # the continued fraction takes about 6*sqrt(x) steps at one point
+    # the first-kind ladder starts about 6*sqrt(x) steps above its anchor
     for command in ("tabulate", "verify", "conjecture"):
         for args in (["--nu", "2.5", "--x", "1e12"],
                      ["--x-points", "3", "--x-max", "%r" % (cli.X_LIMIT * (1 + 1e-15))]):

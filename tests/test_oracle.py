@@ -1,10 +1,11 @@
 """Tests for the recurrence/Riccati-based reference oracles.
 
 Closed forms used here (half-integer orders) come from elementary identities,
-so they are independent of the continued-fraction and Taylor-series
-machinery under test.
+so they are independent of the recurrence and Taylor-series machinery
+under test.
 """
 
+import functools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -46,14 +47,14 @@ def _k_pos_ratio_half(nu: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# first-kind ratio (continued fraction)
+# first-kind ratio (backward recurrence)
 
 
 def test_i_ratio_half_integer_closed_form():
     for x in (0.1, 1.0, 7.0, 42.0):
         r = oracle.i_ratio(EvalPoint(0.5, x))
         assert_allclose(r.value, 1.0 / math.tanh(x), rtol=1e-12)
-        assert r.method == "continued-fraction+ladder"
+        assert r.method == "backward-recurrence"
         assert 0.0 <= r.est_error <= 1e-10 * abs(r.value)
         # est_error is an honest bound up to a small safety factor
         assert abs(r.value - 1.0 / math.tanh(x)) <= 10.0 * r.est_error + 5e-16 * r.value
@@ -83,54 +84,55 @@ def test_i_ratio_rejects_out_of_range_order():
                                      ([0.5], [1.0, math.inf]), ([0.5], [math.nan]),
                                      ([0.5], [2.0, 1.0])])
 def test_ratio_rows_refuse_non_finite_or_unordered_input(nus, xs):
-    # a non-finite element would run the fraction to CF_MAX_ITER steps
+    # a non-finite x has no ladder depth, and a non-finite order no anchor
     for rows in (oracle.i_ratio_rows, oracle.k_ratio_rows):
         with pytest.raises(DomainError):
             rows(nus, xs)
 
 
-def _lentz_i_ratio(nu: float, x: float):
-    """Reference: the scalar modified Lentz loop, zero guards included,
-    that ``i_ratio_rows`` must reproduce bit for bit."""
-    _EPS = 2.220446049250313e-16
-    CF_TOL, CF_MAX_ITER, CF_TINY = 1.0e-14, 1_000_000, 1.0e-300
-    b0 = 2.0 * nu / x
-    f = b0 if b0 != 0.0 else CF_TINY
-    c = f
-    d = 0.0
-    two_over_x = 2.0 / x
-    for j in range(1, CF_MAX_ITER + 1):
-        bj = two_over_x * (nu + j)
-        d = bj + d
-        if d == 0.0:
-            d = CF_TINY
-        c = bj + 1.0 / c
-        if c == 0.0:
-            c = CF_TINY
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < CF_TOL:
-            return f, abs(f) * (4.0 * abs(delta - 1.0) + (j + 4) * _EPS)
-    raise AssertionError("reference fraction did not converge")
+_EPS = 2.220446049250313e-16
+
+
+@functools.lru_cache(maxsize=None)
+def _cold_ladder(a: float, x: float):
+    """Reference ((lower end, est_error), (ends, rels)) of Phi0 at the
+    anchor a: the scalar order ladder run down to a from both ends of
+    s = 1/Phi0 in (0, x/(2(a + D))) at order a + D, D = ceil(6 sqrt(x) +
+    10), doubled until the ends lie within 2 eps relative, which
+    ``i_ratio_rows`` must reproduce bit for bit."""
+    depth = math.ceil(6.0 * math.sqrt(x) + 10.0)
+    while True:
+        ends, rels = [], []
+        for r in (0.0, x / (2.0 * (a + depth))):
+            rel = 0.0
+            for t in range(depth - 1, -1, -1):
+                d = 2.0 * (a + t) / x + r
+                rel = rel * abs(r / d) + 2.0 * _EPS
+                r = 1.0 / d
+            ends.append(d)
+            rels.append(rel)
+        if not abs(ends[0] - ends[1]) > 2.0 * _EPS * min(ends):
+            break
+        depth *= 2
+    est = abs(ends[0] - ends[1]) + rels[0] * ends[0] + rels[1] * ends[1]
+    return (min(ends), est), (ends, rels)
 
 
 def _scalar_i_ratio(nu: float, x: float):
-    """Reference (value, est_error, method): the scalar Lentz loop at nu's
+    """Reference (value, est_error, method): the scalar cold ladder at nu's
     anchor, then scalar ladder steps down to nu, the step to nu in [-1, 0)
     included."""
-    _EPS = 2.220446049250313e-16
     span = oracle.I_ANCHOR_SPAN
     base = nu + 1.0 if nu < 0.0 else nu
     m = span - 1 - math.floor(base) % span
-    d, e = _lentz_i_ratio(base + m, x)
+    (d, e), _ = _cold_ladder(base + m, x)
     r, rel = 1.0 / d, e / abs(d)
     orders = [base + j for j in range(m - 1, -1, -1)] + [nu] * (nu < 0.0)
     for o in orders:
         d = 2.0 * o / x + r
         rel = rel * abs(r / d) + 2.0 * _EPS
         r = 1.0 / d
-    return d, rel * abs(d), "continued-fraction+ladder" if orders else "continued-fraction"
+    return d, rel * abs(d), "backward-recurrence"
 
 
 def _assert_rows_equal_scalar(nus, xs):
@@ -164,20 +166,29 @@ def test_i_ratio_rows_bit_equal_to_scalar_at_random_points():
         assert (r.value, r.est_error, r.method) == _scalar_i_ratio(nu, x), (nu, x)
 
 
-def test_i_ratio_rows_non_convergence_names_a_live_point(monkeypatch):
-    # the fraction runs at 0.5's anchor, 15.5; x = 1 converges there within
-    # 40 steps and x = 500, 1000 do not; a lane that has converged may still
-    # sit in the live arrays, and must not be named
-    monkeypatch.setattr(oracle, "CF_MAX_ITER", 40)
-    with pytest.raises(EvaluationError, match=r"in 40 iterations at nu=15\.5, x=500\.0$"):
+def test_i_ratio_rows_depth_cap_names_the_lane(monkeypatch):
+    # 0.5's anchor is 15.5; the ladder starts 16, 145 and 200 steps above
+    # it at x = 1, 500 and 1000, so a cap of 199 stops only the last lane
+    monkeypatch.setattr(oracle, "I_MAX_DEPTH", 199)
+    with pytest.raises(EvaluationError, match=r"more than 199 steps at nu=15\.5, x=1000\.0$"):
         oracle.i_ratio_rows([0.5], [1.0, 500.0, 1000.0])
+    monkeypatch.setattr(oracle, "I_MAX_DEPTH", 200)
+    assert oracle.i_ratio_rows([0.5], [1.0, 500.0, 1000.0])[0.5][0].tolist() == [
+        _scalar_i_ratio(0.5, x)[0] for x in (1.0, 500.0, 1000.0)]
+    # at 15's anchor, 15, this x starts 933 steps up, and its bracket is
+    # then 4 eps wide: the second run, from 1,866, meets the cap
+    x = 23628.360263551753
+    monkeypatch.setattr(oracle, "I_MAX_DEPTH", 1865)
+    with pytest.raises(EvaluationError, match=r"more than 1865 steps at nu=15\.0, x=23628\."):
+        oracle.i_ratio_rows([15.0], [1.0, x])
+    monkeypatch.setattr(oracle, "I_MAX_DEPTH", 1866)
+    assert oracle.i_ratio_rows([15.0], [x])[15.0][0][0] == _scalar_i_ratio(15.0, x)[0]
 
 
 @pytest.mark.parametrize("dense", [False, True])
 def test_i_ratio_rows_raise_no_floating_point_exception(dense):
-    # converged lanes stay in the live arrays until half have converged;
-    # the default grid's orders come with their nu + 1 and with nu = 0
-    # (b_0 = 0, the CF_TINY floor)
+    # the ladder's lower start is s = 0; the default grid's orders come
+    # with their nu + 1 and with nu = 0
     grid = default_grid()
     nus, xs = (((k + 0.5 for k in range(21)), np.geomspace(1e-3, 1e3, 1001)) if dense else
                ((*grid.nu_values, *(nu + 1.0 for nu in grid.nu_values), 0.0), grid.x_values))
@@ -209,6 +220,42 @@ def test_i_ratio_estimate_is_honest_at_random_points():
     xs = (10.0 ** rng.uniform(-3.5, 3.0, 500)).tolist()
     for nu, x in zip(nus, xs):
         assert _i_within_estimate(nu, x), (nu, x)
+
+
+def test_anchor_bracket_encloses_phi0_at_random_lanes():
+    # the two ends, widened by their rounding bounds, enclose the 40-digit
+    # value, and the anchor row's value is the lower end, with an estimate
+    # that covers its error; of the last four lanes, two end one ulp
+    # apart, the lower end first and last, and two run twice (their first
+    # brackets are 4 and 3 eps wide)
+    rng = np.random.default_rng(32)
+    anchors = (15.0 + 16.0 * rng.integers(0, 4, 200) + rng.uniform(0.0, 1.0, 200)).tolist()
+    xs = (10.0 ** rng.uniform(-3.5, 4.0, 200)).tolist()
+    anchors += [15.5, 15.0, 15.0, 15.5]
+    xs += [2062.4397525140926, 4665.479882234473, 23628.360263551753, 26214.788966213586]
+    for a, x in zip(anchors, xs):
+        ends, rels = oracle._anchor_ends(np.array([a]), np.array([x]))
+        assert (ends[:, 0, 0].tolist(), rels[:, 0, 0].tolist()) == _cold_ladder(a, x)[1]
+        (lo, rel_lo), (hi, rel_hi) = sorted(zip(ends[:, 0, 0].tolist(), rels[:, 0, 0].tolist()))
+        vals, ests, _ = oracle.i_ratio_row(a, [x])
+        assert vals[0] == lo, (a, x)
+        with mpmath.workdps(40):
+            exact = _phi0_40_digits(a, x)
+            assert lo * (1 - mpmath.mpf(rel_lo)) <= exact <= hi * (1 + mpmath.mpf(rel_hi)), (a, x)
+            assert abs(mpmath.mpf(float(vals[0])) - exact) <= ests[0], (a, x)
+
+
+def test_i_ratio_rows_accurate_at_large_x_on_default_grid():
+    # the orders and the orders + 1 of a table, at x >= 100
+    grid = default_grid()
+    nus = tuple(dict.fromkeys(grid.nu_values + tuple(nu + 1.0 for nu in grid.nu_values)))
+    xs = tuple(x for x in grid.x_values if x >= 100.0)
+    rows = oracle.i_ratio_rows(nus, xs)
+    for nu in nus:
+        for x, v in zip(xs, rows[nu][0].tolist()):
+            with mpmath.workdps(40):
+                exact = _phi0_40_digits(nu, x)
+                assert abs(v - exact) <= 1e-15 * exact, (nu, x)
 
 
 @pytest.mark.parametrize("nu", [-0.9, -0.5, -0.1])
@@ -575,6 +622,6 @@ def test_first_kind_derived_quantities_run_no_k_integration(monkeypatch):
     for qid in ("psi_I", "W_I"):
         methods.clear()
         oracle.quantity_row(qid, nu, xs, ratio)
-        assert set(methods) == {"continued-fraction+ladder"}, qid
+        assert set(methods) == {"backward-recurrence"}, qid
     with pytest.raises(AssertionError):
         oracle.quantity_row("psi_K", nu, xs, ratio)
