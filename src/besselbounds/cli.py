@@ -9,6 +9,13 @@ Configuration precedence: command-line flags > ``--config`` key=value file
 > built-in defaults.  Exit codes: 0 success, 1 claim violation, 2 usage
 error, 3 oracle failure rate above 1%.  All CSV output uses '.' decimals,
 17 significant digits and LF line endings so runs diff cleanly.
+
+``verify --out`` writes its claim CSVs in shares, one per usable CPU but
+none under MIN_SHARE_VOLUME grid points x claims: a forked child per share
+but the first scans and writes its claims, while this process scans and
+prints every claim in catalog order and writes the first share, so stdout
+and exit codes are those of one process.  With one share (one CPU, a small
+grid, no ``os.fork``) the same loop runs with no child.
 """
 
 import argparse
@@ -16,6 +23,7 @@ import contextlib
 import functools
 import math
 import os
+import pickle
 import re
 import sys
 from dataclasses import Field, dataclass, field, fields
@@ -51,6 +59,10 @@ EXPLORE_X_LIMIT = 1.0e4
 # bracket stays too wide, so a lone point at 1e6 costs about 0.1 s, and
 # from about 3e10 it passes oracle.I_MAX_DEPTH.
 X_LIMIT = 1.0e6
+# Fewest grid points x claims a verify CSV share holds: below it, forking
+# a process to write the share costs more than it saves (see
+# BENCH_report_shares.json)
+MIN_SHARE_VOLUME = 20_000
 _FMT = "%.17g"
 
 _TABULATE_COLUMNS = (
@@ -279,6 +291,54 @@ def _claim_filename(claim_id: str) -> str:
     return claim_id.replace("[", "-").replace("]", "") + ".csv"
 
 
+def _report_shares(volume: int) -> int:
+    """How many processes write verify's claim CSVs: one per usable CPU,
+    but no more than leave each share MIN_SHARE_VOLUME grid points x
+    claims, and one where the platform cannot fork or name its usable
+    CPUs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), volume // MIN_SHARE_VOLUME))
+
+
+def _fork_share(claims: range, run) -> Tuple[int, int]:
+    """Fork a process that calls ``run(k)`` for each claim index k in
+    ``claims`` and ends in ``os._exit``: status 0, or 1 after it sends
+    (k, exception) of a failed claim, pickled, down a pipe.  Returns the
+    child's pid and the pipe's read end."""
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    k = claims.start
+    try:
+        os.close(rfd)
+        for k in claims:
+            run(k)
+        os._exit(0)
+    except BaseException as exc:
+        with os.fdopen(wfd, "wb") as fh:
+            fh.write(pickle.dumps((k, exc)))
+    finally:
+        os._exit(1)
+
+
+def _reap_shares(children, last: int) -> List[tuple]:
+    """Wait for every share process; (claim index, exception) of each that
+    failed.  One that ended nonzero with no message counts as failing
+    after the ``last`` claim index, with a ChildProcessError."""
+    ends = []
+    for pid, rfd in children:
+        with os.fdopen(rfd, "rb") as fh:
+            msg = fh.read()
+        ends.append((msg, os.waitpid(pid, 0)[1]))
+    return [pickle.loads(msg) if msg else
+            (last, ChildProcessError("a process writing claim CSVs ended with status "
+                                     f"{os.waitstatus_to_exitcode(status)} and no message"))
+            for msg, status in ends if msg or status]
+
+
 def cmd_verify(cfg: RunConfig) -> int:
     nus, xs = _grid_axes(cfg)
     bad = None if cfg.corrupt_claim is None else verify.corrupt_claim(cfg.corrupt_claim)
@@ -304,27 +364,49 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.out is not None:
         os.makedirs(cfg.out, exist_ok=True)
         text = verify.CsvText(grid.nu_values, grid.x_values)
-    # claims are scanned and printed in catalog order, grouped by the oracle
-    # quantity they bound; that sets only the order of the lines printed, and
-    # every CSV shares the one order and x text
-    failing = []
-    points = failures = 0
-    for cid in verify.bound_claims():
-        rep = bad_rep if cfg.corrupt_claim == cid else verify.scan_bound(
+    cids = verify.bound_claims()
+    shares = 1 if text is None else _report_shares(len(cids) * len(nus) * len(xs))
+
+    def scan(k):
+        cid = cids[k]
+        return bad_rep if cfg.corrupt_claim == cid else verify.scan_bound(
             verify.get_claim(cid), tol=cfg.tol, table=table)
-        points += rep.points_checked
-        failures += len(rep.oracle_failures)
-        extra = f" oracle_failures={len(rep.oracle_failures)}" if rep.oracle_failures else ""
-        if rep.points_checked == 0:
-            print(f"{rep.claim_id}: WARNING 0 points{extra}")
-        else:
-            print(f"{rep.claim_id}: {'OK' if rep.ok() else 'VIOLATION'} "
-                  f"points={rep.points_checked} violations={len(rep.violations)} "
-                  f"worst_margin={_FMT % rep.worst_margin}{extra}")
-        if not rep.ok():
-            failing.append(rep.claim_id)
-        if text is not None:
-            verify.write_report_csv(rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)), text)
+
+    def write(rep):
+        verify.write_report_csv(rep, os.path.join(cfg.out, _claim_filename(rep.claim_id)), text)
+
+    # share i > 0 is a forked process that scans and writes claims i,
+    # i + shares, ...; this process writes share 0 but scans and prints
+    # every claim, in catalog order, grouped by the oracle quantity they
+    # bound; that sets only the order of the lines printed, and every CSV
+    # shares the one order and x text
+    children, failing, errors = [], [], []
+    points = failures = k = 0
+    try:
+        for i in range(1, shares):
+            children.append(_fork_share(range(i, len(cids), shares), lambda j: write(scan(j))))
+        for k in range(len(cids)):
+            rep = scan(k)
+            points += rep.points_checked
+            failures += len(rep.oracle_failures)
+            extra = f" oracle_failures={len(rep.oracle_failures)}" if rep.oracle_failures else ""
+            if rep.points_checked == 0:
+                print(f"{rep.claim_id}: WARNING 0 points{extra}")
+            else:
+                print(f"{rep.claim_id}: {'OK' if rep.ok() else 'VIOLATION'} "
+                      f"points={rep.points_checked} violations={len(rep.violations)} "
+                      f"worst_margin={_FMT % rep.worst_margin}{extra}")
+            if not rep.ok():
+                failing.append(rep.claim_id)
+            if text is not None and k % shares == 0:
+                write(rep)
+    except Exception as exc:
+        errors.append((k, exc))
+    finally:
+        errors += _reap_shares(children, len(cids))
+    if errors:
+        # the error a one-process run meets first: the earliest claim's
+        raise min(errors, key=lambda e: e[0])[1]
     if failing:
         print("failing claims: " + ", ".join(failing))
     return _verdict(bool(failing), failures, points + failures)

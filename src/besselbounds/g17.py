@@ -48,7 +48,7 @@ _KEEP = ((np.arange(33) <= 2 * np.arange(17)[:, None]) * 0xFF).astype(np.uint8)
 # (filled with the table), and the digit the point follows (negative: the
 # point is in a leading "0.")
 _LAYOUT = np.zeros((633, WIDTH), dtype=np.uint8)
-_POINT = np.array([k if -4 <= k < 17 else 0 for k in range(-324, 309)])
+_POINT = np.array([k if -4 <= k < 17 else 0 for k in range(-324, 309)], dtype=np.int8)
 
 
 _GROUPS = None
@@ -112,26 +112,33 @@ def texts(values) -> np.ndarray:
     for new in set(qi[np.isnan(_threshold.take(qi))].tolist()):
         _fill(new)
     j = 2 * qi + (f >= _threshold.take(qi))
-    hi, lo, hh, hl, k = (row.take(j) for row in _scale)
-    p = f * hi
+    del qi
+    # rows of _scale are taken where they are used, so that few
+    # value-sized arrays are live at once
+    p = f * _scale[0].take(j)
     fh = _SPLIT * f - (_SPLIT * f - f)
     fl = f - fh
-    frac = fh * hh - p + fh * hl + fl * hh + fl * hl + f * lo
+    hh, hl = _scale[2].take(j), _scale[3].take(j)
+    frac = fh * hh - p + fh * hl + fl * hh + fl * hl + f * _scale[1].take(j)
+    del fh, fl, hh, hl
     whole = np.floor(frac)
     frac -= whole
     n = p.astype(np.int64) + whole.astype(np.int64)
     ok &= (np.abs(frac - 0.5) >= TIE_MARGIN) & (n >= 10 ** 16)
     n += frac > 0.5
     ok &= n < 10 ** 17
-    del qi, j, f, hi, lo, hh, hl, p, fh, fl, whole, frac    # keeps a block's peak memory down
-    k = k.astype(np.int64) + 324
+    k = _scale[4].take(j).astype(np.int64) + 324
+    del j, f, p, whole, frac
     out = _LAYOUT.take(k, axis=0)
+    point = _POINT.take(k)
+    del k
     n[zero | ~ok] = 0       # zero's digits, and valid table indices where % formats
     lead, n = np.divmod(n, 10 ** 16)
     out[:, 6] = lead + ord("0")
     high, low = (part.astype(np.uint32) for part in np.divmod(n, 10 ** 8))
     del lead, n
     groups = np.divmod(high, 10 ** 4) + np.divmod(low, 10 ** 4)
+    del high, low
     digits, zeros = _GROUPS or _groups()
     words = out[:, 8:40].view(np.uint64)    # digits 1-16 with their point places
     for col, group in enumerate(groups):
@@ -140,10 +147,11 @@ def texts(values) -> np.ndarray:
     trailing = zeros.take(groups[0])
     for group in groups[1:]:
         trailing = zeros.take(group) + (group == 0) * trailing
+    del groups, group
     last = 16 - trailing
     out[:, 0] = np.signbit(v) * ord("-")
     # trailing zeros after the point go, and the point too if no digit follows
-    out[:, 6:39] &= _KEEP.take(np.maximum(last, _POINT.take(k)), axis=0)
+    out[:, 6:39] &= _KEEP.take(np.maximum(last, point), axis=0)
     out = out.view("S%d" % WIDTH)[:, 0]
     out[~ok] = percent(v[~ok])
     return out.reshape(np.shape(values))

@@ -502,6 +502,91 @@ def test_verify_stdout_stays_in_catalog_order(tmp_path, monkeypatch):
         if cid != "trig-upper-K"]
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _run_in_shares(monkeypatch, argv, shares, out):
+    """run(argv + --out out) with verify's CSVs written in ``shares``
+    processes; (exit code, stdout, stderr, forks made)."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)     # counted in this process only
+        return real_fork()
+
+    monkeypatch.setattr(cli, "_report_shares", lambda volume: shares)
+    monkeypatch.setattr(os, "fork", fork)
+    result = run(argv + ["--out", str(out)])
+    _assert_no_child_left()
+    return result + (len(forks),)
+
+
+@pytest.mark.parametrize("corrupt", [None, "trig-upper-K"])
+@pytest.mark.parametrize("grid", [[], ["--nu-min", "0.5", "--nu-max", "2.5", "--nu-step", "1",
+                                       "--x-points", "2000"]], ids=["default", "3x2000"])
+def test_verify_shares_write_the_same_bytes(tmp_path, monkeypatch, grid, corrupt):
+    # stdout, exit code and every CSV are the same however many processes
+    # write the CSVs; the parent forks one process per share but its own
+    argv = ["verify"] + grid + (["--corrupt-claim", corrupt] if corrupt else [])
+    runs = {n: _run_in_shares(monkeypatch, argv, n, tmp_path / str(n)) for n in (1, 2, 3)}
+    files = sorted(os.listdir(tmp_path / "1"))
+    assert len(files) == 25
+    for n, (code, out, err, forks) in runs.items():
+        assert (code, out, err) == runs[1][:3]
+        assert forks == n - 1
+        assert sorted(os.listdir(tmp_path / str(n))) == files
+        for name in files:
+            assert (tmp_path / str(n) / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    assert runs[1][0] == (EXIT_VIOLATION if corrupt else EXIT_OK)
+
+
+def test_verify_below_the_break_even_never_forks(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    argv = ["verify"] + REFERENCE_GRID
+    grid = _cli_grid(argv)
+    volume = len(grid.nu_values) * len(grid.x_values) * len(verify.bound_claims())
+    assert volume < cli.MIN_SHARE_VOLUME * 2
+    assert run(argv + ["--out", str(tmp_path)])[0] == EXIT_OK
+    assert len(os.listdir(tmp_path)) == 25
+
+
+@pytest.mark.parametrize("blocked", [[1], [1, 2], [2, 3]])
+def test_verify_share_write_error_fails_like_one_process(tmp_path, monkeypatch, blocked):
+    # a directory where a claim's CSV goes: claims 1 and 3 are the forked
+    # share's, 0 and 2 this process's; the error is the earliest claim's,
+    # as in a one-process run, after every line that process printed
+    cids = verify.bound_claims()
+    for k in blocked:
+        (tmp_path / cli._claim_filename(verify.get_claim(cids[k]).claim_id)).mkdir()
+    code1, out1, err1, _ = _run_in_shares(monkeypatch, ["verify"], 1, tmp_path)
+    code2, out2, err2, forks = _run_in_shares(monkeypatch, ["verify"], 2, tmp_path)
+    assert forks == 1
+    assert code1 == code2 == EXIT_USAGE
+    first = cli._claim_filename(verify.get_claim(cids[blocked[0]]).claim_id)
+    assert err2 == err1 and err1.startswith("error: ") and first in err1
+    assert out2.startswith(out1) and "failing claims" not in out2
+
+
+def test_verify_share_that_dies_silently_fails_the_run(tmp_path, monkeypatch):
+    parent, real = os.getpid(), verify.write_report_csv
+
+    def write(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        real(*args)
+
+    monkeypatch.setattr(verify, "write_report_csv", write)
+    code, _, err, forks = _run_in_shares(monkeypatch, ["verify"], 2, tmp_path)
+    assert forks == 1
+    assert code == EXIT_USAGE
+    assert "ended with status 1 and no message" in err
+
+
 def test_conjecture_and_sharpness_csvs_match_per_value_formatting(tmp_path):
     argv = ["conjecture"] + REFERENCE_GRID
     assert run(argv + ["--out", str(tmp_path / "conj.csv")])[0] == EXIT_OK
