@@ -7,8 +7,8 @@ different lengths is known to the shorter one.  Each regime has one source
 for the ratios:
 
 * large x (t = 1/x, order nu fixed): Phi ~ sum c_k t**k from
-  ``oracle.large_x_coefficients``, the generator that also seeds the K
-  oracle, run on Fractions (c_0 = 1 for Phi0, -1 for Phi1);
+  ``oracle.large_x_coefficients``, generated from the Riccati equation
+  and run on Fractions (c_0 = 1 for Phi0, -1 for Phi1);
 * small x (t = x, nu fixed): y = x*Phi solves x y' = x**2 + 2 nu y - y**2
   (``small_x_coefficients``);
 * large nu (t = 1/nu, x fixed): the order recurrences

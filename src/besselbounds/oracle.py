@@ -1,10 +1,13 @@
 """Reference evaluation of Bessel ratios built only from recurrence structure.
 
 Nothing here calls a Bessel implementation.  The oracles rest on the
-three-term recurrence C_{nu+1}(x) = C_{nu-1}(x) - (2*nu/x)*C_nu(x) and on
-the Riccati equation the ratios satisfy,
+three-term recurrence C_{nu+1}(x) = C_{nu-1}(x) - (2*nu/x)*C_nu(x), on
+K's integral representation and on the Riccati equation the ratios
+satisfy,
 
-      Phi'(x) = 1 + ((2*nu-1)/x)*Phi - Phi**2.
+      Phi'(x) = 1 + ((2*nu-1)/x)*Phi - Phi**2,
+
+whose large-x series ``large_x_coefficients`` generates for ``expansions``.
 
 * ``i_ratio_rows`` (and its one-row form ``i_ratio_row``): Phi0 =
   I_{nu-1}/I_nu by backward recurrence (Gautschi 1967; Amos 1974), the
@@ -21,29 +24,22 @@ the Riccati equation the ratios satisfy,
   one more step down), anchor b + m at the top of b's block of
   I_ANCHOR_SPAN unit steps.
 
-* ``k_ratio_rows`` (and its one-row form ``k_ratio_row``): Phi1 = -K_{nu-1}/K_nu as seed, then ladder.  Orders are
-  grouped by class nu mod 1 and each class is computed once at its lowest
-  order (the seed), then carried up by the forward recurrence
-  r_{nu+1} = 1/(2*nu/x + r_nu) on r = K_{nu-1}/K_nu > 0.  K is the dominant
-  solution of that recurrence (Gautschi 1967), so each step adds two
-  positive terms: relative error shrinks by r/(2*nu/x + r) and gains 2 eps.
-  Seeds come from three sources:
+* ``k_ratio_rows`` (and its one-row form ``k_ratio_row``): Phi1 =
+  -K_{nu-1}/K_nu as seed, then ladder.  Orders are grouped by class nu mod
+  1 and each class is computed once at its lowest order (the seed), then
+  carried up by the forward recurrence r_{nu+1} = 1/(2*nu/x + r_nu) on
+  r = K_{nu-1}/K_nu > 0.  K is the dominant solution of that recurrence
+  (Gautschi 1967), so each step adds two positive terms: relative error
+  shrinks by r/(2*nu/x + r) and gains 2 eps.  Seeds come from two sources:
 
   - half-integer classes: K_{1/2} = K_{-1/2} gives r_{1/2} = 1 exactly;
-  - x >= 20: the large-x series Phi ~ sum_k c_k x**-k generated from the
-    Riccati equation itself (``large_x_coefficients``), c_0 = -1 for Phi1
-    (+1 for Phi0),
-    c_{k+1} = [(k + 2*nu - 1) c_k - sum_{i=1..k} c_i c_{k+1-i}]/(2 c_0),
-    truncated before its smallest term (the error is the first omitted
-    term);
-  - x < 20: Taylor steps of the Riccati equation itself back from x = 20,
-    seeded by that series (Corliss & Chang 1982).  Around a centre x_c,
-    Phi(x_c*(1 + s)) = sum_k b_k s**k with S_k = sum_{i=0..k} b_i b_{k-i} and
-    b_{k+1} = [x_c ([k=0] + [k=1]) + (2*nu-1-k) b_k - x_c (S_k + S_{k-1})]/(k+1)
-    (``taylor_coefficients``).  Each step is as long as the decay of its
-    coefficients allows (Jorba & Zou 2005), and every requested x is
-    evaluated on its own step's polynomial.  The K solution is the one
-    bounded as x -> oo and attracts every other in the backward direction.
+  - every other class: the ratio of two trapezoidal sums of
+    K_mu(x) = int_0^oo e^(-x cosh t) cosh(mu t) dt (DLMF 10.32.9), one for
+    mu = nu - 1 and one for mu = nu, all x of a row at once
+    (``_k_seed_row``).  The integral solves the same recurrence and the
+    same Riccati equation; its integrand is positive, even and entire, so
+    the sums converge geometrically in the step (Trefethen & Weideman,
+    SIAM Rev. 56, 2014).
 
 Negative orders in [-1, 0) are served like any other: the I side steps
 the recurrence down once more from nu+1 >= 0, and the K side uses the symmetry
@@ -59,8 +55,8 @@ The one-point calls ``i_ratio``, ``k_ratio`` and ``product`` (an
 check; every package caller takes rows, a lone point as a one-element row.
 
 ``solve_ivp`` is a stand-in for scipy's, and nothing in the package calls
-it: the oracle and ``riccati_lab`` integrate the Riccati equation by
-Taylor steps (``taylor_step``).  It stays because perfbench's tracer wraps
+it: ``riccati_lab`` integrates the Riccati equation by Taylor steps of
+its own.  It stays because perfbench's tracer wraps
 ``oracle.solve_ivp`` and ``riccati_lab.solve_ivp`` by name (``riccati_lab``
 imports this one).  It would import scipy only when called, and scipy is
 not a dependency of the package.
@@ -72,7 +68,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -85,13 +81,6 @@ from .nullclines import EPS, EvalPoint
 # steps reach it near x = 2.8e10)
 I_ANCHOR_SPAN = 16
 I_MAX_DEPTH = 1_000_000
-# Taylor steps (taylor_step: the backward K seed, and riccati_lab's
-# trajectories) keep b_0 .. b_n, n = _TAYLOR_ORDER, and move at most
-# _MAX_STEP times their centre: half the distance to x = 0, the singular
-# point of the equation (for the K seed the nearest singularity, since K_nu
-# has no zeros in Re x > 0).
-_TAYLOR_ORDER = 30
-_MAX_STEP = 0.5
 
 
 def solve_ivp(*args, **kwargs):
@@ -288,18 +277,24 @@ def i_ratio(p: EvalPoint) -> OracleResult:
 
 
 # ----------------------------------------------------------------------
-# K-ratio: class seed (exact, large-x series or backward Riccati), ladder
+# K-ratio: class seed (exact, or a trapezoidal sum of K's integral), ladder
 # ----------------------------------------------------------------------
 
-SERIES_X = 20.0           # the series serves x >= this at every seed order
+# the K seed's terms per pass: a pass takes as many x as fit, at least one,
+# so its arrays stay near this size however long the row.  A seed order in
+# [-1, 1] needs at most 4,096 nodes at any x; past _SEED_NODES the seed
+# fails rather than allocate (an order near 10**5 at x = 1, say)
+_SEED_TERMS = 1 << 14
+_SEED_NODES = 1 << 20
+_TINY = np.finfo(float).tiny        # the smallest normal float
 
 
 def large_x_coefficients(nu, c0, n: int = 61) -> list:
     """The first n coefficients c_k of the large-x series Phi ~ sum c_k x**-k
-    of the Riccati equation: c0 = 1 gives Phi0, c0 = -1 gives Phi1 (module
-    docstring).  Generic over numbers: floats for the K seeds, Fractions
-    for the exact series of ``expansions``.  Stops early before the first
-    non-finite coefficient."""
+    of the Riccati equation, c0 = 1 for Phi0 and c0 = -1 for Phi1:
+    c_{k+1} = [(k + 2*nu - 1) c_k - sum_{i=1..k} c_i c_{k+1-i}]/(2 c0).
+    Generic over numbers: Fractions for the exact series of ``expansions``,
+    or floats.  Stops early before the first non-finite coefficient."""
     c = [c0]
     for k in range(n - 1):
         nxt = ((k + 2 * nu - 1) * c[k]
@@ -310,175 +305,85 @@ def large_x_coefficients(nu, c0, n: int = 61) -> list:
     return c
 
 
-def large_x_series(c: List[float], xs: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Phi1(nu, x) from its Riccati-generated large-x series, whose
-    coefficients c = large_x_coefficients(nu, -1.0) are generated once per
-    order by the caller; (values, est_errors).  Each x stops before its
-    smallest omitted term; the error estimate is the larger of the next two
-    omitted terms (one coefficient can vanish by accident, as c_4 does at
-    nu = 5/2) plus roundoff.  Each x is summed on its own column, so its
-    value does not depend on the other xs."""
-    k = np.arange(len(c))[:, None]
-    terms = np.array(c)[:, None] * np.asarray(xs, dtype=float) ** -k
-    omitted = np.maximum(np.abs(terms[1:-1]), np.abs(terms[2:]))  # row m: stop after m
-    last = np.argmin(omitted, axis=0)
-    vals = np.where(k <= last, terms, 0.0)[::-1].cumsum(axis=0)[-1]  # smallest first
-    return vals, omitted[last, np.arange(len(xs))] + 2.0 * EPS * np.abs(vals)
-
-
-def _series_start(c: List[float]) -> Tuple[float, float, float]:
-    """(x0, value, est_error): the first x0 of 20, 40, 80, ... where the
-    large-x series with coefficients c is good to roundoff, and its value
-    and estimate there."""
-    x, (v, e) = SERIES_X, large_x_series(c, [SERIES_X])
-    while e[0] > 4.0 * EPS * abs(v[0]):
-        x *= 2.0
-        v, e = large_x_series(c, [x])
-    return x, v[0], e[0]
-
-
-def default_x_start(nu: float) -> float:
-    """Start of the backward Taylor steps at order nu: the first of 20, 40,
-    80, ... where the large-x series is good to roundoff.  That is 20 at
-    every order in [-1, 1], which holds all ladder seeds; a direct seed at
-    a high order starts near nu**2 and costs in proportion."""
-    return _series_start(large_x_coefficients(nu, -1.0))[0]
-
-
-def taylor_coefficients(nu: float, x0: float, phi0: float, n: int):
-    """The first n coefficients b_k of Phi(x0*(1 + s)) = sum b_k s**k for the
-    solution of the Riccati equation through (x0, phi0) (module docstring).
-
-    A scalar phi0 (the K seed: one lane per step) gives a list of floats.
-    A 1-D array of lanes (nu and x0 floats or arrays like it) gives an
-    (n, lanes) array, row k holding b_k: each S_k is then one multiply of
-    the rows b_0..b_k by the rows b_k..b_0 and one sum down the rows, in
-    order and from 0 like ``sum``, so every lane has the bits of its scalar
-    run.  numpy sums pairwise, and so rounds differently, only along the
-    fast axis of memory, which the rows of a one-column block would be: the
-    products are summed in a block at least two columns wide."""
-    c, prev = 2.0 * nu - 1.0, 0.0
-    q = (1.0 - phi0) * (1.0 + phi0)       # 1 - S_0 without cancellation at phi0 ~ -1
-    if np.ndim(phi0) == 0:
-        b = [phi0]
-        for k in range(n - 1):
-            sk = sum(map(operator.mul, b, reversed(b)))     # b holds b_0..b_k
-            t = q if k == 0 else (q - sk if k == 1 else -(sk + prev))
-            b.append((x0 * t + (c - k) * b[k]) / (k + 1))
-            prev = sk
-        return b
-    m = len(phi0)
-    b = np.empty((n, m))
-    b[0] = phi0
-    terms = np.zeros((n + 1, max(m, 2)))   # row 0 stays 0, the start of each sum
-    for k in range(n - 1):
-        np.multiply(b[:k + 1], b[k::-1], out=terms[1:k + 2, :m])
-        sk = np.add.reduce(terms[:k + 2])[:m]
-        t = q if k == 0 else (q - sk if k == 1 else -(sk + prev))
-        b[k + 1] = (x0 * t + (c - k) * b[k]) / (k + 1)
-        prev = sk
-    return b
-
-
-def horner(b, s):
-    """(sum b_k s**k, roundoff bound) by Horner's rule with Higham's running
-    error bound; b is a list of floats, or of arrays shaped like s."""
-    y = b[-1]
-    mu = 0.5 * abs(y)
-    for bk in b[-2::-1]:
-        y = y * s + bk
-        mu = abs(s) * mu + abs(y)
-    return y, EPS * (2.0 * mu - abs(y))
-
-
-def taylor_step(nu: float, xc, phi):
-    """(b, h): the coefficients b_0..b_n, n = _TAYLOR_ORDER, of the solution
-    through (xc, phi), and the longest relative step h whose last two terms
-    stay below eps*|b_0| (coefficient decay, Jorba & Zou), at most
-    _MAX_STEP; h is 0 where b_{n-1} + b_n is not finite.  nu, xc and phi
-    are floats (b a list) or arrays of lanes (b an (n + 1, lanes) array;
-    ``taylor_coefficients``).  Where eps*|b_0| is 0 (at a zero of Phi,
-    or when it underflows) the bound is eps*|b_1|, the scale of Phi next to
-    its zero."""
-    n = _TAYLOR_ORDER
-    b = taylor_coefficients(nu, xc, phi, n + 1)
-    if np.ndim(phi) == 0:       # one lane (the K seed): the lanes' rule in plain floats
-        tol = EPS * abs(phi) or EPS * abs(b[1])
-        h = min([(tol / t) ** (1.0 / k) for k, t in ((n - 1, abs(b[n - 1])), (n, abs(b[n])))
-                 if t > 0.0] + [_MAX_STEP])
-        return b, h if math.isfinite(b[n - 1] + b[n]) else 0.0
-    tol = EPS * np.abs(phi)
-    tol = np.where(tol > 0.0, tol, EPS * np.abs(b[1]))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        h = np.fmin((tol / np.abs(b[n - 1])) ** (1.0 / (n - 1)), (tol / np.abs(b[n])) ** (1.0 / n))
-        return b, np.where(np.isfinite(b[n - 1] + b[n]), np.minimum(h, _MAX_STEP), 0.0)
-
-
-def _step_error(nu: float, xc, b, s, y, rounding):
-    """Error a Taylor step adds to its value y at s: the truncation tail
-    (taken as the last two terms kept), Horner roundoff, the rounding of
-    s = x/xc - 1 (at most eps*x in x) and that of b_1, whose three terms
-    nearly cancel at large x.  The later coefficients' rounding stayed
-    below the Horner bound against 50-digit coefficient sums."""
-    n, a, c = len(b) - 1, abs(s), 2.0 * nu - 1.0
-    x = xc * (1.0 + s)
-    return (abs(b[n]) * a ** n + abs(b[n - 1]) * a ** (n - 1) + rounding
-            + EPS * abs(x + c * y - x * y * y)
-            + 2.0 * EPS * a * (xc * abs((1.0 - b[0]) * (1.0 + b[0])) + abs(c * b[0])))
-
-
-def _taylor_row(nu: float, x0: float, phi0: float, err0: float, xs: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """(values, est_errors) at increasing xs < x0 of the Riccati solution
-    through (x0, phi0), known to err0, by Taylor steps back from x0.
-
-    A step keeps b_0..b_n at its centre xc and runs to xc*(1 - h), h from
-    ``taylor_step``.  The xs inside it, and the next centre, are evaluated
-    on its polynomial.  The error at x is the step's own (``_step_error``)
-    plus the relative error carried in at xc, which the flow shrinks: along
-    a negative solution, a relative perturbation obeys
-    d ln|delta/Phi| / d(-x) = Phi + 1/Phi <= -2.
-    """
-    centres, rels, coefs = [], [], []
-    step = np.empty(len(xs), dtype=int)        # the step each x falls in
-    xc, phi, rel, j = x0, phi0, err0 / abs(phi0), len(xs)
-    while j > 0:
-        b, h = taylor_step(nu, xc, phi)
-        if not h > 0.0:
-            raise EvaluationError(f"Taylor step collapsed at nu={nu}, x={xc}")
-        x_next = xc * (1.0 - h)
-        i = int(np.searchsorted(xs, x_next))   # xs[i:j] lie in [x_next, xc)
-        step[i:j] = len(coefs)
-        centres.append(xc)
-        rels.append(rel)
-        coefs.append(b)
-        s = x_next / xc - 1.0
-        phi, rounding = horner(b, s)
-        rel = (rel * math.exp(-2.0 * (xc - x_next))
-               + _step_error(nu, xc, b, s, phi, rounding) / abs(phi))
-        xc, j = x_next, i
-    xc = np.array(centres)[step]
-    b = np.array(coefs).T[:, step]
-    s = xs / xc - 1.0
-    vals, rounding = horner(b, s)
-    ests = (np.abs(vals) * np.array(rels)[step] * np.exp(-2.0 * (xc - xs))
-            + _step_error(nu, xc, b, s, vals, rounding))
-    return vals, ests
+def _tree_sum(terms: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, of length 2**k, pairwise in k levels of one
+    rounding each, so positive terms are summed to k*eps/2 relative.  Zeros
+    at the end of a row leave its sum's bits as they are."""
+    while terms.shape[-1] > 1:
+        terms = terms[..., ::2] + terms[..., 1::2]
+    return terms[..., 0]
 
 
 def _k_seed_row(nu: float, xs: np.ndarray):
-    """(values, est_errors, method) of Phi1 at order nu: the series at
-    x >= default_x_start(nu), Taylor steps of the Riccati equation below it;
-    the series coefficients are generated once."""
-    c = large_x_coefficients(nu, -1.0)
-    x0, v0, e0 = _series_start(c)
-    lo = xs < x0
+    """(values, est_errors, method) of Phi1 = -K_{nu-1}/K_nu at order nu:
+    the ratio of two trapezoidal sums of K_mu(x) = int_0^oo e^(-x cosh t)
+    cosh(mu t) dt (DLMF 10.32.9), for mu = nu - 1 and mu = nu.
+
+    The integrand is even and entire, so h*(f(0)/2 + f(h) + f(2h) + ...)
+    converges geometrically in h (Trefethen & Weideman 2014).  With
+    m = max(|nu|, |nu - 1|), each integrand is g(t)*(e^(al t) + e^(be t))
+    with al, be <= 0 and g = e^(m t - x cosh t) shared; g peaks at
+    sinh t_p = m/x, where a = x cosh t_p.  Each x has its own spacing
+    h = min(0.2, 0.4/sqrt(a)), cut to 8 significant bits so that every
+    node j*h is exact.  g is scaled by its value at the node t_hat nearest
+    the peak, so no term overflows: g_j = exp(m u - 2x sinh((t + t_hat)/2)
+    sinh(u/2)) at u = t - t_hat.  Past t_p + 2 asinh(sqrt(22.5/a)) the log
+    of g lies more than 45 below its peak, and the terms there are zero.
+    An x's node count is its last node's index plus one, rounded up to a
+    power of two; the x of one count are summed in passes of at most
+    _SEED_TERMS terms.  So an x's bits depend on (nu, x) alone.
+
+    The estimate adds, for each sum: every term's rounding bound (exp and
+    sinh within one ulp, plus the rounding of their arguments), underflow,
+    the pairwise sum's rounding (``_tree_sum``), the truncated tail (below
+    2 e^-45/(1 - e^-3.7) < 1e-19 relative, the terms past the cut falling
+    geometrically) and the discretization error 2B/(e^(2 pi y/h) - 1) for
+    the strip |Im t| < y = min(1.45, 9/sqrt(a)).  There
+    B = c^-m e^(x (1 - c)), c = cos y, bounds K_mu(x c)/K_mu(x), since
+    x^m e^x K_mu(x) increases in x for m >= max(|mu|, 1 - |mu|) (DLMF
+    10.32.8).  Where a ratio is not a finite normal float, or an estimate
+    not finite, EvaluationError names (nu, x): below about x = 1e-307 and
+    above 2**1023."""
+    # m + d = max(|nu|, |nu - 1|) exactly: d = 0 for nu >= 1/2, else the
+    # rounding error of 1 - nu (Fast2Sum).  Each exponent below is then exact
+    # or one rounding off; ``top`` is that order's pair, ``low`` the other's
+    m, d = (nu, 0.0) if nu >= 0.5 else (1.0 - nu, -nu - ((1.0 - nu) - 1.0))
+    top, low = (d, -(2.0 * m + d)), (1.0 - 2.0 * m - d, d - 1.0)
+    al, be = np.array([low, top] if nu >= 0.5 else [top, low]).T[:, :, None, None]
     vals, ests = np.empty(len(xs)), np.empty(len(xs))
-    vals[~lo], ests[~lo] = large_x_series(c, xs[~lo])
-    if not lo.any():
-        return vals, ests, "large-x-series"
-    vals[lo], ests[lo] = _taylor_row(nu, x0, v0, e0, xs[lo])
-    return vals, ests, "taylor-riccati"
+    with np.errstate(all="ignore"):
+        a = np.hypot(xs, m)
+        mant, e = np.frexp(np.minimum(0.2, 0.4 / np.sqrt(a)))
+        h = np.ldexp(np.floor(mant * 256.0) / 256.0, e)
+        tp = np.arcsinh(m / xs)
+        last = np.floor((tp + 2.0 * np.arcsinh(np.sqrt(22.5 / a))) / h)
+        fits = last < _SEED_NODES       # False where not finite
+        y = np.minimum(1.45, 9.0 / np.sqrt(a))
+        disc = 2.0 * np.cos(y) ** -m * np.exp(xs * (1.0 - np.cos(y))) / np.expm1(2 * np.pi * y / h)
+        count = 2 ** np.ceil(np.log2(np.where(fits, last, 0.0) + 1.0)).astype(int)
+        for n in sorted(set(count.tolist())):
+            j, at = np.arange(n, dtype=float), np.flatnonzero(count == n)
+            for i in np.array_split(at, -(-len(at) // max(1, _SEED_TERMS // n))):
+                hi, jp, keep = h[i, None], np.rint(tp[i, None] / h[i, None]), j <= last[i, None]
+                t, mu = j * hi, m * ((j - jp) * hi)
+                # x cosh t - x cosh t_hat, and 0 at the nodes past the cut
+                p = np.where(keep, (2.0 * xs[i, None] * np.sinh((j + jp) * (0.5 * hi)))
+                             * np.sinh((j - jp) * (0.5 * hi)), 0.0)
+                g = np.where(keep, np.exp(mu - p), 0.0)
+                g[:, 0] *= 0.5
+                # a term's rounding, relative: g's, the sum's and product's, each
+                # exponential's (``rho``) and its argument's (below), then underflow
+                rho = EPS * (3.0 + 0.5 * (np.abs(mu - p) + np.abs(mu)) + 3.0 * np.abs(p))
+                e1, e2 = np.exp(al * t), np.exp(be * t)
+                q = _tree_sum(g * (e1 + e2))
+                err = _tree_sum(g * ((e1 + e2) * rho + EPS * t * (e1 * abs(al) + e2 * abs(be))))
+                rel = (err + 3.0 * n * _TINY * EPS) / q + 0.5 * EPS * (n.bit_length() - 1) + disc[i]
+                vals[i] = -(q[0] / q[1])
+                ests[i] = -vals[i] * (rel.sum(axis=0) + 2e-19 + 0.5 * EPS)
+    bad = ~(fits & (-vals >= _TINY) & (ests < math.inf))
+    if bad.any():
+        raise EvaluationError(f"K seed quadrature failed at nu={nu}, x={xs[bad][0]}")
+    return vals, ests, "trapezoidal-integral"
 
 
 def k_ratio_rows(nus: Sequence[float], xs: Sequence[float]

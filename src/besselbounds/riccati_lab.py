@@ -27,10 +27,10 @@ psi = x*Phi - nu, where Phi solves the oracle's ratio equation
 
     Phi' = 1 + ((2*nu - 1)/x) * Phi - Phi**2.
 
-So every start is a Phi lane stepped by the oracle's Taylor engine
-(``oracle.taylor_step``; Corliss & Chang 1982): each lane takes the longest
-steps its own coefficients allow, and each of its log-spaced samples is
-evaluated on the polynomial of its own step, which is exact dense output.
+So every start is a Phi lane stepped by Taylor series (``taylor_step``;
+Corliss & Chang 1982): each lane takes the longest steps its own
+coefficients allow, and each of its log-spaced samples is evaluated on
+the polynomial of its own step, which is exact dense output.
 Where |Phi| > 1 a lane steps 1/Phi instead, the solution of the same
 equation at order 1 - nu, so a pole of Phi is a simple zero of what is
 stepped and the coefficients stay finite through the blow-up.  Starts that
@@ -40,8 +40,8 @@ is a lane stepping back to the window's left edge and a lane stepping
 forward to its right edge.  No lane's arithmetic depends on another's,
 and its direction enters only through exact sign flips, so a batched lane
 is its one-lane run bit for bit.  The lanes' Taylor coefficients are the
-rows of one array (``oracle.taylor_coefficients``), bit for bit the
-scalar recursion that the oracle's K seed keeps.
+rows of one array (``taylor_step``), each lane's column summed in order,
+as it would be alone.
 
 Turning points are sign changes of a turning function between consecutive
 checkpoints (the samples and the step ends, the seed included on both
@@ -65,8 +65,8 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .nullclines import cubic_levels
-from .oracle import RatioKind, i_ratio_row, k_ratio_row, taylor_step
+from .nullclines import EPS, cubic_levels
+from .oracle import RatioKind, i_ratio_row, k_ratio_row
 # not called here: a module attribute that perfbench's tracer wraps by name
 from .oracle import solve_ivp  # noqa: F401
 
@@ -76,6 +76,11 @@ _SLOPE_FLOOR = 1.0e-12    # below this relative slope a trajectory is "constant"
 _SAMPLES_PER_SIDE = 400
 _MAX_LANES = 128          # starts per batched run (two lanes each): bounds the per-step arrays
 _DS = 1.0e-100            # complex step of Newton's derivative
+# a Taylor step (taylor_step) keeps b_0 .. b_n, n = _TAYLOR_ORDER, and
+# moves at most _MAX_STEP times its centre: half the distance to x = 0,
+# the singular point of the equation
+_TAYLOR_ORDER = 30
+_MAX_STEP = 0.5
 
 
 class SolutionClass(Enum):
@@ -120,11 +125,47 @@ class Trajectory:
 _Flow = namedtuple("_Flow", "nu weight shift turn scale kinds")
 
 
+def taylor_step(nu, xc, phi: np.ndarray):
+    """(b, h) for the solutions of the Riccati equation through (xc, phi),
+    one lane per element of the 1-D array phi (nu and xc floats or arrays
+    like it).  b is an (n + 1, lanes) array, n = _TAYLOR_ORDER, row k
+    holding b_k of Phi(xc*(1 + s)) = sum b_k s**k: with
+    S_k = sum_{i=0..k} b_i b_{k-i},
+    b_{k+1} = [xc ([k=0] + [k=1]) + (2*nu-1-k) b_k - xc (S_k + S_{k-1})]/(k+1).
+    h is per lane the longest relative step whose last two terms stay below
+    eps*|b_0| (coefficient decay, Jorba & Zou 2005), at most _MAX_STEP, and
+    0 where b_{n-1} + b_n is not finite.  Where eps*|b_0| is 0 (at a zero of
+    Phi, or when it underflows) the bound is eps*|b_1|, the scale of Phi
+    next to its zero.
+
+    Each S_k is one multiply of the rows b_0..b_k by the rows b_k..b_0 and
+    one sum down the rows, in order and from 0, so every lane has the bits
+    of its one-lane run.  numpy sums pairwise, and so rounds differently,
+    only along the fast axis of memory, which the rows of a one-column
+    block would be: the products are summed in a block at least two
+    columns wide."""
+    n, m, c, prev = _TAYLOR_ORDER, len(phi), 2.0 * nu - 1.0, 0.0
+    q = (1.0 - phi) * (1.0 + phi)         # 1 - S_0 without cancellation at phi ~ -1
+    b = np.empty((n + 1, m))
+    b[0] = phi
+    terms = np.zeros((n + 2, max(m, 2)))   # row 0 stays 0, the start of each sum
+    for k in range(n):
+        np.multiply(b[:k + 1], b[k::-1], out=terms[1:k + 2, :m])
+        sk = np.add.reduce(terms[:k + 2])[:m]
+        t = q if k == 0 else (q - sk if k == 1 else -(sk + prev))
+        b[k + 1] = (xc * t + (c - k) * b[k]) / (k + 1)
+        prev = sk
+    tol = EPS * np.abs(phi)
+    tol = np.where(tol > 0.0, tol, EPS * np.abs(b[1]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = np.fmin((tol / np.abs(b[n - 1])) ** (1.0 / (n - 1)), (tol / np.abs(b[n])) ** (1.0 / n))
+        return b, np.where(np.isfinite(b[n - 1] + b[n]), np.minimum(h, _MAX_STEP), 0.0)
+
+
 def _polyval(terms, s):
-    """sum b_k s**k by Horner's rule, the value alone (``oracle.horner``
-    also carries a roundoff bound, which trajectories do not use).
-    ``terms`` gives b_k from the highest k down: floats, or arrays shaped
-    like s, which may be gathered as the loop reaches them."""
+    """sum b_k s**k by Horner's rule.  ``terms`` gives b_k from the highest
+    k down: floats, or arrays shaped like s, which may be gathered as the
+    loop reaches them."""
     terms = iter(terms)
     y = next(terms)
     for bk in terms:

@@ -198,7 +198,8 @@ def _write_lines(write, prefix: bytes, count: int, cells, blocks) -> None:
     of it, of dtype S{width} and one column per cell, set to the blocks'
     texts and, in the last run, to one ``g17.texts`` call on the chunk's
     values; the matrix is written after one ``translate`` compacts it.
-    The matrix is made once, so a writer's memory stays one chunk's."""
+    The matrix is made once, and a block is let go before the next is
+    made, so a writer's memory stays one chunk's and one block's."""
     line, starts = bytearray(prefix), []
     for cols, width in cells:
         starts.append(len(line))
@@ -226,6 +227,7 @@ def _write_lines(write, prefix: bytes, count: int, cells, blocks) -> None:
             if filled == n:
                 flush(n)
                 filled = 0
+        del texts, block        # before the next block is built
     if filled:
         flush(filled)
 
@@ -319,12 +321,13 @@ class CsvText:
         """The ``CELLS`` of report blocks' checked points, a block at a
         time, as ``_write_lines`` takes them: the order and x text, each
         looked up once per block and shared by its points, and the bound,
-        oracle and margin values."""
+        oracle and margin values.  It binds no name to them, so none is
+        held while the next block is built."""
         for block in blocks:
             checked = block.checked
-            nu, x = (np.broadcast_to(axis.text_of(values), checked.shape)[checked][:, None]
-                     for axis, values in ((self.nu, block.nus), (self.x, block.xs)))
-            yield (nu, x), np.column_stack([col[checked] for col in (*block.cols, block.margin)])
+            yield (tuple(np.broadcast_to(axis.text_of(values), checked.shape)[checked][:, None]
+                         for axis, values in ((self.nu, block.nus), (self.x, block.xs))),
+                   np.column_stack([col[checked] for col in (*block.cols, block.margin)]))
 
 
 def write_report_csv(report: ScanReport, path, text: CsvText) -> None:

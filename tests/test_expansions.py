@@ -123,7 +123,7 @@ def test_large_x_coefficients_exact_seeds():
     # K_{1/2} = K_{-1/2}: the exact seed r = 1 that k_ratio_rows uses
     assert large_x_coefficients(F(1, 2), F(-1), 12) == [-1] + [0] * 11
     assert np.all(oracle.k_ratio_row(0.5, [0.1, 1.0, 30.0])[0] == -1.0)
-    # the accident the large_x_series error estimate allows for
+    # a coefficient can vanish by accident: c_4 at nu = 5/2
     exact = large_x_coefficients(F(5, 2), -1, 61)
     assert exact[4] == 0 and exact[3] != 0
     # small integers, so the float generator gives them exactly

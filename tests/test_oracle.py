@@ -1,33 +1,34 @@
 """Tests for the recurrence/Riccati-based reference oracles.
 
 Closed forms used here (half-integer orders) come from elementary identities,
-so they are independent of the recurrence and Taylor-series machinery
-under test.
+so they are independent of the recurrence and quadrature machinery under
+test.
 """
 
 import functools
 import math
+import re
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from conftest import PROPERTY, log_x, quantity_at
+from conftest import PROPERTY, log_x, quantity_at, record_gate_line
 from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from besselbounds import oracle
 from besselbounds.errors import DomainError, EvaluationError
 from besselbounds.nullclines import EvalPoint
-from besselbounds.oracle import default_x_start
 from besselbounds.verify import Grid, OracleTable, default_grid
 
 
 def _direct_k(nu: float, x: float) -> oracle.OracleResult:
-    """Phi1 from one direct seed at the order itself (series, then Taylor
-    steps): no ladder step and no reflection, the reference the ladder and
-    the reflection are tested against."""
+    """Phi1 from one direct seed at the order itself (the quadrature of K's
+    integral): no ladder step and no reflection, the reference the ladder
+    and the reflection are tested against."""
     vals, ests, used = oracle._k_seed_row(nu, np.array([x]))
     return oracle.OracleResult(float(vals[0]), float(ests[0]), used)
 
@@ -294,7 +295,7 @@ def test_first_kind_rows_do_not_depend_on_the_other_orders(nu):
 
 
 # ---------------------------------------------------------------------------
-# second-kind ratio (exact recurrence / backward Taylor steps of the Riccati equation)
+# second-kind ratio (exact recurrence / quadrature of K's integral, then the ladder)
 
 
 def test_k_ratio_half_integer_values():
@@ -309,9 +310,10 @@ def test_k_ratio_half_integer_values():
 
 
 def test_k_ratio_large_x_series():
+    # the quadrature seed at large x agrees with the first terms of the series
     r = oracle.k_ratio(EvalPoint(1.0, 100.0))
     assert_allclose(r.value, -(1.0 - 0.5 / 100.0 + 0.75 / 2e4), rtol=1e-4)
-    assert r.method == "large-x-series"
+    assert r.method == "trapezoidal-integral"
     assert r.value < 0.0
 
 
@@ -333,42 +335,13 @@ def test_k_ratio_reflection_path():
         oracle.k_ratio(EvalPoint(-1.25, 1.0))
 
 
-def test_default_x_start():
-    # every ladder seed order starts at 20; high orders need x ~ nu**2
-    for nu in (0.0, 0.25, 0.5, 0.75, 1.0):
-        assert default_x_start(nu) == 20.0
-    assert default_x_start(40.25) == 80.0
-    assert default_x_start(100.25) == 320.0
-
-
 def test_k_ratio_row_matches_pointwise():
     xs = np.geomspace(0.05, 20.0, 7)
     vals, ests, method = oracle.k_ratio_row(0.8, xs)
-    assert method == "taylor-riccati"
+    assert method == "trapezoidal-integral"
     assert np.all(ests >= 0.0)
     for x, v in zip(xs, vals):
         assert_allclose(oracle.k_ratio(EvalPoint(0.8, float(x))).value, v, rtol=1e-9)
-
-
-@pytest.mark.parametrize("lanes", [1, 2, 100])
-def test_lane_recursion_is_the_scalar_one_bit_for_bit(lanes):
-    # riccati_lab's lanes take the stacked recursion, the K seed the scalar
-    # one: each S_k must be summed in order, as sum() does, since a pairwise
-    # sum (numpy's along a one-lane column) rounds differently.  In half the
-    # draws every other lane starts at x0 = phi0 = -0.0, where every b_k is a
-    # signed zero, some of them -0.0, and the signs must match too
-    rng = np.random.default_rng(lanes)
-    for draw in range(12):
-        nu, x0, phi0 = (rng.uniform(lo, hi, lanes)
-                        for lo, hi in ((-1.0, 5.0), (0.05, 30.0), (-3.0, 3.0)))
-        if draw % 2:
-            x0[::2], phi0[::2] = -0.0, -0.0
-        got = oracle.taylor_coefficients(nu, x0, phi0, 31)
-        assert got.shape == (31, lanes)
-        for i in range(lanes):
-            want = oracle.taylor_coefficients(float(nu[i]), float(x0[i]), float(phi0[i]), 31)
-            assert isinstance(want, list)
-            assert got[:, i].tobytes() == np.array(want).tobytes(), (draw, i)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +385,7 @@ def test_ladder_matches_direct_integration(mu, k, x):
     p = EvalPoint(mu + k, x)
     ladder = oracle.k_ratio(p)
     direct = _direct_k(p.nu, p.x)
-    assert direct.method in ("taylor-riccati", "large-x-series")
+    assert direct.method == "trapezoidal-integral"
     assert abs(ladder.value - direct.value) <= ladder.est_error + direct.est_error
 
 
@@ -430,22 +403,78 @@ def _within_estimate(r: oracle.OracleResult, nu: float, x: float) -> bool:
 @PROPERTY
 @given(nu=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True),
                     st.integers(1, 12).map(float)),
-       x=log_x(10 ** -3.5, 20.0))
+       x=log_x(10 ** -3.5, 1e3))
 def test_taylor_seed_error_estimate(nu, x):
-    # every seed order in (0, 1], nu = 0, and the integer class (seeded at 1);
-    # x = 20 itself rounds to just above the series start
+    # every seed order in (0, 1], nu = 0, and the integer class (seeded at 1)
     r = oracle.k_ratio(EvalPoint(nu, x))
-    assert r.method.split("+")[0] in ("taylor-riccati", "large-x-series")
+    assert r.method.split("+")[0] == "trapezoidal-integral"
     assert _within_estimate(r, nu, x)
 
 
 @PROPERTY
 @given(nu=st.one_of(st.floats(-1.0, 100.25), st.just(100.25)),
-       x=log_x(10 ** -3.5, 20.0))
+       x=log_x(10 ** -3.5, 1e3))
 def test_forced_taylor_error_estimate(nu, x):
+    # the seed called directly at any order, up to 100.25
     r = _direct_k(nu, x)
-    assert r.method in ("taylor-riccati", "large-x-series")
+    assert r.method == "trapezoidal-integral"
     assert _within_estimate(r, nu, x)
+
+
+def test_k_seed_calibration_sweep():
+    # the seed against 40-digit mpmath at 420 random points of every seed
+    # order class: error/estimate is gated at 1, and its median recorded
+    rng = np.random.default_rng(420)
+    ratios, rel_ests = [], []
+    for nu, x in zip(rng.uniform(0.0, 1.0, 420), 10.0 ** rng.uniform(-3.5, 3.0, 420)):
+        r = _direct_k(float(nu), float(x))
+        with mpmath.workdps(40):
+            err = float(abs(mpmath.mpf(r.value) - _phi1_40_digits(float(nu), float(x))))
+        ratios.append(err / r.est_error)
+        rel_ests.append(r.est_error / (abs(r.value) * oracle.EPS))
+    record_gate_line(f"K seed calibration: 420 points, error/estimate max {max(ratios):.3f} "
+                     f"<= 1, median {np.median(ratios):.3f}; median estimate "
+                     f"{np.median(rel_ests):.1f} eps relative")
+    assert max(ratios) <= 1.0
+
+
+@pytest.mark.parametrize("nu, x", [(0.25, 5e-324), (1.0, 5e-324), (0.25, 1e308), (0.75, 1e308)])
+def test_k_seed_fails_closed(nu, x):
+    # x = 5e-324 puts the peak of the integrand past any float; at 1e308
+    # 2x overflows.  Either raises, naming the point, and never returns NaN
+    with pytest.raises(EvaluationError, match=re.escape(f"nu={nu}, x={x}")):
+        oracle._k_seed_row(nu, np.array([1.0, x]) if x > 1.0 else np.array([x, 1.0]))
+    with pytest.raises(EvaluationError, match=re.escape(f"x={x}")):
+        oracle.k_ratio_row(nu, [x])
+
+
+@PROPERTY
+@given(nu=st.floats(-1.0, 20.0), x=log_x(1e-12, 1e6),
+       others=st.lists(log_x(1e-12, 1e6), min_size=1, max_size=30), cut=st.integers(0, 31))
+def test_k_element_bits_depend_on_order_and_x_alone(nu, x, others, cut):
+    # a K element is its lone point's, bit for bit, inside a longer x set
+    # and inside either part of a split one
+    lone = oracle.k_ratio(EvalPoint(nu, x))
+    xs = np.unique([x, *others])
+    part = xs[:cut] if x in xs[:cut] else xs[cut:]
+    for row in (xs, part):
+        vals, ests, used = oracle.k_ratio_row(nu, row)
+        at = int(np.searchsorted(row, x))
+        assert (vals[at], ests[at], used) == (lone.value, lone.est_error, lone.method)
+
+
+def test_k_seed_passes_are_bounded_and_bit_stable():
+    # a row of 20,000 x takes passes of at most _SEED_TERMS terms, so its
+    # peak memory stays a few times one pass, and each x keeps its lone bits
+    xs = np.geomspace(1e-6, 1e6, 20_000)
+    tracemalloc.start()
+    vals, ests, _ = oracle._k_seed_row(0.3, xs)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 64 * 8 * oracle._SEED_TERMS
+    for i in range(0, len(xs), 997):
+        lone = oracle._k_seed_row(0.3, xs[i:i + 1])
+        assert (vals[i], ests[i]) == (lone[0][0], lone[1][0]), xs[i]
 
 
 @PROPERTY
@@ -607,7 +636,7 @@ def test_first_kind_derived_quantities_run_no_k_integration(monkeypatch):
     def no_integration(*args, **kwargs):
         raise AssertionError("K integration on a first-kind quantity")
 
-    monkeypatch.setattr(oracle, "_taylor_row", no_integration)
+    monkeypatch.setattr(oracle, "_k_seed_row", no_integration)
     nu, xs, methods = 0.8, np.array([0.05]), []
 
     def ratio(name):

@@ -177,6 +177,26 @@ def test_batched_lanes_match_one_lane_runs(a, nu, inside, below):
         assert got.samples.shape[1] == 2 and np.all(np.diff(got.xs()) > 0.0)
 
 
+@pytest.mark.parametrize("lanes", [1, 2, 100])
+def test_lanes_are_their_one_lane_runs_bit_for_bit(lanes):
+    # each S_k must be summed in order, as a one-lane block would be summed
+    # if numpy did not sum a one-column block pairwise.  In half the draws
+    # every other lane starts at x0 = phi0 = -0.0, where every b_k is a
+    # signed zero, some of them -0.0, and the signs must match too
+    rng = np.random.default_rng(lanes)
+    for draw in range(12):
+        nu, x0, phi0 = (rng.uniform(lo, hi, lanes)
+                        for lo, hi in ((-1.0, 5.0), (0.05, 30.0), (-3.0, 3.0)))
+        if draw % 2:
+            x0[::2], phi0[::2] = -0.0, -0.0
+        b, h = riccati_lab.taylor_step(nu, x0, phi0)
+        assert b.shape == (riccati_lab._TAYLOR_ORDER + 1, lanes)
+        for i in range(lanes):
+            one = slice(i, i + 1)
+            b1, h1 = riccati_lab.taylor_step(nu[one], x0[one], phi0[one])
+            assert (b[:, i].tobytes(), h[one].tobytes()) == (b1.tobytes(), h1.tobytes()), (draw, i)
+
+
 def test_scalar_start_is_a_one_lane_batch():
     lo, hi = _band(2.0)
     for y0 in (0.5 * (lo + hi), lo - 0.5):

@@ -624,21 +624,17 @@ def test_every_formula_broadcasts_over_an_order_column():
 
 
 def _count_seeds(monkeypatch) -> list:
-    """One entry per K row seeded by Taylor steps: its number of steps."""
-    steps = []
-    real_row, real_coefficients = oracle._taylor_row, oracle.taylor_coefficients
+    """One entry per K seed quadrature (``oracle._k_seed_row`` call): its
+    order and its number of x."""
+    seeds = []
+    real = oracle._k_seed_row
 
-    def counting_row(*args, **kwargs):
-        steps.append(0)
-        return real_row(*args, **kwargs)
+    def counting(nu, xs):
+        seeds.append((nu, len(xs)))
+        return real(nu, xs)
 
-    def counting_coefficients(*args, **kwargs):
-        steps[-1] += 1
-        return real_coefficients(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "_taylor_row", counting_row)
-    monkeypatch.setattr(oracle, "taylor_coefficients", counting_coefficients)
-    return steps
+    monkeypatch.setattr(oracle, "_k_seed_row", counting)
+    return seeds
 
 
 def test_table_makes_one_first_kind_call(monkeypatch):
@@ -660,26 +656,38 @@ def test_order_below_minus_one_fails_every_row():
     assert [r.error for r in table.rows.values()] == [str(exc.value)] * 3
 
 
+def test_grid_holding_the_least_float_x_reports_oracle_failures():
+    # the K seed raises at x = 5e-324, so every point of a K-based claim is
+    # an oracle failure, never a NaN that passes
+    table = OracleTable(Grid(nu_values=(0.25, 1.5), x_values=(5e-324, 1.0)))
+    for claim_id in ("trig-upper-K", "product-lower-trig"):
+        rep = scan_bound(claim_id, table=table)
+        assert (rep.points_checked, rep.violations) == (0, [])
+        assert len(rep.oracle_failures) == 4
+        assert all("x=5e-324" in why for _, _, why in rep.oracle_failures)
+
+
 def test_default_table_integrates_once_per_order_class(monkeypatch):
-    # classes 1/4, 3/4 and the integers (nu = -1 reflects to 2); 1/2 is exact
-    steps = _count_seeds(monkeypatch)
+    # classes 1/4, 3/4 and the integers (nu = -1 reflects to 2), each over
+    # all 121 x; 1/2 is exact
+    seeds = _count_seeds(monkeypatch)
     OracleTable(default_grid())
-    assert len(steps) == 3
+    assert sorted(seeds) == [(0.25, 121), (0.75, 121), (1.0, 121)]
 
 
 def test_half_integer_table_needs_no_integration(monkeypatch):
-    steps = _count_seeds(monkeypatch)
+    seeds = _count_seeds(monkeypatch)
     table = OracleTable(Grid(nu_values=tuple(k + 0.5 for k in range(-1, 20)),
                              x_values=tuple(np.geomspace(1e-3, 1e3, 31))))
-    assert steps == []
+    assert seeds == []
     assert {r.k_method for r in table.rows.values()} == {
         "half-integer-recurrence", "reflection+half-integer-recurrence"}
 
 
 def test_sharpness_battery_integrates_once(monkeypatch):
-    # one table over all 25 battery points: the nu = 1 seed below x = 20 is
-    # the only Taylor-stepped K row (six one-point seeds before the table)
-    steps = _count_seeds(monkeypatch)
+    # one table over all 25 battery points: the integer class is its only
+    # quadrature seed, over the table's 9 distinct x
+    seeds = _count_seeds(monkeypatch)
     blocks = []
     real = OracleTable.block
 
@@ -689,35 +697,17 @@ def test_sharpness_battery_integrates_once(monkeypatch):
 
     monkeypatch.setattr(OracleTable, "block", counting)
     sharpness_battery()
-    assert len(steps) == 1
+    assert seeds == [(1.0, 9)]
     assert len(blocks) == 7     # one block per case
 
 
-def test_large_x_coefficients_generated_once_per_seed(monkeypatch):
-    # the start probe, the series above the start and the Taylor start value
-    # share one coefficient list per K seed (3 seeds on the default grid)
-    calls = []
-    real = oracle.large_x_coefficients
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "large_x_coefficients", counting)
-    OracleTable(default_grid())
-    assert len(calls) == 3
-    calls.clear()
-    sharpness_battery()
-    assert len(calls) == 1
-
-
 def test_k_cost_is_flat_in_order(monkeypatch):
-    steps = _count_seeds(monkeypatch)
+    # a high order climbs the ladder from its class's seed, the same
+    # quadrature as the low order's
+    seeds = _count_seeds(monkeypatch)
     oracle.k_ratio(nc.EvalPoint(0.25, 1.0))
-    low = sum(steps)
-    steps.clear()
     oracle.k_ratio(nc.EvalPoint(1000.25, 1.0))
-    assert 0 < sum(steps) <= low
+    assert seeds == [(0.25, 1), (0.25, 1)]
 
 
 # ---------------------------------------------------------------------------
